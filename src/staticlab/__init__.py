@@ -15,6 +15,7 @@ from .geometry import (
     RadialProfile,
     StaticTriple,
     boundary_scalar_curvature,
+    sphere_euler_characteristic,
     static_residual,
     surface_gravity,
     to_arclength,
@@ -49,6 +50,7 @@ __all__ = [
     "default_tolerance",
     "nariai",
     "schwarzschild_de_sitter",
+    "sphere_euler_characteristic",
     "static_residual",
     "surface_gravity",
     "to_arclength",

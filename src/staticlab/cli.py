@@ -19,7 +19,7 @@ import numpy as np
 
 from . import conformal, identities, inequalities, levelset, odegen
 from .geometry import StaticTriple, static_residual
-from .models import by_name, schwarzschild_de_sitter, SdSParams
+from .models import by_name
 from .report import IdentityReport, default_tolerance, identity_report
 
 
@@ -29,6 +29,38 @@ def _fmt(x) -> str:
     if isinstance(x, (np.floating,)):
         return format(float(x), ".12g")
     return str(x)
+
+
+def _json_ready(obj):
+    """Floats rounded to 12 significant digits, NaN and infinities as null,
+    numpy booleans as booleans, so that json.dumps emits strict JSON under
+    the float contract."""
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return float(format(x, ".12g")) if math.isfinite(x) else None
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
+def _dumps(payload) -> str:
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2,
+                      default=_fmt)
+
+
+class UsageError(Exception):
+    """Bad command-line input: one line on stderr and exit status 2."""
+
+
+def _triple(model: str, n: int, m: float) -> StaticTriple:
+    try:
+        return by_name(model, n=n, m=m)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _flags_str(flags: dict[str, bool]) -> str:
@@ -49,7 +81,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
-        raise SystemExit(f"bad grid specification {spec!r}: {exc}")
+        raise UsageError(f"bad grid specification {spec!r}: {exc}") from None
+    if not step > 0.0:
+        raise UsageError(f"bad grid specification {spec!r}: step must be "
+                         "positive")
     return np.arange(a, b + 0.5 * step, step)
 
 
@@ -160,7 +195,7 @@ SUITES = {
 def cmd_models(args) -> int:
     rows = []
     for name in ("desitter", "antidesitter", "sds", "nariai"):
-        tr = by_name(name, n=args.n, m=args.m)
+        tr = _triple(name, args.n, args.m)
         rows.append({
             "model": name,
             "name": tr.name,
@@ -172,7 +207,7 @@ def cmd_models(args) -> int:
             "extremum_discrete": tr.extremum.discrete,
             "assumption_flags": levelset.assumption_flags(tr),
         })
-    print(json.dumps(rows, sort_keys=True, indent=2, default=_fmt))
+    print(_dumps(rows))
     return 0
 
 
@@ -182,41 +217,68 @@ def _resolve_branch(triple: StaticTriple, branch: Optional[str]):
     return "outer" if len(triple.branches()) == 2 else None
 
 
-def cmd_up_curve(args) -> int:
-    tr = by_name(args.model, n=args.n, m=args.m)
-    grid = np.linspace(args.t0, args.t1, args.steps)
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {steps}")
+
+
+def _check_level(tr: StaticTriple, branch: Optional[str], flag: str,
+                 value: float, t: float) -> None:
+    """Refuse an end level that level location cannot resolve, or the
+    extremal value 1, where U_p and Phi_p are singular."""
+    if t != 1.0:
+        try:
+            levelset.level_radii(tr, t, branch)
+            return
+        except ValueError:
+            pass
+    raise UsageError(f"{flag} {value:g}: level t={t:.12g} is outside the "
+                     "range of u (its extremal value 1 excluded)")
+
+
+def _curve_command(args, curve_fn, ends, to_level) -> int:
+    """Shared body of the two curve commands; `ends` holds the two
+    (flag, value) grid ends and `to_level(triple, value)` gives the level
+    t of a grid value."""
+    _check_steps(args.steps)
+    tr = _triple(args.model, args.n, args.m)
     branch = _resolve_branch(tr, args.branch)
-    curve = levelset.up_curve(tr, args.p, grid, branch=branch)
+    for flag, value in ends:
+        _check_level(tr, branch, flag, value, to_level(tr, value))
+    grid = np.linspace(ends[0][1], ends[1][1], args.steps)
+    curve = curve_fn(tr, args.p, grid, branch=branch)
     flags = _flags_str(levelset.assumption_flags(tr))
     lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
-    for i, t in enumerate(curve.grid):
+    for i, x in enumerate(curve.grid):
         d_ana = curve.d_analytic[i] if curve.d_analytic is not None else math.nan
-        lines.append(",".join([_fmt(float(t)), _fmt(float(curve.values[i])),
+        lines.append(",".join([_fmt(float(x)), _fmt(float(curve.values[i])),
                                _fmt(float(d_ana)),
                                _fmt(float(curve.d_numeric[i])), flags]))
     _write_lines(args.out, lines)
     return 0
+
+
+def cmd_up_curve(args) -> int:
+    return _curve_command(args, levelset.up_curve,
+                          (("--t0", args.t0), ("--t1", args.t1)),
+                          lambda tr, t: t)
 
 
 def cmd_phi_curve(args) -> int:
-    tr = by_name(args.model, n=args.n, m=args.m)
-    grid = np.linspace(args.s0, args.s1, args.steps)
-    branch = _resolve_branch(tr, args.branch)
-    curve = levelset.phi_curve(tr, args.p, grid, branch=branch)
-    flags = _flags_str(levelset.assumption_flags(tr))
-    lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
-    for i, s in enumerate(curve.grid):
-        d_ana = curve.d_analytic[i] if curve.d_analytic is not None else math.nan
-        lines.append(",".join([_fmt(float(s)), _fmt(float(curve.values[i])),
-                               _fmt(float(d_ana)),
-                               _fmt(float(curve.d_numeric[i])), flags]))
-    _write_lines(args.out, lines)
-    return 0
+    ends = (("--s0", args.s0), ("--s1", args.s1))
+    for flag, s in ends:
+        if not s > 0.0:
+            raise UsageError(f"{flag} must be positive, got {s:g}")
+    return _curve_command(args, levelset.phi_curve, ends,
+                          lambda tr, s: levelset.t_of_s(s, tr.lambda_sign))
 
 
 def cmd_check(args) -> int:
-    tr = by_name(args.model, n=args.n, m=args.m)
-    tol = default_tolerance(1e-6)
+    tr = _triple(args.model, args.n, args.m)
+    try:
+        tol = default_tolerance(1e-6)
+    except ValueError as exc:
+        raise UsageError(f"STATICLAB_TOL: {exc}") from None
     reports = SUITES[args.suite](tr, tol)
     payload = {
         "model": args.model,
@@ -224,7 +286,7 @@ def cmd_check(args) -> int:
         "suite": args.suite,
         "checks": [r.as_dict() for r in reports],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_fmt)
+    text = _dumps(payload)
     if args.out is None:
         print(text)
     else:
@@ -237,7 +299,7 @@ def cmd_scan_sds(args) -> int:
     lines = ["m,r1,r2,kappa1,kappa2"]
     ok = True
     for m in _parse_grid(args.m_grid):
-        tr = schwarzschild_de_sitter(SdSParams(n=args.n, m=float(m)))
+        tr = _triple("sds", args.n, float(m))
         (b1, b2) = sorted(tr.boundaries, key=lambda b: b.location)
         lines.append(",".join(_fmt(v) for v in (
             float(m), b1.location, b2.location,
@@ -249,6 +311,7 @@ def cmd_scan_sds(args) -> int:
 
 
 def cmd_shoot(args) -> int:
+    _check_steps(args.steps)
     data = odegen.HorizonData(n=args.n, lambda_sign=+1, h0=args.h0,
                               kappa=args.kappa)
     tr = odegen.shoot_from_horizon(data)
@@ -328,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"staticlab {args.command}: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ import numpy as np
 
 from .geometry import CurvatureData, StaticTriple, warped_curvature
 from .report import IdentityReport, identity_report
+from .roots import find_root
 
 EXTREMUM_BAND = 1e-6
 
@@ -302,14 +303,11 @@ def sample_points_off_extremum(triple: StaticTriple, count: int,
     lo, hi = triple.domain
     span = hi - lo
     if triple.lambda_sign < 0 and triple.u.value(hi - 1e-9 * span) > u_cap:
-        a, b = lo + 1e-12 * span, hi - 1e-12 * span
-        for _ in range(100):  # u is monotone outward here
-            mid = 0.5 * (a + b)
-            if triple.u.value(mid) < u_cap:
-                a = mid
-            else:
-                b = mid
-        hi = 0.5 * (a + b)
+        def excess(x: float) -> tuple[float, float]:  # u rises outward
+            val, slope, _ = triple.u(x)
+            return val - u_cap, slope
+
+        hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
         span = hi - lo
     pts = np.linspace(lo + pad * span, hi - pad * span, count)
     return [x for x in pts if abs(triple.u.value(x) - 1.0) >= min_gap]

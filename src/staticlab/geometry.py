@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,9 +32,18 @@ from scipy.interpolate import CubicSpline
 from .quadrature import QuadratureConfig, adaptive
 
 
+BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
+
+
 def unit_sphere_area(n: int) -> float:
     """Hypersurface area of the unit sphere S^(n-1) in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def sphere_euler_characteristic(n: int) -> int:
+    """Euler characteristic of the level sphere S^(n-1): 2 when n-1 is
+    even, 0 when it is odd."""
+    return 2 if (n - 1) % 2 == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -113,11 +123,14 @@ class RadialState:
 
 @dataclass(frozen=True)
 class Branch:
-    """A maximal interval of the radial domain on which u is monotone."""
+    """A maximal interval of the radial domain on which u is monotone, and
+    the range of u over it, taken BRANCH_INSET * span inside its ends."""
 
     lo: float
     hi: float
     increasing: bool
+    u_lo: float
+    u_hi: float
 
 
 @dataclass(frozen=True)
@@ -174,6 +187,12 @@ class StaticTriple:
 
     def branches(self) -> tuple[Branch, ...]:
         """Monotone branches of u, split at an interior extremum."""
+        return self._branches
+
+    @cached_property
+    def _branches(self) -> tuple[Branch, ...]:
+        # held on the instance: every level location needs the branches,
+        # and `dataclasses.replace` builds a triple that starts afresh
         lo, hi = self.domain
         span = hi - lo
         xstar = self.extremum.location
@@ -185,7 +204,10 @@ class StaticTriple:
         out = []
         for a, b in cuts:
             du = self.radial_state(0.5 * (a + b)).du
-            out.append(Branch(a, b, increasing=du > 0))
+            ua = self.u.value(a + BRANCH_INSET * span)
+            ub = self.u.value(b - BRANCH_INSET * span)
+            out.append(Branch(a, b, increasing=du > 0,
+                              u_lo=min(ua, ub), u_hi=max(ua, ub)))
         return tuple(out)
 
     def u_range(self) -> tuple[float, float]:

@@ -24,58 +24,19 @@ import numpy as np
 
 from .conformal import ConformalState, mean_curvature_g0, to_conformal
 from .geometry import (
+    BRANCH_INSET,
     Branch,
     StaticTriple,
     unit_sphere_area,
     warped_curvature,
 )
+from .roots import find_root
 
 EXTREMUM_CUTOFF = 1e-8  # band around u = 1 excluded from curve sampling
 
 
 # --------------------------------------------------------------------------
 # level location
-
-def _bisect_level(triple: StaticTriple, t: float, branch: Branch) -> float:
-    """Radius x in `branch` with u(x) = t, by bisection plus a safeguarded
-    Newton polish."""
-    lo, hi = branch.lo, branch.hi
-    span = triple.domain[1] - triple.domain[0]
-    a = lo + 1e-14 * span
-    b = hi - 1e-14 * span
-
-    def g(x: float) -> float:
-        return triple.u.value(x) - t
-
-    ga = g(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0) == (ga > 0):
-            a, ga = mid, gm
-        else:
-            b = mid
-    x = 0.5 * (a + b)
-    for _ in range(2):
-        val, d1, _ = triple.u(x)
-        if d1 == 0.0:
-            break
-        cand = x - (val - t) / d1
-        if a < cand < b and abs(g(cand)) <= abs(g(x)):
-            x = cand
-    return x
-
-
-def _branch_u_range(triple: StaticTriple, branch: Branch) -> tuple[float, float]:
-    span = triple.domain[1] - triple.domain[0]
-    va = triple.u.value(branch.lo + 1e-13 * span)
-    vb = triple.u.value(branch.hi - 1e-13 * span)
-    return (min(va, vb), max(va, vb))
-
 
 def select_branch(triple: StaticTriple, branch: Optional[str]) -> tuple[Branch, ...]:
     """Resolve a branch designator: None keeps every branch; "inner"/"outer"
@@ -106,11 +67,18 @@ def level_radii(triple: StaticTriple, t: float,
             comps = (min(comps, key=lambda c: c.location),) if branch == "inner" \
                 else (max(comps, key=lambda c: c.location),)
         return tuple(sorted(c.location for c in comps))
+
+    def g(x: float) -> tuple[float, float]:
+        val, slope, _ = triple.u(x)
+        return val - t, slope
+
+    inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
     radii = []
     for br in select_branch(triple, branch):
-        u_lo, u_hi = _branch_u_range(triple, br)
-        if u_lo <= t <= u_hi:
-            radii.append(_bisect_level(triple, t, br))
+        if br.u_lo <= t <= br.u_hi:
+            g_ends = (br.u_lo - t, br.u_hi - t)
+            radii.append(find_root(g, br.lo + inset, br.hi - inset,
+                                   *(g_ends if br.increasing else g_ends[::-1])))
     if not radii:
         raise ValueError(f"level t={t} outside the range of u")
     return tuple(sorted(radii))

@@ -16,7 +16,9 @@ from .geometry import (
     Extremum,
     RadialProfile,
     StaticTriple,
+    sphere_euler_characteristic,
 )
+from .roots import find_root
 
 
 def admissible_mass_bound(n: int) -> float:
@@ -40,40 +42,10 @@ class SdSParams:
 
 
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
-                   dfn: Callable[[float], float] | None = None,
-                   bisect_iters: int = 80, newton_iters: int = 4) -> float:
-    """Root of fn on [lo, hi], bisection first, then a safeguarded Newton
-    polish that never leaves the bracket."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    a, b, fa = lo, hi, flo
-    for _ in range(bisect_iters):
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if b - a <= 1e-16 * (abs(a) + abs(b)):
-            break
-    x = 0.5 * (a + b)
-    if dfn is not None:
-        for _ in range(newton_iters):
-            d = dfn(x)
-            if d == 0.0:
-                break
-            step = fn(x) / d
-            candidate = x - step
-            if a < candidate < b:
-                x = candidate
-    return x
+                   dfn: Callable[[float], float] | None = None) -> float:
+    """Root of fn on [lo, hi] by the package's bracketed solver: Newton
+    steps from `dfn` when given, false position and bisection otherwise."""
+    return find_root(lambda x: (fn(x), dfn(x) if dfn else None), lo, hi)
 
 
 def _tiny_guard(x: float) -> float:
@@ -94,9 +66,9 @@ def de_sitter(n: int) -> StaticTriple:
         g = _tiny_guard(val)
         return val, -r / g, -1.0 / g - r * r / g ** 3
 
-    boundary = BoundaryComponent(location=1.0, sphere_radius=1.0,
-                                 surface_gravity=1.0,
-                                 euler_characteristic=2 if n == 3 else 0)
+    boundary = BoundaryComponent(
+        location=1.0, sphere_radius=1.0, surface_gravity=1.0,
+        euler_characteristic=sphere_euler_characteristic(n))
     return StaticTriple(
         n=n, lambda_sign=+1, chart="areal",
         u=RadialProfile((0.0, 1.0), u_fn),
@@ -172,7 +144,7 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
         d2 = inv_sqrt_f0 * (2.0 * fv * f_d2(r) - f_d1(r) ** 2) / (4.0 * g ** 3)
         return val, d1, d2
 
-    chi = 2 if n == 3 else (2 if (n - 1) % 2 == 0 else 0)
+    chi = sphere_euler_characteristic(n)
     kappas = tuple(abs(f_d1(r)) / (2.0 * math.sqrt(f0)) for r in (r1, r2))
     boundaries = tuple(
         BoundaryComponent(location=r, sphere_radius=r, surface_gravity=k,
@@ -204,7 +176,7 @@ def nariai(n: int) -> StaticTriple:
         return (math.sin(sn * rho), sn * math.cos(sn * rho),
                 -n * math.sin(sn * rho))
 
-    chi = 2 if (n - 1) % 2 == 0 else 0
+    chi = sphere_euler_characteristic(n)
     boundaries = tuple(
         BoundaryComponent(location=loc, sphere_radius=h0, surface_gravity=sn,
                           euler_characteristic=chi)

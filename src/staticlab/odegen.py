@@ -30,7 +30,13 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry import BoundaryComponent, Extremum, RadialProfile, StaticTriple
+from .geometry import (
+    BoundaryComponent,
+    Extremum,
+    RadialProfile,
+    StaticTriple,
+    sphere_euler_characteristic,
+)
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,7 @@ def shoot_from_horizon(data: HorizonData,
     else:
         extremum = Extremum(location=rho_end, discrete=True, count=1)
 
-    chi = 2 if (data.n - 1) % 2 == 0 else 0
+    chi = sphere_euler_characteristic(data.n)
     boundaries = [BoundaryComponent(location=0.0, sphere_radius=data.h0,
                                     surface_gravity=data.kappa * scale,
                                     euler_characteristic=chi)]

@@ -12,6 +12,7 @@ assumptions, and must not raise false alarms.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -82,7 +83,8 @@ def inequality_report(name: str, lhs: float, rhs: float, tolerance: float,
                       extra: dict | None = None) -> IdentityReport:
     """Report for a one-sided inequality lhs <= rhs; residual is the
     violation and `equality` marks the rigidity case."""
-    violation = max(0.0, lhs - rhs)
+    gap = lhs - rhs
+    violation = gap if math.isnan(gap) else max(0.0, gap)  # NaN never passes
     rel = violation / max(abs(lhs), abs(rhs), 1e-300)
     passed = violation <= tolerance
     status = "pass" if passed else "fail"

@@ -1,0 +1,82 @@
+"""The one bracketed root finder of the package.
+
+Level location, the horizon radii of the two-horizon family and the window
+edges of the conformal checkers all solve g(x) = 0 for a function with a
+known sign change on [lo, hi].  `find_root` keeps that bracket and, at
+every iterate, tries in turn
+
+1. the Newton step, from the slope that the same evaluation returned;
+2. Illinois false position, when the Newton step would leave the bracket
+   or no slope is known (near a horizon u ~ sqrt(distance), so Newton
+   overshoots from the far side of the root);
+3. bisection, when the false-position point is not strictly inside the
+   bracket.
+
+It stops when a Newton step no longer moves the iterate (the step is below
+half an ulp of it) or the bracket closes to about one ulp, and returns the
+iterate with the smallest |g| (one of the last two, once the steps
+converge).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Optional
+
+EPS = 2.0 ** -52
+MAX_ITERATIONS = 200
+
+
+def find_root(g: Callable[[float], tuple[float, Optional[float]]],
+              lo: float, hi: float,
+              g_lo: Optional[float] = None,
+              g_hi: Optional[float] = None) -> float:
+    """Root of g on [lo, hi]; `g(x)` returns (value, slope or None).
+
+    `g_lo`/`g_hi` are the values at the bracket ends when the caller already
+    knows them.  Raises ValueError when the ends do not change sign.
+    """
+    fa = g(lo)[0] if g_lo is None else g_lo
+    fb = g(hi)[0] if g_hi is None else g_hi
+    if fa == 0.0:
+        return lo
+    if fb == 0.0:
+        return hi
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    floor = EPS * EPS * (hi - lo)  # lets a bracket around x = 0 close
+    a, b = lo, hi
+    last_side = 0  # which end the previous iterate replaced
+    x = a - fa * (b - a) / (fb - fa)
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    best, best_res = x, math.inf
+    for _ in range(MAX_ITERATIONS):
+        gx, slope = g(x)
+        if gx == 0.0:
+            return x
+        if abs(gx) <= best_res:
+            best, best_res = x, abs(gx)
+        # fa and fb keep the signs of g at a and b; Illinois halves the
+        # value at an end that two iterates in a row left standing
+        if (gx > 0.0) == (fa > 0.0):
+            a, fa = x, gx
+            if last_side < 0:
+                fb *= 0.5
+            last_side = -1
+        else:
+            b, fb = x, gx
+            if last_side > 0:
+                fa *= 0.5
+            last_side = 1
+        if b - a <= EPS * abs(x) + floor:
+            break
+        nxt = x - gx / slope if slope else math.nan
+        if nxt == x:  # the Newton step is below half an ulp of x
+            break
+        if not a < nxt < b:
+            nxt = a - fa * (b - a) / (fb - fa)
+            if not a < nxt < b:
+                nxt = 0.5 * (a + b)
+        x = nxt
+    return best

@@ -15,7 +15,10 @@ import numpy as np
 from staticlab.quadrature import QuadratureConfig, adaptive
 
 
-def bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
+def bisect_bracket(fn, lo: float, hi: float,
+                   iters: int = 200) -> tuple[float, float]:
+    """The sign-change bracket of fn, halved until its ends are adjacent
+    floats (or `iters` halvings are spent)."""
     flo = fn(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -25,6 +28,11 @@ def bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
+    lo, hi = bisect_bracket(fn, lo, hi, iters)
     return 0.5 * (lo + hi)
 
 

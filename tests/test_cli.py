@@ -121,3 +121,44 @@ def test_float_formatting_12_digits(capsys):
     code, out = run(capsys, "scan-sds", "--m-grid", "0.1:0.1:0.1")
     row = out.splitlines()[1].split(",")
     assert row[3] == "3.49237298164"  # 12 significant digits
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi-curve", "--model", "desitter", "--p", "3", "--s0", "0",
+     "--s1", "1"),
+    ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0",
+     "--t1", "1.5"),
+    ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0",
+     "--t1", "0.5", "--steps", "0"),
+    ("phi-curve", "--model", "antidesitter", "--p", "3", "--s0", "1e-4",
+     "--s1", "1"),
+    ("up-curve", "--model", "sds", "--m", "0.5", "--p", "3", "--t0", "0.1",
+     "--t1", "0.5"),
+])
+def test_bad_curve_input_exits_2_with_one_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"staticlab {argv[0]}: error: ")
+
+
+def test_check_emits_strict_json_at_12_digits(capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for model, suite in (("sds", "inequalities"), ("nariai", "liminf"),
+                         ("desitter", "identities")):
+        code, out = run(capsys, "check", "--model", model, "--suite", suite)
+        assert code == 0
+        floats = []
+        json.loads(out, parse_constant=reject, parse_float=floats.append)
+        assert floats
+        for tok in floats:
+            digits = tok.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+            assert len(digits) <= 12, tok
+    checks = json.loads(run(capsys, "check", "--model", "sds", "--suite",
+                            "liminf")[1])["checks"]
+    assert all(c["lhs"] is None and c["status"] == "inapplicable"
+               for c in checks)

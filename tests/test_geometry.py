@@ -6,10 +6,13 @@ import pytest
 from staticlab import (
     Extremum,
     RadialProfile,
+    SdSParams,
     StaticTriple,
     boundary_scalar_curvature,
     de_sitter,
     nariai,
+    schwarzschild_de_sitter,
+    sphere_euler_characteristic,
     static_residual,
     surface_gravity,
     to_arclength,
@@ -32,6 +35,15 @@ def make_arclength_triple(n, h_fn, u_fn, domain):
 def test_unit_sphere_area_values():
     assert unit_sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
     assert unit_sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+
+def test_sphere_euler_characteristic():
+    assert [sphere_euler_characteristic(n) for n in (3, 4, 5, 6)] == [2, 0, 2, 0]
+    # S^4 bounds the n = 5 hemisphere: chi = 2, like S^2 at n = 3
+    for tr in (de_sitter(5), nariai(5),
+               schwarzschild_de_sitter(SdSParams(n=5, m=0.01))):
+        assert {c.euler_characteristic for c in tr.boundaries} == {2}
+    assert {c.euler_characteristic for c in nariai(4).boundaries} == {0}
 
 
 def test_round_sphere_slice_curvature():

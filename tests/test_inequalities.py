@@ -5,6 +5,7 @@ import pytest
 
 from staticlab import BoundaryComponent, de_sitter
 from staticlab import inequalities as IQ
+from staticlab.report import inequality_report
 
 S3_AREA = 4 * math.pi
 
@@ -162,3 +163,10 @@ def test_implication_chain(all_models):
 
 def test_scalar_average_refused_for_negative_constant(ads3):
     assert IQ.scalar_average_bound(ads3).status == "inapplicable"
+
+
+def test_nan_side_never_passes():
+    for lhs, rhs in ((math.nan, 1.0), (1.0, math.nan)):
+        assert inequality_report("x", lhs, rhs, 1e-9).status == "fail"
+        gated = inequality_report("x", lhs, rhs, 1e-9, applicable=False)
+        assert gated.status == "inapplicable"

@@ -1,12 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from staticlab import anti_de_sitter, de_sitter
+from staticlab import (
+    SdSParams,
+    admissible_mass_bound,
+    anti_de_sitter,
+    de_sitter,
+    nariai,
+    schwarzschild_de_sitter,
+)
 from staticlab import levelset as LS
+from staticlab.geometry import BRANCH_INSET
 
-from oracles import sds_horizon_data
+from oracles import bisect_bracket, sds_horizon_data
 
 S3_AREA = 4 * math.pi
 
@@ -38,6 +49,62 @@ def test_level_zero_is_the_boundary(sds01):
 def test_level_out_of_range(ds3):
     with pytest.raises(ValueError):
         LS.level_radii(ds3, 1.5)
+
+
+def _model(kind: str, n: int, mass_fraction: float):
+    if kind == "sds":
+        m = mass_fraction * admissible_mass_bound(n)
+        return schwarzschild_de_sitter(SdSParams(n=n, m=m))
+    return {"desitter": de_sitter, "antidesitter": anti_de_sitter,
+            "nariai": nariai}[kind](n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(["desitter", "antidesitter", "sds", "nariai"]),
+       n=st.integers(3, 6),
+       mass_fraction=st.floats(0.01, 0.99),
+       which=st.integers(0, 1),
+       level_fraction=st.floats(0.0, 1.0))
+def test_level_radii_as_good_as_bisection(kind, n, mass_fraction, which,
+                                          level_fraction):
+    # the located radius lies in its branch, and its level residual is
+    # within a factor two (plus rounding of t) of what plain bisection
+    # guarantees: the residual at the worse end of its final bracket of
+    # adjacent floats.  (Its midpoint can land on a lucky float: close to
+    # the extremal mass, u = sqrt(f / f(r0)) takes values in steps of
+    # about 2e-14, from rounding in f.)
+    tr = _model(kind, n, mass_fraction)
+    branches = tr.branches()
+    br = branches[which % len(branches)]
+    designator = None if len(branches) == 1 else ("inner", "outer")[which]
+    t = br.u_lo + level_fraction * (br.u_hi - br.u_lo)
+    (x,) = LS.level_radii(tr, t, designator)
+    assert br.lo < x < br.hi
+    inset = BRANCH_INSET * (tr.domain[1] - tr.domain[0])
+    ref = max(abs(tr.u.value(y) - t) for y in bisect_bracket(
+        lambda y: tr.u.value(y) - t, br.lo + inset, br.hi - inset))
+    eps = np.finfo(float).eps
+    assert abs(tr.u.value(x) - t) <= 2 * ref + 4 * eps * abs(t)
+
+
+@pytest.mark.parametrize("tr, grid", [
+    (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
+     np.linspace(0.05, 0.95, 1000)),
+    (de_sitter(3), np.linspace(0.0, 0.99, 1000)[1:]),
+])
+def test_level_location_cost(tr, grid):
+    # the benchmark's curve grids; plain bisection spends 54-58
+    # evaluations of u per located level here
+    calls = [0]
+    fn = tr.u.fn
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+
+    tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=counted))
+    located = sum(len(LS.level_radii(tr, float(t))) for t in grid)
+    assert calls[0] / located <= 20
 
 
 def test_level_data_fields(sds01):

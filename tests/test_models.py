@@ -41,6 +41,9 @@ def test_bracketed_root_basic():
     assert root == pytest.approx(math.sqrt(2), abs=1e-14)
     with pytest.raises(ValueError):
         bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    # without a derivative the steps are false position and bisection
+    root = bracketed_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
+    assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
 
 
 @pytest.mark.parametrize("m", [0.05, 0.1, 0.15])
