@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from . import conformal, identities, inequalities, levelset, odegen
 from .geometry import StaticTriple, static_residual
 from .models import by_name
-from .report import IdentityReport, default_tolerance, identity_report
+from .report import (IdentityReport, default_tolerance, identity_report,
+                     refusal_report)
 
 
 def _fmt(x) -> str:
@@ -125,8 +127,7 @@ def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 
 
 def _slab_params(triple: StaticTriple) -> tuple[float, float, Optional[str]]:
-    branch = "outer" if len(triple.branches()) == 2 else None
-    return 0.5, 2.5, branch
+    return 0.5, 2.5, _resolve_branch(triple, None)
 
 
 def suite_identities(triple: StaticTriple, tol: float) -> list[IdentityReport]:
@@ -159,24 +160,18 @@ def suite_inequalities(triple: StaticTriple, tol: float) -> list[IdentityReport]
 
 
 def suite_liminf(triple: StaticTriple, tol: float) -> list[IdentityReport]:
+    flags = levelset.assumption_flags(triple)
+    about = "limit of the level integral at the extremal value"
     out = []
     for p in range(1, triple.n):
         res = levelset.liminf_check(triple, p)
         if res.status != "ok":
-            out.append(IdentityReport(
-                name=f"liminf(p={p})", lhs=math.nan, rhs=math.nan,
-                abs_residual=math.nan, rel_residual=math.nan,
-                tolerance=tol, passed=False, status="inapplicable",
-                assumption_status=levelset.assumption_flags(triple),
-                description="limit of the level integral at the extremal "
-                            "value",
-                extra={"reason": res.status}))
+            out.append(replace(refusal_report(f"liminf(p={p})", res.status,
+                                              flags, about), tolerance=tol))
         else:
             out.append(identity_report(
                 f"liminf(p={p})", res.limit, res.reference, tol,
-                assumptions=levelset.assumption_flags(triple),
-                description="limit of the level integral at the extremal "
-                            "value vs extremal count"))
+                assumptions=flags, description=about + " vs extremal count"))
     return out
 
 
@@ -223,28 +218,28 @@ def _check_steps(steps: int) -> None:
 
 
 def _check_level(tr: StaticTriple, branch: Optional[str], flag: str,
-                 value: float, t: float) -> None:
-    """Refuse an end level that level location cannot resolve, or the
-    extremal value 1, where U_p and Phi_p are singular."""
-    if t != 1.0:
+                 value: float, t: float, band: float) -> None:
+    """Refuse an end level that level location cannot resolve, or one within
+    `band` of the extremal value 1, where U_p and Phi_p are singular."""
+    if abs(t - 1.0) > band:
         try:
             levelset.level_radii(tr, t, branch)
             return
         except ValueError:
             pass
-    raise UsageError(f"{flag} {value:g}: level t={t:.12g} is outside the "
-                     "range of u (its extremal value 1 excluded)")
+    raise UsageError(f"{flag} {value:.12g}: level t={t:.12g} is outside the "
+                     f"range of u or within {band:g} of its extremal value 1")
 
 
-def _curve_command(args, curve_fn, ends, to_level) -> int:
-    """Shared body of the two curve commands; `ends` holds the two
-    (flag, value) grid ends and `to_level(triple, value)` gives the level
-    t of a grid value."""
+def _curve_command(args, curve_fn, ends, to_level, band) -> int:
+    """Shared body of the two curve commands: `ends` holds the two (flag,
+    value) grid ends, `to_level(triple, value)` gives the level t of a grid
+    value, and the curve refuses levels within `band` of t = 1."""
     _check_steps(args.steps)
     tr = _triple(args.model, args.n, args.m)
     branch = _resolve_branch(tr, args.branch)
     for flag, value in ends:
-        _check_level(tr, branch, flag, value, to_level(tr, value))
+        _check_level(tr, branch, flag, value, to_level(tr, value), band)
     grid = np.linspace(ends[0][1], ends[1][1], args.steps)
     curve = curve_fn(tr, args.p, grid, branch=branch)
     flags = _flags_str(levelset.assumption_flags(tr))
@@ -259,9 +254,11 @@ def _curve_command(args, curve_fn, ends, to_level) -> int:
 
 
 def cmd_up_curve(args) -> int:
+    # U_p is defined up to t = 1; U_p' (p >= 3) reads W, refused near it
+    band = conformal.EXTREMUM_BAND if args.p >= 3 else 0.0
     return _curve_command(args, levelset.up_curve,
                           (("--t0", args.t0), ("--t1", args.t1)),
-                          lambda tr, t: t)
+                          lambda tr, t: t, band)
 
 
 def cmd_phi_curve(args) -> int:
@@ -270,7 +267,8 @@ def cmd_phi_curve(args) -> int:
         if not s > 0.0:
             raise UsageError(f"{flag} must be positive, got {s:g}")
     return _curve_command(args, levelset.phi_curve, ends,
-                          lambda tr, s: levelset.t_of_s(s, tr.lambda_sign))
+                          lambda tr, s: levelset.t_of_s(s, tr.lambda_sign),
+                          conformal.EXTREMUM_BAND)
 
 
 def cmd_check(args) -> int:

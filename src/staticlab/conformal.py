@@ -29,14 +29,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import CurvatureData, StaticTriple, warped_curvature
+from .geometry import (
+    CurvatureData,
+    RadialState,
+    StaticTriple,
+    radial_geometry,
+    sphere_area,
+)
 from .report import IdentityReport, identity_report
 from .roots import find_root
 
-EXTREMUM_BAND = 1e-6
+EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
+FD_REL_STEP = 1e-4    # arclength step of _arclength_fd, relative to the span
+U_CAP = 20.0          # the conformal checkers sample u <= U_CAP when u grows
 
 
 @dataclass(frozen=True)
@@ -55,71 +64,150 @@ class ConformalState:
     u_of_phi: float
 
 
-def conformal_denominator(triple: StaticTriple, u: float) -> float:
-    d = triple.lambda_sign * (1.0 - u * u)
+def _positive_denominator(d: float, u: float) -> float:
     if d <= 0.0:
         raise ValueError(f"conformal factor degenerate at u={u}")
     return d
 
 
-def _check_window(u: float, eps_ext: float) -> None:
-    if abs(u - 1.0) < eps_ext:
+def conformal_denominator(triple: StaticTriple, u: float) -> float:
+    return _positive_denominator(triple.lambda_sign * (1.0 - u * u), u)
+
+
+def check_window(u: float) -> None:
+    if abs(u - 1.0) < EXTREMUM_BAND:
         raise ValueError(
-            f"point with u={u} lies in the excluded band |u-1| < {eps_ext} "
-            "around the extremal set; the conformal metric degenerates there")
+            f"point with u={u} lies in the excluded band |u-1| < "
+            f"{EXTREMUM_BAND} around the extremal set; the conformal metric "
+            "degenerates there")
+
+
+# --------------------------------------------------------------------------
+# the pointwise record
+
+@dataclass(frozen=True)
+class SphereData:
+    """Everything known at radial point x, i.e. on the level sphere through x.
+
+    `st` and `curv` come from one evaluation of the profiles; every other
+    quantity is derived from them on first use, then kept.  Lazy, because
+    the curvature-deficit integrand reaches the extremal sphere, where W, H
+    and the dictionary are singular; only the dictionary refuses the band
+    around it (the level-set readers do in `levelset.level_spheres`).
+    """
+
+    triple: StaticTriple
+    x: float
+    st: RadialState
+    curv: CurvatureData
+
+    @property
+    def u(self) -> float:
+        return self.st.u
+
+    @property
+    def grad_u(self) -> float:
+        """|Du|."""
+        return abs(self.st.du)
+
+    @cached_property
+    def area(self) -> float:
+        """Sphere area w.r.t. g0."""
+        return sphere_area(self.triple.n, self.st.h)
+
+    @cached_property
+    def D(self) -> float:
+        """|1 - u^2| > 0 as sign * (1 - u**2); the dictionary's beta forms
+        sign * (1 - u*u), which may differ in the last bit."""
+        return _positive_denominator(
+            self.triple.lambda_sign * (1.0 - self.st.u ** 2), self.st.u)
+
+    @cached_property
+    def area_g(self) -> float:
+        """Sphere area w.r.t. the conformal metric."""
+        return self.area / self.D ** ((self.triple.n - 1) / 2.0)
+
+    @cached_property
+    def W(self) -> float:
+        """|Du|^2 / |1 - u^2|."""
+        return self.st.du ** 2 / self.D
+
+    @cached_property
+    def H(self) -> float:
+        """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
+        H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
+        if self.st.du == 0.0:
+            raise ValueError(f"singular level at x={self.x}")
+        return (self.curv.lap_u - self.curv.hess_u_rr) / abs(self.st.du)
+
+    @cached_property
+    def hess_phi_nn(self) -> float:
+        """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
+        d = conformal_denominator(self.triple, self.st.u)
+        return d * _hess_phi_components(self, d)[0]
+
+    @cached_property
+    def conformal(self) -> ConformalState:
+        """The conformal-side dictionary, refused in the extremal band."""
+        triple, st, curv = self.triple, self.st, self.curv
+        check_window(st.u)
+        n = triple.n
+        u = st.u
+        d = conformal_denominator(triple, u)
+        w_norm = st.du ** 2 / d
+        if triple.lambda_sign > 0:
+            phi = 0.5 * math.log((1.0 + u) / (1.0 - u))
+            u_of_phi = math.tanh(phi)
+            h_g = math.sqrt(d) * (self.H + (n - 1) * u * abs(st.du) / d)
+        else:
+            phi = 0.5 * math.log((u + 1.0) / (u - 1.0))
+            u_of_phi = 1.0 / math.tanh(phi)
+            h_g = math.sqrt(d) * (-self.H + (n - 1) * u * abs(st.du) / d)
+        return ConformalState(
+            phi=phi,
+            grad_phi_norm2=w_norm,
+            hess_phi_norm2=curv.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0),
+            lap_phi=-n * u * (1.0 - w_norm),
+            w=d * (1.0 - w_norm),
+            beta=d,
+            gamma=d ** ((n + 2) / 2.0) / u,
+            scalar_g=(n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - w_norm)),
+            H_g=h_g,
+            u_of_phi=u_of_phi,
+        )
+
+
+def sphere_data(triple: StaticTriple, x: float) -> SphereData:
+    """The pointwise record at radial coordinate x, built from one radial
+    state and one curvature evaluation."""
+    return SphereData(triple, x, *radial_geometry(triple, x))
+
+
+def to_conformal(triple: StaticTriple, x: float) -> ConformalState:
+    """The conformal-side dictionary at radial coordinate x."""
+    return sphere_data(triple, x).conformal
 
 
 def mean_curvature_g0(triple: StaticTriple, x: float) -> float:
     """Mean curvature of the level sphere through x w.r.t. g0 and the unit
-    normal nu = Du/|Du|: H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
-    st = triple.radial_state(x)
-    curv = warped_curvature(triple, x)
-    if st.du == 0.0:
-        raise ValueError(f"singular level at x={x}")
-    return (curv.lap_u - curv.hess_u_rr) / abs(st.du)
+    normal nu = Du/|Du|."""
+    return sphere_data(triple, x).H
 
 
-def to_conformal(triple: StaticTriple, x: float,
-                 eps_ext: float = EXTREMUM_BAND) -> ConformalState:
-    """Evaluate the conformal-side dictionary at radial coordinate x."""
-    st = triple.radial_state(x)
-    _check_window(st.u, eps_ext)
-    n = triple.n
-    u = st.u
-    d = conformal_denominator(triple, u)
-    w_norm = st.du ** 2 / d
-    curv = warped_curvature(triple, x)
-    if triple.lambda_sign > 0:
-        phi = 0.5 * math.log((1.0 + u) / (1.0 - u))
-        u_of_phi = math.tanh(phi)
-        h_g = math.sqrt(d) * (mean_curvature_g0(triple, x)
-                              + (n - 1) * u * abs(st.du) / d)
-    else:
-        phi = 0.5 * math.log((u + 1.0) / (u - 1.0))
-        u_of_phi = 1.0 / math.tanh(phi)
-        h_g = math.sqrt(d) * (-mean_curvature_g0(triple, x)
-                              + (n - 1) * u * abs(st.du) / d)
-    return ConformalState(
-        phi=phi,
-        grad_phi_norm2=w_norm,
-        hess_phi_norm2=curv.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0),
-        lap_phi=-n * u * (1.0 - w_norm),
-        w=d * (1.0 - w_norm),
-        beta=d,
-        gamma=d ** ((n + 2) / 2.0) / u,
-        scalar_g=(n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - w_norm)),
-        H_g=h_g,
-        u_of_phi=u_of_phi,
-    )
+def hess_phi_radial(triple: StaticTriple, x: float) -> float:
+    """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
+    return sphere_data(triple, x).hess_phi_nn
 
 
-def _ricci_g_components(triple: StaticTriple, st, curv: CurvatureData,
-                        d: float) -> tuple[float, float]:
+# --------------------------------------------------------------------------
+# pointwise identities
+
+def _ricci_g_components(sp: SphereData, d: float) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
-    n = triple.n
-    u, du2 = st.u, st.du ** 2
-    if triple.lambda_sign > 0:
+    n, curv = sp.triple.n, sp.curv
+    u, du2 = sp.st.u, sp.st.du ** 2
+    if sp.triple.lambda_sign > 0:
         common = (u * curv.lap_u / d
                   + ((n - 1) * u * u + 1.0) * du2 / d ** 2)
         ric_rr = (curv.ric_rr - (n - 2) * u * curv.hess_u_rr / d
@@ -134,14 +222,13 @@ def _ricci_g_components(triple: StaticTriple, st, curv: CurvatureData,
     return ric_rr, ric_tt
 
 
-def _hess_phi_components(triple: StaticTriple, st, curv: CurvatureData,
-                         d: float) -> tuple[float, float]:
+def _hess_phi_components(sp: SphereData, d: float) -> tuple[float, float]:
     """Orthonormal components of hess_g phi (as a (0,2)-tensor wrt the
     g0-orthonormal frame)."""
-    u, du2 = st.u, st.du ** 2
-    s = float(triple.lambda_sign)
-    return (s * curv.hess_u_rr / d + u * du2 / d ** 2,
-            s * curv.hess_u_tan / d + u * du2 / d ** 2)
+    u, du2 = sp.st.u, sp.st.du ** 2
+    s = float(sp.triple.lambda_sign)
+    return (s * sp.curv.hess_u_rr / d + u * du2 / d ** 2,
+            s * sp.curv.hess_u_tan / d + u * du2 / d ** 2)
 
 
 def quasi_einstein_residual(triple: StaticTriple, x: float) -> float:
@@ -151,15 +238,14 @@ def quasi_einstein_residual(triple: StaticTriple, x: float) -> float:
                 + (n - 2 + 2(1 - W)) g,
 
     as the max over the two independent orthonormal components."""
-    st = triple.radial_state(x)
-    _check_window(st.u, EXTREMUM_BAND)
+    sp = sphere_data(triple, x)
+    st, state = sp.st, sp.conformal
     n = triple.n
     u = st.u
-    d = conformal_denominator(triple, u)
-    w_norm = st.du ** 2 / d
-    curv = warped_curvature(triple, x)
-    ric_rr, ric_tt = _ricci_g_components(triple, st, curv, d)
-    hp_rr, hp_tt = _hess_phi_components(triple, st, curv, d)
+    d = state.beta
+    w_norm = state.grad_phi_norm2
+    ric_rr, ric_tt = _ricci_g_components(sp, d)
+    hp_rr, hp_tt = _hess_phi_components(sp, d)
     coeff = 1.0 / u - (n - 1) * u
     dphi2_rr = st.du ** 2 / d ** 2
     metric_term = (n - 2.0 + 2.0 * (1.0 - w_norm)) / d
@@ -168,15 +254,16 @@ def quasi_einstein_residual(triple: StaticTriple, x: float) -> float:
     return max(abs(ric_rr - rhs_rr), abs(ric_tt - rhs_tt))
 
 
-def _arclength_fd(triple: StaticTriple, fn, x: float, rel_step: float = 1e-4) -> float:
-    """d(fn)/drho at x by a five-point difference taken in arclength.
+def _arclength_fd(triple: StaticTriple, fn, x: float) -> float:
+    """d/drho of fn(triple, radial state) at x by a five-point difference
+    taken in arclength.
 
     Near a horizon the composition fn(r) loses smoothness in r while staying
     smooth in rho, so the stencil points sit at equal arclength offsets via
     the cubic expansion r(rho0 + e) = r + e sqrt(f) + e^2 f'/4
     + e^3 f'' sqrt(f)/12 + O(e^4)."""
     lo, hi = triple.domain
-    step = rel_step * (hi - lo)
+    step = FD_REL_STEP * (hi - lo)
 
     if triple.chart == "arclength":
         def place(e: float) -> float:
@@ -194,25 +281,37 @@ def _arclength_fd(triple: StaticTriple, fn, x: float, rel_step: float = 1e-4) ->
     while not (lo < x - reach and x + reach < hi):
         step *= 0.5
         reach *= 0.5
-    return (fn(place(-2 * step)) - 8.0 * fn(place(-step))
-            + 8.0 * fn(place(step)) - fn(place(2 * step))) / (12.0 * step)
+
+    def at(e: float) -> float:
+        return fn(triple, triple.radial_state(place(e)))
+
+    return (at(-2 * step) - 8.0 * at(-step)
+            + 8.0 * at(step) - at(2 * step)) / (12.0 * step)
 
 
-def grad_w_arclength(triple: StaticTriple, x: float) -> float:
+def _grad_w_arclength(triple: StaticTriple, st: RadialState) -> float:
     """d/drho of W = |Du|^2 / D, in closed form from the profile derivatives."""
-    st = triple.radial_state(x)
     d = conformal_denominator(triple, st.u)
     # dD/drho = -sign * 2 u u'
     dd = -2.0 * triple.lambda_sign * st.u * st.du
     return (2.0 * st.du * st.d2u * d - st.du ** 2 * dd) / d ** 2
 
 
-def _laplacian_g_radial(triple: StaticTriple, x: float, value_d1_d2) -> float:
-    """lap_g of a radial function given (value, d/drho, d2/drho2) at x:
+def _w_grad_arclength(triple: StaticTriple, st: RadialState) -> float:
+    """d/drho of w = beta (1 - W) = D (1 - W), in closed form."""
+    d = conformal_denominator(triple, st.u)
+    w_norm = st.du ** 2 / d
+    dd = -2.0 * triple.lambda_sign * st.u * st.du
+    return dd * (1.0 - w_norm) - d * _grad_w_arclength(triple, st)
+
+
+def _laplacian_g_radial(triple: StaticTriple, st: RadialState,
+                        value_d1_d2) -> float:
+    """lap_g of a radial function given (value, d/drho, d2/drho2) at the
+    point of `st`:
 
         lap_g psi = sign * [ (1 - u^2) lap_0 psi + (n-2) u <Du, Dpsi>_0 ].
     """
-    st = triple.radial_state(x)
     _, p1, p2 = value_d1_d2
     lap0 = p2 + (triple.n - 1) * (st.dh / st.h) * p1
     return triple.lambda_sign * ((1.0 - st.u ** 2) * lap0
@@ -228,14 +327,13 @@ def bochner_residual(triple: StaticTriple, x: float) -> float:
     All terms reduce to radial derivatives of W; the second derivative is a
     central difference of the closed-form first derivative.
     """
-    st = triple.radial_state(x)
-    _check_window(st.u, EXTREMUM_BAND)
+    sp = sphere_data(triple, x)
+    st, state = sp.st, sp.conformal
     n = triple.n
     u = st.u
-    state = to_conformal(triple, x)
-    w1 = grad_w_arclength(triple, x)
-    w2 = _arclength_fd(triple, lambda y: grad_w_arclength(triple, y), x)
-    lap_g_w = _laplacian_g_radial(triple, x, (state.grad_phi_norm2, w1, w2))
+    w1 = _grad_w_arclength(triple, st)
+    w2 = _arclength_fd(triple, _grad_w_arclength, x)
+    lap_g_w = _laplacian_g_radial(triple, st, (state.grad_phi_norm2, w1, w2))
     # <grad W, grad phi>_g = sign * W' u'  (phi' = u'/(1 - u^2))
     pairing = triple.lambda_sign * w1 * st.du
     drift = (1.0 / u + (n + 1) * u) * pairing
@@ -244,29 +342,19 @@ def bochner_residual(triple: StaticTriple, x: float) -> float:
                * (1.0 - state.grad_phi_norm2))
 
 
-def w_grad_arclength(triple: StaticTriple, x: float) -> float:
-    """d/drho of w = beta (1 - W) = D (1 - W), in closed form."""
-    st = triple.radial_state(x)
-    d = conformal_denominator(triple, st.u)
-    w_norm = st.du ** 2 / d
-    dd = -2.0 * triple.lambda_sign * st.u * st.du
-    return dd * (1.0 - w_norm) - d * grad_w_arclength(triple, x)
-
-
 def w_equation_residual(triple: StaticTriple, x: float) -> float:
     """Residual of the elliptic equation for w = beta (1 - |grad phi|^2):
 
         lap_g w - (1/u + (n-3)u) <grad w, grad phi>_g
             + 2 beta (|hess phi|^2 - (lap phi)^2 / n)  =  0.
     """
-    st = triple.radial_state(x)
-    _check_window(st.u, EXTREMUM_BAND)
+    sp = sphere_data(triple, x)
+    st, state = sp.st, sp.conformal
     n = triple.n
     u = st.u
-    state = to_conformal(triple, x)
-    w1 = w_grad_arclength(triple, x)
-    w2 = _arclength_fd(triple, lambda y: w_grad_arclength(triple, y), x)
-    lap_g_w = _laplacian_g_radial(triple, x, (state.w, w1, w2))
+    w1 = _w_grad_arclength(triple, st)
+    w2 = _arclength_fd(triple, _w_grad_arclength, x)
+    lap_g_w = _laplacian_g_radial(triple, st, (state.w, w1, w2))
     pairing = triple.lambda_sign * w1 * st.du
     drift = (1.0 / u + (n - 3) * u) * pairing
     return abs(lap_g_w - drift + 2.0 * state.beta
@@ -280,46 +368,35 @@ def trace_identity_residual(triple: StaticTriple, x: float) -> float:
 
     with R_g computed independently through the conformal transformation law
     for the Ricci tensor."""
-    st = triple.radial_state(x)
-    _check_window(st.u, EXTREMUM_BAND)
-    d = conformal_denominator(triple, st.u)
-    curv = warped_curvature(triple, x)
-    ric_rr, ric_tt = _ricci_g_components(triple, st, curv, d)
+    sp = sphere_data(triple, x)
+    state = sp.conformal
+    d = state.beta
+    ric_rr, ric_tt = _ricci_g_components(sp, d)
     scalar_direct = d * (ric_rr + (triple.n - 1) * ric_tt)
-    return abs(scalar_direct - to_conformal(triple, x).scalar_g)
+    return abs(scalar_direct - state.scalar_g)
 
 
 def sample_points_off_extremum(triple: StaticTriple, count: int,
                                pad: float = 0.01,
-                               min_gap: float = 1e-5,
-                               u_cap: float = 20.0):
+                               min_gap: float = 1e-5):
     """Interior sample points for the conformal-side checkers.
 
     Filters the degenerate band around the extremal set, and on an
-    unbounded negative-constant triple restricts to the window u <= u_cap:
+    unbounded negative-constant triple restricts to the window u <= U_CAP:
     the dictionary quantities grow polynomially in u, so absolute residual
     targets are meaningful on a compact exhaustion, not at the far end of
     the numerical domain."""
     lo, hi = triple.domain
     span = hi - lo
-    if triple.lambda_sign < 0 and triple.u.value(hi - 1e-9 * span) > u_cap:
+    if triple.lambda_sign < 0 and triple.u.value(hi - 1e-9 * span) > U_CAP:
         def excess(x: float) -> tuple[float, float]:  # u rises outward
             val, slope, _ = triple.u(x)
-            return val - u_cap, slope
+            return val - U_CAP, slope
 
         hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
         span = hi - lo
     pts = np.linspace(lo + pad * span, hi - pad * span, count)
     return [x for x in pts if abs(triple.u.value(x) - 1.0) >= min_gap]
-
-
-def hess_phi_radial(triple: StaticTriple, x: float) -> float:
-    """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
-    st = triple.radial_state(x)
-    d = conformal_denominator(triple, st.u)
-    curv = warped_curvature(triple, x)
-    hp_rr, _ = _hess_phi_components(triple, st, curv, d)
-    return d * hp_rr
 
 
 def mean_curvature_relations(triple: StaticTriple, x: float,
@@ -330,25 +407,18 @@ def mean_curvature_relations(triple: StaticTriple, x: float,
 
     against H_g computed independently from the conformal Hessian and
     Laplacian dictionaries (no field equation is used on that side)."""
-    st = triple.radial_state(x)
-    _check_window(st.u, EXTREMUM_BAND)
-    if st.du == 0.0:
-        raise ValueError(f"singular level at x={x}")
-    n = triple.n
-    d = conformal_denominator(triple, st.u)
-    w_norm = st.du ** 2 / d
+    sp = sphere_data(triple, x)
+    st, state = sp.st, sp.conformal
 
     # direct side: H_g = (lap_g phi - hess_g phi(nu_g, nu_g)) / |grad phi|_g,
     # with lap_g phi from the conformal Laplacian of phi(u)
     phi1 = st.du / (1.0 - st.u ** 2)
     phi2 = (st.d2u * (1.0 - st.u ** 2) + 2.0 * st.u * st.du ** 2) \
         / (1.0 - st.u ** 2) ** 2
-    lap_g_phi = _laplacian_g_radial(triple, x, (0.0, phi1, phi2))
-    direct = (lap_g_phi - hess_phi_radial(triple, x)) / math.sqrt(w_norm)
-
-    via_h = to_conformal(triple, x).H_g
+    lap_g_phi = _laplacian_g_radial(triple, st, (0.0, phi1, phi2))
+    direct = (lap_g_phi - sp.hess_phi_nn) / math.sqrt(state.grad_phi_norm2)
     return identity_report(
-        name="mean_curvature_relation", lhs=direct, rhs=via_h,
+        name="mean_curvature_relation", lhs=direct, rhs=state.H_g,
         tolerance=tolerance,
         description="conformal vs warped-product evaluation of the level "
                     "mean curvature H_g")

@@ -33,11 +33,17 @@ from .quadrature import QuadratureConfig, adaptive
 
 
 BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
+ARCLENGTH_MARGIN = 1e-4  # fraction of the span to_arclength drops per side
 
 
 def unit_sphere_area(n: int) -> float:
     """Hypersurface area of the unit sphere S^(n-1) in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def sphere_area(n: int, r: float) -> float:
+    """Area of the round sphere S^(n-1) of radius r."""
+    return unit_sphere_area(n) * r ** (n - 1)
 
 
 def sphere_euler_characteristic(n: int) -> int:
@@ -57,7 +63,6 @@ class RadialProfile:
 
     domain: tuple[float, float]
     fn: Callable[[float], tuple[float, float, float]]
-    kind: str = "closed-form"
 
     def __call__(self, x: float) -> tuple[float, float, float]:
         return self.fn(x)
@@ -76,8 +81,7 @@ class RadialProfile:
         def fn(x: float) -> tuple[float, float, float]:
             return float(spline(x)), float(d1(x)), float(d2(x))
 
-        return RadialProfile(domain=(float(xs[0]), float(xs[-1])), fn=fn,
-                             kind="sampled-with-interpolation")
+        return RadialProfile(domain=(float(xs[0]), float(xs[-1])), fn=fn)
 
 
 @dataclass(frozen=True)
@@ -210,15 +214,6 @@ class StaticTriple:
                               u_lo=min(ua, ub), u_hi=max(ua, ub)))
         return tuple(out)
 
-    def u_range(self) -> tuple[float, float]:
-        """Open range of u over the interior (excluding the extremum value)."""
-        lo, hi = self.domain
-        span = hi - lo
-        vals = [self.u.value(lo + 1e-9 * span), self.u.value(hi - 1e-9 * span)]
-        if self.lambda_sign > 0:
-            return (min(vals), 1.0)
-        return (1.0, max(vals))
-
 
 @dataclass(frozen=True)
 class CurvatureData:
@@ -238,8 +233,10 @@ class CurvatureData:
     grad_u_norm2: float
 
 
-def warped_curvature(triple: StaticTriple, x: float) -> CurvatureData:
-    """Curvature of g0 = drho^2 + h^2 g_S at radial coordinate x.
+def radial_geometry(triple: StaticTriple,
+                    x: float) -> tuple[RadialState, CurvatureData]:
+    """The radial state at an interior point x and the curvature of
+    g0 = drho^2 + h^2 g_S built from it, with one profile evaluation.
 
     Uses Ric_rr = -(n-1) h''/h and
     Ric_tan = -[h h'' + (n-2)(h'^2 - 1)] / h^2.
@@ -255,7 +252,7 @@ def warped_curvature(triple: StaticTriple, x: float) -> CurvatureData:
     ric_tan = -(st.h * st.d2h + (n - 2) * (st.dh ** 2 - 1.0)) / st.h ** 2
     hess_rr = st.d2u
     hess_tan = (st.dh / st.h) * st.du
-    return CurvatureData(
+    return st, CurvatureData(
         ric_rr=ric_rr,
         ric_tan=ric_tan,
         scalar=ric_rr + (n - 1) * ric_tan,
@@ -267,6 +264,11 @@ def warped_curvature(triple: StaticTriple, x: float) -> CurvatureData:
     )
 
 
+def warped_curvature(triple: StaticTriple, x: float) -> CurvatureData:
+    """Curvature of g0 at radial coordinate x (see `radial_geometry`)."""
+    return radial_geometry(triple, x)[1]
+
+
 def static_residual(triple: StaticTriple, x: float) -> tuple[float, float]:
     """Residuals of the two field equations at x.
 
@@ -275,8 +277,7 @@ def static_residual(triple: StaticTriple, x: float) -> tuple[float, float]:
     |Delta u + sign*n*u|.  Both vanish (to float noise) iff the triple
     solves the system at x.
     """
-    st = triple.radial_state(x)
-    curv = warped_curvature(triple, x)
+    st, curv = radial_geometry(triple, x)
     eps_n = triple.lambda_sign * triple.n
     t_rr = st.u * curv.ric_rr - curv.hess_u_rr - eps_n * st.u
     t_tan = st.u * curv.ric_tan - curv.hess_u_tan - eps_n * st.u
@@ -305,11 +306,11 @@ def surface_gravity(triple: StaticTriple, component: BoundaryComponent) -> float
     return 2.0 * g2 - g1
 
 
-def to_arclength(triple: StaticTriple, samples: int = 8000,
-                 margin: float = 1e-4) -> tuple[StaticTriple, Callable[[float], float]]:
+def to_arclength(triple: StaticTriple,
+                 samples: int = 8000) -> tuple[StaticTriple, Callable[[float], float]]:
     """Re-express an areal-chart triple in arclength, via rho = int dr/sqrt(f).
 
-    The domain is inset by `margin` * span per side so the 1/sqrt(f)
+    The domain is inset by ARCLENGTH_MARGIN * span per side so the 1/sqrt(f)
     integrand stays finite, and the profiles become cubic interpolants of
     the sampled values.  Boundary data is not carried over: the converted
     triple is meant for interior curvature evaluation and cross-checks.
@@ -320,7 +321,7 @@ def to_arclength(triple: StaticTriple, samples: int = 8000,
         raise ValueError("to_arclength expects an areal-chart triple")
     lo, hi = triple.domain
     span = hi - lo
-    a, b = lo + margin * span, hi - margin * span
+    a, b = lo + ARCLENGTH_MARGIN * span, hi - ARCLENGTH_MARGIN * span
     # Chebyshev-extrema clustering resolves the near-horizon stretching
     s = np.linspace(0.0, 1.0, samples)
     r_grid = a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * s))

@@ -21,17 +21,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .conformal import hess_phi_radial, mean_curvature_g0
-from .geometry import (
-    StaticTriple,
-    boundary_scalar_curvature,
-    unit_sphere_area,
-    warped_curvature,
-)
+from .conformal import SphereData
+from .geometry import StaticTriple, boundary_scalar_curvature, sphere_area
 from .levelset import (
     assumption_flags,
     conformal_boundary_data,
     level_radii,
+    level_spheres,
     sphere_data,
     t_of_s,
 )
@@ -59,11 +55,9 @@ def _integrate(f: Callable[[float], float], a: float, b: float,
     return adaptive(f, a, b, config or DEFAULT_QUAD)
 
 
-def _volume_density(triple: StaticTriple, x: float) -> float:
+def _volume_density(sp: SphereData) -> float:
     """g0 volume per unit radial coordinate: |S^(n-1)| h^(n-1) drho/dx."""
-    st = triple.radial_state(x)
-    return unit_sphere_area(triple.n) * st.h ** (triple.n - 1) \
-        * triple.arclength_jacobian(x)
+    return sp.area * sp.triple.arclength_jacobian(sp.x)
 
 
 def _conformal_region(triple: StaticTriple, s: float, S: float,
@@ -84,16 +78,12 @@ def first_identity_flux(triple: StaticTriple, p: float, tau: float,
     """Flux term of the first identity at the level {phi = tau}:
     integral of W^(p/2) / sinh(phi)^n over the level, w.r.t. the conformal
     area element.  Stays finite arbitrarily close to the extremal value, so
-    it is computed from the radial state alone."""
+    it reads nothing that refuses the band around it."""
     t = t_of_s(tau, triple.lambda_sign)
-    n = triple.n
     total = 0.0
     for x in level_radii(triple, t, branch):
-        st = triple.radial_state(x)
-        d = triple.lambda_sign * (1.0 - st.u ** 2)
-        area_g = unit_sphere_area(n) * st.h ** (n - 1) / d ** ((n - 1) / 2.0)
-        w_norm = st.du ** 2 / d
-        total += w_norm ** (p / 2.0) * area_g * _inv_sinh_n(triple, st.u)
+        sp = sphere_data(triple, x)
+        total += sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(triple, sp.u)
     return total
 
 
@@ -119,13 +109,11 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
-        state = sp.conformal
-        hess_term = sp.W * hess_phi_radial(triple, x)
-        core = ((p - 1) * hess_term + sp.W * state.lap_phi
+        hess_term = sp.W * sp.hess_phi_nn
+        core = ((p - 1) * hess_term + sp.W * sp.conformal.lap_phi
                 - triple.n * _coth_phi(triple, sp.u) * sp.W ** 2)
-        d = triple.lambda_sign * (1.0 - sp.u ** 2)
         return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
-                * _volume_density(triple, x) / d ** (triple.n / 2.0))
+                * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
     quad = _integrate(integrand, a, b, config, panels)
     return identity_report(
@@ -158,8 +146,7 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
     def weighted_boundary(tau: float) -> float:
         t = t_of_s(tau, triple.lambda_sign)
         total = 0.0
-        for x in level_radii(triple, t, branch):
-            sp = sphere_data(triple, x)
+        for sp in level_spheres(triple, t, branch):
             state = sp.conformal
             total += sp.area_g * state.gamma * (
                 sp.W ** ((p - 1) / 2.0) * state.H_g
@@ -172,12 +159,10 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
         state = sp.conformal
-        grad_gradphi2 = hess_phi_radial(triple, x) ** 2
-        core = (state.hess_phi_norm2 + (p - 3) * grad_gradphi2
+        core = (state.hess_phi_norm2 + (p - 3) * sp.hess_phi_nn ** 2
                 + triple.n * sp.u ** 2 * sp.W * (1.0 - sp.W))
-        d = triple.lambda_sign * (1.0 - sp.u ** 2)
         return (state.gamma * sp.W ** ((p - 3) / 2.0) * core
-                * _volume_density(triple, x) / d ** (triple.n / 2.0))
+                * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
     quad = _integrate(integrand, a, b, config, panels)
     return identity_report(
@@ -195,12 +180,9 @@ def _deficit_flux(triple: StaticTriple, t: float) -> float:
     n = triple.n
     total = 0.0
     for x in level_radii(triple, t):
-        st = triple.radial_state(x)
-        curv = warped_curvature(triple, x)
-        area = unit_sphere_area(n) * st.h ** (n - 1)
-        h_mean = mean_curvature_g0(triple, x)
-        total += area / st.u * (st.du ** 2 * h_mean
-                                - (n - 1) / n * abs(st.du) * curv.lap_u)
+        sp = sphere_data(triple, x)
+        total += sp.area / sp.u * (sp.st.du ** 2 * sp.H
+                                   - (n - 1) / n * sp.grad_u * sp.curv.lap_u)
     return total
 
 
@@ -223,10 +205,9 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
     n = triple.n
 
     def integrand(x: float) -> float:
-        st = triple.radial_state(x)
-        curv = warped_curvature(triple, x)
-        return (1.0 / st.u) * (curv.hess_u_norm2 - curv.lap_u ** 2 / n) \
-            * _volume_density(triple, x)
+        sp = sphere_data(triple, x)
+        return (1.0 / sp.u) * (sp.curv.hess_u_norm2 - sp.curv.lap_u ** 2 / n) \
+            * _volume_density(sp)
 
     lhs = _deficit_flux(triple, t)
     radii = level_radii(triple, t)
@@ -289,7 +270,7 @@ def boundary_curvature_inequality(triple: StaticTriple,
             raise ValueError("triple has no boundary")
         lhs = rhs = 0.0
         for c in triple.boundaries:
-            area = unit_sphere_area(n) * c.sphere_radius ** (n - 1)
+            area = sphere_area(n, c.sphere_radius)
             lhs += c.surface_gravity * (n - 1) * (n - 2) * area
             rhs += c.surface_gravity * boundary_scalar_curvature(n, c) * area
         return inequality_report(

@@ -14,35 +14,33 @@ negative), and the `equality` flag certifies that rigidity numerically.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .geometry import (
     StaticTriple,
     boundary_scalar_curvature,
+    sphere_area,
     unit_sphere_area,
 )
 from .levelset import (
     assumption_flags,
+    assumptions_hold,
     conformal_boundary_data,
     level_radii,
-    sphere_data,
+    level_spheres,
 )
 from .models import bracketed_root
 from .report import IdentityReport, identity_report, inequality_report, refusal_report
 
-
-def _core_assumptions_hold(triple: StaticTriple, flags: dict[str, bool]) -> bool:
-    if triple.lambda_sign > 0:
-        return flags["normalization"] and flags["surface_gravity_le_1"]
-    return (flags["normalization"] and flags["conformally_compact"]
-            and flags["gradient_limit_nonneg"])
+GRADIENT_SAMPLES = 400  # interior points gradient_bound checks
 
 
 def _boundary_area(triple: StaticTriple) -> float:
-    n = triple.n
-    return sum(unit_sphere_area(n) * c.sphere_radius ** (n - 1)
+    return sum(sphere_area(triple.n, c.sphere_radius)
                for c in triple.boundaries)
 
 
-def gradient_bound(triple: StaticTriple, samples: int = 400,
+def gradient_bound(triple: StaticTriple,
                    tolerance: float = 1e-10) -> IdentityReport:
     """Pointwise gradient estimate |Du|^2 <= |1 - u^2|.
 
@@ -54,11 +52,11 @@ def gradient_bound(triple: StaticTriple, samples: int = 400,
         st = triple.radial_state(x)
         return triple.lambda_sign * (1.0 - st.u ** 2) - st.du ** 2
 
-    pts = triple.interior_points(samples)
+    pts = triple.interior_points(GRADIENT_SAMPLES)
     values = [margin(x) for x in pts]
     worst = min(values)
     flags = assumption_flags(triple)
-    applicable = _core_assumptions_hold(triple, flags)
+    applicable = assumptions_hold(triple, flags)
     extra: dict = {"min_margin": worst}
     if worst < -tolerance:
         # locate the failing sub-interval by sign changes of the margin
@@ -95,7 +93,7 @@ def area_bound(triple: StaticTriple, tolerance: float = 1e-9) -> IdentityReport:
         rhs = conformal_boundary_data(triple).area_g
     return inequality_report(
         name="area_bound", lhs=lhs, rhs=rhs, tolerance=tolerance,
-        assumptions=flags, applicable=_core_assumptions_hold(triple, flags),
+        assumptions=flags, applicable=assumptions_hold(triple, flags),
         description="extremal count times round-sphere area vs boundary area")
 
 
@@ -111,20 +109,19 @@ def willmore_bound(triple: StaticTriple, tolerance: float = 1e-9) -> IdentityRep
     flags = assumption_flags(triple)
     if triple.lambda_sign > 0:
         rhs = sum(abs((boundary_scalar_curvature(n, c) - n * (n - 3)) / 2.0)
-                  ** (n - 1) * unit_sphere_area(n) * c.sphere_radius ** (n - 1)
+                  ** (n - 1) * sphere_area(n, c.sphere_radius)
                   for c in triple.boundaries)
-        applicable = _core_assumptions_hold(triple, flags)
+        applicable = assumptions_hold(triple, flags)
     else:
         bdry = conformal_boundary_data(triple)
         rhs = abs((bdry.scalar_g_boundary - (n + 1) * (n - 2))
                   / (2.0 * (n - 2))) ** (n - 1) * bdry.area_g
-        applicable = (_core_assumptions_hold(triple, flags)
+        applicable = (assumptions_hold(triple, flags)
                       and flags.get("gradient_limit_zero", False))
     if not triple.extremum.discrete:
         rep = refusal_report("willmore_bound", "non-discrete extremum set",
                              assumptions=flags)
-        return IdentityReport(**{**rep.__dict__, "rhs": rhs,
-                                 "extra": {**rep.extra, "rhs": rhs}})
+        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
     lhs = triple.extremum.count * unit_sphere_area(n)
     return inequality_report(
         name="willmore_bound", lhs=lhs, rhs=rhs, tolerance=tolerance,
@@ -145,17 +142,15 @@ def scalar_average_bound(triple: StaticTriple,
             "no counterpart is asserted for negative constant",
             assumptions=flags)
     rhs = sum(boundary_scalar_curvature(n, c) / ((n - 1) * (n - 2))
-              * unit_sphere_area(n) * c.sphere_radius ** (n - 1)
-              for c in triple.boundaries)
+              * sphere_area(n, c.sphere_radius) for c in triple.boundaries)
     if not triple.extremum.discrete:
         rep = refusal_report("scalar_average_bound",
                              "non-discrete extremum set", assumptions=flags)
-        return IdentityReport(**{**rep.__dict__, "rhs": rhs,
-                                 "extra": {**rep.extra, "rhs": rhs}})
+        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
     lhs = triple.extremum.count * unit_sphere_area(n)
     return inequality_report(
         name="scalar_average_bound", lhs=lhs, rhs=rhs, tolerance=tolerance,
-        assumptions=flags, applicable=_core_assumptions_hold(triple, flags),
+        assumptions=flags, applicable=assumptions_hold(triple, flags),
         description="extremal count vs boundary average of the scalar "
                     "curvature")
 
@@ -174,8 +169,7 @@ def lp_gradient_bound(triple: StaticTriple, p: float, t: float,
     flags = assumption_flags(triple)
     sign = float(triple.lambda_sign)
     lhs_sum = rhs_sum = 0.0
-    for x in level_radii(triple, t):
-        sp = sphere_data(triple, x)
+    for sp in level_spheres(triple, t, None):
         if sp.grad_u == 0.0:
             raise ValueError(f"singular level at t={t}")
         q = sign * sp.H * sp.grad_u / sp.u + n
@@ -183,7 +177,7 @@ def lp_gradient_bound(triple: StaticTriple, p: float, t: float,
         rhs_sum += abs(q) ** (p / 2.0) * sp.area
     lhs = lhs_sum ** (1.0 / p)
     rhs = rhs_sum ** (1.0 / p)
-    applicable = _core_assumptions_hold(triple, flags)
+    applicable = assumptions_hold(triple, flags)
     return inequality_report(
         name=f"lp_gradient_bound(p={p}, t={t})", lhs=lhs, rhs=rhs,
         tolerance=tolerance, assumptions=flags, applicable=applicable,
@@ -213,7 +207,7 @@ def overdetermined_condition(triple: StaticTriple, t: float,
     return identity_report(
         name=f"overdetermined_condition(t={t})", lhs=worst, rhs=0.0,
         tolerance=tolerance, assumptions=flags,
-        applicable=_core_assumptions_hold(triple, flags),
+        applicable=assumptions_hold(triple, flags),
         description="normal derivative of 1/|Du| against the round-model "
                     "profile",
         extra={"per_sphere": residuals})
@@ -241,19 +235,18 @@ def n3_uniqueness_inequality(triple: StaticTriple,
     if not triple.extremum.discrete:
         rep = refusal_report("n3_uniqueness_inequality",
                              "non-discrete extremum set", assumptions=flags)
-        return IdentityReport(**{**rep.__dict__, "rhs": rhs,
-                                 "extra": {**rep.extra, "rhs": rhs}})
+        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
     lhs = 2.0 * triple.extremum.count
     rep = inequality_report(
         name="n3_uniqueness_inequality", lhs=lhs, rhs=rhs,
         tolerance=tolerance, assumptions=flags,
-        applicable=_core_assumptions_hold(triple, flags),
+        applicable=assumptions_hold(triple, flags),
         description="twice the extremal count vs gravity-weighted Euler "
                     "characteristics")
     connected = len(triple.boundaries) == 1
     equality = bool(rep.equality) and connected
-    return IdentityReport(**{**rep.__dict__, "equality": equality,
-                             "extra": {"connected_boundary": connected}})
+    return replace(rep, equality=equality,
+                   extra={"connected_boundary": connected})
 
 
 def mon_glob_bound(triple: StaticTriple, p: float,
@@ -281,10 +274,10 @@ def mon_glob_bound(triple: StaticTriple, p: float,
                                   "non-discrete extremum set",
                                   assumptions=flags)
         lhs = triple.extremum.count * unit_sphere_area(n)
-        mid = sum(c.surface_gravity ** p * unit_sphere_area(n)
-                  * c.sphere_radius ** (n - 1) for c in triple.boundaries)
+        mid = sum(c.surface_gravity ** p * sphere_area(n, c.sphere_radius)
+                  for c in triple.boundaries)
         upper = _boundary_area(triple)
-        applicable = _core_assumptions_hold(triple, flags)
+        applicable = assumptions_hold(triple, flags)
         rep = inequality_report(
             name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=mid,
             tolerance=tolerance, assumptions=flags, applicable=applicable,
@@ -293,8 +286,7 @@ def mon_glob_bound(triple: StaticTriple, p: float,
             extra={"upper": upper,
                    "chain_holds": lhs <= mid + tolerance <= upper + 2 * tolerance})
         if rep.status == "pass" and mid > upper + tolerance:
-            rep = IdentityReport(**{**rep.__dict__, "passed": False,
-                                    "status": "fail"})
+            rep = replace(rep, passed=False, status="fail")
         return rep
     if not triple.extremum.discrete:
         return refusal_report(f"mon_glob_bound(p={p})",
@@ -303,5 +295,5 @@ def mon_glob_bound(triple: StaticTriple, p: float,
     rhs = conformal_boundary_data(triple).area_g
     return inequality_report(
         name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=rhs, tolerance=tolerance,
-        assumptions=flags, applicable=_core_assumptions_hold(triple, flags),
+        assumptions=flags, applicable=assumptions_hold(triple, flags),
         description="extremal count vs conformal boundary area")

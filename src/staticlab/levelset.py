@@ -22,17 +22,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import ConformalState, mean_curvature_g0, to_conformal
+from .conformal import SphereData, check_window, sphere_data
 from .geometry import (
     BRANCH_INSET,
     Branch,
     StaticTriple,
+    sphere_area,
     unit_sphere_area,
-    warped_curvature,
 )
 from .roots import find_root
 
 EXTREMUM_CUTOFF = 1e-8  # band around u = 1 excluded from curve sampling
+FD_STEP = 1e-4  # largest level step of the numeric curve derivatives
+LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
+BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 
 
 # --------------------------------------------------------------------------
@@ -62,11 +65,7 @@ def level_radii(triple: StaticTriple, t: float,
     is answered from the stored horizon data.
     """
     if triple.lambda_sign > 0 and t == 0.0:
-        comps = triple.boundaries
-        if branch is not None and len(comps) > 1:
-            comps = (min(comps, key=lambda c: c.location),) if branch == "inner" \
-                else (max(comps, key=lambda c: c.location),)
-        return tuple(sorted(c.location for c in comps))
+        return tuple(c.location for c, _ in _boundary_spheres(triple, branch))
 
     def g(x: float) -> tuple[float, float]:
         val, slope, _ = triple.u(x)
@@ -85,68 +84,40 @@ def level_radii(triple: StaticTriple, t: float,
 
 
 # --------------------------------------------------------------------------
-# pointwise sphere data
-
-@dataclass(frozen=True)
-class SphereData:
-    """Everything the integrals need on one level sphere."""
-
-    x: float
-    u: float
-    grad_u: float          # |Du|
-    area: float            # sphere area w.r.t. g0
-    area_g: float          # w.r.t. the conformal metric
-    H: float               # mean curvature w.r.t. g0 and nu = Du/|Du|
-    ric_nn: float          # Ric(nu, nu)
-    W: float               # |Du|^2 / |1 - u^2|
-    conformal: ConformalState
-
-
-def sphere_data(triple: StaticTriple, x: float) -> SphereData:
-    st = triple.radial_state(x)
-    curv = warped_curvature(triple, x)
-    n = triple.n
-    area = unit_sphere_area(n) * st.h ** (n - 1)
-    d = triple.lambda_sign * (1.0 - st.u ** 2)
-    state = to_conformal(triple, x)
-    return SphereData(
-        x=x, u=st.u, grad_u=abs(st.du), area=area,
-        area_g=area / d ** ((n - 1) / 2.0),
-        H=mean_curvature_g0(triple, x),
-        ric_nn=curv.ric_rr,
-        W=st.du ** 2 / d,
-        conformal=state,
-    )
-
+# data on a level
 
 @dataclass(frozen=True)
 class LevelSetData:
-    """Geometric data on a full level {u = t}, one entry per sphere."""
+    """A full level {u = t}: its radii, total areas and the pointwise record
+    of each of its spheres."""
 
     t: float
     s: float
     r_level: tuple[float, ...]
     area: float
     area_g: float
-    grad_u: tuple[float, ...]
-    H: tuple[float, ...]
-    ric_nn: tuple[float, ...]
-    conformal: tuple[ConformalState, ...]
+    spheres: tuple[SphereData, ...]
+
+
+def level_spheres(triple: StaticTriple, t: float,
+                  branch: Optional[str]) -> tuple[SphereData, ...]:
+    """The records of the spheres of {u = t}, refused like the conformal
+    dictionary within EXTREMUM_BAND of u = 1, where W loses every digit."""
+    spheres = tuple(sphere_data(triple, x)
+                    for x in level_radii(triple, t, branch))
+    for sp in spheres:
+        check_window(sp.u)
+    return spheres
 
 
 def level_data(triple: StaticTriple, t: float,
                branch: Optional[str] = None) -> LevelSetData:
-    spheres = [sphere_data(triple, x) for x in level_radii(triple, t, branch)]
-    return LevelSetData(
-        t=t, s=s_of_t(t),
-        r_level=tuple(sp.x for sp in spheres),
-        area=sum(sp.area for sp in spheres),
-        area_g=sum(sp.area_g for sp in spheres),
-        grad_u=tuple(sp.grad_u for sp in spheres),
-        H=tuple(sp.H for sp in spheres),
-        ric_nn=tuple(sp.ric_nn for sp in spheres),
-        conformal=tuple(sp.conformal for sp in spheres),
-    )
+    spheres = level_spheres(triple, t, branch)
+    return LevelSetData(t=t, s=s_of_t(t),
+                        r_level=tuple(sp.x for sp in spheres),
+                        area=sum(sp.area for sp in spheres),
+                        area_g=sum(sp.area_g for sp in spheres),
+                        spheres=spheres)
 
 
 def s_of_t(t: float) -> float:
@@ -166,8 +137,7 @@ def _boundary_spheres(triple: StaticTriple, branch: Optional[str]):
     comps = sorted(triple.boundaries, key=lambda c: c.location)
     if branch is not None and len(comps) > 1:
         comps = [comps[0]] if branch == "inner" else [comps[-1]]
-    n = triple.n
-    return [(c, unit_sphere_area(n) * c.sphere_radius ** (n - 1)) for c in comps]
+    return [(c, sphere_area(triple.n, c.sphere_radius)) for c in comps]
 
 
 def up_value(triple: StaticTriple, p: float, t: float,
@@ -181,7 +151,7 @@ def up_value(triple: StaticTriple, p: float, t: float,
     total = 0.0
     for x in level_radii(triple, t, branch):
         st = triple.radial_state(x)
-        total += unit_sphere_area(n) * st.h ** (n - 1) * abs(st.du) ** p
+        total += sphere_area(n, st.h) * abs(st.du) ** p
     return pref * total
 
 
@@ -203,13 +173,13 @@ def up_derivative(triple: StaticTriple, p: float, t: float,
     pref = -sign * (p - 1) * t * d_level ** (-(n + p - 1) / 2.0)
     c_np = (n + p - 1) / (p - 1)
     h_form = ricci_form = bound = 0.0
-    for sp in (sphere_data(triple, x) for x in level_radii(triple, t, branch)):
+    for sp in level_spheres(triple, t, branch):
         if sp.grad_u == 0.0:
             raise ValueError(f"singular level at t={t}")
         weight = sp.grad_u ** (p - 2) * sp.area
         h_form += weight * (sign * (sp.grad_u / sp.u) * sp.H
                             + n * p / (p - 1) - c_np * sp.W)
-        ricci_form += weight * ((n - 1) - sign * sp.ric_nn
+        ricci_form += weight * ((n - 1) - sign * sp.curv.ric_rr
                                 + c_np * (1.0 - sp.W))
         bound += weight * (n / (p - 1)) * (1.0 - sp.W)
     return (pref * h_form, pref * ricci_form, pref * bound)
@@ -262,11 +232,8 @@ def phi_p(triple: StaticTriple, p: float, s: float,
           branch: Optional[str] = None) -> float:
     """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
     t = t_of_s(s, triple.lambda_sign)
-    total = 0.0
-    for x in level_radii(triple, t, branch):
-        sp = sphere_data(triple, x)
-        total += sp.W ** (p / 2.0) * sp.area_g
-    return total
+    return sum(sp.W ** (p / 2.0) * sp.area_g
+               for sp in level_spheres(triple, t, branch))
 
 
 def phi_p_derivative(triple: StaticTriple, p: float, s: float,
@@ -277,8 +244,7 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float,
     """
     t = t_of_s(s, triple.lambda_sign)
     total = 0.0
-    for x in level_radii(triple, t, branch):
-        sp = sphere_data(triple, x)
+    for sp in level_spheres(triple, t, branch):
         state = sp.conformal
         total += sp.area_g * (
             -(p - 1) * sp.W ** ((p - 1) / 2.0) * state.H_g
@@ -290,7 +256,10 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float,
 # curves, scans, limits
 
 @dataclass(frozen=True)
-class UpCurve:
+class Curve:
+    """U_p or Phi_p on a grid of levels, with its analytic derivative
+    (p >= 3 only) and a finite-difference one."""
+
     p: float
     grid: np.ndarray
     values: np.ndarray
@@ -298,19 +267,23 @@ class UpCurve:
     d_numeric: np.ndarray
 
 
-def _fd_rooms(triple: StaticTriple, t: float) -> tuple[float, float]:
-    """Room below and above t before hitting a domain edge of U_p."""
+def _fd_rooms(triple: StaticTriple, t: float,
+              branch: Optional[str]) -> tuple[float, float]:
+    """Room below and above t inside the levels that the selected branches
+    can locate, kept EXTREMUM_CUTOFF off the extremal value 1."""
+    branches = select_branch(triple, branch)
+    lo = min(b.u_lo for b in branches)
+    hi = max(b.u_hi for b in branches)
     if triple.lambda_sign > 0:
-        return t, (1.0 - EXTREMUM_CUTOFF) - t
-    u_hi = triple.u_range()[1]
-    return t - (1.0 + EXTREMUM_CUTOFF), 0.999 * u_hi - t
+        return t - lo, min(hi, 1.0 - EXTREMUM_CUTOFF) - t
+    return t - max(lo, 1.0 + EXTREMUM_CUTOFF), hi - t
 
 
 def _numeric_derivative(triple: StaticTriple, p: float, t: float,
                         branch: Optional[str], base: float) -> float:
-    """Five-point difference of U_p at t, one-sided at a domain edge; the
-    stencil never straddles the extremal value."""
-    lo_room, hi_room = _fd_rooms(triple, t)
+    """Five-point difference of U_p at t with step at most `base`, one-sided
+    at a domain edge; the stencil never straddles the extremal value."""
+    lo_room, hi_room = _fd_rooms(triple, t, branch)
     h = min(base, 0.2 * lo_room, 0.2 * hi_room)
     if h > 1e-12:
         up = lambda tt: up_value(triple, p, tt, branch)
@@ -323,43 +296,34 @@ def _numeric_derivative(triple: StaticTriple, p: float, t: float,
 
 
 def up_curve(triple: StaticTriple, p: float, grid: Sequence[float],
-             branch: Optional[str] = None, fd_step: float = 1e-4) -> UpCurve:
+             branch: Optional[str] = None) -> Curve:
     grid = np.asarray(grid, dtype=float)
     values = np.array([up_value(triple, p, t, branch) for t in grid])
-    d_num = np.array([_numeric_derivative(triple, p, t, branch, fd_step)
+    d_num = np.array([_numeric_derivative(triple, p, t, branch, FD_STEP)
                       for t in grid])
     d_ana = None
     if p >= 3:
         d_ana = np.array([up_derivative(triple, p, t, branch)[0]
                           for t in grid])
-    return UpCurve(p=p, grid=grid, values=values, d_analytic=d_ana,
-                   d_numeric=d_num)
-
-
-@dataclass(frozen=True)
-class PhiCurve:
-    p: float
-    grid: np.ndarray
-    values: np.ndarray
-    d_analytic: Optional[np.ndarray]
-    d_numeric: np.ndarray
+    return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
+                 d_numeric=d_num)
 
 
 def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float],
-              branch: Optional[str] = None, fd_step: float = 1e-4) -> PhiCurve:
+              branch: Optional[str] = None) -> Curve:
     grid = np.asarray(grid, dtype=float)
     values = np.array([phi_p(triple, p, s, branch) for s in grid])
     d_num = np.empty_like(values)
     for i, s in enumerate(grid):
-        h = min(fd_step, 0.45 * s)
+        h = min(FD_STEP, 0.45 * s)
         d_num[i] = (phi_p(triple, p, s + h, branch)
                     - phi_p(triple, p, s - h, branch)) / (2.0 * h)
     d_ana = None
     if p >= 3:
         d_ana = np.array([phi_p_derivative(triple, p, s, branch)
                           for s in grid])
-    return PhiCurve(p=p, grid=grid, values=values, d_analytic=d_ana,
-                    d_numeric=d_num)
+    return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
+                 d_numeric=d_num)
 
 
 @dataclass(frozen=True)
@@ -396,7 +360,7 @@ def monotonicity_scan(triple: StaticTriple, p: float,
     else:
         cls = "mixed"
     flags = assumption_flags(triple)
-    applicable = _assumptions_hold(triple, flags) and (p == 1 or p >= 3)
+    applicable = assumptions_hold(triple, flags) and (p == 1 or p >= 3)
     violations: tuple[int, ...] = ()
     if applicable:
         if triple.lambda_sign > 0:
@@ -417,8 +381,7 @@ class LiminfResult:
     satisfied: Optional[bool]
 
 
-def liminf_check(triple: StaticTriple, p: float,
-                 k_range: tuple[int, int] = (6, 24)) -> LiminfResult:
+def liminf_check(triple: StaticTriple, p: float) -> LiminfResult:
     """Estimate lim U_p(t) as t approaches the extremal value 1.
 
     Samples t = 1 -+ 2^-k on a geometric sequence and extrapolates with an
@@ -432,7 +395,7 @@ def liminf_check(triple: StaticTriple, p: float,
                             limit=math.nan, reference=math.nan,
                             satisfied=None)
     sign = triple.lambda_sign
-    ks = range(k_range[0], k_range[1] + 1)
+    ks = range(LIMINF_K[0], LIMINF_K[1] + 1)
     vals = [up_value(triple, p, 1.0 - sign * 2.0 ** (-k)) for k in ks]
     # Aitken extrapolation, guarded for already-converged sequences
     v0, v1, v2 = vals[-3], vals[-2], vals[-1]
@@ -456,14 +419,12 @@ class ConformalBoundaryData:
     gradient_limit: float  # lim (u^2 - 1 - |Du|^2)
 
 
-def conformal_boundary_data(triple: StaticTriple,
-                            t_pair: tuple[float, float] = (10.0, 100.0)
-                            ) -> ConformalBoundaryData:
+def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
     """Limits at the conformal boundary of a negative-constant triple.
 
-    Evaluates at two large levels and removes the O(1/t^2) correction by
-    Richardson extrapolation.  The induced conformal sphere radius squared
-    is h^2/(u^2-1), whence the boundary scalar curvature."""
+    Evaluates at the two large BOUNDARY_LEVELS and removes the O(1/t^2)
+    correction by Richardson extrapolation.  The induced conformal sphere
+    radius squared is h^2/(u^2-1), whence the boundary scalar curvature."""
     if triple.lambda_sign > 0:
         raise ValueError("conformal boundary exists only for negative constant")
     if not triple.conformally_compact:
@@ -472,13 +433,11 @@ def conformal_boundary_data(triple: StaticTriple,
 
     def at(t: float) -> np.ndarray:
         (x,) = level_radii(triple, t)
-        st = triple.radial_state(x)
-        d = st.u ** 2 - 1.0
-        area_g = unit_sphere_area(n) * st.h ** (n - 1) / d ** ((n - 1) / 2.0)
-        scal = (n - 1) * (n - 2) * d / st.h ** 2
-        return np.array([area_g, scal, d - st.du ** 2])
+        sp = sphere_data(triple, x)
+        scal = (n - 1) * (n - 2) * sp.D / sp.st.h ** 2
+        return np.array([sp.area_g, scal, sp.D - sp.st.du ** 2])
 
-    t1, t2 = t_pair
+    t1, t2 = BOUNDARY_LEVELS
     v1, v2 = at(t1), at(t2)
     v = (t2 ** 2 * v2 - t1 ** 2 * v1) / (t2 ** 2 - t1 ** 2)
     return ConformalBoundaryData(area_g=float(v[0]),
@@ -513,7 +472,9 @@ def assumption_flags(triple: StaticTriple) -> dict[str, bool]:
     return flags
 
 
-def _assumptions_hold(triple: StaticTriple, flags: dict[str, bool]) -> bool:
+def assumptions_hold(triple: StaticTriple, flags: dict[str, bool]) -> bool:
+    """Whether `flags` meet the core hypotheses of the monotonicity and
+    inequality statements (see `assumption_flags`)."""
     if triple.lambda_sign > 0:
         return flags["normalization"] and flags["surface_gravity_le_1"]
     return (flags["normalization"] and flags["conformally_compact"]

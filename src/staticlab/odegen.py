@@ -226,8 +226,8 @@ def shoot_from_horizon(data: HorizonData,
 
     return StaticTriple(
         n=data.n, lambda_sign=data.lambda_sign, chart="arclength",
-        u=RadialProfile((0.0, domain_end), u_fn, kind="sampled-ode"),
-        h=RadialProfile((0.0, domain_end), h_fn, kind="sampled-ode"),
+        u=RadialProfile((0.0, domain_end), u_fn),
+        h=RadialProfile((0.0, domain_end), h_fn),
         f=None, boundaries=tuple(boundaries), extremum=extremum,
         normalization_factor=scale,
         name=f"shoot(n={data.n}, h0={data.h0}, kappa={data.kappa})",

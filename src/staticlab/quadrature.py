@@ -24,9 +24,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_evals: int = 100_000
-    # absolute inset applied to both endpoints before integrating, for
-    # integrands whose parametrization degenerates at an endpoint
-    endpoint_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,6 @@ def adaptive(f: Callable[[float], float], a: float, b: float,
     error estimate meets max(abs_tol, rel_tol * |value|).
     """
     cfg = config or QuadratureConfig()
-    a = a + cfg.endpoint_offset
-    b = b - cfg.endpoint_offset
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
 

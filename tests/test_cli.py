@@ -46,6 +46,26 @@ def test_phi_curve(tmp_path, capsys):
         assert abs(float(line.split(",")[1]) - 4 * math.pi) <= 1e-8
 
 
+def test_up_curve_just_above_lowest_level(capsys):
+    # de Sitter's lowest locatable level is about 4.5e-7: the derivative
+    # stencil at t = 6e-7 must stay above it
+    code, out = run(capsys, "up-curve", "--model", "desitter", "--p", "3",
+                    "--t0", "6e-7", "--t1", "0.5", "--steps", "3")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert all(math.isfinite(float(tok)) for tok in row.split(",")[:4])
+
+
+def test_up_curve_without_derivative_reaches_the_band(capsys):
+    # for p < 3 only U_p is printed, which is defined up to t = 1
+    code, out = run(capsys, "up-curve", "--model", "desitter", "--p", "1",
+                    "--t0", "0.5", "--t1", "0.9999999", "--steps", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
 def test_check_suites_pass(capsys):
     for model, suite in (("desitter", "static"), ("desitter", "identities"),
                          ("sds", "identities"), ("sds", "inequalities"),
@@ -134,6 +154,11 @@ def test_float_formatting_12_digits(capsys):
      "--s1", "1"),
     ("up-curve", "--model", "sds", "--m", "0.5", "--p", "3", "--t0", "0.1",
      "--t1", "0.5"),
+    # ends within 1e-6 of the extremal value, where U_p' and Phi_p refuse
+    ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0.5",
+     "--t1", "0.9999999", "--steps", "3"),
+    ("phi-curve", "--model", "sds", "--p", "3", "--s0", "0.5", "--s1", "8",
+     "--steps", "3"),
 ])
 def test_bad_curve_input_exits_2_with_one_line(capsys, argv):
     code = main(list(argv))

@@ -1,0 +1,95 @@
+"""The pointwise record: one profile evaluation per radial point, and the
+quantities that are singular at the extremal sphere derived only on demand."""
+
+import dataclasses
+import math
+
+import pytest
+
+from staticlab import identities as ID
+from staticlab import levelset as LS
+from staticlab.geometry import StaticTriple
+from staticlab.inequalities import lp_gradient_bound
+from staticlab.levelset import sphere_data
+
+
+def _counting_u(tr):
+    calls = [0]
+    fn = tr.u.fn
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+
+    u = dataclasses.replace(tr.u, fn=counted)
+    return dataclasses.replace(tr, u=u), calls
+
+
+def test_sphere_data_evaluates_the_profile_once(all_models):
+    for tr in all_models:
+        tr, calls = _counting_u(tr)
+        lo, hi = tr.domain
+        x = lo + 0.3 * (hi - lo)
+        sp = sphere_data(tr, x)
+        read = (sp.u, sp.grad_u, sp.area, sp.area_g, sp.H, sp.W,
+                sp.conformal.H_g, sp.conformal.gamma)
+        assert all(math.isfinite(v) for v in read), tr.name
+        assert calls[0] == 1, tr.name
+
+
+@pytest.mark.parametrize("check", [
+    lambda tr, br: ID.first_identity(tr, 3, 0.5, 2.5, br),
+    lambda tr, br: ID.second_identity(tr, 3, 0.5, 2.5, br),
+    lambda tr, br: ID.curvature_deficit_identity(tr, 0.3 if tr.lambda_sign > 0
+                                                 else 2.0),
+], ids=["first", "second", "deficit"])
+def test_quadrature_node_builds_one_radial_state(all_models, check,
+                                                 monkeypatch):
+    calls = [0]
+    per_node = []
+    radial_state = StaticTriple.radial_state
+    adaptive = ID.adaptive
+
+    def counted_state(self, x):
+        calls[0] += 1
+        return radial_state(self, x)
+
+    def counted_adaptive(f, a, b, config=None):
+        def node(x):
+            before = calls[0]
+            value = f(x)
+            per_node.append(calls[0] - before)
+            return value
+        return adaptive(node, a, b, config)
+
+    monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
+    monkeypatch.setattr(ID, "adaptive", counted_adaptive)
+    for tr in all_models:
+        branch = "outer" if len(tr.branches()) == 2 else None
+        assert check(tr, branch).status == "pass", tr.name
+    assert per_node and set(per_node) == {1}
+
+
+def test_singular_quantities_are_lazy(nariai3):
+    # the deficit integrand reaches the extremal sphere u = 1, where the
+    # record still builds; only the conformal dictionary refuses
+    sp = sphere_data(nariai3, nariai3.extremum.location)
+    assert sp.u == pytest.approx(1.0, abs=1e-15)
+    assert math.isfinite(sp.area) and math.isfinite(sp.curv.hess_u_norm2)
+    with pytest.raises(ValueError, match="excluded band"):
+        sp.conformal
+
+
+def test_level_readers_refuse_the_extremal_band(ds3):
+    # W = |Du|^2 / |1-u^2| keeps no significant digit within 1e-6 of u = 1
+    t = 1.0 - 1e-7
+    for read in (lambda: LS.up_derivative(ds3, 3, t),
+                 lambda: LS.phi_p(ds3, 3, LS.s_of_t(t)),
+                 lambda: LS.phi_p_derivative(ds3, 3, LS.s_of_t(t)),
+                 lambda: LS.level_data(ds3, t),
+                 lambda: lp_gradient_bound(ds3, 3, t)):
+        with pytest.raises(ValueError, match="excluded band"):
+            read()
+    # U_p and the first-identity flux stay finite up to the extremal value
+    assert math.isfinite(LS.up_value(ds3, 3, t))
+    assert math.isfinite(ID.first_identity_flux(ds3, 3, LS.s_of_t(t)))
