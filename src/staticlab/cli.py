@@ -16,10 +16,8 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
-from . import conformal, identities, inequalities, levelset, odegen
-from .geometry import StaticTriple, static_residual
+from . import conformal, identities, inequalities, levelset
+from .geometry import StaticTriple, linspace, static_residual
 from .models import by_name
 from .report import (IdentityReport, default_tolerance, identity_report,
                      refusal_report)
@@ -28,20 +26,14 @@ from .report import (IdentityReport, default_tolerance, identity_report,
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
-    if isinstance(x, (np.floating,)):
-        return format(float(x), ".12g")
     return str(x)
 
 
 def _json_ready(obj):
     """Floats rounded to 12 significant digits, NaN and infinities as null,
-    numpy booleans as booleans, so that json.dumps emits strict JSON under
-    the float contract."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return float(format(x, ".12g")) if math.isfinite(x) else None
+    so that json.dumps emits strict JSON under the float contract."""
+    if isinstance(obj, float):
+        return float(format(obj, ".12g")) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -78,16 +70,19 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
             fh.write(text)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """Parse 'a:b:step' into an inclusive arange."""
+def _parse_grid(spec: str) -> list[float]:
+    """Parse 'a:b:step' into an inclusive grid, bit for bit the floats of
+    numpy.arange(a, b + step/2, step): a, a + step, then a + i*d for
+    d = (a + step) - a."""
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
-    except ValueError as exc:
+        if not step > 0.0:
+            raise ValueError("step must be positive")
+        count = max(0, math.ceil((b + 0.5 * step - a) / step))
+    except (OverflowError, ValueError) as exc:
         raise UsageError(f"bad grid specification {spec!r}: {exc}") from None
-    if not step > 0.0:
-        raise UsageError(f"bad grid specification {spec!r}: step must be "
-                         "positive")
-    return np.arange(a, b + 0.5 * step, step)
+    d = (a + step) - a
+    return [a, a + step][:count] + [a + i * d for i in range(2, count)]
 
 
 # --------------------------------------------------------------------------
@@ -240,15 +235,13 @@ def _curve_command(args, curve_fn, ends, to_level, band) -> int:
     branch = _resolve_branch(tr, args.branch)
     for flag, value in ends:
         _check_level(tr, branch, flag, value, to_level(tr, value), band)
-    grid = np.linspace(ends[0][1], ends[1][1], args.steps)
+    grid = linspace(ends[0][1], ends[1][1], args.steps)
     curve = curve_fn(tr, args.p, grid, branch=branch)
     flags = _flags_str(levelset.assumption_flags(tr))
     lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
-    for i, x in enumerate(curve.grid):
-        d_ana = curve.d_analytic[i] if curve.d_analytic is not None else math.nan
-        lines.append(",".join([_fmt(float(x)), _fmt(float(curve.values[i])),
-                               _fmt(float(d_ana)),
-                               _fmt(float(curve.d_numeric[i])), flags]))
+    d_ana = curve.d_analytic or (math.nan,) * len(curve.grid)
+    for row in zip(curve.grid, curve.values, d_ana, curve.d_numeric):
+        lines.append(",".join([*map(_fmt, row), flags]))
     _write_lines(args.out, lines)
     return 0
 
@@ -297,10 +290,10 @@ def cmd_scan_sds(args) -> int:
     lines = ["m,r1,r2,kappa1,kappa2"]
     ok = True
     for m in _parse_grid(args.m_grid):
-        tr = _triple("sds", args.n, float(m))
+        tr = _triple("sds", args.n, m)
         (b1, b2) = sorted(tr.boundaries, key=lambda b: b.location)
         lines.append(",".join(_fmt(v) for v in (
-            float(m), b1.location, b2.location,
+            m, b1.location, b2.location,
             b1.surface_gravity, b2.surface_gravity)))
         if args.emit == "kappa" and b1.surface_gravity <= 1.0:
             ok = False
@@ -309,17 +302,18 @@ def cmd_scan_sds(args) -> int:
 
 
 def cmd_shoot(args) -> int:
+    from . import odegen  # numpy and scipy load only for this command
     _check_steps(args.steps)
     data = odegen.HorizonData(n=args.n, lambda_sign=+1, h0=args.h0,
                               kappa=args.kappa)
     tr = odegen.shoot_from_horizon(data)
     system = odegen.reduce_system(args.n, +1)
     lines = ["rho,h,u,dh,du,monitor"]
-    for rho in np.linspace(tr.domain[0] + 1e-6, tr.domain[1] - 1e-6,
-                           args.steps):
+    for rho in linspace(tr.domain[0] + 1e-6, tr.domain[1] - 1e-6,
+                        args.steps):
         h, dh, _ = tr.h(rho)
         u, du, _ = tr.u(rho)
-        mon = system.monitor(np.array([h, dh, u, du]))
+        mon = system.monitor((h, dh, u, du))
         lines.append(",".join(_fmt(v) for v in (rho, h, u, dh, du, mon)))
     _write_lines(args.out, lines)
     return 0

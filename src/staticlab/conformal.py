@@ -31,12 +31,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .geometry import (
     CurvatureData,
     RadialState,
     StaticTriple,
+    linspace,
     radial_geometry,
     sphere_area,
 )
@@ -395,7 +394,7 @@ def sample_points_off_extremum(triple: StaticTriple, count: int,
 
         hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
         span = hi - lo
-    pts = np.linspace(lo + pad * span, hi - pad * span, count)
+    pts = linspace(lo + pad * span, hi - pad * span, count)
     return [x for x in pts if abs(triple.u.value(x) - 1.0) >= min_gap]
 
 

@@ -24,10 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional
-
-import numpy as np
-from scipy.interpolate import CubicSpline
+from typing import Callable, Optional, Sequence
 
 from .quadrature import QuadratureConfig, adaptive
 
@@ -52,6 +49,20 @@ def sphere_euler_characteristic(n: int) -> int:
     return 2 if (n - 1) % 2 == 0 else 0
 
 
+def linspace(a: float, b: float, num: int) -> list[float]:
+    """`num` evenly spaced floats from a to b inclusive, bit for bit those of
+    numpy.linspace: point i is i*step + a, and the last point is b."""
+    if num < 2:
+        return [a] * num
+    step = (b - a) / (num - 1)
+    if step == 0.0:  # (b - a) / (num - 1) underflowed: scale i first
+        pts = [i / (num - 1) * (b - a) + a for i in range(num)]
+    else:
+        pts = [i * step + a for i in range(num)]
+    pts[-1] = b
+    return pts
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial function with its first two derivatives in the native chart.
@@ -71,9 +82,11 @@ class RadialProfile:
         return self.fn(x)[0]
 
     @staticmethod
-    def from_samples(xs: np.ndarray, ys: np.ndarray) -> "RadialProfile":
+    def from_samples(xs: Sequence[float],
+                     ys: Sequence[float]) -> "RadialProfile":
         """Cubic interpolant of sampled values; derivatives are those of the
         interpolant itself."""
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(xs, ys)
         d1 = spline.derivative(1)
         d2 = spline.derivative(2)
@@ -183,11 +196,11 @@ class StaticTriple:
             raise ValueError(f"metric function non-positive at x={x}")
         return 1.0 / math.sqrt(fval)
 
-    def interior_points(self, count: int, pad: float = 0.01) -> np.ndarray:
+    def interior_points(self, count: int, pad: float = 0.01) -> list[float]:
         """Uniform sample of the interior, inset by `pad` * span per side."""
         lo, hi = self.domain
         span = hi - lo
-        return np.linspace(lo + pad * span, hi - pad * span, count)
+        return linspace(lo + pad * span, hi - pad * span, count)
 
     def branches(self) -> tuple[Branch, ...]:
         """Monotone branches of u, split at an interior extremum."""
@@ -319,6 +332,8 @@ def to_arclength(triple: StaticTriple,
     """
     if triple.chart != "areal":
         raise ValueError("to_arclength expects an areal-chart triple")
+    import numpy as np
+    from scipy.interpolate import CubicSpline
     lo, hi = triple.domain
     span = hi - lo
     a, b = lo + ARCLENGTH_MARGIN * span, hi - ARCLENGTH_MARGIN * span

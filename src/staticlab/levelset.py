@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .conformal import SphereData, check_window, sphere_data
+from .conformal import EXTREMUM_BAND, SphereData, check_window, sphere_data
 from .geometry import (
     BRANCH_INSET,
     Branch,
@@ -261,29 +259,30 @@ class Curve:
     (p >= 3 only) and a finite-difference one."""
 
     p: float
-    grid: np.ndarray
-    values: np.ndarray
-    d_analytic: Optional[np.ndarray]
-    d_numeric: np.ndarray
+    grid: tuple[float, ...]
+    values: tuple[float, ...]
+    d_analytic: Optional[tuple[float, ...]]
+    d_numeric: tuple[float, ...]
 
 
-def _fd_rooms(triple: StaticTriple, t: float,
-              branch: Optional[str]) -> tuple[float, float]:
-    """Room below and above t inside the levels that the selected branches
-    can locate, kept EXTREMUM_CUTOFF off the extremal value 1."""
+def _level_window(triple: StaticTriple, branch: Optional[str],
+                  band: float) -> tuple[float, float]:
+    """The levels that the selected branches can locate, kept `band` off
+    the extremal value 1."""
     branches = select_branch(triple, branch)
     lo = min(b.u_lo for b in branches)
     hi = max(b.u_hi for b in branches)
     if triple.lambda_sign > 0:
-        return t - lo, min(hi, 1.0 - EXTREMUM_CUTOFF) - t
-    return t - max(lo, 1.0 + EXTREMUM_CUTOFF), hi - t
+        return lo, min(hi, 1.0 - band)
+    return max(lo, 1.0 + band), hi
 
 
 def _numeric_derivative(triple: StaticTriple, p: float, t: float,
                         branch: Optional[str], base: float) -> float:
     """Five-point difference of U_p at t with step at most `base`, one-sided
     at a domain edge; the stencil never straddles the extremal value."""
-    lo_room, hi_room = _fd_rooms(triple, t, branch)
+    lo, hi = _level_window(triple, branch, EXTREMUM_CUTOFF)
+    lo_room, hi_room = t - lo, hi - t
     h = min(base, 0.2 * lo_room, 0.2 * hi_room)
     if h > 1e-12:
         up = lambda tt: up_value(triple, p, tt, branch)
@@ -297,40 +296,50 @@ def _numeric_derivative(triple: StaticTriple, p: float, t: float,
 
 def up_curve(triple: StaticTriple, p: float, grid: Sequence[float],
              branch: Optional[str] = None) -> Curve:
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([up_value(triple, p, t, branch) for t in grid])
-    d_num = np.array([_numeric_derivative(triple, p, t, branch, FD_STEP)
-                      for t in grid])
+    grid = tuple(grid)
+    values = tuple(up_value(triple, p, t, branch) for t in grid)
+    d_num = tuple(_numeric_derivative(triple, p, t, branch, FD_STEP)
+                  for t in grid)
     d_ana = None
     if p >= 3:
-        d_ana = np.array([up_derivative(triple, p, t, branch)[0]
-                          for t in grid])
+        d_ana = tuple(up_derivative(triple, p, t, branch)[0] for t in grid)
     return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
                  d_numeric=d_num)
 
 
 def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float],
               branch: Optional[str] = None) -> Curve:
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([phi_p(triple, p, s, branch) for s in grid])
-    d_num = np.empty_like(values)
-    for i, s in enumerate(grid):
-        h = min(FD_STEP, 0.45 * s)
-        d_num[i] = (phi_p(triple, p, s + h, branch)
-                    - phi_p(triple, p, s - h, branch)) / (2.0 * h)
+    """Phi_p over `grid`.  The numeric derivative is a centred difference
+    with step at most FD_STEP inside the levels that Phi_p can read, and
+    one-sided within 2e-9 of their edge, where t = tanh s or coth s leaves
+    too few bits to centre a stencil on."""
+    grid = tuple(grid)
+    phi = lambda s: phi_p(triple, p, s, branch)
+    values = tuple(phi(s) for s in grid)
+    s_lo, s_hi = sorted(s_of_t(t) for t in
+                        _level_window(triple, branch, EXTREMUM_BAND))
+    d_num = []
+    for s, value in zip(grid, values):
+        lo_room, hi_room = s - s_lo, s_hi - s
+        h = min(FD_STEP, 0.45 * lo_room, 0.45 * hi_room)
+        if h > 1e-9:
+            d_num.append((phi(s + h) - phi(s - h)) / (2.0 * h))
+            continue
+        h = min(FD_STEP, 0.45 * max(lo_room, hi_room))
+        sgn = 1.0 if hi_room >= lo_room else -1.0
+        d_num.append(sgn * (phi(s + sgn * h) - value) / h)
     d_ana = None
     if p >= 3:
-        d_ana = np.array([phi_p_derivative(triple, p, s, branch)
-                          for s in grid])
+        d_ana = tuple(phi_p_derivative(triple, p, s, branch) for s in grid)
     return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
-                 d_numeric=d_num)
+                 d_numeric=tuple(d_num))
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
     p: float
-    grid: np.ndarray
-    values: np.ndarray
+    grid: tuple[float, ...]
+    values: tuple[float, ...]
     classification: str  # "constant" | "nonincreasing" | "nondecreasing" | "mixed"
     assumption_flags: dict[str, bool]
     informational: bool
@@ -345,12 +354,12 @@ def monotonicity_scan(triple: StaticTriple, p: float,
     assumptions under which monotonicity is asserted (and p is an exponent
     for which it is asserted); otherwise the scan is informational.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([up_value(triple, p, t) for t in grid])
-    deltas = np.diff(values)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
-    incr = bool(np.all(deltas >= -tol))
-    decr = bool(np.all(deltas <= tol))
+    grid = tuple(grid)
+    values = tuple(up_value(triple, p, t) for t in grid)
+    deltas = [b - a for a, b in zip(values, values[1:])]
+    tol = 1e-10 * max(1.0, max(abs(v) for v in values))
+    incr = all(d >= -tol for d in deltas)
+    decr = all(d <= tol for d in deltas)
     if incr and decr:
         cls = "constant"
     elif decr:
@@ -363,10 +372,8 @@ def monotonicity_scan(triple: StaticTriple, p: float,
     applicable = assumptions_hold(triple, flags) and (p == 1 or p >= 3)
     violations: tuple[int, ...] = ()
     if applicable:
-        if triple.lambda_sign > 0:
-            violations = tuple(int(i) for i in np.nonzero(deltas > tol)[0])
-        else:
-            violations = tuple(int(i) for i in np.nonzero(deltas < -tol)[0])
+        sign = triple.lambda_sign
+        violations = tuple(i for i, d in enumerate(deltas) if sign * d > tol)
     return MonotonicityReport(p=p, grid=grid, values=values,
                               classification=cls, assumption_flags=flags,
                               informational=not applicable,
@@ -431,18 +438,16 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
         raise ValueError("triple is not conformally compact")
     n = triple.n
 
-    def at(t: float) -> np.ndarray:
+    def at(t: float) -> tuple[float, float, float]:
         (x,) = level_radii(triple, t)
         sp = sphere_data(triple, x)
         scal = (n - 1) * (n - 2) * sp.D / sp.st.h ** 2
-        return np.array([sp.area_g, scal, sp.D - sp.st.du ** 2])
+        return sp.area_g, scal, sp.D - sp.st.du ** 2
 
     t1, t2 = BOUNDARY_LEVELS
-    v1, v2 = at(t1), at(t2)
-    v = (t2 ** 2 * v2 - t1 ** 2 * v1) / (t2 ** 2 - t1 ** 2)
-    return ConformalBoundaryData(area_g=float(v[0]),
-                                 scalar_g_boundary=float(v[1]),
-                                 gradient_limit=float(v[2]))
+    return ConformalBoundaryData(*(
+        (t2 ** 2 * v2 - t1 ** 2 * v1) / (t2 ** 2 - t1 ** 2)
+        for v1, v2 in zip(at(t1), at(t2))))
 
 
 def assumption_flags(triple: StaticTriple) -> dict[str, bool]:

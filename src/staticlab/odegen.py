@@ -25,10 +25,9 @@ stays on the product solution for any kappa.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import (
     BoundaryComponent,
@@ -85,7 +84,7 @@ class ReducedSystem:
         d2h, d2u = self.second_derivatives(h, dh, u, du)
         return np.array([dh, d2h, du, d2u])
 
-    def monitor(self, y: np.ndarray) -> float:
+    def monitor(self, y: Sequence[float]) -> float:
         """Residual of the trace equation lap u + sign*n*u along the state."""
         h, dh, u, du = y
         _, d2u = self.second_derivatives(h, dh, u, du)
@@ -133,6 +132,7 @@ def shoot_from_horizon(data: HorizonData,
     if data.lambda_sign != +1:
         raise ValueError("horizon shooting applies to positive cosmological "
                          "constant only (u has no zero level otherwise)")
+    from scipy.integrate import solve_ivp
     cfg = config or ShootConfig()
     system = reduce_system(data.n, data.lambda_sign)
     rho0 = cfg.series_handoff * data.h0
@@ -243,5 +243,5 @@ def monitor_drift(triple: StaticTriple, system: ReducedSystem,
         u, du, _ = triple.u(rho)
         # the monitor is linear in the u-components, so evaluating it on the
         # normalised profile only rescales the drift by the stored factor
-        worst = max(worst, abs(system.monitor(np.array([h, dh, u, du]))))
+        worst = max(worst, abs(system.monitor((h, dh, u, du))))
     return worst

@@ -58,6 +58,22 @@ def test_up_curve_just_above_lowest_level(capsys):
         assert all(math.isfinite(float(tok)) for tok in row.split(",")[:4])
 
 
+@pytest.mark.parametrize("s0, s1", [
+    # the stencil at s0 must stay above de Sitter's lowest level, ~4.5e-7
+    ("5e-7", "0.5"),
+    # s1 + 1e-4 would read inside the band |u - 1| < 1e-6
+    ("0.5", "7.2543"),
+])
+def test_phi_curve_stencil_stays_inside_the_levels(capsys, s0, s1):
+    code, out = run(capsys, "phi-curve", "--model", "desitter", "--p", "3",
+                    "--s0", s0, "--s1", s1, "--steps", "3")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert all(math.isfinite(float(tok)) for tok in row.split(",")[:4])
+
+
 def test_up_curve_without_derivative_reaches_the_band(capsys):
     # for p < 3 only U_p is printed, which is defined up to t = 1
     code, out = run(capsys, "up-curve", "--model", "desitter", "--p", "1",
@@ -167,6 +183,17 @@ def test_bad_curve_input_exits_2_with_one_line(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"staticlab {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("spec", ["0.1:x", "0.1:0.2:0", "0:inf:0.1",
+                                  "nan:1:0.1"])
+def test_bad_grid_exits_2_with_one_line(capsys, spec):
+    code = main(["scan-sds", "--m-grid", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("staticlab scan-sds: error: bad grid")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_check_emits_strict_json_at_12_digits(capsys):
