@@ -63,14 +63,12 @@ class ConformalState:
     u_of_phi: float
 
 
-def _positive_denominator(d: float, u: float) -> float:
+def conformal_denominator(triple: StaticTriple, u: float) -> float:
+    """|1 - u^2| as sign * (1 - u*u), refused where it is not positive."""
+    d = triple.lambda_sign * (1.0 - u * u)
     if d <= 0.0:
         raise ValueError(f"conformal factor degenerate at u={u}")
     return d
-
-
-def conformal_denominator(triple: StaticTriple, u: float) -> float:
-    return _positive_denominator(triple.lambda_sign * (1.0 - u * u), u)
 
 
 def check_window(u: float) -> None:
@@ -116,10 +114,8 @@ class SphereData:
 
     @cached_property
     def D(self) -> float:
-        """|1 - u^2| > 0 as sign * (1 - u**2); the dictionary's beta forms
-        sign * (1 - u*u), which may differ in the last bit."""
-        return _positive_denominator(
-            self.triple.lambda_sign * (1.0 - self.st.u ** 2), self.st.u)
+        """|1 - u^2| > 0, the conformal denominator (the dictionary's beta)."""
+        return conformal_denominator(self.triple, self.st.u)
 
     @cached_property
     def area_g(self) -> float:
@@ -142,8 +138,7 @@ class SphereData:
     @cached_property
     def hess_phi_nn(self) -> float:
         """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
-        d = conformal_denominator(self.triple, self.st.u)
-        return d * _hess_phi_components(self, d)[0]
+        return self.D * _hess_phi_components(self, self.D)[0]
 
     @cached_property
     def conformal(self) -> ConformalState:
@@ -152,7 +147,7 @@ class SphereData:
         check_window(st.u)
         n = triple.n
         u = st.u
-        d = conformal_denominator(triple, u)
+        d = self.D
         w_norm = st.du ** 2 / d
         if triple.lambda_sign > 0:
             phi = 0.5 * math.log((1.0 + u) / (1.0 - u))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .quadrature import QuadratureConfig, adaptive
+from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
 
 
 BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
@@ -69,7 +69,9 @@ class RadialProfile:
 
     `fn(x)` returns (value, d/dx, d2/dx2).  Evaluation is contractually
     restricted to the open interior of `domain`; closed-form profiles may
-    blow up or lose precision exactly at the endpoints.
+    blow up or lose precision exactly at the endpoints.  `to_arclength`
+    evaluates an areal triple's `f` elementwise on numpy arrays, so its
+    closed form uses arithmetic, not `math.*`.
     """
 
     domain: tuple[float, float]
@@ -192,8 +194,8 @@ class StaticTriple:
         if self.chart == "arclength":
             return 1.0
         fval = self.f(x)[0]
-        if fval <= 0.0:
-            raise ValueError(f"metric function non-positive at x={x}")
+        if not fval > 0.0:
+            raise ValueError(f"metric function not positive at x={x}")
         return 1.0 / math.sqrt(fval)
 
     def interior_points(self, count: int, pad: float = 0.01) -> list[float]:
@@ -325,8 +327,11 @@ def to_arclength(triple: StaticTriple,
 
     The domain is inset by ARCLENGTH_MARGIN * span per side so the 1/sqrt(f)
     integrand stays finite, and the profiles become cubic interpolants of
-    the sampled values.  Boundary data is not carried over: the converted
-    triple is meant for interior curvature evaluation and cross-checks.
+    the sampled values.  `f` is evaluated elementwise on numpy arrays of
+    quadrature nodes (arithmetic, not `math.*`); a node where it is not
+    positive or is NaN raises ValueError.  Boundary data is not carried
+    over: the converted triple is meant for interior curvature evaluation
+    and cross-checks.
 
     Returns (converted triple, rho_of_r callable).
     """
@@ -341,12 +346,22 @@ def to_arclength(triple: StaticTriple,
     s = np.linspace(0.0, 1.0, samples)
     r_grid = a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * s))
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=20_000)
-    rho = np.empty_like(r_grid)
-    rho[0] = 0.0
-    for i in range(1, len(r_grid)):
-        seg = adaptive(lambda r: triple.arclength_jacobian(r),
-                       r_grid[i - 1], r_grid[i], cfg)
-        rho[i] = rho[i - 1] + seg.value
+
+    def jacobian(r):  # 1/sqrt(f) on an array of nodes
+        fval = triple.f.fn(r)[0]
+        if not np.all(fval > 0.0):
+            bad = r[~(fval > 0.0)][0]
+            raise ValueError(f"metric function not positive at x={bad}")
+        return 1.0 / np.sqrt(fval)
+
+    # one Gauss-Kronrod panel per segment, all segments at once; only those
+    # it does not resolve go through `adaptive`, which starts from that panel
+    seg, err, _ = _kronrod_panel(jacobian, r_grid[:-1], r_grid[1:])
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(seg))
+    for i in np.flatnonzero(err > tol):
+        seg[i] = adaptive(triple.arclength_jacobian, r_grid[i],
+                          r_grid[i + 1], cfg).value
+    rho = np.concatenate(([0.0], np.cumsum(seg)))
     u_vals = np.array([triple.u.value(r) for r in r_grid])
     u_prof = RadialProfile.from_samples(rho, u_vals)
     h_prof = RadialProfile.from_samples(rho, r_grid)

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own code paths: curvature
 comes from finite differences of the metric in explicit nested-sphere
 coordinates, roots from plain bisection, and arclength from quadrature of
-the metric coefficient.  The tests compare library output against these.
+the metric coefficient, one scalar `adaptive` call per segment.  The tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -64,6 +64,84 @@ def arclength_from_horizon(f, fprime, rh: float, r: float) -> float:
         return 2.0 * xi / math.sqrt(ff)
 
     return adaptive(integrand, 0.0, math.sqrt(r - rh), cfg).value
+
+
+def arclength_reference(triple, samples: int):
+    """rho = int dr/sqrt(f) on `to_arclength`'s grid, one `adaptive` call per
+    segment summed in order.  Returns (r_grid, per-segment values, rho)."""
+    from staticlab.geometry import ARCLENGTH_MARGIN
+    lo, hi = triple.domain
+    span = hi - lo
+    a, b = lo + ARCLENGTH_MARGIN * span, hi - ARCLENGTH_MARGIN * span
+    s = np.linspace(0.0, 1.0, samples)
+    r_grid = a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * s))
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=20_000)
+    seg = np.empty(samples - 1)
+    rho = np.empty_like(r_grid)
+    rho[0] = 0.0
+    for i in range(1, len(r_grid)):
+        seg[i - 1] = adaptive(lambda r: triple.arclength_jacobian(r),
+                              r_grid[i - 1], r_grid[i], cfg).value
+        rho[i] = rho[i - 1] + seg[i - 1]
+    return r_grid, seg, rho
+
+
+def gauss_kronrod_15(dps: int = 50):
+    """The (7, 15) Gauss-Kronrod rule on [-1, 1] at `dps` digits, as mpmath
+    numbers: (Kronrod abscissae >= 0 in decreasing order, their Kronrod
+    weights, the Gauss weights of abscissae 1, 3, 5, 7).
+
+    The Gauss abscissae are the roots of P_7 and their weights
+    2 / ((1 - x^2) P_7'(x)^2).  The added Kronrod abscissae are the roots of
+    the Stieltjes polynomial E_8 = x^8 + a6 x^6 + a4 x^4 + a2 x^2 + a0,
+    orthogonal to x^k P_7 for k < 8 (exact rational arithmetic; the even k
+    hold by parity), and the Kronrod weights solve the moment equations
+    sum_j w_j x_j^(2i) = 2/(2i+1), i < 8.
+    """
+    from fractions import Fraction
+
+    import mpmath
+
+    p7 = {7: Fraction(429, 16), 5: Fraction(-693, 16), 3: Fraction(315, 16),
+          1: Fraction(-35, 16)}
+
+    def moment(j):
+        return Fraction(0) if j % 2 else Fraction(2, j + 1)
+
+    def against_p7(power, k):  # int x^power P_7 x^k over [-1, 1]
+        return sum(c * moment(power + q + k) for q, c in p7.items())
+
+    # E_8's coefficients a6, a4, a2, a0 by Gauss-Jordan on rationals
+    rows = [[against_p7(p, k) for p in (6, 4, 2, 0)] + [-against_p7(8, k)]
+            for k in (1, 3, 5, 7)]
+    for i in range(4):
+        piv = next(r for r in range(i, 4) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        for r in range(4):
+            if r != i:
+                fac = rows[r][i] / rows[i][i]
+                rows[r] = [x - fac * y for x, y in zip(rows[r], rows[i])]
+    e8 = {8: Fraction(1)}
+    e8.update({p: rows[i][4] / rows[i][i] for i, p in enumerate((6, 4, 2, 0))})
+
+    with mpmath.workdps(dps):
+        def poly(coef, x, deriv=False):
+            return sum(mpmath.mpf(c.numerator) / c.denominator
+                       * (p * x ** (p - 1) if deriv else x ** p)
+                       for p, c in coef.items() if p or not deriv)
+
+        def roots(coef, seeds):
+            return [mpmath.findroot(lambda x: poly(coef, x), s) for s in seeds]
+
+        gauss = roots(p7, (0.95, 0.74, 0.41)) + [mpmath.mpf(0)]
+        added = roots(e8, (0.99, 0.86, 0.59, 0.21))
+        xgk = sorted(gauss[:3] + added, reverse=True) + [mpmath.mpf(0)]
+        vander = mpmath.matrix([[(2 if j < 7 else 1) * xgk[j] ** (2 * i)
+                                 for j in range(8)] for i in range(8)])
+        wgk = mpmath.lu_solve(vander, mpmath.matrix(
+            [mpmath.mpf(2) / (2 * i + 1) for i in range(8)]))
+        wg = [2 / ((1 - x * x) * poly(p7, x, deriv=True) ** 2) for x in gauss]
+        return xgk, list(wgk), wg
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from staticlab import (
     RadialProfile,
     SdSParams,
     StaticTriple,
+    anti_de_sitter,
     boundary_scalar_curvature,
     de_sitter,
+    geometry,
     nariai,
     schwarzschild_de_sitter,
     sphere_euler_characteristic,
@@ -19,8 +21,9 @@ from staticlab import (
     unit_sphere_area,
     warped_curvature,
 )
+from staticlab.quadrature import adaptive
 
-from oracles import numeric_curvature, sds_horizon_data
+from oracles import arclength_reference, numeric_curvature, sds_horizon_data
 
 
 def make_arclength_triple(n, h_fn, u_fn, domain):
@@ -223,3 +226,62 @@ def test_branches(ds3, ads3, sds01, nariai3):
     assert len(brs) == 2
     assert brs[0].increasing and not brs[1].increasing
     assert len(nariai3.branches()) == 2
+
+
+def _converted_rho(tr, samples):
+    """to_arclength's rho on its grid: its spline returns the sampled value
+    at every knot but the last, where the converted domain ends."""
+    r_grid, _, _ = arclength_reference(tr, samples)
+    arc, rho_of_r = to_arclength(tr, samples=samples)
+    return np.array([rho_of_r(r) for r in r_grid[:-1]] + [arc.domain[1]])
+
+
+@pytest.mark.parametrize("make", [de_sitter, anti_de_sitter])
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_arclength_equals_per_segment_loop(make, n):
+    tr = make(n)
+    _, _, want = arclength_reference(tr, 2000)
+    assert np.array_equal(_converted_rho(tr, 2000), want)
+
+
+@pytest.mark.parametrize("n, m", [(3, 0.1), (4, 0.05), (5, 0.02)])
+def test_batched_arclength_on_sds_within_an_ulp(n, m):
+    # numpy's array power and libm's pow may differ by an ulp on r**(2-n)
+    tr = schwarzschild_de_sitter(SdSParams(n=n, m=m))
+    _, _, want = arclength_reference(tr, 2000)
+    assert np.max(np.abs(_converted_rho(tr, 2000) - want)) <= 1e-15
+
+
+def test_unresolved_segments_are_refined_like_the_loop(monkeypatch, sds01):
+    # at 100 samples the first panel does not meet the 1e-13 target on six
+    # SdS segments; those go through `adaptive` as in the loop
+    refined = {}
+
+    def spy(f, a, b, config=None):
+        res = adaptive(f, a, b, config)
+        refined[a] = res.value
+        return res
+
+    monkeypatch.setattr(geometry, "adaptive", spy)
+    to_arclength(sds01, samples=100)
+    r_grid, seg, _ = arclength_reference(sds01, 100)
+    assert len(refined) == 6
+    assert refined == {r: v for r, v in zip(r_grid[:-1], seg) if r in refined}
+
+
+def _areal(f_fn, domain=(0.0, 1.0)):
+    return StaticTriple(
+        n=3, lambda_sign=+1, chart="areal",
+        u=RadialProfile(domain, lambda r: (1.0, 0.0, 0.0)),
+        h=RadialProfile(domain, lambda r: (r, 1.0, 0.0)),
+        f=RadialProfile(domain, f_fn), boundaries=(),
+        extremum=Extremum(location=domain[0], discrete=True, count=1))
+
+
+@pytest.mark.parametrize("f_fn", [
+    lambda r: (0.5 - r, -1.0, 0.0),                        # negative past 0.5
+    lambda r: (np.where(r > 0.7, np.nan, 1.0), 0.0, 0.0),  # NaN past 0.7
+])
+def test_arclength_refuses_a_bad_metric_function(f_fn):
+    with pytest.raises(ValueError, match="metric function"):
+        to_arclength(_areal(f_fn), samples=50)
