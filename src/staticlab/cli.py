@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -90,8 +91,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 def suite_static(triple: StaticTriple, tol: float) -> list[IdentityReport]:
     pts = triple.interior_points(100)
-    tensor = max(static_residual(triple, x)[0] for x in pts)
-    laplace = max(static_residual(triple, x)[1] for x in pts)
+    tensor, laplace = map(max, zip(*(static_residual(triple, x) for x in pts)))
     return [
         identity_report("static_tensor_residual", tensor, 0.0, tol,
                         description="field-equation tensor residual, max "
@@ -103,18 +103,20 @@ def suite_static(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 
 
 def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
-    pts = conformal.sample_points_off_extremum(triple, 50)
+    # one record per sample point, read by all five residuals
+    records = [conformal.sphere_data(triple, x)
+               for x in conformal.sample_points_off_extremum(triple, 50)]
     checks = [
         ("quasi_einstein_residual", conformal.quasi_einstein_residual),
         ("bochner_residual", conformal.bochner_residual),
         ("w_equation_residual", conformal.w_equation_residual),
         ("trace_identity_residual", conformal.trace_identity_residual),
     ]
-    out = [identity_report(name, max(fn(triple, x) for x in pts), 0.0, tol,
+    out = [identity_report(name, max(fn(sp) for sp in records), 0.0, tol,
                            description=f"{name} max over interior sample")
            for name, fn in checks]
-    mc = max(conformal.mean_curvature_relations(triple, x).abs_residual
-             for x in pts)
+    mc = max(conformal.mean_curvature_relations(sp).abs_residual
+             for sp in records)
     out.append(identity_report("mean_curvature_relation", mc, 0.0, tol,
                                description="conformal vs warped mean "
                                            "curvature, max over sample"))
@@ -384,10 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except UsageError as exc:
         sys.stderr.write(f"staticlab {args.command}: error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # the reader went away (`| head`): stdout to devnull, so that the
+        # flush at exit does not raise again; 1 as Python exits on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

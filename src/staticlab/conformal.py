@@ -23,6 +23,12 @@ weighted divergence identities take one common form.
 
 Everything is computed from g0-side quantities through these dictionaries;
 no second metric representation is ever stored.
+
+The five pointwise residuals (quasi-Einstein, Bochner, drift equation for
+w, trace identity, mean-curvature relation) each read one `SphereData`
+record and evaluate no profile again.  The radial derivatives W', W'', w'
+and w'' are closed forms in u, u', u'' and u''' (`_radial_derivatives`),
+with u''' from the potential equation differentiated once.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .report import IdentityReport, identity_report
 from .roots import find_root
 
 EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
-FD_REL_STEP = 1e-4    # arclength step of _arclength_fd, relative to the span
 U_CAP = 20.0          # the conformal checkers sample u <= U_CAP when u grows
 
 
@@ -61,14 +66,6 @@ class ConformalState:
     scalar_g: float
     H_g: float
     u_of_phi: float
-
-
-def conformal_denominator(triple: StaticTriple, u: float) -> float:
-    """|1 - u^2| as sign * (1 - u*u), refused where it is not positive."""
-    d = triple.lambda_sign * (1.0 - u * u)
-    if d <= 0.0:
-        raise ValueError(f"conformal factor degenerate at u={u}")
-    return d
 
 
 def check_window(u: float) -> None:
@@ -114,8 +111,13 @@ class SphereData:
 
     @cached_property
     def D(self) -> float:
-        """|1 - u^2| > 0, the conformal denominator (the dictionary's beta)."""
-        return conformal_denominator(self.triple, self.st.u)
+        """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
+        dictionary's beta), refused where it is not positive."""
+        u = self.st.u
+        d = self.triple.lambda_sign * (1.0 - u * u)
+        if d <= 0.0:
+            raise ValueError(f"conformal factor degenerate at u={u}")
+        return d
 
     @cached_property
     def area_g(self) -> float:
@@ -138,7 +140,7 @@ class SphereData:
     @cached_property
     def hess_phi_nn(self) -> float:
         """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
-        return self.D * _hess_phi_components(self, self.D)[0]
+        return self.D * _hess_phi_components(self)[0]
 
     @cached_property
     def conformal(self) -> ConformalState:
@@ -148,7 +150,7 @@ class SphereData:
         n = triple.n
         u = st.u
         d = self.D
-        w_norm = st.du ** 2 / d
+        w_norm = self.W
         if triple.lambda_sign > 0:
             phi = 0.5 * math.log((1.0 + u) / (1.0 - u))
             u_of_phi = math.tanh(phi)
@@ -196,10 +198,10 @@ def hess_phi_radial(triple: StaticTriple, x: float) -> float:
 # --------------------------------------------------------------------------
 # pointwise identities
 
-def _ricci_g_components(sp: SphereData, d: float) -> tuple[float, float]:
+def _ricci_g_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
-    n, curv = sp.triple.n, sp.curv
+    n, curv, d = sp.triple.n, sp.curv, sp.D
     u, du2 = sp.st.u, sp.st.du ** 2
     if sp.triple.lambda_sign > 0:
         common = (u * curv.lap_u / d
@@ -216,30 +218,29 @@ def _ricci_g_components(sp: SphereData, d: float) -> tuple[float, float]:
     return ric_rr, ric_tt
 
 
-def _hess_phi_components(sp: SphereData, d: float) -> tuple[float, float]:
+def _hess_phi_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal components of hess_g phi (as a (0,2)-tensor wrt the
     g0-orthonormal frame)."""
-    u, du2 = sp.st.u, sp.st.du ** 2
+    u, du2, d = sp.st.u, sp.st.du ** 2, sp.D
     s = float(sp.triple.lambda_sign)
     return (s * sp.curv.hess_u_rr / d + u * du2 / d ** 2,
             s * sp.curv.hess_u_tan / d + u * du2 / d ** 2)
 
 
-def quasi_einstein_residual(triple: StaticTriple, x: float) -> float:
+def quasi_einstein_residual(sp: SphereData) -> float:
     """Residual of the drifted Einstein equation satisfied by g,
 
         Ric_g = (1/u - (n-1)u) hess phi - (n-2) dphi (x) dphi
                 + (n - 2 + 2(1 - W)) g,
 
     as the max over the two independent orthonormal components."""
-    sp = sphere_data(triple, x)
     st, state = sp.st, sp.conformal
-    n = triple.n
+    n = sp.triple.n
     u = st.u
     d = state.beta
     w_norm = state.grad_phi_norm2
-    ric_rr, ric_tt = _ricci_g_components(sp, d)
-    hp_rr, hp_tt = _hess_phi_components(sp, d)
+    ric_rr, ric_tt = _ricci_g_components(sp)
+    hp_rr, hp_tt = _hess_phi_components(sp)
     coeff = 1.0 / u - (n - 1) * u
     dphi2_rr = st.du ** 2 / d ** 2
     metric_term = (n - 2.0 + 2.0 * (1.0 - w_norm)) / d
@@ -248,125 +249,84 @@ def quasi_einstein_residual(triple: StaticTriple, x: float) -> float:
     return max(abs(ric_rr - rhs_rr), abs(ric_tt - rhs_tt))
 
 
-def _arclength_fd(triple: StaticTriple, fn, x: float) -> float:
-    """d/drho of fn(triple, radial state) at x by a five-point difference
-    taken in arclength.
+def _radial_derivatives(sp: SphereData) -> tuple[float, float, float, float]:
+    """(W', W'', w', w'') in arclength, in closed form from the radial state:
+    with q = u'^2 and D = sign (1 - u^2), W = q / D and w = D - q.
 
-    Near a horizon the composition fn(r) loses smoothness in r while staying
-    smooth in rho, so the stencil points sit at equal arclength offsets via
-    the cubic expansion r(rho0 + e) = r + e sqrt(f) + e^2 f'/4
-    + e^3 f'' sqrt(f)/12 + O(e^4)."""
-    lo, hi = triple.domain
-    step = FD_REL_STEP * (hi - lo)
-
-    if triple.chart == "arclength":
-        def place(e: float) -> float:
-            return x + e
-        reach = step
-    else:
-        fval, f1, f2 = triple.f(x)
-        sf = math.sqrt(fval)
-
-        def place(e: float) -> float:
-            return x + e * sf + e * e * f1 / 4.0 + e ** 3 * f2 * sf / 12.0
-
-        reach = 2.0 * step * sf + (2.0 * step) ** 2 * abs(f1) / 4.0 \
-            + (2.0 * step) ** 3 * abs(f2) * sf / 12.0
-    while not (lo < x - reach and x + reach < hi):
-        step *= 0.5
-        reach *= 0.5
-
-    def at(e: float) -> float:
-        return fn(triple, triple.radial_state(place(e)))
-
-    return (at(-2 * step) - 8.0 * at(-step)
-            + 8.0 * at(step) - at(2 * step)) / (12.0 * step)
+    u''' comes from differentiating the potential equation
+    u'' + (n-1)(h'/h) u' = -sign n u once, so like `_ricci_g_components` and
+    the dictionary's lap_phi this holds on solutions."""
+    st, s, n = sp.st, sp.triple.lambda_sign, sp.triple.n
+    u, u1, u2 = st.u, st.du, st.d2u
+    k = st.dh / st.h
+    u3 = -(n - 1) * ((st.d2h / st.h - k * k) * u1 + k * u2) - s * n * u1
+    d = sp.D
+    d1 = -2.0 * s * u * u1
+    d2 = -2.0 * s * (u1 * u1 + u * u2)
+    q = u1 * u1
+    q1 = 2.0 * u1 * u2
+    q2 = 2.0 * (u2 * u2 + u1 * u3)
+    W1 = (q1 * d - q * d1) / d ** 2
+    W2 = (q2 * d - q * d2) / d ** 2 - 2.0 * d1 * W1 / d
+    return W1, W2, d1 - q1, d2 - q2
 
 
-def _grad_w_arclength(triple: StaticTriple, st: RadialState) -> float:
-    """d/drho of W = |Du|^2 / D, in closed form from the profile derivatives."""
-    d = conformal_denominator(triple, st.u)
-    # dD/drho = -sign * 2 u u'
-    dd = -2.0 * triple.lambda_sign * st.u * st.du
-    return (2.0 * st.du * st.d2u * d - st.du ** 2 * dd) / d ** 2
-
-
-def _w_grad_arclength(triple: StaticTriple, st: RadialState) -> float:
-    """d/drho of w = beta (1 - W) = D (1 - W), in closed form."""
-    d = conformal_denominator(triple, st.u)
-    w_norm = st.du ** 2 / d
-    dd = -2.0 * triple.lambda_sign * st.u * st.du
-    return dd * (1.0 - w_norm) - d * _grad_w_arclength(triple, st)
-
-
-def _laplacian_g_radial(triple: StaticTriple, st: RadialState,
-                        value_d1_d2) -> float:
-    """lap_g of a radial function given (value, d/drho, d2/drho2) at the
-    point of `st`:
+def _laplacian_g_radial(sp: SphereData, p1: float, p2: float) -> float:
+    """lap_g of a radial function psi with psi' = p1 and psi'' = p2 (in
+    arclength) at the point of the record:
 
         lap_g psi = sign * [ (1 - u^2) lap_0 psi + (n-2) u <Du, Dpsi>_0 ].
     """
-    _, p1, p2 = value_d1_d2
-    lap0 = p2 + (triple.n - 1) * (st.dh / st.h) * p1
-    return triple.lambda_sign * ((1.0 - st.u ** 2) * lap0
-                                 + (triple.n - 2) * st.u * st.du * p1)
+    st, n = sp.st, sp.triple.n
+    lap0 = p2 + (n - 1) * (st.dh / st.h) * p1
+    return sp.triple.lambda_sign * ((1.0 - st.u ** 2) * lap0
+                                    + (n - 2) * st.u * st.du * p1)
 
 
-def bochner_residual(triple: StaticTriple, x: float) -> float:
+def _drifted_laplacian(sp: SphereData, p1: float, p2: float,
+                       c: int) -> float:
+    """lap_g psi - (1/u + c u) <grad psi, grad phi>_g for a radial psi with
+    psi' = p1 and psi'' = p2; <grad psi, grad phi>_g = sign psi' u'."""
+    u = sp.st.u
+    pairing = sp.triple.lambda_sign * p1 * sp.st.du
+    return _laplacian_g_radial(sp, p1, p2) - (1.0 / u + c * u) * pairing
+
+
+def bochner_residual(sp: SphereData) -> float:
     """Residual of the drifted Bochner identity for W = |grad phi|_g^2:
 
         lap_g W - (1/u + (n+1)u) <grad W, grad phi>_g
             - 2 |hess phi|^2 - 2 n u^2 W (1 - W)  =  0.
-
-    All terms reduce to radial derivatives of W; the second derivative is a
-    central difference of the closed-form first derivative.
     """
-    sp = sphere_data(triple, x)
-    st, state = sp.st, sp.conformal
-    n = triple.n
-    u = st.u
-    w1 = _grad_w_arclength(triple, st)
-    w2 = _arclength_fd(triple, _grad_w_arclength, x)
-    lap_g_w = _laplacian_g_radial(triple, st, (state.grad_phi_norm2, w1, w2))
-    # <grad W, grad phi>_g = sign * W' u'  (phi' = u'/(1 - u^2))
-    pairing = triple.lambda_sign * w1 * st.du
-    drift = (1.0 / u + (n + 1) * u) * pairing
-    return abs(lap_g_w - drift - 2.0 * state.hess_phi_norm2
-               - 2.0 * n * u * u * state.grad_phi_norm2
-               * (1.0 - state.grad_phi_norm2))
+    state, n, u = sp.conformal, sp.triple.n, sp.st.u
+    w1, w2, _, _ = _radial_derivatives(sp)
+    return abs(_drifted_laplacian(sp, w1, w2, n + 1)
+               - 2.0 * state.hess_phi_norm2
+               - 2.0 * n * u * u * sp.W * (1.0 - sp.W))
 
 
-def w_equation_residual(triple: StaticTriple, x: float) -> float:
+def w_equation_residual(sp: SphereData) -> float:
     """Residual of the elliptic equation for w = beta (1 - |grad phi|^2):
 
         lap_g w - (1/u + (n-3)u) <grad w, grad phi>_g
             + 2 beta (|hess phi|^2 - (lap phi)^2 / n)  =  0.
     """
-    sp = sphere_data(triple, x)
-    st, state = sp.st, sp.conformal
-    n = triple.n
-    u = st.u
-    w1 = _w_grad_arclength(triple, st)
-    w2 = _arclength_fd(triple, _w_grad_arclength, x)
-    lap_g_w = _laplacian_g_radial(triple, st, (state.w, w1, w2))
-    pairing = triple.lambda_sign * w1 * st.du
-    drift = (1.0 / u + (n - 3) * u) * pairing
-    return abs(lap_g_w - drift + 2.0 * state.beta
+    state, n = sp.conformal, sp.triple.n
+    _, _, w1, w2 = _radial_derivatives(sp)
+    return abs(_drifted_laplacian(sp, w1, w2, n - 3) + 2.0 * state.beta
                * (state.hess_phi_norm2 - state.lap_phi ** 2 / n))
 
 
-def trace_identity_residual(triple: StaticTriple, x: float) -> float:
+def trace_identity_residual(sp: SphereData) -> float:
     """Residual of the scalar-curvature trace identity
 
         R_g / (n-1) = (n-2) + (n u^2 + 2)(1 - W),
 
     with R_g computed independently through the conformal transformation law
     for the Ricci tensor."""
-    sp = sphere_data(triple, x)
     state = sp.conformal
-    d = state.beta
-    ric_rr, ric_tt = _ricci_g_components(sp, d)
-    scalar_direct = d * (ric_rr + (triple.n - 1) * ric_tt)
+    ric_rr, ric_tt = _ricci_g_components(sp)
+    scalar_direct = state.beta * (ric_rr + (sp.triple.n - 1) * ric_tt)
     return abs(scalar_direct - state.scalar_g)
 
 
@@ -393,7 +353,7 @@ def sample_points_off_extremum(triple: StaticTriple, count: int,
     return [x for x in pts if abs(triple.u.value(x) - 1.0) >= min_gap]
 
 
-def mean_curvature_relations(triple: StaticTriple, x: float,
+def mean_curvature_relations(sp: SphereData,
                              tolerance: float = 1e-8) -> IdentityReport:
     """Check the conformal mean-curvature relation
 
@@ -401,7 +361,6 @@ def mean_curvature_relations(triple: StaticTriple, x: float,
 
     against H_g computed independently from the conformal Hessian and
     Laplacian dictionaries (no field equation is used on that side)."""
-    sp = sphere_data(triple, x)
     st, state = sp.st, sp.conformal
 
     # direct side: H_g = (lap_g phi - hess_g phi(nu_g, nu_g)) / |grad phi|_g,
@@ -409,7 +368,7 @@ def mean_curvature_relations(triple: StaticTriple, x: float,
     phi1 = st.du / (1.0 - st.u ** 2)
     phi2 = (st.d2u * (1.0 - st.u ** 2) + 2.0 * st.u * st.du ** 2) \
         / (1.0 - st.u ** 2) ** 2
-    lap_g_phi = _laplacian_g_radial(triple, st, (0.0, phi1, phi2))
+    lap_g_phi = _laplacian_g_radial(sp, phi1, phi2)
     direct = (lap_g_phi - sp.hess_phi_nn) / math.sqrt(state.grad_phi_norm2)
     return identity_report(
         name="mean_curvature_relation", lhs=direct, rhs=state.H_g,

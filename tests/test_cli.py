@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,21 @@ def test_check_emits_strict_json_at_12_digits(capsys):
                             "liminf")[1])["checks"]
     assert all(c["lhs"] is None and c["status"] == "inapplicable"
                for c in checks)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader went away before the report was written, as with
+    # `staticlab check ... | head -c 100`
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "staticlab.cli", "check", "--model", "sds",
+         "--n", "3", "--m", "0.02", "--suite", "conformal"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == 1
+    assert err == b""

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from staticlab import SdSParams, cli, schwarzschild_de_sitter
 from staticlab import conformal as CF
+from staticlab.geometry import StaticTriple
 
 from oracles import sds_horizon_data
 
@@ -77,13 +79,14 @@ def test_sds_grad_phi_closed_form(sds01):
 
 def test_quasi_einstein_tight_on_hemisphere(ds3):
     for r in (0.2, 0.5, 0.8):
-        assert CF.quasi_einstein_residual(ds3, r) <= 1e-10
+        assert CF.quasi_einstein_residual(CF.sphere_data(ds3, r)) <= 1e-10
 
 
 def test_quasi_einstein_residual_on_solutions(all_models):
     for tr in all_models:
         pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.quasi_einstein_residual(tr, x) for x in pts)
+        worst = max(CF.quasi_einstein_residual(CF.sphere_data(tr, x))
+                    for x in pts)
         assert worst <= 1e-8, tr.name
 
 
@@ -91,7 +94,7 @@ def test_quasi_einstein_residual_sds_inner_region(sds01):
     lo = sds01.domain[0]
     r0 = sds01.extremum.location
     for r in np.linspace(lo + 0.01, r0 - 0.01, 50):
-        assert CF.quasi_einstein_residual(sds01, r) <= 1e-8
+        assert CF.quasi_einstein_residual(CF.sphere_data(sds01, r)) <= 1e-8
 
 
 def test_quasi_einstein_detects_perturbation(ds3):
@@ -100,27 +103,73 @@ def test_quasi_einstein_detects_perturbation(ds3):
         return v + 0.01, d1, d2
 
     bad = dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=u_pert))
-    assert CF.quasi_einstein_residual(bad, 0.5) > 1e-3
+    assert CF.quasi_einstein_residual(CF.sphere_data(bad, 0.5)) > 1e-3
 
 
 def test_bochner_residual(all_models):
+    # measured maximum over these four models: 5.7e-13 (anti-de Sitter)
     for tr in all_models:
         pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.bochner_residual(tr, x) for x in pts)
-        assert worst <= 1e-7, tr.name
+        worst = max(CF.bochner_residual(CF.sphere_data(tr, x)) for x in pts)
+        assert worst <= 1e-12, tr.name
 
 
 def test_w_equation_residual(all_models):
+    # measured maximum over these four models: 1.8e-10 (anti-de Sitter at
+    # u = 19.8, where beta = 391 multiplies |hess phi|^2 = 0 formed from
+    # terms of size n u^2, so rounding leaves 2.3e-13 of it)
     for tr in all_models:
         pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.w_equation_residual(tr, x) for x in pts)
-        assert worst <= 1e-7, tr.name
+        worst = max(CF.w_equation_residual(CF.sphere_data(tr, x))
+                    for x in pts)
+        assert worst <= 1e-9, tr.name
+
+
+@pytest.mark.parametrize("m", [0.04, 0.02, 0.01, 0.005])
+def test_closed_form_residuals_at_small_sds_mass(m):
+    # a five-point stencil for W'' read 2.6e-8, 1.0e-6, 3.9e-4 and 2.3e-3
+    # at these masses; the closed form reads at most 2.3e-10
+    tr = schwarzschild_de_sitter(SdSParams(n=3, m=m))
+    for x in CF.sample_points_off_extremum(tr, 50):
+        sp = CF.sphere_data(tr, x)
+        assert CF.bochner_residual(sp) <= 1e-9, (m, x)
+        assert CF.w_equation_residual(sp) <= 1e-9, (m, x)
+
+
+def test_closed_form_residuals_detect_perturbation(ds3):
+    # u''' is taken from the potential equation, so a u that does not solve
+    # it must still show in both residuals
+    def u_pert(r):
+        v, d1, d2 = ds3.u.fn(r)
+        return v + 0.01 * r ** 3, d1 + 0.03 * r ** 2, d2 + 0.06 * r
+
+    bad = dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=u_pert))
+    sp = CF.sphere_data(bad, 0.5)
+    assert CF.bochner_residual(sp) > 1e-3
+    assert CF.w_equation_residual(sp) > 1e-3
+
+
+def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
+    calls = []
+    radial_state = StaticTriple.radial_state
+
+    def counted(triple, x):
+        calls.append(x)
+        return radial_state(triple, x)
+
+    monkeypatch.setattr(StaticTriple, "radial_state", counted)
+    for tr in all_models:
+        pts = CF.sample_points_off_extremum(tr, 50)
+        calls.clear()
+        cli.suite_conformal(tr, 1e-6)
+        assert calls == pts, tr.name
 
 
 def test_trace_identity_residual(all_models):
     for tr in all_models:
         pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.trace_identity_residual(tr, x) for x in pts)
+        worst = max(CF.trace_identity_residual(CF.sphere_data(tr, x))
+                    for x in pts)
         assert worst <= 1e-8, tr.name
 
 
@@ -128,7 +177,7 @@ def test_mean_curvature_relation_reports(all_models):
     for tr in all_models:
         pts = CF.sample_points_off_extremum(tr, 25)
         for x in pts[::5]:
-            rep = CF.mean_curvature_relations(tr, x)
+            rep = CF.mean_curvature_relations(CF.sphere_data(tr, x))
             assert rep.status == "pass"
             assert rep.abs_residual <= 1e-8
 

@@ -8,10 +8,8 @@ differently does not fail the test:
 
 - in a `check` record, the record's own `tolerance`: a check declares
   differences below it meaningless, and its residual lines print rounding
-  and finite-difference noise (the SdS conformal residuals, about 1e-9,
-  move by about 1e-9 when a horizon moves one ulp; `gradient_bound` on
-  anti-de Sitter prints one ulp of 1.6e5, 2.9e-11, against 1e-10);
-  `status` still has to match;
+  noise (`gradient_bound` on anti-de Sitter prints one ulp of 1.6e5,
+  2.9e-11, against 1e-10); `status` still has to match;
 - on a curve row, for the two derivative columns, 1e-8 max(1, |value|):
   they are differences of values of that size over steps down to 1e-4, and
   the recorded ones carry up to 4.5e-10 |value| of rounding noise;
