@@ -22,7 +22,10 @@ beta(phi) = D and gamma(phi) = D^((n+2)/2) / u, which is what makes the
 weighted divergence identities take one common form.
 
 Everything is computed from g0-side quantities through these dictionaries;
-no second metric representation is ever stored.
+no second metric representation is ever stored.  The dictionary entries
+are lazy properties of the pointwise record `SphereData`, next to D and W;
+each refuses the band |u - 1| < EXTREMUM_BAND, and `to_conformal` returns
+the record of a point outside it.
 
 The five pointwise residuals (quasi-Einstein, Bochner, drift equation for
 w, trace identity, mean-curvature relation) each read one `SphereData`
@@ -45,27 +48,10 @@ from .geometry import (
     radial_geometry,
     sphere_area,
 )
-from .report import IdentityReport, identity_report
 from .roots import find_root
 
 EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
 U_CAP = 20.0          # the conformal checkers sample u <= U_CAP when u grows
-
-
-@dataclass(frozen=True)
-class ConformalState:
-    """All conformal-side quantities at one point of a level sphere."""
-
-    phi: float
-    grad_phi_norm2: float      # W = |grad phi|_g^2
-    hess_phi_norm2: float      # |hess_g phi|_g^2
-    lap_phi: float             # lap_g phi
-    w: float                   # beta(phi) (1 - W)
-    beta: float
-    gamma: float
-    scalar_g: float
-    H_g: float
-    u_of_phi: float
 
 
 def check_window(u: float) -> None:
@@ -86,8 +72,8 @@ class SphereData:
     `st` and `curv` come from one evaluation of the profiles; every other
     quantity is derived from them on first use, then kept.  Lazy, because
     the curvature-deficit integrand reaches the extremal sphere, where W, H
-    and the dictionary are singular; only the dictionary refuses the band
-    around it (the level-set readers do in `levelset.level_spheres`).
+    and the dictionary are singular; only the dictionary entries refuse the
+    band around it (the level-set readers do in `levelset.level_spheres`).
     """
 
     triple: StaticTriple
@@ -143,34 +129,51 @@ class SphereData:
         return self.D * _hess_phi_components(self)[0]
 
     @cached_property
-    def conformal(self) -> ConformalState:
-        """The conformal-side dictionary, refused in the extremal band."""
-        triple, st, curv = self.triple, self.st, self.curv
-        check_window(st.u)
-        n = triple.n
-        u = st.u
-        d = self.D
-        w_norm = self.W
-        if triple.lambda_sign > 0:
-            phi = 0.5 * math.log((1.0 + u) / (1.0 - u))
-            u_of_phi = math.tanh(phi)
-            h_g = math.sqrt(d) * (self.H + (n - 1) * u * abs(st.du) / d)
-        else:
-            phi = 0.5 * math.log((u + 1.0) / (u - 1.0))
-            u_of_phi = 1.0 / math.tanh(phi)
-            h_g = math.sqrt(d) * (-self.H + (n - 1) * u * abs(st.du) / d)
-        return ConformalState(
-            phi=phi,
-            grad_phi_norm2=w_norm,
-            hess_phi_norm2=curv.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0),
-            lap_phi=-n * u * (1.0 - w_norm),
-            w=d * (1.0 - w_norm),
-            beta=d,
-            gamma=d ** ((n + 2) / 2.0) / u,
-            scalar_g=(n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - w_norm)),
-            H_g=h_g,
-            u_of_phi=u_of_phi,
-        )
+    def _D_off_band(self) -> float:
+        """D, refused in the extremal band; read by every entry below."""
+        check_window(self.st.u)
+        return self.D
+
+    @cached_property
+    def phi(self) -> float:
+        """The conformal level coordinate artanh u or arcoth u."""
+        self._D_off_band
+        u = self.st.u
+        if self.triple.lambda_sign > 0:
+            return 0.5 * math.log((1.0 + u) / (1.0 - u))
+        return 0.5 * math.log((u + 1.0) / (u - 1.0))
+
+    @cached_property
+    def H_g(self) -> float:
+        """Mean curvature of the level w.r.t. g."""
+        d, n, u = self._D_off_band, self.triple.n, self.st.u
+        h = self.H if self.triple.lambda_sign > 0 else -self.H
+        return math.sqrt(d) * (h + (n - 1) * u * abs(self.st.du) / d)
+
+    @cached_property
+    def hess_phi_norm2(self) -> float:
+        """|hess_g phi|_g^2."""
+        self._D_off_band
+        n, u, w_norm = self.triple.n, self.st.u, self.W
+        return self.curv.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
+
+    @cached_property
+    def lap_phi(self) -> float:
+        """lap_g phi (on solutions)."""
+        self._D_off_band
+        return -self.triple.n * self.st.u * (1.0 - self.W)
+
+    @cached_property
+    def gamma(self) -> float:
+        """gamma(phi) = D^((n+2)/2) / u."""
+        return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.st.u
+
+    @cached_property
+    def scalar_g(self) -> float:
+        """R_g, from the trace identity."""
+        self._D_off_band
+        n, u = self.triple.n, self.st.u
+        return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
 
 
 def sphere_data(triple: StaticTriple, x: float) -> SphereData:
@@ -179,9 +182,11 @@ def sphere_data(triple: StaticTriple, x: float) -> SphereData:
     return SphereData(triple, x, *radial_geometry(triple, x))
 
 
-def to_conformal(triple: StaticTriple, x: float) -> ConformalState:
-    """The conformal-side dictionary at radial coordinate x."""
-    return sphere_data(triple, x).conformal
+def to_conformal(triple: StaticTriple, x: float) -> SphereData:
+    """The record at radial coordinate x, refused in the extremal band."""
+    sp = sphere_data(triple, x)
+    check_window(sp.u)
+    return sp
 
 
 def mean_curvature_g0(triple: StaticTriple, x: float) -> float:
@@ -234,11 +239,8 @@ def quasi_einstein_residual(sp: SphereData) -> float:
                 + (n - 2 + 2(1 - W)) g,
 
     as the max over the two independent orthonormal components."""
-    st, state = sp.st, sp.conformal
-    n = sp.triple.n
-    u = st.u
-    d = state.beta
-    w_norm = state.grad_phi_norm2
+    st, n, u = sp.st, sp.triple.n, sp.st.u
+    d, w_norm = sp._D_off_band, sp.W
     ric_rr, ric_tt = _ricci_g_components(sp)
     hp_rr, hp_tt = _hess_phi_components(sp)
     coeff = 1.0 / u - (n - 1) * u
@@ -298,10 +300,10 @@ def bochner_residual(sp: SphereData) -> float:
         lap_g W - (1/u + (n+1)u) <grad W, grad phi>_g
             - 2 |hess phi|^2 - 2 n u^2 W (1 - W)  =  0.
     """
-    state, n, u = sp.conformal, sp.triple.n, sp.st.u
+    n, u = sp.triple.n, sp.st.u
     w1, w2, _, _ = _radial_derivatives(sp)
     return abs(_drifted_laplacian(sp, w1, w2, n + 1)
-               - 2.0 * state.hess_phi_norm2
+               - 2.0 * sp.hess_phi_norm2
                - 2.0 * n * u * u * sp.W * (1.0 - sp.W))
 
 
@@ -311,10 +313,10 @@ def w_equation_residual(sp: SphereData) -> float:
         lap_g w - (1/u + (n-3)u) <grad w, grad phi>_g
             + 2 beta (|hess phi|^2 - (lap phi)^2 / n)  =  0.
     """
-    state, n = sp.conformal, sp.triple.n
+    n = sp.triple.n
     _, _, w1, w2 = _radial_derivatives(sp)
-    return abs(_drifted_laplacian(sp, w1, w2, n - 3) + 2.0 * state.beta
-               * (state.hess_phi_norm2 - state.lap_phi ** 2 / n))
+    return abs(_drifted_laplacian(sp, w1, w2, n - 3) + 2.0 * sp.D
+               * (sp.hess_phi_norm2 - sp.lap_phi ** 2 / n))
 
 
 def trace_identity_residual(sp: SphereData) -> float:
@@ -324,10 +326,9 @@ def trace_identity_residual(sp: SphereData) -> float:
 
     with R_g computed independently through the conformal transformation law
     for the Ricci tensor."""
-    state = sp.conformal
     ric_rr, ric_tt = _ricci_g_components(sp)
-    scalar_direct = state.beta * (ric_rr + (sp.triple.n - 1) * ric_tt)
-    return abs(scalar_direct - state.scalar_g)
+    scalar_direct = sp.D * (ric_rr + (sp.triple.n - 1) * ric_tt)
+    return abs(scalar_direct - sp.scalar_g)
 
 
 def sample_points_off_extremum(triple: StaticTriple, count: int,
@@ -353,25 +354,19 @@ def sample_points_off_extremum(triple: StaticTriple, count: int,
     return [x for x in pts if abs(triple.u.value(x) - 1.0) >= min_gap]
 
 
-def mean_curvature_relations(sp: SphereData,
-                             tolerance: float = 1e-8) -> IdentityReport:
-    """Check the conformal mean-curvature relation
+def mean_curvature_relations(sp: SphereData) -> float:
+    """Residual of the conformal mean-curvature relation
 
         H_g = sqrt(D) [ +-H + (n-1) u |Du| / D ]
 
     against H_g computed independently from the conformal Hessian and
     Laplacian dictionaries (no field equation is used on that side)."""
-    st, state = sp.st, sp.conformal
-
+    st = sp.st
     # direct side: H_g = (lap_g phi - hess_g phi(nu_g, nu_g)) / |grad phi|_g,
     # with lap_g phi from the conformal Laplacian of phi(u)
     phi1 = st.du / (1.0 - st.u ** 2)
     phi2 = (st.d2u * (1.0 - st.u ** 2) + 2.0 * st.u * st.du ** 2) \
         / (1.0 - st.u ** 2) ** 2
     lap_g_phi = _laplacian_g_radial(sp, phi1, phi2)
-    direct = (lap_g_phi - sp.hess_phi_nn) / math.sqrt(state.grad_phi_norm2)
-    return identity_report(
-        name="mean_curvature_relation", lhs=direct, rhs=state.H_g,
-        tolerance=tolerance,
-        description="conformal vs warped-product evaluation of the level "
-                    "mean curvature H_g")
+    direct = (lap_g_phi - sp.hess_phi_nn) / math.sqrt(sp.W)
+    return abs(direct - sp.H_g)

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .conformal import SphereData
 from .geometry import StaticTriple, boundary_scalar_curvature, sphere_area
+from .inequalities import INEQ_TOL
 from .levelset import (
     assumption_flags,
     conformal_boundary_data,
@@ -48,11 +49,10 @@ def _coth_phi(triple: StaticTriple, u: float) -> float:
 
 
 def _integrate(f: Callable[[float], float], a: float, b: float,
-               config: Optional[QuadratureConfig],
                panels: Optional[int]) -> QuadResult:
     if panels is not None:
         return composite_simpson(f, a, b, panels)
-    return adaptive(f, a, b, config or DEFAULT_QUAD)
+    return adaptive(f, a, b, DEFAULT_QUAD)
 
 
 def _volume_density(sp: SphereData) -> float:
@@ -89,7 +89,6 @@ def first_identity_flux(triple: StaticTriple, p: float, tau: float,
 
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
                    branch: Optional[str] = None,
-                   config: Optional[QuadratureConfig] = None,
                    panels: Optional[int] = None,
                    tolerance: float = 1e-6) -> IdentityReport:
     """Divergence identity for the field W^((p-1)/2) grad phi / sinh(phi)^n
@@ -110,12 +109,12 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
         hess_term = sp.W * sp.hess_phi_nn
-        core = ((p - 1) * hess_term + sp.W * sp.conformal.lap_phi
+        core = ((p - 1) * hess_term + sp.W * sp.lap_phi
                 - triple.n * _coth_phi(triple, sp.u) * sp.W ** 2)
         return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
                 * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
-    quad = _integrate(integrand, a, b, config, panels)
+    quad = _integrate(integrand, a, b, panels)
     return identity_report(
         name=f"first_integral_identity(p={p}, s={s}, S={S})",
         lhs=lhs, rhs=quad.value, tolerance=tolerance,
@@ -127,7 +126,6 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
                     branch: Optional[str] = None,
-                    config: Optional[QuadratureConfig] = None,
                     panels: Optional[int] = None,
                     tolerance: float = 1e-6) -> IdentityReport:
     """Weighted Bochner identity for p >= 3 on the slab {s < phi < S}:
@@ -147,10 +145,9 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         t = t_of_s(tau, triple.lambda_sign)
         total = 0.0
         for sp in level_spheres(triple, t, branch):
-            state = sp.conformal
-            total += sp.area_g * state.gamma * (
-                sp.W ** ((p - 1) / 2.0) * state.H_g
-                - sp.W ** ((p - 2) / 2.0) * state.lap_phi)
+            total += sp.area_g * sp.gamma * (
+                sp.W ** ((p - 1) / 2.0) * sp.H_g
+                - sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
         return total
 
     lhs = weighted_boundary(s) - weighted_boundary(S)
@@ -158,13 +155,12 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
-        state = sp.conformal
-        core = (state.hess_phi_norm2 + (p - 3) * sp.hess_phi_nn ** 2
+        core = (sp.hess_phi_norm2 + (p - 3) * sp.hess_phi_nn ** 2
                 + triple.n * sp.u ** 2 * sp.W * (1.0 - sp.W))
-        return (state.gamma * sp.W ** ((p - 3) / 2.0) * core
+        return (sp.gamma * sp.W ** ((p - 3) / 2.0) * core
                 * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
-    quad = _integrate(integrand, a, b, config, panels)
+    quad = _integrate(integrand, a, b, panels)
     return identity_report(
         name=f"second_integral_identity(p={p}, s={s}, S={S})",
         lhs=lhs, rhs=quad.value, tolerance=tolerance,
@@ -188,7 +184,6 @@ def _deficit_flux(triple: StaticTriple, t: float) -> float:
 
 def curvature_deficit_identity(triple: StaticTriple, t: float,
                  t_upper: Optional[float] = None,
-                 config: Optional[QuadratureConfig] = None,
                  panels: Optional[int] = None,
                  tolerance: float = 1e-6) -> IdentityReport:
     """Curvature-deficit flux identity (no assumptions needed):
@@ -219,19 +214,19 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
         sign = 1.0
         if len(radii) == 2 and len(radii_up) == 2:
             # one sub-annulus per monotone branch
-            q1 = _integrate(integrand, radii[0], radii_up[0], config, panels)
-            q2 = _integrate(integrand, radii_up[1], radii[1], config, panels)
+            q1 = _integrate(integrand, radii[0], radii_up[0], panels)
+            q2 = _integrate(integrand, radii_up[1], radii[1], panels)
             rhs = q1.value + q2.value
             evals = q1.evaluations + q2.evaluations
         elif len(radii) == 1 and len(radii_up) == 1:
             a, b = sorted((radii[0], radii_up[0]))
-            q = _integrate(integrand, a, b, config, panels)
+            q = _integrate(integrand, a, b, panels)
             rhs, evals = q.value, q.evaluations
         else:
             raise ValueError("levels straddle the extremal sphere unevenly")
     elif len(radii) == 2:
         sign = 1.0 if triple.lambda_sign > 0 else -1.0
-        q = _integrate(integrand, radii[0], radii[1], config, panels)
+        q = _integrate(integrand, radii[0], radii[1], panels)
         rhs, evals = q.value, q.evaluations
     else:
         # region between the level and the extremum-side end of the domain
@@ -241,7 +236,7 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
         a, b = sorted((x0, xstar))
         a = max(a, lo_dom + inset)
         b = min(b, hi_dom - inset)
-        q = _integrate(integrand, a, b, config, panels)
+        q = _integrate(integrand, a, b, panels)
         rhs, evals = q.value, q.evaluations
     return identity_report(
         name=f"curvature_deficit_identity(t={t}"
@@ -253,8 +248,7 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
         extra={"evaluations": evals})
 
 
-def boundary_curvature_inequality(triple: StaticTriple,
-                            tolerance: float = 1e-9) -> IdentityReport:
+def boundary_curvature_inequality(triple: StaticTriple) -> IdentityReport:
     """Boundary form of the curvature-deficit identity.
 
     Positive constant:  integral over the horizon of
@@ -275,7 +269,7 @@ def boundary_curvature_inequality(triple: StaticTriple,
             rhs += c.surface_gravity * boundary_scalar_curvature(n, c) * area
         return inequality_report(
             name="boundary_curvature_inequality", lhs=lhs, rhs=rhs,
-            tolerance=tolerance, assumptions=assumption_flags(triple),
+            tolerance=INEQ_TOL, assumptions=assumption_flags(triple),
             description="horizon-weighted boundary scalar curvature vs its "
                         "round value",
             extra={"value": rhs - lhs})
@@ -285,7 +279,7 @@ def boundary_curvature_inequality(triple: StaticTriple,
     flags = assumption_flags(triple)
     return inequality_report(
         name="boundary_curvature_inequality", lhs=lhs, rhs=rhs,
-        tolerance=tolerance, assumptions=flags,
+        tolerance=INEQ_TOL, assumptions=flags,
         applicable=flags.get("gradient_limit_zero", False),
         description="conformal-boundary scalar curvature vs its round value",
         extra={"value": rhs - lhs})

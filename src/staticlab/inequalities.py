@@ -33,6 +33,8 @@ from .models import bracketed_root
 from .report import IdentityReport, identity_report, inequality_report, refusal_report
 
 GRADIENT_SAMPLES = 400  # interior points gradient_bound checks
+INEQ_TOL = 1e-9    # tolerance of the inequality checks, and ...
+GRAD_TOL = 1e-10   # ... of gradient_bound, which is pointwise
 
 
 def _boundary_area(triple: StaticTriple) -> float:
@@ -40,8 +42,7 @@ def _boundary_area(triple: StaticTriple) -> float:
                for c in triple.boundaries)
 
 
-def gradient_bound(triple: StaticTriple,
-                   tolerance: float = 1e-10) -> IdentityReport:
+def gradient_bound(triple: StaticTriple) -> IdentityReport:
     """Pointwise gradient estimate |Du|^2 <= |1 - u^2|.
 
     Reports the largest violation over an interior sample; when the
@@ -58,7 +59,7 @@ def gradient_bound(triple: StaticTriple,
     flags = assumption_flags(triple)
     applicable = assumptions_hold(triple, flags)
     extra: dict = {"min_margin": worst}
-    if worst < -tolerance:
+    if worst < -GRAD_TOL:
         # locate the failing sub-interval by sign changes of the margin
         bad = [x for x, v in zip(pts, values) if v < 0.0]
         lo, hi = min(bad), max(bad)
@@ -73,13 +74,13 @@ def gradient_bound(triple: StaticTriple,
             hi = hi_dom
         extra["violation_interval"] = (lo, hi)
     return inequality_report(
-        name="gradient_bound", lhs=-worst, rhs=0.0, tolerance=tolerance,
+        name="gradient_bound", lhs=-worst, rhs=0.0, tolerance=GRAD_TOL,
         assumptions=flags, applicable=applicable,
         description="pointwise bound |Du|^2 <= |1-u^2| over the interior",
         extra=extra)
 
 
-def area_bound(triple: StaticTriple, tolerance: float = 1e-9) -> IdentityReport:
+def area_bound(triple: StaticTriple) -> IdentityReport:
     """Extremal-count area bound: |extremal set| * |S^(n-1)| <= |boundary|
     (conformal boundary area for negative constant)."""
     flags = assumption_flags(triple)
@@ -92,12 +93,12 @@ def area_bound(triple: StaticTriple, tolerance: float = 1e-9) -> IdentityReport:
     else:
         rhs = conformal_boundary_data(triple).area_g
     return inequality_report(
-        name="area_bound", lhs=lhs, rhs=rhs, tolerance=tolerance,
+        name="area_bound", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
         assumptions=flags, applicable=assumptions_hold(triple, flags),
         description="extremal count times round-sphere area vs boundary area")
 
 
-def willmore_bound(triple: StaticTriple, tolerance: float = 1e-9) -> IdentityReport:
+def willmore_bound(triple: StaticTriple) -> IdentityReport:
     """Willmore-type bound with exponent n-1 on the boundary curvature.
 
     Positive constant: |extremal set| |S^(n-1)| <= integral over the horizon
@@ -124,14 +125,13 @@ def willmore_bound(triple: StaticTriple, tolerance: float = 1e-9) -> IdentityRep
         return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
     lhs = triple.extremum.count * unit_sphere_area(n)
     return inequality_report(
-        name="willmore_bound", lhs=lhs, rhs=rhs, tolerance=tolerance,
+        name="willmore_bound", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
         assumptions=flags, applicable=applicable,
         description="extremal count vs (n-1)-th power of the normalised "
                     "boundary curvature")
 
 
-def scalar_average_bound(triple: StaticTriple,
-                         tolerance: float = 1e-9) -> IdentityReport:
+def scalar_average_bound(triple: StaticTriple) -> IdentityReport:
     """Boundary scalar-curvature average bound (positive constant only):
     |extremal set| |S^(n-1)| <= integral of R_bdry / ((n-1)(n-2))."""
     n = triple.n
@@ -149,14 +149,14 @@ def scalar_average_bound(triple: StaticTriple,
         return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
     lhs = triple.extremum.count * unit_sphere_area(n)
     return inequality_report(
-        name="scalar_average_bound", lhs=lhs, rhs=rhs, tolerance=tolerance,
+        name="scalar_average_bound", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
         assumptions=flags, applicable=assumptions_hold(triple, flags),
         description="extremal count vs boundary average of the scalar "
                     "curvature")
 
 
-def lp_gradient_bound(triple: StaticTriple, p: float, t: float,
-                      tolerance: float = 1e-9) -> IdentityReport:
+def lp_gradient_bound(triple: StaticTriple, p: float,
+                      t: float) -> IdentityReport:
     """Sharp level-set gradient bound, for p >= 3 on a regular level:
 
         || Du / sqrt|1-u^2| ||_{L^p}  <=  sqrt( || +-H |D log u| + n ||_{L^(p/2)} ),
@@ -180,14 +180,13 @@ def lp_gradient_bound(triple: StaticTriple, p: float, t: float,
     applicable = assumptions_hold(triple, flags)
     return inequality_report(
         name=f"lp_gradient_bound(p={p}, t={t})", lhs=lhs, rhs=rhs,
-        tolerance=tolerance, assumptions=flags, applicable=applicable,
+        tolerance=INEQ_TOL, assumptions=flags, applicable=applicable,
         description="level-set p-norm of the normalised gradient vs the "
                     "mean-curvature norm",
-        extra={"holds": lhs <= rhs + tolerance})
+        extra={"holds": lhs <= rhs + INEQ_TOL})
 
 
-def overdetermined_condition(triple: StaticTriple, t: float,
-                             tolerance: float = 1e-9) -> IdentityReport:
+def overdetermined_condition(triple: StaticTriple, t: float) -> IdentityReport:
     """The overdetermining level-set condition
 
         d(1/|Du|)/dnu = t/(1-t^2)        (positive constant)
@@ -206,15 +205,14 @@ def overdetermined_condition(triple: StaticTriple, t: float,
     flags = assumption_flags(triple)
     return identity_report(
         name=f"overdetermined_condition(t={t})", lhs=worst, rhs=0.0,
-        tolerance=tolerance, assumptions=flags,
+        tolerance=INEQ_TOL, assumptions=flags,
         applicable=assumptions_hold(triple, flags),
         description="normal derivative of 1/|Du| against the round-model "
                     "profile",
         extra={"per_sphere": residuals})
 
 
-def n3_uniqueness_inequality(triple: StaticTriple,
-                             tolerance: float = 1e-9) -> IdentityReport:
+def n3_uniqueness_inequality(triple: StaticTriple) -> IdentityReport:
     """Three-dimensional horizon-count bound:
 
         2 |extremal set| <= sum over boundary components of
@@ -239,7 +237,7 @@ def n3_uniqueness_inequality(triple: StaticTriple,
     lhs = 2.0 * triple.extremum.count
     rep = inequality_report(
         name="n3_uniqueness_inequality", lhs=lhs, rhs=rhs,
-        tolerance=tolerance, assumptions=flags,
+        tolerance=INEQ_TOL, assumptions=flags,
         applicable=assumptions_hold(triple, flags),
         description="twice the extremal count vs gravity-weighted Euler "
                     "characteristics")
@@ -249,8 +247,7 @@ def n3_uniqueness_inequality(triple: StaticTriple,
                    extra={"connected_boundary": connected})
 
 
-def mon_glob_bound(triple: StaticTriple, p: float,
-                   tolerance: float = 1e-9) -> IdentityReport:
+def mon_glob_bound(triple: StaticTriple, p: float) -> IdentityReport:
     """Global chain bound on the horizon gravity integral.
 
     Positive constant, for 0 <= p <= 1 (n = 3) or 0 <= p <= n-1 (n >= 4):
@@ -280,13 +277,13 @@ def mon_glob_bound(triple: StaticTriple, p: float,
         applicable = assumptions_hold(triple, flags)
         rep = inequality_report(
             name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=mid,
-            tolerance=tolerance, assumptions=flags, applicable=applicable,
+            tolerance=INEQ_TOL, assumptions=flags, applicable=applicable,
             description="extremal count vs boundary gravity integral vs "
                         "boundary area",
             extra={"upper": upper,
-                   "chain_holds": lhs <= mid + tolerance <= upper + 2 * tolerance})
-        if rep.status == "pass" and mid > upper + tolerance:
-            rep = replace(rep, passed=False, status="fail")
+                   "chain_holds": lhs <= mid + INEQ_TOL <= upper + 2 * INEQ_TOL})
+        if rep.status == "pass" and mid > upper + INEQ_TOL:
+            rep = replace(rep, status="fail")
         return rep
     if not triple.extremum.discrete:
         return refusal_report(f"mon_glob_bound(p={p})",
@@ -294,6 +291,6 @@ def mon_glob_bound(triple: StaticTriple, p: float,
     lhs = triple.extremum.count * unit_sphere_area(n)
     rhs = conformal_boundary_data(triple).area_g
     return inequality_report(
-        name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=rhs, tolerance=tolerance,
+        name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
         assumptions=flags, applicable=assumptions_hold(triple, flags),
         description="extremal count vs conformal boundary area")

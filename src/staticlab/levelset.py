@@ -243,10 +243,9 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float,
     t = t_of_s(s, triple.lambda_sign)
     total = 0.0
     for sp in level_spheres(triple, t, branch):
-        state = sp.conformal
         total += sp.area_g * (
-            -(p - 1) * sp.W ** ((p - 1) / 2.0) * state.H_g
-            + p * sp.W ** ((p - 2) / 2.0) * state.lap_phi)
+            -(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
+            + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
     return total
 
 

@@ -20,6 +20,8 @@ from .geometry import (
 )
 from .roots import find_root
 
+ADS_R_MAX = 500.0  # where anti-de Sitter's numerical domain ends
+
 
 def admissible_mass_bound(n: int) -> float:
     """Largest mass for which the f(r) = 1 - r^2 - 2m r^(2-n) profile has two
@@ -80,13 +82,13 @@ def de_sitter(n: int) -> StaticTriple:
     )
 
 
-def anti_de_sitter(n: int, r_max: float = 500.0) -> StaticTriple:
+def anti_de_sitter(n: int) -> StaticTriple:
     """Hyperbolic solution: f(r) = 1 + r^2, u = sqrt(1 + r^2), empty boundary,
     conformally compact with defining function 1/sqrt(u^2 - 1) = 1/r.
 
-    The manifold is unbounded; r_max only truncates the numerical domain and
-    is chosen so every sampled field-equation term stays well inside double
-    precision (the tensor terms grow like u)."""
+    The manifold is unbounded; ADS_R_MAX only truncates the numerical domain
+    and is chosen so every sampled field-equation term stays well inside
+    double precision (the tensor terms grow like u)."""
     if n < 3:
         raise ValueError("dimension must be >= 3")
 
@@ -99,9 +101,9 @@ def anti_de_sitter(n: int, r_max: float = 500.0) -> StaticTriple:
 
     return StaticTriple(
         n=n, lambda_sign=-1, chart="areal",
-        u=RadialProfile((0.0, r_max), u_fn),
-        h=RadialProfile((0.0, r_max), lambda r: (r, 1.0, 0.0)),
-        f=RadialProfile((0.0, r_max), f_fn),
+        u=RadialProfile((0.0, ADS_R_MAX), u_fn),
+        h=RadialProfile((0.0, ADS_R_MAX), lambda r: (r, 1.0, 0.0)),
+        f=RadialProfile((0.0, ADS_R_MAX), f_fn),
         boundaries=(),
         extremum=Extremum(location=0.0, discrete=True, count=1),
         conformally_compact=True,

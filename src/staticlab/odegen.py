@@ -24,8 +24,9 @@ stays on the product solution for any kappa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +37,15 @@ from .geometry import (
     StaticTriple,
     sphere_euler_characteristic,
 )
+
+RTOL, ATOL = 1e-12, 1e-13  # solve_ivp tolerances of a shot
+MAX_ARCLENGTH = 20.0    # a shot that meets no stop condition by here fails
+SERIES_HANDOFF = 1e-3   # handoff point, relative to h0
+# the h''-equation divides by h and by u, so integration stops a hair
+# above both floors and the endpoint data is extrapolated analytically
+H_FLOOR_REL = 1e-4      # warp collapse threshold, relative to h0
+U_FLOOR_REL = 1e-6      # second-horizon threshold, times kappa*h0
+DRIFT_SAMPLES = 200     # interior points monitor_drift reads
 
 
 @dataclass(frozen=True)
@@ -48,20 +58,8 @@ class HorizonData:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("dimension must be >= 3")
-        if self.h0 <= 0.0 or self.kappa <= 0.0:
-            raise ValueError("h0 and kappa must be positive")
-
-
-@dataclass(frozen=True)
-class ShootConfig:
-    rtol: float = 1e-12
-    atol: float = 1e-13
-    max_arclength: float = 20.0
-    series_handoff: float = 1e-3   # handoff point, relative to h0
-    # the h''-equation divides by h and by u, so integration stops a hair
-    # above both floors and the endpoint data is extrapolated analytically
-    h_floor_rel: float = 1e-4      # warp collapse threshold, relative to h0
-    u_floor_rel: float = 1e-6      # second-horizon threshold, times kappa*h0
+        if not (0.0 < self.h0 < math.inf and 0.0 < self.kappa < math.inf):
+            raise ValueError("h0 and kappa must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ def _series_state(data: HorizonData, rho: float) -> np.ndarray:
     return np.array([h, dh, u, du])
 
 
-def shoot_from_horizon(data: HorizonData,
-                       config: Optional[ShootConfig] = None) -> StaticTriple:
+def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     """Integrate outward from horizon data and package the trajectory.
 
     Stops when u returns to zero (a second horizon), when the warping
@@ -133,12 +130,11 @@ def shoot_from_horizon(data: HorizonData,
         raise ValueError("horizon shooting applies to positive cosmological "
                          "constant only (u has no zero level otherwise)")
     from scipy.integrate import solve_ivp
-    cfg = config or ShootConfig()
     system = reduce_system(data.n, data.lambda_sign)
-    rho0 = cfg.series_handoff * data.h0
+    rho0 = SERIES_HANDOFF * data.h0
     y0 = _series_state(data, rho0)
-    h_floor = cfg.h_floor_rel * data.h0
-    u_floor = cfg.u_floor_rel * data.kappa * data.h0
+    h_floor = H_FLOOR_REL * data.h0
+    u_floor = U_FLOOR_REL * data.kappa * data.h0
 
     def event_u_floor(rho, y):
         return y[2] - u_floor
@@ -155,14 +151,13 @@ def shoot_from_horizon(data: HorizonData,
     event_u_extremal.terminal = False
     event_u_extremal.direction = -1.0
 
-    sol = solve_ivp(system.rhs, (rho0, cfg.max_arclength), y0,
-                    method="RK45", dense_output=True,
-                    rtol=cfg.rtol, atol=cfg.atol,
+    sol = solve_ivp(system.rhs, (rho0, MAX_ARCLENGTH), y0,
+                    method="RK45", dense_output=True, rtol=RTOL, atol=ATOL,
                     events=[event_u_floor, event_h_collapse, event_u_extremal])
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     rho_end = float(sol.t[-1])
-    if rho_end >= cfg.max_arclength - 1e-12:
+    if rho_end >= MAX_ARCLENGTH - 1e-12:
         raise RuntimeError("no stop condition met within the arclength "
                            "budget; the trajectory may be blowing up")
     y_end = sol.sol(rho_end)
@@ -234,11 +229,10 @@ def shoot_from_horizon(data: HorizonData,
     )
 
 
-def monitor_drift(triple: StaticTriple, system: ReducedSystem,
-                  count: int = 200) -> float:
+def monitor_drift(triple: StaticTriple, system: ReducedSystem) -> float:
     """Largest trace-equation drift along a shot trajectory."""
     worst = 0.0
-    for rho in triple.interior_points(count):
+    for rho in triple.interior_points(DRIFT_SAMPLES):
         h, dh, _ = triple.h(rho)
         u, du, _ = triple.u(rho)
         # the monitor is linear in the u-components, so evaluating it on the

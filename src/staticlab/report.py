@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-def default_tolerance(fallback: float = 1e-6) -> float:
-    """Default check tolerance; the STATICLAB_TOL env var overrides it."""
-    raw = os.environ.get("STATICLAB_TOL")
-    if raw is None:
-        return fallback
-    return float(raw)
+def default_tolerance() -> float:
+    """Tolerance of the static, conformal, integral-identity and liminf
+    checks: 1e-6, or the STATICLAB_TOL env var, a finite number > 0."""
+    tol = float(os.environ.get("STATICLAB_TOL", 1e-6))
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"must be a finite number > 0, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class IdentityReport:
     abs_residual: float
     rel_residual: float
     tolerance: float
-    passed: bool
     status: str  # "pass" | "fail" | "inapplicable"
     assumption_status: dict[str, bool] = field(default_factory=dict)
     equality: Optional[bool] = None
@@ -66,14 +66,12 @@ def identity_report(name: str, lhs: float, rhs: float, tolerance: float,
     """Report for a two-sided identity lhs = rhs."""
     abs_res = abs(lhs - rhs)
     rel_res = abs_res / max(abs(lhs), abs(rhs), 1e-300)
-    passed = abs_res <= tolerance or rel_res <= tolerance
-    status = "pass" if passed else "fail"
+    status = "pass" if abs_res <= tolerance or rel_res <= tolerance else "fail"
     if not applicable:
         status = "inapplicable"
     return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_residual=abs_res,
                           rel_residual=rel_res, tolerance=tolerance,
-                          passed=passed, status=status,
-                          assumption_status=assumptions or {},
+                          status=status, assumption_status=assumptions or {},
                           description=description, extra=extra or {})
 
 
@@ -86,13 +84,12 @@ def inequality_report(name: str, lhs: float, rhs: float, tolerance: float,
     gap = lhs - rhs
     violation = gap if math.isnan(gap) else max(0.0, gap)  # NaN never passes
     rel = violation / max(abs(lhs), abs(rhs), 1e-300)
-    passed = violation <= tolerance
-    status = "pass" if passed else "fail"
+    status = "pass" if violation <= tolerance else "fail"
     if not applicable:
         status = "inapplicable"
     return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_residual=violation,
-                          rel_residual=rel, tolerance=tolerance, passed=passed,
-                          status=status, assumption_status=assumptions or {},
+                          rel_residual=rel, tolerance=tolerance, status=status,
+                          assumption_status=assumptions or {},
                           equality=abs(lhs - rhs) <= tolerance,
                           description=description, extra=extra or {})
 
@@ -103,7 +100,6 @@ def refusal_report(name: str, reason: str,
     """Report for a check whose preconditions the triple does not meet."""
     return IdentityReport(name=name, lhs=float("nan"), rhs=float("nan"),
                           abs_residual=float("nan"), rel_residual=float("nan"),
-                          tolerance=float("nan"), passed=False,
-                          status="inapplicable",
+                          tolerance=float("nan"), status="inapplicable",
                           assumption_status=assumptions or {},
                           description=description, extra={"reason": reason})

@@ -179,6 +179,15 @@ def test_float_formatting_12_digits(capsys):
      "--t1", "0.9999999", "--steps", "3"),
     ("phi-curve", "--model", "sds", "--p", "3", "--s0", "0.5", "--s1", "8",
      "--steps", "3"),
+    # a non-finite exponent printed rows of nan, or 4 pi as 1 ** nan
+    ("up-curve", "--model", "desitter", "--p", "nan", "--t0", "0",
+     "--t1", "0.5"),
+    ("up-curve", "--model", "desitter", "--p", "inf", "--t0", "0",
+     "--t1", "0.5"),
+    ("phi-curve", "--model", "desitter", "--p", "nan", "--s0", "0.5",
+     "--s1", "1"),
+    ("phi-curve", "--model", "desitter", "--p", "inf", "--s0", "0.5",
+     "--s1", "1"),
 ])
 def test_bad_curve_input_exits_2_with_one_line(capsys, argv):
     code = main(list(argv))
@@ -197,6 +206,47 @@ def test_bad_grid_exits_2_with_one_line(capsys, spec):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("staticlab scan-sds: error: bad grid")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_bad_tolerance_exits_2_with_one_line(capsys, monkeypatch, value):
+    monkeypatch.setenv("STATICLAB_TOL", value)
+    code = main(["check", "--model", "desitter", "--suite", "static"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("staticlab check: error: STATICLAB_TOL")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_tolerance_env_var_leaves_the_inequality_tolerances(capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("STATICLAB_TOL", "1e-3")
+
+    def tolerances(suite):
+        code, out = run(capsys, "check", "--model", "desitter", "--suite",
+                        suite)
+        assert code == 0
+        return [c["tolerance"] for c in json.loads(out)["checks"]]
+
+    assert tolerances("inequalities") == [1e-10] + [1e-9] * 7
+    # boundary_curvature_inequality is the last of the identities suite
+    assert tolerances("identities") == [1e-3] * 5 + [1e-9]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--h0", "-1", "--kappa", "1"),
+    ("--h0", "nan", "--kappa", "1"),
+    ("--h0", "1", "--kappa", "inf"),
+    ("--n", "2", "--h0", "1", "--kappa", "1"),
+])
+def test_bad_shoot_input_exits_2_with_one_line(capsys, flags):
+    code = main(["shoot", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("staticlab shoot: error: ")
     assert len(captured.err.splitlines()) == 1
 
 

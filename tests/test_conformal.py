@@ -15,10 +15,10 @@ def test_de_sitter_state_is_cylindrical(ds3):
     # the conformal picture of the hemisphere is a round cylinder
     for r in np.linspace(0.05, 0.95, 20):
         st = CF.to_conformal(ds3, r)
-        assert st.grad_phi_norm2 == pytest.approx(1.0, abs=1e-12)
+        assert st.W == pytest.approx(1.0, abs=1e-12)
         assert st.hess_phi_norm2 == pytest.approx(0.0, abs=1e-12)
         assert st.lap_phi == pytest.approx(0.0, abs=1e-12)
-        assert st.w == pytest.approx(0.0, abs=1e-12)
+        assert st.D * (1 - st.W) == pytest.approx(0.0, abs=1e-12)
         assert st.scalar_g == pytest.approx(2.0, abs=1e-12)  # (n-1)(n-2)
         assert st.H_g == pytest.approx(0.0, abs=1e-12)
 
@@ -26,22 +26,23 @@ def test_de_sitter_state_is_cylindrical(ds3):
 def test_anti_de_sitter_state(ads3):
     for r in np.linspace(0.2, 10, 20):
         st = CF.to_conformal(ads3, r)
-        assert st.grad_phi_norm2 == pytest.approx(1.0, abs=1e-12)
+        assert st.W == pytest.approx(1.0, abs=1e-12)
         # trace identity with W = 1 kills the u^2 term entirely
         assert st.scalar_g == pytest.approx(2.0, abs=1e-10)
-        assert st.u_of_phi == pytest.approx(ads3.u.value(r), rel=1e-12)
+        assert 1 / math.tanh(st.phi) == pytest.approx(ads3.u.value(r),
+                                                      rel=1e-12)
 
 
 def test_phi_u_dictionary(ds3, ads3):
     st = CF.to_conformal(ds3, 0.5)
     u = ds3.u.value(0.5)
     assert st.phi == pytest.approx(0.5 * math.log((1 + u) / (1 - u)))
-    assert st.u_of_phi == pytest.approx(u, rel=1e-14)
-    assert st.beta == pytest.approx(1 - u * u, rel=1e-14)
+    assert math.tanh(st.phi) == pytest.approx(u, rel=1e-14)
+    assert st.D == pytest.approx(1 - u * u, rel=1e-14)
     st = CF.to_conformal(ads3, 2.0)
     u = ads3.u.value(2.0)
     assert st.phi == pytest.approx(0.5 * math.log((u + 1) / (u - 1)))
-    assert st.beta == pytest.approx(u * u - 1, rel=1e-14)
+    assert st.D == pytest.approx(u * u - 1, rel=1e-14)
     # gamma = D^((n+2)/2)/u in both cases
     assert st.gamma == pytest.approx((u * u - 1) ** 2.5 / u, rel=1e-14)
 
@@ -73,7 +74,7 @@ def test_sds_grad_phi_closed_form(sds01):
     st = sds01.radial_state(r)
     fprime = sds01.f(r)[1]
     expect = fprime ** 2 / (4 * f0 * (1 - st.u ** 2))
-    got = CF.to_conformal(sds01, r).grad_phi_norm2
+    got = CF.to_conformal(sds01, r).W
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -177,9 +178,7 @@ def test_mean_curvature_relation_reports(all_models):
     for tr in all_models:
         pts = CF.sample_points_off_extremum(tr, 25)
         for x in pts[::5]:
-            rep = CF.mean_curvature_relations(CF.sphere_data(tr, x))
-            assert rep.status == "pass"
-            assert rep.abs_residual <= 1e-8
+            assert CF.mean_curvature_relations(CF.sphere_data(tr, x)) <= 1e-8
 
 
 def test_de_sitter_level_mean_curvature_convention(ds3):
@@ -211,13 +210,13 @@ def test_gradient_lemma_on_round_models(ds3, ads3):
     for tr in (ds3, ads3):
         pts = CF.sample_points_off_extremum(tr, 100)
         for x in pts:
-            assert 1 - CF.to_conformal(tr, x).grad_phi_norm2 >= -1e-12
+            assert 1 - CF.to_conformal(tr, x).W >= -1e-12
 
 
 def test_sds_violates_gradient_lemma(sds01):
     # the two-horizon family sits outside the lemma's hypotheses
     pts = CF.sample_points_off_extremum(sds01, 100)
-    ws = [CF.to_conformal(sds01, x).grad_phi_norm2 for x in pts]
+    ws = [CF.to_conformal(sds01, x).W for x in pts]
     assert max(ws) > 1.0
 
 
@@ -231,5 +230,5 @@ def test_conformal_state_vs_up_integrand_consistency(ds3):
     # |grad phi|^2 = |Du|^2/(1-u^2) pointwise
     for r in (0.2, 0.6, 0.9):
         st = ds3.radial_state(r)
-        got = CF.to_conformal(ds3, r).grad_phi_norm2
+        got = CF.to_conformal(ds3, r).W
         assert got == pytest.approx(st.du ** 2 / (1 - st.u ** 2), rel=1e-13)

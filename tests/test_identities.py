@@ -120,9 +120,8 @@ def test_second_identity_far_boundary_vanishes(sds01):
         total = 0.0
         for x in level_radii(sds01, t, "outer"):
             sp = sphere_data(sds01, x)
-            st = sp.conformal
-            total += sp.area_g * st.gamma * (
-                sp.W * st.H_g - math.sqrt(sp.W) * st.lap_phi)
+            total += sp.area_g * sp.gamma * (
+                sp.W * sp.H_g - math.sqrt(sp.W) * sp.lap_phi)
         return total
 
     terms = [abs(weighted_boundary(S)) for S in (2.0, 4.0, 6.0)]

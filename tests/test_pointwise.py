@@ -8,9 +8,13 @@ import pytest
 
 from staticlab import identities as ID
 from staticlab import levelset as LS
+from staticlab.conformal import EXTREMUM_BAND
 from staticlab.geometry import StaticTriple
 from staticlab.inequalities import lp_gradient_bound
 from staticlab.levelset import sphere_data
+
+
+DICTIONARY = ("phi", "H_g", "hess_phi_norm2", "lap_phi", "gamma", "scalar_g")
 
 
 def _counting_u(tr):
@@ -31,8 +35,8 @@ def test_sphere_data_evaluates_the_profile_once(all_models):
         lo, hi = tr.domain
         x = lo + 0.3 * (hi - lo)
         sp = sphere_data(tr, x)
-        read = (sp.u, sp.grad_u, sp.area, sp.area_g, sp.H, sp.W,
-                sp.conformal.H_g, sp.conformal.gamma)
+        read = (sp.u, sp.grad_u, sp.area, sp.D, sp.area_g, sp.W, sp.H,
+                sp.hess_phi_nn, *(getattr(sp, e) for e in DICTIONARY))
         assert all(math.isfinite(v) for v in read), tr.name
         assert calls[0] == 1, tr.name
 
@@ -77,7 +81,18 @@ def test_singular_quantities_are_lazy(nariai3):
     assert sp.u == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(sp.area) and math.isfinite(sp.curv.hess_u_norm2)
     with pytest.raises(ValueError, match="excluded band"):
-        sp.conformal
+        sp.phi
+
+
+@pytest.mark.parametrize("entry", DICTIONARY)
+def test_each_dictionary_entry_refuses_the_band(ds3, entry):
+    # 1 - u is about 5e-9 here: inside the band, but off u = 1
+    sp = sphere_data(ds3, 1e-4)
+    assert 0.0 < 1.0 - sp.u < EXTREMUM_BAND
+    with pytest.raises(ValueError, match="excluded band"):
+        getattr(sp, entry)
+    # the first-identity flux reads these up to the extremal value
+    assert all(math.isfinite(v) for v in (sp.D, sp.W, sp.area_g))
 
 
 def test_level_readers_refuse_the_extremal_band(ds3):
