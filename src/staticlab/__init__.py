@@ -10,9 +10,9 @@ quantities satisfy, including the rigid round cases.
 from .geometry import (
     BoundaryComponent,
     Branch,
-    CurvatureData,
     Extremum,
     RadialProfile,
+    SphereData,
     StaticTriple,
     boundary_scalar_curvature,
     sphere_euler_characteristic,
@@ -36,11 +36,11 @@ from .report import IdentityReport, default_tolerance
 __all__ = [
     "BoundaryComponent",
     "Branch",
-    "CurvatureData",
     "Extremum",
     "IdentityReport",
     "RadialProfile",
     "SdSParams",
+    "SphereData",
     "StaticTriple",
     "admissible_mass_bound",
     "anti_de_sitter",

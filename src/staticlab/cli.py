@@ -3,8 +3,8 @@
 Output is deterministic for fixed flags: floats are printed at 12
 significant digits, CSV rows and JSON keys are emitted in a canonical
 order, files are UTF-8 with LF line endings.  Exit status is 2 on usage
-errors, 1 when any check fails (an inapplicable check is not a failure),
-and 0 otherwise.
+errors, 1 when any check fails (an inapplicable check is not a failure)
+or a shot's monitor drift exceeds odegen.DRIFT_TOL, and 0 otherwise.
 
 STATICLAB_TOL (a finite number > 0; 1e-6 by default) is the tolerance of
 the static, conformal, liminf and integral-identity checks.  It does not
@@ -315,7 +315,10 @@ def cmd_shoot(args) -> int:
                                   kappa=args.kappa)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    tr = odegen.shoot_from_horizon(data)
+    try:
+        tr = odegen.shoot_from_horizon(data)
+    except RuntimeError as exc:
+        raise UsageError(str(exc)) from None
     system = odegen.reduce_system(args.n, +1)
     lines = ["rho,h,u,dh,du,monitor"]
     for rho in linspace(tr.domain[0] + 1e-6, tr.domain[1] - 1e-6,
@@ -325,6 +328,11 @@ def cmd_shoot(args) -> int:
         mon = system.monitor((h, dh, u, du))
         lines.append(",".join(_fmt(v) for v in (rho, h, u, dh, du, mon)))
     _write_lines(args.out, lines)
+    drift = odegen.monitor_drift(tr, system)
+    if not drift <= odegen.DRIFT_TOL:
+        sys.stderr.write(f"staticlab shoot: monitor drift {_fmt(drift)} "
+                         f"exceeds {odegen.DRIFT_TOL:g}\n")
+        return 1
     return 0
 
 

@@ -23,164 +23,37 @@ weighted divergence identities take one common form.
 
 Everything is computed from g0-side quantities through these dictionaries;
 no second metric representation is ever stored.  The dictionary entries
-are lazy properties of the pointwise record `SphereData`, next to D and W;
-each refuses the band |u - 1| < EXTREMUM_BAND, and `to_conformal` returns
-the record of a point outside it.
+are lazy properties of the pointwise record `geometry.SphereData`, next to
+D, W and the curvature of g0; each refuses the band |u - 1| <
+EXTREMUM_BAND, and `to_conformal` returns the record of a point outside it.
 
-The five pointwise residuals (quasi-Einstein, Bochner, drift equation for
-w, trace identity, mean-curvature relation) each read one `SphereData`
-record and evaluate no profile again.  The radial derivatives W', W'', w'
-and w'' are closed forms in u, u', u'' and u''' (`_radial_derivatives`),
-with u''' from the potential equation differentiated once.
+This module holds the conformal identities that read the record.  The five
+pointwise residuals (quasi-Einstein, Bochner, drift equation for w, trace
+identity, mean-curvature relation) each read one record and evaluate no
+profile again.  The radial derivatives W', W'', w' and w'' are closed forms
+in u, u', u'' and u''' (`_radial_derivatives`), with u''' from the
+potential equation differentiated once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
-from .geometry import (
-    CurvatureData,
-    RadialState,
+from .geometry import (  # the record's names stay bound here for readers
+    EXTREMUM_BAND,
+    SphereData,
     StaticTriple,
+    check_window,
     linspace,
-    radial_geometry,
-    sphere_area,
+    sphere_data,
 )
 from .roots import find_root
 
-EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
-U_CAP = 20.0          # the conformal checkers sample u <= U_CAP when u grows
-
-
-def check_window(u: float) -> None:
-    if abs(u - 1.0) < EXTREMUM_BAND:
-        raise ValueError(
-            f"point with u={u} lies in the excluded band |u-1| < "
-            f"{EXTREMUM_BAND} around the extremal set; the conformal metric "
-            "degenerates there")
+U_CAP = 20.0  # the conformal checkers sample u <= U_CAP when u grows
 
 
 # --------------------------------------------------------------------------
-# the pointwise record
-
-@dataclass(frozen=True)
-class SphereData:
-    """Everything known at radial point x, i.e. on the level sphere through x.
-
-    `st` and `curv` come from one evaluation of the profiles; every other
-    quantity is derived from them on first use, then kept.  Lazy, because
-    the curvature-deficit integrand reaches the extremal sphere, where W, H
-    and the dictionary are singular; only the dictionary entries refuse the
-    band around it (the level-set readers do in `levelset.level_spheres`).
-    """
-
-    triple: StaticTriple
-    x: float
-    st: RadialState
-    curv: CurvatureData
-
-    @property
-    def u(self) -> float:
-        return self.st.u
-
-    @property
-    def grad_u(self) -> float:
-        """|Du|."""
-        return abs(self.st.du)
-
-    @cached_property
-    def area(self) -> float:
-        """Sphere area w.r.t. g0."""
-        return sphere_area(self.triple.n, self.st.h)
-
-    @cached_property
-    def D(self) -> float:
-        """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
-        dictionary's beta), refused where it is not positive."""
-        u = self.st.u
-        d = self.triple.lambda_sign * (1.0 - u * u)
-        if d <= 0.0:
-            raise ValueError(f"conformal factor degenerate at u={u}")
-        return d
-
-    @cached_property
-    def area_g(self) -> float:
-        """Sphere area w.r.t. the conformal metric."""
-        return self.area / self.D ** ((self.triple.n - 1) / 2.0)
-
-    @cached_property
-    def W(self) -> float:
-        """|Du|^2 / |1 - u^2|."""
-        return self.st.du ** 2 / self.D
-
-    @cached_property
-    def H(self) -> float:
-        """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
-        H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
-        if self.st.du == 0.0:
-            raise ValueError(f"singular level at x={self.x}")
-        return (self.curv.lap_u - self.curv.hess_u_rr) / abs(self.st.du)
-
-    @cached_property
-    def hess_phi_nn(self) -> float:
-        """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
-        return self.D * _hess_phi_components(self)[0]
-
-    @cached_property
-    def _D_off_band(self) -> float:
-        """D, refused in the extremal band; read by every entry below."""
-        check_window(self.st.u)
-        return self.D
-
-    @cached_property
-    def phi(self) -> float:
-        """The conformal level coordinate artanh u or arcoth u."""
-        self._D_off_band
-        u = self.st.u
-        if self.triple.lambda_sign > 0:
-            return 0.5 * math.log((1.0 + u) / (1.0 - u))
-        return 0.5 * math.log((u + 1.0) / (u - 1.0))
-
-    @cached_property
-    def H_g(self) -> float:
-        """Mean curvature of the level w.r.t. g."""
-        d, n, u = self._D_off_band, self.triple.n, self.st.u
-        h = self.H if self.triple.lambda_sign > 0 else -self.H
-        return math.sqrt(d) * (h + (n - 1) * u * abs(self.st.du) / d)
-
-    @cached_property
-    def hess_phi_norm2(self) -> float:
-        """|hess_g phi|_g^2."""
-        self._D_off_band
-        n, u, w_norm = self.triple.n, self.st.u, self.W
-        return self.curv.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
-
-    @cached_property
-    def lap_phi(self) -> float:
-        """lap_g phi (on solutions)."""
-        self._D_off_band
-        return -self.triple.n * self.st.u * (1.0 - self.W)
-
-    @cached_property
-    def gamma(self) -> float:
-        """gamma(phi) = D^((n+2)/2) / u."""
-        return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.st.u
-
-    @cached_property
-    def scalar_g(self) -> float:
-        """R_g, from the trace identity."""
-        self._D_off_band
-        n, u = self.triple.n, self.st.u
-        return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
-
-
-def sphere_data(triple: StaticTriple, x: float) -> SphereData:
-    """The pointwise record at radial coordinate x, built from one radial
-    state and one curvature evaluation."""
-    return SphereData(triple, x, *radial_geometry(triple, x))
-
+# thin reads of the record
 
 def to_conformal(triple: StaticTriple, x: float) -> SphereData:
     """The record at radial coordinate x, refused in the extremal band."""
@@ -206,30 +79,14 @@ def hess_phi_radial(triple: StaticTriple, x: float) -> float:
 def _ricci_g_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
-    n, curv, d = sp.triple.n, sp.curv, sp.D
+    n, d, s = sp.triple.n, sp.D, sp.triple.lambda_sign
     u, du2 = sp.st.u, sp.st.du ** 2
-    if sp.triple.lambda_sign > 0:
-        common = (u * curv.lap_u / d
-                  + ((n - 1) * u * u + 1.0) * du2 / d ** 2)
-        ric_rr = (curv.ric_rr - (n - 2) * u * curv.hess_u_rr / d
-                  - (n - 2) * du2 / d ** 2 - common)
-        ric_tt = (curv.ric_tan - (n - 2) * u * curv.hess_u_tan / d - common)
-    else:
-        common = (u * curv.lap_u / d
-                  - ((n - 1) * u * u + 1.0) * du2 / d ** 2)
-        ric_rr = (curv.ric_rr + (n - 2) * u * curv.hess_u_rr / d
-                  - (n - 2) * du2 / d ** 2 + common)
-        ric_tt = (curv.ric_tan + (n - 2) * u * curv.hess_u_tan / d + common)
+    common = (u * sp.lap_u / d
+              + s * ((n - 1) * u * u + 1.0) * du2 / d ** 2)
+    ric_rr = (sp.ric_rr - s * (n - 2) * u * sp.hess_u_rr / d
+              - (n - 2) * du2 / d ** 2 - s * common)
+    ric_tt = sp.ric_tan - s * (n - 2) * u * sp.hess_u_tan / d - s * common
     return ric_rr, ric_tt
-
-
-def _hess_phi_components(sp: SphereData) -> tuple[float, float]:
-    """Orthonormal components of hess_g phi (as a (0,2)-tensor wrt the
-    g0-orthonormal frame)."""
-    u, du2, d = sp.st.u, sp.st.du ** 2, sp.D
-    s = float(sp.triple.lambda_sign)
-    return (s * sp.curv.hess_u_rr / d + u * du2 / d ** 2,
-            s * sp.curv.hess_u_tan / d + u * du2 / d ** 2)
 
 
 def quasi_einstein_residual(sp: SphereData) -> float:
@@ -242,7 +99,7 @@ def quasi_einstein_residual(sp: SphereData) -> float:
     st, n, u = sp.st, sp.triple.n, sp.st.u
     d, w_norm = sp._D_off_band, sp.W
     ric_rr, ric_tt = _ricci_g_components(sp)
-    hp_rr, hp_tt = _hess_phi_components(sp)
+    hp_rr, hp_tt = sp.hess_phi_components
     coeff = 1.0 / u - (n - 1) * u
     dphi2_rr = st.du ** 2 / d ** 2
     metric_term = (n - 2.0 + 2.0 * (1.0 - w_norm)) / d

@@ -1,4 +1,4 @@
-"""Curvature and field-equation residuals for warped-product static metrics.
+"""The pointwise record and field equations of warped-product static metrics.
 
 A rotationally symmetric static triple carries a metric of one of two forms:
 
@@ -10,6 +10,11 @@ Every curvature formula below is written in arclength-normalised variables
 them through u' = sqrt(f) du/dr, u'' = f d2u/dr2 + f' du/dr / 2, h = r,
 h' = sqrt(f), h'' = f'/2, so the two charts share one code path and the
 areal chart never divides by f at a horizon.
+
+`sphere_data(triple, x)` builds the one pointwise record, `SphereData`,
+from one profile evaluation at x; the curvature of g0, the derivatives of
+u and the conformal dictionary (see `conformal`) are read from it on
+demand.
 
 The field equations verified here are, with the cosmological constant
 normalised to sign * n(n-1)/2,
@@ -31,6 +36,7 @@ from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
 
 BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
 ARCLENGTH_MARGIN = 1e-4  # fraction of the span to_arclength drops per side
+EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
 
 
 def unit_sphere_area(n: int) -> float:
@@ -230,58 +236,183 @@ class StaticTriple:
         return tuple(out)
 
 
+def check_window(u: float) -> None:
+    if abs(u - 1.0) < EXTREMUM_BAND:
+        raise ValueError(
+            f"point with u={u} lies in the excluded band |u-1| < "
+            f"{EXTREMUM_BAND} around the extremal set; the conformal metric "
+            "degenerates there")
+
+
 @dataclass(frozen=True)
-class CurvatureData:
-    """Pointwise curvature of g0 and derivatives of u, orthonormal components.
+class SphereData:
+    """Everything known at radial point x, i.e. on the level sphere through x.
 
-    ric_rr and ric_tan are the Ricci eigenvalues in the radial and sphere
-    directions; hess_u_rr/hess_u_tan the matching Hessian eigenvalues.
+    `st` comes from one evaluation of the profiles, and every other quantity
+    is read from it: the curvature of g0 and the derivatives of u, in
+    orthonormal (radial, sphere) components, on each read; the rest once,
+    on first use.  Lazy, because the curvature-deficit integrand reaches the
+    extremal sphere, where W, H and the conformal dictionary are singular;
+    only the dictionary entries refuse the band around it (the level-set
+    readers do in `levelset.level_spheres`).
     """
 
-    ric_rr: float
-    ric_tan: float
-    scalar: float
-    hess_u_rr: float
-    hess_u_tan: float
-    lap_u: float
-    hess_u_norm2: float
-    grad_u_norm2: float
+    triple: StaticTriple
+    x: float
+    st: RadialState
+
+    @property
+    def u(self) -> float:
+        return self.st.u
+
+    @property
+    def grad_u(self) -> float:
+        """|Du|."""
+        return abs(self.st.du)
+
+    @property
+    def ric_rr(self) -> float:
+        return -(self.triple.n - 1) * self.st.d2h / self.st.h
+
+    @property
+    def ric_tan(self) -> float:
+        st = self.st
+        return -(st.h * st.d2h + (self.triple.n - 2) * (st.dh ** 2 - 1.0)) \
+            / st.h ** 2
+
+    @property
+    def scalar(self) -> float:
+        return self.ric_rr + (self.triple.n - 1) * self.ric_tan
+
+    @property
+    def hess_u_rr(self) -> float:
+        return self.st.d2u
+
+    @property
+    def hess_u_tan(self) -> float:
+        return (self.st.dh / self.st.h) * self.st.du
+
+    @property
+    def lap_u(self) -> float:
+        return self.st.d2u + (self.triple.n - 1) * self.hess_u_tan
+
+    @property
+    def hess_u_norm2(self) -> float:
+        return self.st.d2u ** 2 + (self.triple.n - 1) * self.hess_u_tan ** 2
+
+    @property
+    def grad_u_norm2(self) -> float:
+        return self.st.du ** 2
+
+    @cached_property
+    def area(self) -> float:
+        """Sphere area w.r.t. g0."""
+        return sphere_area(self.triple.n, self.st.h)
+
+    @cached_property
+    def D(self) -> float:
+        """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
+        dictionary's beta), refused where it is not positive."""
+        u = self.st.u
+        d = self.triple.lambda_sign * (1.0 - u * u)
+        if d <= 0.0:
+            raise ValueError(f"conformal factor degenerate at u={u}")
+        return d
+
+    @cached_property
+    def area_g(self) -> float:
+        """Sphere area w.r.t. the conformal metric."""
+        return self.area / self.D ** ((self.triple.n - 1) / 2.0)
+
+    @cached_property
+    def W(self) -> float:
+        """|Du|^2 / |1 - u^2|."""
+        return self.st.du ** 2 / self.D
+
+    @cached_property
+    def H(self) -> float:
+        """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
+        H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
+        if self.st.du == 0.0:
+            raise ValueError(f"singular level at x={self.x}")
+        return (self.lap_u - self.hess_u_rr) / abs(self.st.du)
+
+    @property
+    def hess_phi_components(self) -> tuple[float, float]:
+        """hess_g phi as a (0,2)-tensor in the g0-orthonormal frame."""
+        u, du2, d = self.st.u, self.st.du ** 2, self.D
+        s = float(self.triple.lambda_sign)
+        return (s * self.hess_u_rr / d + u * du2 / d ** 2,
+                s * self.hess_u_tan / d + u * du2 / d ** 2)
+
+    @cached_property
+    def hess_phi_nn(self) -> float:
+        """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
+        return self.D * self.hess_phi_components[0]
+
+    @cached_property
+    def _D_off_band(self) -> float:
+        """D, refused in the extremal band; read by every entry below."""
+        check_window(self.st.u)
+        return self.D
+
+    @cached_property
+    def phi(self) -> float:
+        """The conformal level coordinate artanh u or arcoth u."""
+        self._D_off_band
+        u = self.st.u
+        if self.triple.lambda_sign > 0:
+            return 0.5 * math.log((1.0 + u) / (1.0 - u))
+        return 0.5 * math.log((u + 1.0) / (u - 1.0))
+
+    @cached_property
+    def H_g(self) -> float:
+        """Mean curvature of the level w.r.t. g."""
+        d, n, u = self._D_off_band, self.triple.n, self.st.u
+        h = self.H if self.triple.lambda_sign > 0 else -self.H
+        return math.sqrt(d) * (h + (n - 1) * u * abs(self.st.du) / d)
+
+    @cached_property
+    def hess_phi_norm2(self) -> float:
+        """|hess_g phi|_g^2."""
+        self._D_off_band
+        n, u, w_norm = self.triple.n, self.st.u, self.W
+        return self.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
+
+    @cached_property
+    def lap_phi(self) -> float:
+        """lap_g phi (on solutions)."""
+        self._D_off_band
+        return -self.triple.n * self.st.u * (1.0 - self.W)
+
+    @cached_property
+    def gamma(self) -> float:
+        """gamma(phi) = D^((n+2)/2) / u."""
+        return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.st.u
+
+    @cached_property
+    def scalar_g(self) -> float:
+        """R_g, from the trace identity."""
+        self._D_off_band
+        n, u = self.triple.n, self.st.u
+        return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
 
 
-def radial_geometry(triple: StaticTriple,
-                    x: float) -> tuple[RadialState, CurvatureData]:
-    """The radial state at an interior point x and the curvature of
-    g0 = drho^2 + h^2 g_S built from it, with one profile evaluation.
-
-    Uses Ric_rr = -(n-1) h''/h and
-    Ric_tan = -[h h'' + (n-2)(h'^2 - 1)] / h^2.
-    """
+def sphere_data(triple: StaticTriple, x: float) -> SphereData:
+    """The pointwise record at an interior point x, built from one profile
+    evaluation."""
     lo, hi = triple.domain
     if not (lo < x < hi):
         raise ValueError(f"x={x} outside the open interior ({lo}, {hi})")
     st = triple.radial_state(x)
     if st.h <= 0.0:
         raise ValueError(f"degenerate warping radius h={st.h} at x={x}")
-    n = triple.n
-    ric_rr = -(n - 1) * st.d2h / st.h
-    ric_tan = -(st.h * st.d2h + (n - 2) * (st.dh ** 2 - 1.0)) / st.h ** 2
-    hess_rr = st.d2u
-    hess_tan = (st.dh / st.h) * st.du
-    return st, CurvatureData(
-        ric_rr=ric_rr,
-        ric_tan=ric_tan,
-        scalar=ric_rr + (n - 1) * ric_tan,
-        hess_u_rr=hess_rr,
-        hess_u_tan=hess_tan,
-        lap_u=hess_rr + (n - 1) * hess_tan,
-        hess_u_norm2=hess_rr ** 2 + (n - 1) * hess_tan ** 2,
-        grad_u_norm2=st.du ** 2,
-    )
+    return SphereData(triple, x, st)
 
 
-def warped_curvature(triple: StaticTriple, x: float) -> CurvatureData:
-    """Curvature of g0 at radial coordinate x (see `radial_geometry`)."""
-    return radial_geometry(triple, x)[1]
+def warped_curvature(triple: StaticTriple, x: float) -> SphereData:
+    """The record at radial coordinate x, read for the curvature of g0."""
+    return sphere_data(triple, x)
 
 
 def static_residual(triple: StaticTriple, x: float) -> tuple[float, float]:
@@ -292,11 +423,11 @@ def static_residual(triple: StaticTriple, x: float) -> tuple[float, float]:
     |Delta u + sign*n*u|.  Both vanish (to float noise) iff the triple
     solves the system at x.
     """
-    st, curv = radial_geometry(triple, x)
-    eps_n = triple.lambda_sign * triple.n
-    t_rr = st.u * curv.ric_rr - curv.hess_u_rr - eps_n * st.u
-    t_tan = st.u * curv.ric_tan - curv.hess_u_tan - eps_n * st.u
-    lap = curv.lap_u + eps_n * st.u
+    sp = sphere_data(triple, x)
+    u, eps_n = sp.u, triple.lambda_sign * triple.n
+    t_rr = u * sp.ric_rr - sp.hess_u_rr - eps_n * u
+    t_tan = u * sp.ric_tan - sp.hess_u_tan - eps_n * u
+    lap = sp.lap_u + eps_n * u
     return max(abs(t_rr), abs(t_tan)), abs(lap)
 
 

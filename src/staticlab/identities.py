@@ -19,10 +19,10 @@ and for a level value tau the weights are
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .conformal import SphereData
-from .geometry import StaticTriple, boundary_scalar_curvature, sphere_area
+from .geometry import (SphereData, StaticTriple, boundary_scalar_curvature,
+                       sphere_area)
 from .inequalities import INEQ_TOL
 from .levelset import (
     assumption_flags,
@@ -32,7 +32,7 @@ from .levelset import (
     sphere_data,
     t_of_s,
 )
-from .quadrature import QuadratureConfig, QuadResult, adaptive, composite_simpson
+from .quadrature import QuadratureConfig, adaptive, composite_simpson
 from .report import IdentityReport, identity_report, inequality_report
 
 DEFAULT_QUAD = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=100_000)
@@ -48,11 +48,15 @@ def _coth_phi(triple: StaticTriple, u: float) -> float:
     return 1.0 / u if triple.lambda_sign > 0 else u
 
 
-def _integrate(f: Callable[[float], float], a: float, b: float,
-               panels: Optional[int]) -> QuadResult:
-    if panels is not None:
-        return composite_simpson(f, a, b, panels)
-    return adaptive(f, a, b, DEFAULT_QUAD)
+def _integrate(f: Callable[[float], float],
+               intervals: Sequence[tuple[float, float]],
+               panels: Optional[int]) -> tuple[float, int]:
+    """The summed quadrature of f over radial intervals, and its evaluations;
+    the sum starts from the first value, so a lone -0.0 keeps its sign."""
+    quads = [composite_simpson(f, a, b, panels) if panels is not None
+             else adaptive(f, a, b, DEFAULT_QUAD) for a, b in intervals]
+    return (sum((q.value for q in quads[1:]), quads[0].value),
+            sum(q.evaluations for q in quads))
 
 
 def _volume_density(sp: SphereData) -> float:
@@ -61,8 +65,9 @@ def _volume_density(sp: SphereData) -> float:
 
 
 def _conformal_region(triple: StaticTriple, s: float, S: float,
-                      branch: Optional[str]) -> tuple[float, float]:
-    """Radial interval corresponding to the slab {s < phi < S} on a branch."""
+                      branch: Optional[str]) -> list[tuple[float, float]]:
+    """The radial interval of the slab {s < phi < S} on a branch, as a
+    one-interval list."""
     if not 0.0 < s < S:
         raise ValueError("need 0 < s < S")
     xs = level_radii(triple, t_of_s(s, triple.lambda_sign), branch)
@@ -70,7 +75,7 @@ def _conformal_region(triple: StaticTriple, s: float, S: float,
     if len(xs) != 1 or len(xS) != 1:
         raise ValueError("conformal slab must meet a single monotone branch; "
                          "pass branch='inner' or 'outer'")
-    return min(xs[0], xS[0]), max(xs[0], xS[0])
+    return [(min(xs[0], xS[0]), max(xs[0], xS[0]))]
 
 
 def first_identity_flux(triple: StaticTriple, p: float, tau: float,
@@ -104,7 +109,6 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
         raise ValueError("asserted for p >= 1")
     lhs = (first_identity_flux(triple, p, S, branch)
            - first_identity_flux(triple, p, s, branch))
-    a, b = _conformal_region(triple, s, S, branch)
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
@@ -114,14 +118,15 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
         return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
                 * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
-    quad = _integrate(integrand, a, b, panels)
+    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S, branch),
+                            panels)
     return identity_report(
         name=f"first_integral_identity(p={p}, s={s}, S={S})",
-        lhs=lhs, rhs=quad.value, tolerance=tolerance,
+        lhs=lhs, rhs=rhs, tolerance=tolerance,
         assumptions=assumption_flags(triple),
         description="weighted gradient-flux divergence identity on a "
                     "conformal slab",
-        extra={"evaluations": quad.evaluations, "branch": branch or "full"})
+        extra={"evaluations": evals, "branch": branch or "full"})
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -151,7 +156,6 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         return total
 
     lhs = weighted_boundary(s) - weighted_boundary(S)
-    a, b = _conformal_region(triple, s, S, branch)
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
@@ -160,14 +164,15 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         return (sp.gamma * sp.W ** ((p - 3) / 2.0) * core
                 * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
-    quad = _integrate(integrand, a, b, panels)
+    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S, branch),
+                            panels)
     return identity_report(
         name=f"second_integral_identity(p={p}, s={s}, S={S})",
-        lhs=lhs, rhs=quad.value, tolerance=tolerance,
+        lhs=lhs, rhs=rhs, tolerance=tolerance,
         assumptions=assumption_flags(triple),
         description="weighted Bochner divergence identity on a conformal "
                     "slab",
-        extra={"evaluations": quad.evaluations, "branch": branch or "full"})
+        extra={"evaluations": evals, "branch": branch or "full"})
 
 
 def _deficit_flux(triple: StaticTriple, t: float) -> float:
@@ -178,7 +183,7 @@ def _deficit_flux(triple: StaticTriple, t: float) -> float:
     for x in level_radii(triple, t):
         sp = sphere_data(triple, x)
         total += sp.area / sp.u * (sp.st.du ** 2 * sp.H
-                                   - (n - 1) / n * sp.grad_u * sp.curv.lap_u)
+                                   - (n - 1) / n * sp.grad_u * sp.lap_u)
     return total
 
 
@@ -201,43 +206,31 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
-        return (1.0 / sp.u) * (sp.curv.hess_u_norm2 - sp.curv.lap_u ** 2 / n) \
+        return (1.0 / sp.u) * (sp.hess_u_norm2 - sp.lap_u ** 2 / n) \
             * _volume_density(sp)
 
     lhs = _deficit_flux(triple, t)
     radii = level_radii(triple, t)
-    lo_dom, hi_dom = triple.domain
-    inset = 1e-9 * (hi_dom - lo_dom)
+    sign = 1.0 if t_upper is not None or triple.lambda_sign > 0 else -1.0
     if t_upper is not None:
         lhs -= _deficit_flux(triple, t_upper)
         radii_up = level_radii(triple, t_upper)
-        sign = 1.0
-        if len(radii) == 2 and len(radii_up) == 2:
-            # one sub-annulus per monotone branch
-            q1 = _integrate(integrand, radii[0], radii_up[0], panels)
-            q2 = _integrate(integrand, radii_up[1], radii[1], panels)
-            rhs = q1.value + q2.value
-            evals = q1.evaluations + q2.evaluations
-        elif len(radii) == 1 and len(radii_up) == 1:
-            a, b = sorted((radii[0], radii_up[0]))
-            q = _integrate(integrand, a, b, panels)
-            rhs, evals = q.value, q.evaluations
-        else:
+        if len(radii) != len(radii_up):
             raise ValueError("levels straddle the extremal sphere unevenly")
+        if len(radii) == 2:  # one sub-annulus per monotone branch
+            intervals = [(radii[0], radii_up[0]), (radii_up[1], radii[1])]
+        else:
+            intervals = [tuple(sorted((radii[0], radii_up[0])))]
     elif len(radii) == 2:
-        sign = 1.0 if triple.lambda_sign > 0 else -1.0
-        q = _integrate(integrand, radii[0], radii[1], panels)
-        rhs, evals = q.value, q.evaluations
+        intervals = [radii]
     else:
         # region between the level and the extremum-side end of the domain
-        sign = 1.0 if triple.lambda_sign > 0 else -1.0
         (x0,) = radii
-        xstar = triple.extremum.location
-        a, b = sorted((x0, xstar))
-        a = max(a, lo_dom + inset)
-        b = min(b, hi_dom - inset)
-        q = _integrate(integrand, a, b, panels)
-        rhs, evals = q.value, q.evaluations
+        lo_dom, hi_dom = triple.domain
+        inset = 1e-9 * (hi_dom - lo_dom)
+        a, b = sorted((x0, triple.extremum.location))
+        intervals = [(max(a, lo_dom + inset), min(b, hi_dom - inset))]
+    rhs, evals = _integrate(integrand, intervals, panels)
     return identity_report(
         name=f"curvature_deficit_identity(t={t}"
              + (f", t_upper={t_upper})" if t_upper is not None else ")"),

@@ -20,14 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .conformal import EXTREMUM_BAND, SphereData, check_window, sphere_data
-from .geometry import (
-    BRANCH_INSET,
-    Branch,
-    StaticTriple,
-    sphere_area,
-    unit_sphere_area,
-)
+from .geometry import (BRANCH_INSET, EXTREMUM_BAND, Branch, SphereData,
+                       StaticTriple, check_window, sphere_area, sphere_data,
+                       unit_sphere_area)
 from .roots import find_root
 
 EXTREMUM_CUTOFF = 1e-8  # band around u = 1 excluded from curve sampling
@@ -177,7 +172,7 @@ def up_derivative(triple: StaticTriple, p: float, t: float,
         weight = sp.grad_u ** (p - 2) * sp.area
         h_form += weight * (sign * (sp.grad_u / sp.u) * sp.H
                             + n * p / (p - 1) - c_np * sp.W)
-        ricci_form += weight * ((n - 1) - sign * sp.curv.ric_rr
+        ricci_form += weight * ((n - 1) - sign * sp.ric_rr
                                 + c_np * (1.0 - sp.W))
         bound += weight * (n / (p - 1)) * (1.0 - sp.W)
     return (pref * h_form, pref * ricci_form, pref * bound)

@@ -25,7 +25,7 @@ stays on the product solution for any kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ SERIES_HANDOFF = 1e-3   # handoff point, relative to h0
 H_FLOOR_REL = 1e-4      # warp collapse threshold, relative to h0
 U_FLOOR_REL = 1e-6      # second-horizon threshold, times kappa*h0
 DRIFT_SAMPLES = 200     # interior points monitor_drift reads
+DRIFT_TOL = 1e-8        # largest monitor drift of a shot that is trusted
 
 
 @dataclass(frozen=True)
@@ -124,17 +125,21 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
 
     The returned triple is normalised to max u = 1, carries dense-output
     profiles whose second derivatives come from the reduction itself, and
-    records the trajectory's extremal structure.
+    records the trajectory's extremal structure.  The reduced system is
+    homogeneous of degree one in (u, u'), so the normalised shot does not
+    depend on kappa: it is integrated with u'(0) = 1, and the stored
+    normalization_factor, scale / kappa, still maps the kappa shot to it.
     """
     if data.lambda_sign != +1:
         raise ValueError("horizon shooting applies to positive cosmological "
                          "constant only (u has no zero level otherwise)")
     from scipy.integrate import solve_ivp
     system = reduce_system(data.n, data.lambda_sign)
+    unit = replace(data, kappa=1.0)
     rho0 = SERIES_HANDOFF * data.h0
-    y0 = _series_state(data, rho0)
+    y0 = _series_state(unit, rho0)
     h_floor = H_FLOOR_REL * data.h0
-    u_floor = U_FLOOR_REL * data.kappa * data.h0
+    u_floor = U_FLOOR_REL * data.h0
 
     def event_u_floor(rho, y):
         return y[2] - u_floor
@@ -186,7 +191,7 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
 
     def raw_state(rho: float) -> np.ndarray:
         if rho <= rho0:
-            return _series_state(data, rho)
+            return _series_state(unit, rho)
         return sol.sol(rho)
 
     def u_fn(rho: float) -> tuple[float, float, float]:
@@ -212,7 +217,7 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
 
     chi = sphere_euler_characteristic(data.n)
     boundaries = [BoundaryComponent(location=0.0, sphere_radius=data.h0,
-                                    surface_gravity=data.kappa * scale,
+                                    surface_gravity=scale,
                                     euler_characteristic=chi)]
     if hit_second_horizon:
         boundaries.append(BoundaryComponent(
@@ -224,7 +229,7 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
         u=RadialProfile((0.0, domain_end), u_fn),
         h=RadialProfile((0.0, domain_end), h_fn),
         f=None, boundaries=tuple(boundaries), extremum=extremum,
-        normalization_factor=scale,
+        normalization_factor=scale / data.kappa,
         name=f"shoot(n={data.n}, h0={data.h0}, kappa={data.kappa})",
     )
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from staticlab.quadrature import QuadratureConfig, adaptive
 
 
@@ -69,6 +67,7 @@ def arclength_from_horizon(f, fprime, rh: float, r: float) -> float:
 def arclength_reference(triple, samples: int):
     """rho = int dr/sqrt(f) on `to_arclength`'s grid, one `adaptive` call per
     segment summed in order.  Returns (r_grid, per-segment values, rho)."""
+    import numpy as np
     from staticlab.geometry import ARCLENGTH_MARGIN
     lo, hi = triple.domain
     span = hi - lo
@@ -148,6 +147,7 @@ def gauss_kronrod_15(dps: int = 50):
 # finite-difference curvature for g = drho^2 + h(rho)^2 g_{S^(n-1)}
 
 def _metric(n: int, h_of_rho, x: np.ndarray) -> np.ndarray:
+    import numpy as np
     g = np.zeros((n, n))
     g[0, 0] = 1.0
     hh = h_of_rho(x[0]) ** 2
@@ -159,6 +159,7 @@ def _metric(n: int, h_of_rho, x: np.ndarray) -> np.ndarray:
 
 
 def _christoffel(n: int, h_of_rho, x: np.ndarray, step: float) -> np.ndarray:
+    import numpy as np
     dg = np.zeros((n, n, n))
     for k in range(n):
         xp, xm = x.copy(), x.copy()
@@ -181,6 +182,7 @@ def numeric_curvature(n: int, h_of_rho, u_of_rho, rho: float,
                       thetas: np.ndarray, step: float = 3e-5) -> dict:
     """Ricci (radial/tangential eigenvalues), scalar curvature, and the
     Hessian data of a radial u, all by finite differences of the metric."""
+    import numpy as np
     x = np.concatenate(([rho], thetas))
     g = _metric(n, h_of_rho, x)
     ginv = np.linalg.inv(g)

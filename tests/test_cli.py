@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,42 @@ def test_bad_shoot_input_exits_2_with_one_line(capsys, flags):
     assert captured.out == ""
     assert captured.err.startswith("staticlab shoot: error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def _shoot(capsys, *flags):
+    code = main(["shoot", "--steps", "3", *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shoot_at_extreme_kappa_prints_the_unit_shot(capsys):
+    # (u, u') enter the reduced system homogeneously, so the normalised shot
+    # does not depend on kappa; at 1e300 it overflowed to rows of u = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = _shoot(capsys, "--h0", "1", "--kappa", "1")
+        for kappa in ("1e300", "1e-300"):
+            assert _shoot(capsys, "--h0", "1", "--kappa", kappa) == unit
+    code, out, err = unit
+    assert code == 0 and err == "" and "nan" not in out
+
+
+def test_shoot_with_monitor_drift_above_the_bound_exits_1(capsys):
+    # the rows print, then the drift (4.4e-7 here) is held against DRIFT_TOL
+    code, out, err = _shoot(capsys, "--h0", "100", "--kappa", "1")
+    assert code == 1
+    assert len(out.splitlines()) == 4
+    assert err.startswith("staticlab shoot: monitor drift ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("h0", ["1e-6", "1e6"])
+def test_shoot_that_cannot_integrate_exits_2_with_one_line(capsys, h0):
+    code, out, err = _shoot(capsys, "--h0", h0, "--kappa", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("staticlab shoot: error: integration failed")
+    assert len(err.splitlines()) == 1
 
 
 def test_check_emits_strict_json_at_12_digits(capsys):

@@ -160,6 +160,13 @@ def test_deficit_identity_truncated_consistency(sds01):
     assert full.lhs > below.lhs > 0.0
 
 
+def test_deficit_identity_truncated_on_one_branch(ds3):
+    # both levels meet the single branch once: one sub-annulus
+    rep = ID.curvature_deficit_identity(ds3, 0.3, t_upper=0.8)
+    assert abs(rep.lhs) <= 1e-12 and abs(rep.rhs) <= 1e-12
+    assert rep.status == "pass"
+
+
 def test_deficit_identity_nariai(nariai3):
     rep = ID.curvature_deficit_identity(nariai3, 0.4)
     assert rep.status == "pass"

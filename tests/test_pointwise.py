@@ -9,12 +9,15 @@ import pytest
 from staticlab import identities as ID
 from staticlab import levelset as LS
 from staticlab.conformal import EXTREMUM_BAND
-from staticlab.geometry import StaticTriple
+from staticlab.geometry import (SphereData, StaticTriple, static_residual,
+                                warped_curvature)
 from staticlab.inequalities import lp_gradient_bound
 from staticlab.levelset import sphere_data
 
 
 DICTIONARY = ("phi", "H_g", "hess_phi_norm2", "lap_phi", "gamma", "scalar_g")
+CURVATURE = ("ric_rr", "ric_tan", "scalar", "hess_u_rr", "hess_u_tan", "lap_u",
+             "hess_u_norm2", "grad_u_norm2")
 
 
 def _counting_u(tr):
@@ -36,9 +39,33 @@ def test_sphere_data_evaluates_the_profile_once(all_models):
         x = lo + 0.3 * (hi - lo)
         sp = sphere_data(tr, x)
         read = (sp.u, sp.grad_u, sp.area, sp.D, sp.area_g, sp.W, sp.H,
-                sp.hess_phi_nn, *(getattr(sp, e) for e in DICTIONARY))
+                sp.hess_phi_nn, *(getattr(sp, e) for e in DICTIONARY),
+                *(getattr(sp, c) for c in CURVATURE))
         assert all(math.isfinite(v) for v in read), tr.name
         assert calls[0] == 1, tr.name
+
+
+def test_warped_curvature_is_the_record(all_models, monkeypatch):
+    calls = [0]
+    radial_state = StaticTriple.radial_state
+
+    def counted_state(self, x):
+        calls[0] += 1
+        return radial_state(self, x)
+
+    for tr in all_models:
+        for x in tr.interior_points(5):
+            sp = warped_curvature(tr, x)
+            assert isinstance(sp, SphereData), tr.name
+            ref = sphere_data(tr, x)
+            assert [getattr(sp, c) for c in CURVATURE] == \
+                [getattr(ref, c) for c in CURVATURE], tr.name
+    monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
+    for tr in all_models:
+        for x in tr.interior_points(5):
+            before = calls[0]
+            static_residual(tr, x)
+            assert calls[0] - before == 1, tr.name
 
 
 @pytest.mark.parametrize("check", [
@@ -79,7 +106,7 @@ def test_singular_quantities_are_lazy(nariai3):
     # record still builds; only the conformal dictionary refuses
     sp = sphere_data(nariai3, nariai3.extremum.location)
     assert sp.u == pytest.approx(1.0, abs=1e-15)
-    assert math.isfinite(sp.area) and math.isfinite(sp.curv.hess_u_norm2)
+    assert math.isfinite(sp.area) and math.isfinite(sp.hess_u_norm2)
     with pytest.raises(ValueError, match="excluded band"):
         sp.phi
 
