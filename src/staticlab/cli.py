@@ -3,7 +3,8 @@
 Output is deterministic for fixed flags: floats are printed at 12
 significant digits, CSV rows and JSON keys are emitted in a canonical
 order, files are UTF-8 with LF line endings.  Exit status is 2 on usage
-errors, 1 when any check fails (an inapplicable check is not a failure)
+errors and on shots that cannot be integrated or close at a singular
+pole, 1 when any check fails (an inapplicable check is not a failure)
 or a shot's monitor drift exceeds odegen.DRIFT_TOL, and 0 otherwise.
 
 STATICLAB_TOL (a finite number > 0; 1e-6 by default) is the tolerance of
@@ -125,17 +126,14 @@ def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
             for name, fn, about in checks]
 
 
-def _slab_params(triple: StaticTriple) -> tuple[float, float, Optional[str]]:
-    return 0.5, 2.5, _resolve_branch(triple, None)
-
-
 def suite_identities(triple: StaticTriple, tol: float) -> list[IdentityReport]:
-    s, big_s, branch = _slab_params(triple)
+    view = _on_branch(triple, None)  # a slab must meet one branch
+    s, big_s = 0.5, 2.5
     out = [
-        identities.first_identity(triple, 1, s, big_s, branch, tolerance=tol),
-        identities.first_identity(triple, 3, s, big_s, branch, tolerance=tol),
-        identities.second_identity(triple, 3, s, big_s, branch, tolerance=tol),
-        identities.second_identity(triple, 5, s, big_s, branch, tolerance=tol),
+        identities.first_identity(view, 1, s, big_s, tolerance=tol),
+        identities.first_identity(view, 3, s, big_s, tolerance=tol),
+        identities.second_identity(view, 3, s, big_s, tolerance=tol),
+        identities.second_identity(view, 5, s, big_s, tolerance=tol),
     ]
     t0 = 0.3 if triple.lambda_sign > 0 else 2.0
     out.append(identities.curvature_deficit_identity(triple, t0, tolerance=tol))
@@ -205,10 +203,12 @@ def cmd_models(args) -> int:
     return 0
 
 
-def _resolve_branch(triple: StaticTriple, branch: Optional[str]):
-    if branch is not None:
-        return branch
-    return "outer" if len(triple.branches()) == 2 else None
+def _on_branch(triple: StaticTriple, branch: Optional[str]) -> StaticTriple:
+    """The triple on `branch`; by default on its outer branch where it has
+    two, and whole where it has one."""
+    if branch is None and len(triple.branches()) == 2:
+        branch = "outer"
+    return triple if branch is None else triple.on_branch(branch)
 
 
 def _check_steps(steps: int) -> None:
@@ -216,13 +216,13 @@ def _check_steps(steps: int) -> None:
         raise UsageError(f"--steps must be at least 1, got {steps}")
 
 
-def _check_level(tr: StaticTriple, branch: Optional[str], flag: str,
-                 value: float, t: float, band: float) -> None:
+def _check_level(tr: StaticTriple, flag: str, value: float, t: float,
+                 band: float) -> None:
     """Refuse an end level that level location cannot resolve, or one within
     `band` of the extremal value 1, where U_p and Phi_p are singular."""
     if abs(t - 1.0) > band:
         try:
-            levelset.level_radii(tr, t, branch)
+            levelset.level_radii(tr, t)
             return
         except ValueError:
             pass
@@ -237,12 +237,11 @@ def _curve_command(args, curve_fn, ends, to_level, band) -> int:
     _check_steps(args.steps)
     if not math.isfinite(args.p):
         raise UsageError(f"--p must be a finite number, got {args.p:g}")
-    tr = _triple(args.model, args.n, args.m)
-    branch = _resolve_branch(tr, args.branch)
+    tr = _on_branch(_triple(args.model, args.n, args.m), args.branch)
     for flag, value in ends:
-        _check_level(tr, branch, flag, value, to_level(tr, value), band)
+        _check_level(tr, flag, value, to_level(tr, value), band)
     grid = linspace(ends[0][1], ends[1][1], args.steps)
-    curve = curve_fn(tr, args.p, grid, branch=branch)
+    curve = curve_fn(tr, args.p, grid)
     flags = _flags_str(levelset.assumption_flags(tr))
     lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
     d_ana = curve.d_analytic or (math.nan,) * len(curve.grid)
@@ -283,12 +282,7 @@ def cmd_check(args) -> int:
         "suite": args.suite,
         "checks": [r.as_dict() for r in reports],
     }
-    text = _dumps(payload)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+    _write_lines(args.out, [_dumps(payload)])
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

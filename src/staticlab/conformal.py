@@ -50,6 +50,8 @@ from .geometry import (  # the record's names stay bound here for readers
 from .roots import find_root
 
 U_CAP = 20.0  # the conformal checkers sample u <= U_CAP when u grows
+SAMPLE_PAD = 0.01  # fraction of the span the sample drops per side
+SAMPLE_MIN_GAP = 1e-5  # sample points keep |u - 1| >= this
 
 
 # --------------------------------------------------------------------------
@@ -188,9 +190,7 @@ def trace_identity_residual(sp: SphereData) -> float:
     return abs(scalar_direct - sp.scalar_g)
 
 
-def sample_points_off_extremum(triple: StaticTriple, count: int,
-                               pad: float = 0.01,
-                               min_gap: float = 1e-5):
+def sample_points_off_extremum(triple: StaticTriple, count: int):
     """Interior sample points for the conformal-side checkers.
 
     Filters the degenerate band around the extremal set, and on an
@@ -207,8 +207,8 @@ def sample_points_off_extremum(triple: StaticTriple, count: int,
 
         hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
         span = hi - lo
-    pts = linspace(lo + pad * span, hi - pad * span, count)
-    return [x for x in pts if abs(triple.u.value(x) - 1.0) >= min_gap]
+    pts = linspace(lo + SAMPLE_PAD * span, hi - SAMPLE_PAD * span, count)
+    return [x for x in pts if abs(triple.u.value(x) - 1.0) >= SAMPLE_MIN_GAP]
 
 
 def mean_curvature_relations(sp: SphereData) -> float:

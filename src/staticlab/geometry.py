@@ -35,6 +35,7 @@ from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
 
 
 BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
+INTERIOR_PAD = 0.01  # fraction of the span interior_points drops per side
 ARCLENGTH_MARGIN = 1e-4  # fraction of the span to_arclength drops per side
 EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
 
@@ -164,7 +165,9 @@ class StaticTriple:
 
     lambda_sign is +1 for positive cosmological constant (u normalised to
     max 1, u = 0 on the boundary) and -1 for negative (u normalised to
-    min 1, empty boundary, possibly conformally compact).
+    min 1, empty boundary, possibly conformally compact).  `branch` is None
+    for the whole solution, and "inner" or "outer" on a view made by
+    `on_branch`.
     """
 
     n: int
@@ -178,6 +181,7 @@ class StaticTriple:
     normalization_factor: float = 1.0
     conformally_compact: bool = False
     name: str = ""
+    branch: Optional[str] = None
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -204,20 +208,45 @@ class StaticTriple:
             raise ValueError(f"metric function not positive at x={x}")
         return 1.0 / math.sqrt(fval)
 
-    def interior_points(self, count: int, pad: float = 0.01) -> list[float]:
-        """Uniform sample of the interior, inset by `pad` * span per side."""
+    def interior_points(self, count: int) -> list[float]:
+        """Uniform sample of the interior, inset by INTERIOR_PAD * span per
+        side."""
         lo, hi = self.domain
-        span = hi - lo
-        return linspace(lo + pad * span, hi - pad * span, count)
+        pad = INTERIOR_PAD * (hi - lo)
+        return linspace(lo + pad, hi - pad, count)
+
+    def on_branch(self, which: str) -> "StaticTriple":
+        """The same solution on one side of its extremum, "inner" or
+        "outer": `branches()` and `horizons()` keep only the innermost or
+        outermost one where there are two.  The view shares this triple's
+        branches, so nothing is derived again."""
+        if which not in ("inner", "outer"):
+            raise ValueError(f"unknown branch designator {which!r}")
+        view = replace(self, branch=which)
+        view.__dict__["_branches"] = self._branches
+        return view
+
+    def _on_side(self, ordered: Sequence) -> tuple:
+        """`ordered`, innermost first, cut to the side of a view."""
+        if self.branch is None or len(ordered) < 2:
+            return tuple(ordered)
+        return (ordered[0],) if self.branch == "inner" else (ordered[-1],)
 
     def branches(self) -> tuple[Branch, ...]:
-        """Monotone branches of u, split at an interior extremum."""
-        return self._branches
+        """Monotone branches of u, split at an interior extremum, innermost
+        first."""
+        return self._on_side(self._branches)
+
+    def horizons(self) -> tuple[BoundaryComponent, ...]:
+        """The boundary components, innermost first; on a view, the one on
+        its side."""
+        return self._on_side(sorted(self.boundaries, key=lambda c: c.location))
 
     @cached_property
     def _branches(self) -> tuple[Branch, ...]:
-        # held on the instance: every level location needs the branches,
-        # and `dataclasses.replace` builds a triple that starts afresh
+        # held on the instance: every level location needs the branches;
+        # `dataclasses.replace` builds a triple that starts afresh, and
+        # `on_branch` hands its view these
         lo, hi = self.domain
         span = hi - lo
         xstar = self.extremum.location
@@ -269,6 +298,16 @@ class SphereData:
     def grad_u(self) -> float:
         """|Du|."""
         return abs(self.st.du)
+
+    @property
+    def arclength_jacobian(self) -> float:
+        """d(rho)/dx: 1 in the arclength chart, 1/sqrt(f) = 1/h' in the
+        areal."""
+        if self.triple.chart == "arclength":
+            return 1.0
+        if not self.st.dh > 0.0:
+            raise ValueError(f"metric function not positive at x={self.x}")
+        return 1.0 / self.st.dh
 
     @property
     def ric_rr(self) -> float:

@@ -61,32 +61,31 @@ def _integrate(f: Callable[[float], float],
 
 def _volume_density(sp: SphereData) -> float:
     """g0 volume per unit radial coordinate: |S^(n-1)| h^(n-1) drho/dx."""
-    return sp.area * sp.triple.arclength_jacobian(sp.x)
+    return sp.area * sp.arclength_jacobian
 
 
-def _conformal_region(triple: StaticTriple, s: float, S: float,
-                      branch: Optional[str]) -> list[tuple[float, float]]:
+def _conformal_region(triple: StaticTriple, s: float,
+                      S: float) -> list[tuple[float, float]]:
     """The radial interval of the slab {s < phi < S} on a branch, as a
     one-interval list."""
     if not 0.0 < s < S:
         raise ValueError("need 0 < s < S")
-    xs = level_radii(triple, t_of_s(s, triple.lambda_sign), branch)
-    xS = level_radii(triple, t_of_s(S, triple.lambda_sign), branch)
+    xs = level_radii(triple, t_of_s(s, triple.lambda_sign))
+    xS = level_radii(triple, t_of_s(S, triple.lambda_sign))
     if len(xs) != 1 or len(xS) != 1:
         raise ValueError("conformal slab must meet a single monotone branch; "
                          "pass branch='inner' or 'outer'")
     return [(min(xs[0], xS[0]), max(xs[0], xS[0]))]
 
 
-def first_identity_flux(triple: StaticTriple, p: float, tau: float,
-                        branch: Optional[str] = None) -> float:
+def first_identity_flux(triple: StaticTriple, p: float, tau: float) -> float:
     """Flux term of the first identity at the level {phi = tau}:
     integral of W^(p/2) / sinh(phi)^n over the level, w.r.t. the conformal
     area element.  Stays finite arbitrarily close to the extremal value, so
     it reads nothing that refuses the band around it."""
     t = t_of_s(tau, triple.lambda_sign)
     total = 0.0
-    for x in level_radii(triple, t, branch):
+    for x in level_radii(triple, t):
         sp = sphere_data(triple, x)
         total += sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(triple, sp.u)
     return total
@@ -103,12 +102,15 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
         W^((p-3)/2) [ (p-1) hess phi(grad phi, grad phi) + W lap phi
                       - n coth(phi) W^2 ] / sinh(phi)^n.
 
-    Valid for every p >= 1.
+    Valid for every p >= 1.  A `branch` ("inner" or "outer") restricts the
+    triple to that branch (`StaticTriple.on_branch`).
     """
     if p < 1:
         raise ValueError("asserted for p >= 1")
-    lhs = (first_identity_flux(triple, p, S, branch)
-           - first_identity_flux(triple, p, s, branch))
+    if branch is not None:
+        triple = triple.on_branch(branch)
+    lhs = (first_identity_flux(triple, p, S)
+           - first_identity_flux(triple, p, s))
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
@@ -118,15 +120,14 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
         return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
                 * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
-    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S, branch),
-                            panels)
+    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S), panels)
     return identity_report(
         name=f"first_integral_identity(p={p}, s={s}, S={S})",
         lhs=lhs, rhs=rhs, tolerance=tolerance,
         assumptions=assumption_flags(triple),
         description="weighted gradient-flux divergence identity on a "
                     "conformal slab",
-        extra={"evaluations": evals, "branch": branch or "full"})
+        extra={"evaluations": evals, "branch": triple.branch or "full"})
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -141,15 +142,18 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
 
     where B(tau) integrates W^((p-1)/2) H_g - W^((p-2)/2) lap phi over the
     level.  The right side is nonnegative under the gradient estimate, which
-    is what makes the level integrals monotone.
+    is what makes the level integrals monotone.  A `branch` restricts the
+    triple as in `first_identity`.
     """
     if p < 3:
         raise ValueError("asserted for p >= 3")
+    if branch is not None:
+        triple = triple.on_branch(branch)
 
     def weighted_boundary(tau: float) -> float:
         t = t_of_s(tau, triple.lambda_sign)
         total = 0.0
-        for sp in level_spheres(triple, t, branch):
+        for sp in level_spheres(triple, t):
             total += sp.area_g * sp.gamma * (
                 sp.W ** ((p - 1) / 2.0) * sp.H_g
                 - sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
@@ -164,15 +168,14 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         return (sp.gamma * sp.W ** ((p - 3) / 2.0) * core
                 * _volume_density(sp) / sp.D ** (triple.n / 2.0))
 
-    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S, branch),
-                            panels)
+    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S), panels)
     return identity_report(
         name=f"second_integral_identity(p={p}, s={s}, S={S})",
         lhs=lhs, rhs=rhs, tolerance=tolerance,
         assumptions=assumption_flags(triple),
         description="weighted Bochner divergence identity on a conformal "
                     "slab",
-        extra={"evaluations": evals, "branch": branch or "full"})
+        extra={"evaluations": evals, "branch": triple.branch or "full"})
 
 
 def _deficit_flux(triple: StaticTriple, t: float) -> float:

@@ -169,7 +169,7 @@ def lp_gradient_bound(triple: StaticTriple, p: float,
     flags = assumption_flags(triple)
     sign = float(triple.lambda_sign)
     lhs_sum = rhs_sum = 0.0
-    for sp in level_spheres(triple, t, None):
+    for sp in level_spheres(triple, t):
         if sp.grad_u == 0.0:
             raise ValueError(f"singular level at t={t}")
         q = sign * sp.H * sp.grad_u / sp.u + n

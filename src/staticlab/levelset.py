@@ -12,6 +12,10 @@ at s = (1/2) log|(1+t)/(1-t)|.  Both reduce to closed-form sphere sums in
 the rotationally symmetric setting; their derivatives do not, and are
 evaluated through two independent routes (mean curvature of the level vs
 conformal mean curvature) that the tests compare.
+
+Every function here sums over the spheres of the level that its triple
+sees: on a two-branch triple, both; on the view `triple.on_branch("inner")`
+(or "outer"), the one on that branch, and at t = 0 that side's horizon.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import (BRANCH_INSET, EXTREMUM_BAND, Branch, SphereData,
-                       StaticTriple, check_window, sphere_area, sphere_data,
+from .geometry import (BRANCH_INSET, EXTREMUM_BAND, SphereData, StaticTriple,
+                       check_window, sphere_area, sphere_data,
                        unit_sphere_area)
 from .roots import find_root
 
@@ -34,31 +38,14 @@ BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 # --------------------------------------------------------------------------
 # level location
 
-def select_branch(triple: StaticTriple, branch: Optional[str]) -> tuple[Branch, ...]:
-    """Resolve a branch designator: None keeps every branch; "inner"/"outer"
-    pick by radial position (only meaningful for two-branch triples)."""
-    branches = triple.branches()
-    if branch is None:
-        return branches
-    if len(branches) == 1:
-        return branches
-    ordered = sorted(branches, key=lambda b: b.lo)
-    if branch == "inner":
-        return (ordered[0],)
-    if branch == "outer":
-        return (ordered[-1],)
-    raise ValueError(f"unknown branch designator {branch!r}")
-
-
-def level_radii(triple: StaticTriple, t: float,
-                branch: Optional[str] = None) -> tuple[float, ...]:
+def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
     """All radial coordinates where u = t, smallest first.
 
     t = 0 on a positive-constant triple designates the boundary itself and
     is answered from the stored horizon data.
     """
     if triple.lambda_sign > 0 and t == 0.0:
-        return tuple(c.location for c, _ in _boundary_spheres(triple, branch))
+        return tuple(c.location for c, _ in _boundary_spheres(triple))
 
     def g(x: float) -> tuple[float, float]:
         val, slope, _ = triple.u(x)
@@ -66,7 +53,7 @@ def level_radii(triple: StaticTriple, t: float,
 
     inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
     radii = []
-    for br in select_branch(triple, branch):
+    for br in triple.branches():
         if br.u_lo <= t <= br.u_hi:
             g_ends = (br.u_lo - t, br.u_hi - t)
             radii.append(find_root(g, br.lo + inset, br.hi - inset,
@@ -79,38 +66,13 @@ def level_radii(triple: StaticTriple, t: float,
 # --------------------------------------------------------------------------
 # data on a level
 
-@dataclass(frozen=True)
-class LevelSetData:
-    """A full level {u = t}: its radii, total areas and the pointwise record
-    of each of its spheres."""
-
-    t: float
-    s: float
-    r_level: tuple[float, ...]
-    area: float
-    area_g: float
-    spheres: tuple[SphereData, ...]
-
-
-def level_spheres(triple: StaticTriple, t: float,
-                  branch: Optional[str]) -> tuple[SphereData, ...]:
+def level_spheres(triple: StaticTriple, t: float) -> tuple[SphereData, ...]:
     """The records of the spheres of {u = t}, refused like the conformal
     dictionary within EXTREMUM_BAND of u = 1, where W loses every digit."""
-    spheres = tuple(sphere_data(triple, x)
-                    for x in level_radii(triple, t, branch))
+    spheres = tuple(sphere_data(triple, x) for x in level_radii(triple, t))
     for sp in spheres:
         check_window(sp.u)
     return spheres
-
-
-def level_data(triple: StaticTriple, t: float,
-               branch: Optional[str] = None) -> LevelSetData:
-    spheres = level_spheres(triple, t, branch)
-    return LevelSetData(t=t, s=s_of_t(t),
-                        r_level=tuple(sp.x for sp in spheres),
-                        area=sum(sp.area for sp in spheres),
-                        area_g=sum(sp.area_g for sp in spheres),
-                        spheres=spheres)
 
 
 def s_of_t(t: float) -> float:
@@ -126,30 +88,27 @@ def t_of_s(s: float, lambda_sign: int) -> float:
 # --------------------------------------------------------------------------
 # U_p and its derivatives
 
-def _boundary_spheres(triple: StaticTriple, branch: Optional[str]):
-    comps = sorted(triple.boundaries, key=lambda c: c.location)
-    if branch is not None and len(comps) > 1:
-        comps = [comps[0]] if branch == "inner" else [comps[-1]]
-    return [(c, sphere_area(triple.n, c.sphere_radius)) for c in comps]
+def _boundary_spheres(triple: StaticTriple):
+    return [(c, sphere_area(triple.n, c.sphere_radius))
+            for c in triple.horizons()]
 
 
-def up_value(triple: StaticTriple, p: float, t: float,
-             branch: Optional[str] = None) -> float:
+def up_value(triple: StaticTriple, p: float, t: float) -> float:
     """U_p(t) as a closed-form sphere sum."""
     n = triple.n
     if triple.lambda_sign > 0 and t == 0.0:
         return sum(a * c.surface_gravity ** p
-                   for c, a in _boundary_spheres(triple, branch))
+                   for c, a in _boundary_spheres(triple))
     pref = abs(1.0 - t * t) ** (-(n + p - 1) / 2.0)
     total = 0.0
-    for x in level_radii(triple, t, branch):
+    for x in level_radii(triple, t):
         st = triple.radial_state(x)
         total += sphere_area(n, st.h) * abs(st.du) ** p
     return pref * total
 
 
-def up_derivative(triple: StaticTriple, p: float, t: float,
-                  branch: Optional[str] = None) -> tuple[float, float, float]:
+def up_derivative(triple: StaticTriple, p: float,
+                  t: float) -> tuple[float, float, float]:
     """The three displayed expressions for U_p'(t), p >= 3.
 
     Returns (h_form, ricci_form, bound).  The first two are algebraically
@@ -166,7 +125,7 @@ def up_derivative(triple: StaticTriple, p: float, t: float,
     pref = -sign * (p - 1) * t * d_level ** (-(n + p - 1) / 2.0)
     c_np = (n + p - 1) / (p - 1)
     h_form = ricci_form = bound = 0.0
-    for sp in level_spheres(triple, t, branch):
+    for sp in level_spheres(triple, t):
         if sp.grad_u == 0.0:
             raise ValueError(f"singular level at t={t}")
         weight = sp.grad_u ** (p - 2) * sp.area
@@ -192,7 +151,7 @@ def up_second_derivative_at_boundary(triple: StaticTriple, p: float) -> float:
         if not triple.boundaries:
             raise ValueError("triple has no boundary")
         total = 0.0
-        for c, a in _boundary_spheres(triple, None):
+        for c, a in _boundary_spheres(triple):
             r_scal = (n - 1) * (n - 2) / c.sphere_radius ** 2
             kappa = c.surface_gravity
             total += a * kappa ** (p - 2) * (
@@ -213,7 +172,7 @@ def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
     if triple.lambda_sign > 0:
         return -n * sum(a * c.surface_gravity ** (p - 2)
                         * (1.0 - c.surface_gravity ** 2)
-                        for c, a in _boundary_spheres(triple, None))
+                        for c, a in _boundary_spheres(triple))
     bdry = conformal_boundary_data(triple)
     return -n * bdry.gradient_limit * bdry.area_g
 
@@ -221,23 +180,21 @@ def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
 # --------------------------------------------------------------------------
 # Phi_p
 
-def phi_p(triple: StaticTriple, p: float, s: float,
-          branch: Optional[str] = None) -> float:
+def phi_p(triple: StaticTriple, p: float, s: float) -> float:
     """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
     t = t_of_s(s, triple.lambda_sign)
     return sum(sp.W ** (p / 2.0) * sp.area_g
-               for sp in level_spheres(triple, t, branch))
+               for sp in level_spheres(triple, t))
 
 
-def phi_p_derivative(triple: StaticTriple, p: float, s: float,
-                     branch: Optional[str] = None) -> float:
+def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
     """Phi_p'(s) through the conformal mean curvature and Laplacian:
 
         integral of -(p-1) |grad phi|^(p-1) H_g + p |grad phi|^(p-2) lap phi.
     """
     t = t_of_s(s, triple.lambda_sign)
     total = 0.0
-    for sp in level_spheres(triple, t, branch):
+    for sp in level_spheres(triple, t):
         total += sp.area_g * (
             -(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
             + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
@@ -259,11 +216,10 @@ class Curve:
     d_numeric: tuple[float, ...]
 
 
-def _level_window(triple: StaticTriple, branch: Optional[str],
-                  band: float) -> tuple[float, float]:
-    """The levels that the selected branches can locate, kept `band` off
-    the extremal value 1."""
-    branches = select_branch(triple, branch)
+def _level_window(triple: StaticTriple, band: float) -> tuple[float, float]:
+    """The levels that the branches of the triple can locate, kept `band`
+    off the extremal value 1."""
+    branches = triple.branches()
     lo = min(b.u_lo for b in branches)
     hi = max(b.u_hi for b in branches)
     if triple.lambda_sign > 0:
@@ -272,46 +228,43 @@ def _level_window(triple: StaticTriple, branch: Optional[str],
 
 
 def _numeric_derivative(triple: StaticTriple, p: float, t: float,
-                        branch: Optional[str], base: float) -> float:
+                        base: float) -> float:
     """Five-point difference of U_p at t with step at most `base`, one-sided
     at a domain edge; the stencil never straddles the extremal value."""
-    lo, hi = _level_window(triple, branch, EXTREMUM_CUTOFF)
+    lo, hi = _level_window(triple, EXTREMUM_CUTOFF)
     lo_room, hi_room = t - lo, hi - t
     h = min(base, 0.2 * lo_room, 0.2 * hi_room)
     if h > 1e-12:
-        up = lambda tt: up_value(triple, p, tt, branch)
+        up = lambda tt: up_value(triple, p, tt)
         return (up(t - 2 * h) - 8 * up(t - h) + 8 * up(t + h)
                 - up(t + 2 * h)) / (12.0 * h)
     h = min(base, 0.45 * max(lo_room, hi_room))
     sgn = 1.0 if hi_room >= lo_room else -1.0
-    return sgn * (up_value(triple, p, t + sgn * h, branch)
-                  - up_value(triple, p, t, branch)) / h
+    return sgn * (up_value(triple, p, t + sgn * h)
+                  - up_value(triple, p, t)) / h
 
 
-def up_curve(triple: StaticTriple, p: float, grid: Sequence[float],
-             branch: Optional[str] = None) -> Curve:
+def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
     grid = tuple(grid)
-    values = tuple(up_value(triple, p, t, branch) for t in grid)
-    d_num = tuple(_numeric_derivative(triple, p, t, branch, FD_STEP)
-                  for t in grid)
+    values = tuple(up_value(triple, p, t) for t in grid)
+    d_num = tuple(_numeric_derivative(triple, p, t, FD_STEP) for t in grid)
     d_ana = None
     if p >= 3:
-        d_ana = tuple(up_derivative(triple, p, t, branch)[0] for t in grid)
+        d_ana = tuple(up_derivative(triple, p, t)[0] for t in grid)
     return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
                  d_numeric=d_num)
 
 
-def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float],
-              branch: Optional[str] = None) -> Curve:
+def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
     """Phi_p over `grid`.  The numeric derivative is a centred difference
     with step at most FD_STEP inside the levels that Phi_p can read, and
     one-sided within 2e-9 of their edge, where t = tanh s or coth s leaves
     too few bits to centre a stencil on."""
     grid = tuple(grid)
-    phi = lambda s: phi_p(triple, p, s, branch)
+    phi = lambda s: phi_p(triple, p, s)
     values = tuple(phi(s) for s in grid)
     s_lo, s_hi = sorted(s_of_t(t) for t in
-                        _level_window(triple, branch, EXTREMUM_BAND))
+                        _level_window(triple, EXTREMUM_BAND))
     d_num = []
     for s, value in zip(grid, values):
         lo_room, hi_room = s - s_lo, s_hi - s
@@ -324,7 +277,7 @@ def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float],
         d_num.append(sgn * (phi(s + sgn * h) - value) / h)
     d_ana = None
     if p >= 3:
-        d_ana = tuple(phi_p_derivative(triple, p, s, branch) for s in grid)
+        d_ana = tuple(phi_p_derivative(triple, p, s) for s in grid)
     return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
                  d_numeric=tuple(d_num))
 

@@ -47,6 +47,7 @@ H_FLOOR_REL = 1e-4      # warp collapse threshold, relative to h0
 U_FLOOR_REL = 1e-6      # second-horizon threshold, times kappa*h0
 DRIFT_SAMPLES = 200     # interior points monitor_drift reads
 DRIFT_TOL = 1e-8        # largest monitor drift of a shot that is trusted
+POLE_TOL = 1e-3         # a smooth pole ends with |h' + 1| and |u'| below this
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,10 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     """Integrate outward from horizon data and package the trajectory.
 
     Stops when u returns to zero (a second horizon), when the warping
-    radius collapses (a smooth pole closing off a ball), or at the
-    arclength budget.  An interior zero of u' with the warp still open
+    radius collapses (a pole closing off a ball), or at the arclength
+    budget.  A pole that is not smooth (h' = -1 and normalised u' = 0 at
+    the end, to POLE_TOL) raises RuntimeError, as does a failed
+    integration.  An interior zero of u' with the warp still open
     marks an extremal sphere and integration continues through it.
 
     The returned triple is normalised to max u = 1, carries dense-output
@@ -187,6 +190,13 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
         raise RuntimeError("reached a second horizon without an interior "
                            "extremum; trajectory is not a static solution")
     scale = 1.0 / u_max
+    if not hit_second_horizon:
+        dh_end, du_end = float(y_end[1]), scale * float(y_end[3])
+        if abs(dh_end + 1.0) > POLE_TOL or abs(du_end) > POLE_TOL:
+            raise RuntimeError(
+                f"the shot closes at a singular pole: h'={dh_end:.6g} and "
+                f"u'={du_end:.6g} at its end, where a smooth pole has -1 "
+                "and 0")
     domain_end = rho_bdry if hit_second_horizon else rho_end
 
     def raw_state(rho: float) -> np.ndarray:

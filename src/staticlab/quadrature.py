@@ -21,9 +21,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_evals: int = 100_000
+    abs_tol: float
+    rel_tol: float
+    max_evals: int
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,12 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[flo
 
 
 def adaptive(f: Callable[[float], float], a: float, b: float,
-             config: QuadratureConfig | None = None) -> QuadResult:
-    """Adaptively integrate f over [a, b] to the configured targets.
+             config: QuadratureConfig) -> QuadResult:
+    """Adaptively integrate f over [a, b] to the targets of `config`.
 
     Raises QuadratureError if the evaluation budget is exhausted before the
     error estimate meets max(abs_tol, rel_tol * |value|).
     """
-    cfg = config or QuadratureConfig()
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
 
@@ -100,10 +99,10 @@ def adaptive(f: Callable[[float], float], a: float, b: float,
     # heap of (-error, lo, hi, value, error); worst interval first
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        if evals + 30 > cfg.max_evals:
+    while total_err > max(config.abs_tol, config.rel_tol * abs(total_val)):
+        if evals + 30 > config.max_evals:
             raise QuadratureError(
-                f"budget of {cfg.max_evals} evaluations exhausted; "
+                f"budget of {config.max_evals} evaluations exhausted; "
                 f"error estimate {total_err:.3e} on value {total_val:.6e}")
         neg_err, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

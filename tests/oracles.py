@@ -53,7 +53,7 @@ def sds_horizon_data(n: int, m: float):
 
 def arclength_from_horizon(f, fprime, rh: float, r: float) -> float:
     """rho(r) = int_rh^r dr'/sqrt(f), regularised by r' = rh + xi^2."""
-    cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
+    cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_evals=100_000)
 
     def integrand(xi):
         ff = f(rh + xi * xi)

@@ -72,11 +72,11 @@ def test_criterion_2_constancy_on_round_models():
 
 def test_criterion_3_derivative_consistency():
     t0 = time.monotonic()
-    sds = schwarzschild_de_sitter(SdSParams(3, 0.1))
+    sds = schwarzschild_de_sitter(SdSParams(3, 0.1)).on_branch("outer")
     worst_forms = worst_fd = 0.0
     for t in np.linspace(0.05, 0.9, 50):
-        f1, f2, _ = LS.up_derivative(sds, 3, float(t), branch="outer")
-        fd = LS._numeric_derivative(sds, 3, float(t), "outer", 1e-4)
+        f1, f2, _ = LS.up_derivative(sds, 3, float(t))
+        fd = LS._numeric_derivative(sds, 3, float(t), 1e-4)
         worst_forms = max(worst_forms, abs(f1 - f2))
         worst_fd = max(worst_fd, abs(f1 - fd), abs(f2 - fd))
     elapsed = time.monotonic() - t0

@@ -270,11 +270,29 @@ def test_shoot_at_extreme_kappa_prints_the_unit_shot(capsys):
 
 
 def test_shoot_with_monitor_drift_above_the_bound_exits_1(capsys):
-    # the rows print, then the drift (4.4e-7 here) is held against DRIFT_TOL
-    code, out, err = _shoot(capsys, "--h0", "100", "--kappa", "1")
+    # the rows print, then the drift (1.3e-7 here, on a small black hole
+    # with two horizons) is held against DRIFT_TOL
+    code, out, err = _shoot(capsys, "--h0", "0.01", "--kappa", "1")
     assert code == 1
     assert len(out.splitlines()) == 4
     assert err.startswith("staticlab shoot: monitor drift ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--h0", "1.01"),  # h' = -14.2 and u' = 6.2e4 at the end
+    ("--h0", "1.5"),
+    ("--h0", "100"),
+    ("--n", "4", "--h0", "1"),  # h' = -1, but u' = -1.77
+])
+def test_shoot_that_closes_at_a_singular_pole_exits_2(capsys, flags):
+    # a smooth pole ends with h' = -1 and u' = 0, as the n = 3, h0 = 1
+    # shot does (h' = -0.99999999, u' = 7.4e-6)
+    code, out, err = _shoot(capsys, *flags, "--kappa", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("staticlab shoot: error: the shot closes at a "
+                          "singular pole")
     assert len(err.splitlines()) == 1
 
 

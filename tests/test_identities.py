@@ -23,7 +23,8 @@ def test_first_identity_de_sitter_closed_form(ds3):
     # independent 1-d quadrature oracle for the bulk side
     oracle = -3 * S3_AREA * adaptive(
         lambda tau: math.cosh(tau) / math.sinh(tau) ** 4, s, S,
-        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)).value
+        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12,
+                         max_evals=100_000)).value
     assert rep.rhs == pytest.approx(oracle, rel=1e-10)
 
 
@@ -118,7 +119,7 @@ def test_second_identity_far_boundary_vanishes(sds01):
     def weighted_boundary(tau):
         t = t_of_s(tau, +1)
         total = 0.0
-        for x in level_radii(sds01, t, "outer"):
+        for x in level_radii(sds01.on_branch("outer"), t):
             sp = sphere_data(sds01, x)
             total += sp.area_g * sp.gamma * (
                 sp.W * sp.H_g - math.sqrt(sp.W) * sp.lap_phi)

@@ -15,7 +15,7 @@ from staticlab import (
     schwarzschild_de_sitter,
 )
 from staticlab import levelset as LS
-from staticlab.geometry import BRANCH_INSET
+from staticlab.geometry import BRANCH_INSET, StaticTriple, sphere_area
 
 from oracles import bisect_bracket, sds_horizon_data
 
@@ -36,14 +36,52 @@ def test_level_radii_sds_two_spheres(sds01):
     assert len(radii) == 2
     for r in radii:
         assert sds01.u.value(r) == pytest.approx(0.5, abs=1e-12)
-    (inner,) = LS.level_radii(sds01, 0.5, branch="inner")
-    (outer,) = LS.level_radii(sds01, 0.5, branch="outer")
+    (inner,) = LS.level_radii(sds01.on_branch("inner"), 0.5)
+    (outer,) = LS.level_radii(sds01.on_branch("outer"), 0.5)
     assert inner == radii[0] and outer == radii[1]
 
 
 def test_level_zero_is_the_boundary(sds01):
     radii = LS.level_radii(sds01, 0.0)
     assert radii == tuple(sorted(b.location for b in sds01.boundaries))
+
+
+def test_branch_view_sees_one_side(sds01):
+    inner, outer = sds01.on_branch("inner"), sds01.on_branch("outer")
+    for t in (0.05, 0.5, 0.95):
+        radii = LS.level_radii(sds01, t)
+        assert LS.level_radii(inner, t) == radii[:1]
+        assert LS.level_radii(outer, t) == radii[1:]
+    # at t = 0 a view sees only its own horizon
+    near, far = sorted(sds01.boundaries, key=lambda c: c.location)
+    for view, comp in ((inner, near), (outer, far)):
+        assert LS.level_radii(view, 0.0) == (comp.location,)
+        assert LS.up_value(view, 3, 0.0) == (
+            sphere_area(3, comp.sphere_radius) * comp.surface_gravity ** 3)
+    assert LS.up_value(sds01, 3, 0.0) == (LS.up_value(inner, 3, 0.0)
+                                         + LS.up_value(outer, 3, 0.0))
+
+
+def test_branch_view_shares_the_branches(monkeypatch):
+    tr = schwarzschild_de_sitter(SdSParams(n=3, m=0.1))
+    full = tr.branches()
+    calls = [0]
+    radial_state = StaticTriple.radial_state
+
+    def counted_state(self, x):
+        calls[0] += 1
+        return radial_state(self, x)
+
+    monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
+    inner, outer = tr.on_branch("inner"), tr.on_branch("outer")
+    assert inner.branches() == full[:1] and outer.branches() == full[1:]
+    assert inner.branch == "inner" and tr.branch is None
+    assert calls[0] == 0
+
+
+def test_unknown_branch_designator_is_refused(sds01):
+    with pytest.raises(ValueError, match="unknown branch designator"):
+        sds01.on_branch("middle")
 
 
 def test_level_out_of_range(ds3):
@@ -76,9 +114,10 @@ def test_level_radii_as_good_as_bisection(kind, n, mass_fraction, which,
     tr = _model(kind, n, mass_fraction)
     branches = tr.branches()
     br = branches[which % len(branches)]
-    designator = None if len(branches) == 1 else ("inner", "outer")[which]
+    view = (tr if len(branches) == 1
+            else tr.on_branch(("inner", "outer")[which]))
     t = br.u_lo + level_fraction * (br.u_hi - br.u_lo)
-    (x,) = LS.level_radii(tr, t, designator)
+    (x,) = LS.level_radii(view, t)
     assert br.lo < x < br.hi
     inset = BRANCH_INSET * (tr.domain[1] - tr.domain[0])
     ref = max(abs(tr.u.value(y) - t) for y in bisect_bracket(
@@ -108,14 +147,15 @@ def test_level_location_cost(tr, grid):
 
 
 def test_level_data_fields(sds01):
-    data = LS.level_data(sds01, 0.5)
-    assert len(data.r_level) == 2
-    assert data.s == pytest.approx(0.5 * math.log(3.0))
+    spheres = LS.level_spheres(sds01, 0.5)
+    radii = [sp.x for sp in spheres]
+    assert len(radii) == 2
+    assert LS.s_of_t(0.5) == pytest.approx(0.5 * math.log(3.0))
     # area = |S^2| * sum r^2
-    expect = S3_AREA * sum(r * r for r in data.r_level)
-    assert data.area == pytest.approx(expect, rel=1e-12)
-    assert data.area_g == pytest.approx(
-        S3_AREA * sum(r * r for r in data.r_level) / (1 - 0.25) ** 1.0,
+    expect = S3_AREA * sum(r * r for r in radii)
+    assert sum(sp.area for sp in spheres) == pytest.approx(expect, rel=1e-12)
+    assert sum(sp.area_g for sp in spheres) == pytest.approx(
+        S3_AREA * sum(r * r for r in radii) / (1 - 0.25) ** 1.0,
         rel=1e-12)
 
 
@@ -166,16 +206,17 @@ def test_up_derivative_zero_on_round_models(ds3, ads3):
 
 
 def test_up_derivative_forms_agree_sds(sds01):
-    for branch in ("inner", "outer", None):
+    for view in (sds01.on_branch("inner"), sds01.on_branch("outer"), sds01):
         for t in np.linspace(0.05, 0.9, 25):
-            f1, f2, _ = LS.up_derivative(sds01, 3, float(t), branch)
+            f1, f2, _ = LS.up_derivative(view, 3, float(t))
             assert abs(f1 - f2) <= 1e-8 * max(1.0, abs(f1))
 
 
 def test_up_derivative_matches_finite_differences(sds01):
+    outer = sds01.on_branch("outer")
     for t in np.linspace(0.05, 0.9, 25):
-        f1, _, _ = LS.up_derivative(sds01, 3, float(t), "outer")
-        fd = LS._numeric_derivative(sds01, 3, float(t), "outer", 1e-4)
+        f1, _, _ = LS.up_derivative(outer, 3, float(t))
+        fd = LS._numeric_derivative(outer, 3, float(t), 1e-4)
         assert abs(f1 - fd) <= 1e-5
 
 
@@ -205,8 +246,8 @@ def test_phi_p_equals_up(ds3, sds01, ads3, nariai3):
 
 def test_phi_0_is_conformal_area(sds01):
     s = LS.s_of_t(0.5)
-    data = LS.level_data(sds01, 0.5)
-    assert LS.phi_p(sds01, 0, s) == pytest.approx(data.area_g, rel=1e-12)
+    area_g = sum(sp.area_g for sp in LS.level_spheres(sds01, 0.5))
+    assert LS.phi_p(sds01, 0, s) == pytest.approx(area_g, rel=1e-12)
 
 
 def test_phi_p_constant_on_round_models(ds3, ads3):
@@ -295,7 +336,7 @@ def test_vp_second_derivative_limit_ads(ads3):
 
 def test_up_curve_analytic_vs_numeric(sds01):
     grid = np.linspace(0.05, 0.9, 20)
-    curve = LS.up_curve(sds01, 3, grid, branch="outer")
+    curve = LS.up_curve(sds01.on_branch("outer"), 3, grid)
     for ana, num in zip(curve.d_analytic, curve.d_numeric):
         assert abs(ana - num) <= max(1e-6, 1e-4 * abs(ana))
 

@@ -101,6 +101,50 @@ def test_quadrature_node_builds_one_radial_state(all_models, check,
     assert per_node and set(per_node) == {1}
 
 
+@pytest.mark.parametrize("check", [
+    lambda tr: ID.first_identity(tr, 3, 0.5, 2.5, "outer"),
+    lambda tr: ID.second_identity(tr, 3, 0.5, 2.5, "outer"),
+    lambda tr: ID.curvature_deficit_identity(tr, 0.3),
+], ids=["first", "second", "deficit"])
+def test_quadrature_node_evaluates_f_once(sds01, check, monkeypatch):
+    # on an areal triple the record's h' = sqrt(f) gives the arclength
+    # Jacobian, so a node evaluates the metric function only for its state
+    calls = [0]
+    fn = sds01.f.fn
+
+    def counted_f(x):
+        calls[0] += 1
+        return fn(x)
+
+    tr = dataclasses.replace(sds01, f=dataclasses.replace(sds01.f,
+                                                          fn=counted_f))
+    per_node = []
+    adaptive = ID.adaptive
+
+    def counted_adaptive(f, a, b, config):
+        def node(x):
+            before = calls[0]
+            value = f(x)
+            per_node.append(calls[0] - before)
+            return value
+        return adaptive(node, a, b, config)
+
+    monkeypatch.setattr(ID, "adaptive", counted_adaptive)
+    assert check(tr).status == "pass"
+    assert per_node and set(per_node) == {1}
+
+
+def test_areal_jacobian_refuses_nonpositive_f(sds01):
+    x = sds01.interior_points(3)[1]
+    st = sds01.radial_state(x)
+    assert SphereData(sds01, x, st).arclength_jacobian == \
+        sds01.arclength_jacobian(x)
+    for dh in (0.0, math.nan):  # sqrt(max(f, 0)) where f <= 0 or is NaN
+        sp = SphereData(sds01, x, dataclasses.replace(st, dh=dh))
+        with pytest.raises(ValueError, match="metric function not positive"):
+            sp.arclength_jacobian
+
+
 def test_singular_quantities_are_lazy(nariai3):
     # the deficit integrand reaches the extremal sphere u = 1, where the
     # record still builds; only the conformal dictionary refuses
@@ -128,7 +172,7 @@ def test_level_readers_refuse_the_extremal_band(ds3):
     for read in (lambda: LS.up_derivative(ds3, 3, t),
                  lambda: LS.phi_p(ds3, 3, LS.s_of_t(t)),
                  lambda: LS.phi_p_derivative(ds3, 3, LS.s_of_t(t)),
-                 lambda: LS.level_data(ds3, t),
+                 lambda: LS.level_spheres(ds3, t),
                  lambda: lp_gradient_bound(ds3, 3, t)):
         with pytest.raises(ValueError, match="excluded band"):
             read()

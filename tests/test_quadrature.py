@@ -15,22 +15,23 @@ from staticlab.quadrature import (
 
 from oracles import gauss_kronrod_15
 
+CONFIG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_evals=100_000)
+
 
 def test_adaptive_polynomial_exact():
-    res = adaptive(lambda x: x ** 4, 0.0, 1.0)
+    res = adaptive(lambda x: x ** 4, 0.0, 1.0, CONFIG)
     assert res.value == pytest.approx(0.2, abs=1e-14)
 
 
 def test_adaptive_oscillatory():
-    res = adaptive(lambda x: math.sin(10 * x), 0.0, math.pi)
+    res = adaptive(lambda x: math.sin(10 * x), 0.0, math.pi, CONFIG)
     exact = (1 - math.cos(10 * math.pi)) / 10
     assert res.value == pytest.approx(exact, abs=1e-10)
     assert res.evaluations <= 100_000
 
 
 def test_adaptive_near_singular_endpoint():
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_evals=100_000)
-    res = adaptive(lambda x: 1.0 / math.sqrt(x), 1e-10, 1.0, cfg)
+    res = adaptive(lambda x: 1.0 / math.sqrt(x), 1e-10, 1.0, CONFIG)
     assert res.value == pytest.approx(2.0 * (1 - 1e-5), rel=1e-8)
 
 
@@ -48,7 +49,7 @@ def test_adaptive_counts_evaluations():
         calls += 1
         return x * x
 
-    res = adaptive(f, 0.0, 1.0)
+    res = adaptive(f, 0.0, 1.0, CONFIG)
     assert res.evaluations == calls
 
 
@@ -62,7 +63,7 @@ def test_composite_simpson_order():
 
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
-        adaptive(lambda x: x, 1.0, 1.0)
+        adaptive(lambda x: x, 1.0, 1.0, CONFIG)
 
 
 def test_kronrod_constants_are_correctly_rounded():
