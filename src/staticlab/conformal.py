@@ -24,7 +24,8 @@ weighted divergence identities take one common form.
 Everything is computed from g0-side quantities through these dictionaries;
 no second metric representation is ever stored.  The dictionary entries
 are lazy properties of the pointwise record `geometry.SphereData`, next to
-D, W and the curvature of g0; each refuses the band |u - 1| <
+D, W and the curvature of g0, and are derived from its fields, the radial
+state (u, u', u'', h, h', h''); each refuses the band |u - 1| <
 EXTREMUM_BAND, and `to_conformal` returns the record of a point outside it.
 
 This module holds the conformal identities that read the record.  The five
@@ -41,6 +42,7 @@ import math
 
 from .geometry import (  # the record's names stay bound here for readers
     EXTREMUM_BAND,
+    INTERIOR_PAD,
     SphereData,
     StaticTriple,
     check_window,
@@ -50,7 +52,6 @@ from .geometry import (  # the record's names stay bound here for readers
 from .roots import find_root
 
 U_CAP = 20.0  # the conformal checkers sample u <= U_CAP when u grows
-SAMPLE_PAD = 0.01  # fraction of the span the sample drops per side
 SAMPLE_MIN_GAP = 1e-5  # sample points keep |u - 1| >= this
 
 
@@ -82,7 +83,7 @@ def _ricci_g_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
     n, d, s = sp.triple.n, sp.D, sp.triple.lambda_sign
-    u, du2 = sp.st.u, sp.st.du ** 2
+    u, du2 = sp.u, sp.du ** 2
     common = (u * sp.lap_u / d
               + s * ((n - 1) * u * u + 1.0) * du2 / d ** 2)
     ric_rr = (sp.ric_rr - s * (n - 2) * u * sp.hess_u_rr / d
@@ -98,12 +99,12 @@ def quasi_einstein_residual(sp: SphereData) -> float:
                 + (n - 2 + 2(1 - W)) g,
 
     as the max over the two independent orthonormal components."""
-    st, n, u = sp.st, sp.triple.n, sp.st.u
+    n, u = sp.triple.n, sp.u
     d, w_norm = sp._D_off_band, sp.W
     ric_rr, ric_tt = _ricci_g_components(sp)
     hp_rr, hp_tt = sp.hess_phi_components
     coeff = 1.0 / u - (n - 1) * u
-    dphi2_rr = st.du ** 2 / d ** 2
+    dphi2_rr = sp.du ** 2 / d ** 2
     metric_term = (n - 2.0 + 2.0 * (1.0 - w_norm)) / d
     rhs_rr = coeff * hp_rr - (n - 2) * dphi2_rr + metric_term
     rhs_tt = coeff * hp_tt + metric_term
@@ -111,16 +112,16 @@ def quasi_einstein_residual(sp: SphereData) -> float:
 
 
 def _radial_derivatives(sp: SphereData) -> tuple[float, float, float, float]:
-    """(W', W'', w', w'') in arclength, in closed form from the radial state:
+    """(W', W'', w', w'') in arclength, in closed form from the record:
     with q = u'^2 and D = sign (1 - u^2), W = q / D and w = D - q.
 
     u''' comes from differentiating the potential equation
     u'' + (n-1)(h'/h) u' = -sign n u once, so like `_ricci_g_components` and
     the dictionary's lap_phi this holds on solutions."""
-    st, s, n = sp.st, sp.triple.lambda_sign, sp.triple.n
-    u, u1, u2 = st.u, st.du, st.d2u
-    k = st.dh / st.h
-    u3 = -(n - 1) * ((st.d2h / st.h - k * k) * u1 + k * u2) - s * n * u1
+    s, n = sp.triple.lambda_sign, sp.triple.n
+    u, u1, u2 = sp.u, sp.du, sp.d2u
+    k = sp.dh / sp.h
+    u3 = -(n - 1) * ((sp.d2h / sp.h - k * k) * u1 + k * u2) - s * n * u1
     d = sp.D
     d1 = -2.0 * s * u * u1
     d2 = -2.0 * s * (u1 * u1 + u * u2)
@@ -138,18 +139,18 @@ def _laplacian_g_radial(sp: SphereData, p1: float, p2: float) -> float:
 
         lap_g psi = sign * [ (1 - u^2) lap_0 psi + (n-2) u <Du, Dpsi>_0 ].
     """
-    st, n = sp.st, sp.triple.n
-    lap0 = p2 + (n - 1) * (st.dh / st.h) * p1
-    return sp.triple.lambda_sign * ((1.0 - st.u ** 2) * lap0
-                                    + (n - 2) * st.u * st.du * p1)
+    n, u = sp.triple.n, sp.u
+    lap0 = p2 + (n - 1) * (sp.dh / sp.h) * p1
+    return sp.triple.lambda_sign * ((1.0 - u ** 2) * lap0
+                                    + (n - 2) * u * sp.du * p1)
 
 
 def _drifted_laplacian(sp: SphereData, p1: float, p2: float,
                        c: int) -> float:
     """lap_g psi - (1/u + c u) <grad psi, grad phi>_g for a radial psi with
     psi' = p1 and psi'' = p2; <grad psi, grad phi>_g = sign psi' u'."""
-    u = sp.st.u
-    pairing = sp.triple.lambda_sign * p1 * sp.st.du
+    u = sp.u
+    pairing = sp.triple.lambda_sign * p1 * sp.du
     return _laplacian_g_radial(sp, p1, p2) - (1.0 / u + c * u) * pairing
 
 
@@ -159,7 +160,7 @@ def bochner_residual(sp: SphereData) -> float:
         lap_g W - (1/u + (n+1)u) <grad W, grad phi>_g
             - 2 |hess phi|^2 - 2 n u^2 W (1 - W)  =  0.
     """
-    n, u = sp.triple.n, sp.st.u
+    n, u = sp.triple.n, sp.u
     w1, w2, _, _ = _radial_derivatives(sp)
     return abs(_drifted_laplacian(sp, w1, w2, n + 1)
                - 2.0 * sp.hess_phi_norm2
@@ -207,7 +208,8 @@ def sample_points_off_extremum(triple: StaticTriple, count: int):
 
         hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
         span = hi - lo
-    pts = linspace(lo + SAMPLE_PAD * span, hi - SAMPLE_PAD * span, count)
+    pad = INTERIOR_PAD * span  # the inset of `StaticTriple.interior_points`
+    pts = linspace(lo + pad, hi - pad, count)
     return [x for x in pts if abs(triple.u.value(x) - 1.0) >= SAMPLE_MIN_GAP]
 
 
@@ -218,12 +220,11 @@ def mean_curvature_relations(sp: SphereData) -> float:
 
     against H_g computed independently from the conformal Hessian and
     Laplacian dictionaries (no field equation is used on that side)."""
-    st = sp.st
+    u, du = sp.u, sp.du
     # direct side: H_g = (lap_g phi - hess_g phi(nu_g, nu_g)) / |grad phi|_g,
     # with lap_g phi from the conformal Laplacian of phi(u)
-    phi1 = st.du / (1.0 - st.u ** 2)
-    phi2 = (st.d2u * (1.0 - st.u ** 2) + 2.0 * st.u * st.du ** 2) \
-        / (1.0 - st.u ** 2) ** 2
+    phi1 = du / (1.0 - u ** 2)
+    phi2 = (sp.d2u * (1.0 - u ** 2) + 2.0 * u * du ** 2) / (1.0 - u ** 2) ** 2
     lap_g_phi = _laplacian_g_radial(sp, phi1, phi2)
     direct = (lap_g_phi - sp.hess_phi_nn) / math.sqrt(sp.W)
     return abs(direct - sp.H_g)

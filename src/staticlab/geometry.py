@@ -5,16 +5,18 @@ A rotationally symmetric static triple carries a metric of one of two forms:
 * arclength chart:  g0 = drho (x) drho + h(rho)^2 g_{S^(n-1)}
 * areal chart:      g0 = dr (x) dr / f(r) + r^2 g_{S^(n-1)}
 
-Every curvature formula below is written in arclength-normalised variables
-(u, u', u'', h, h', h''), where a prime is d/drho.  The areal chart supplies
-them through u' = sqrt(f) du/dr, u'' = f d2u/dr2 + f' du/dr / 2, h = r,
-h' = sqrt(f), h'' = f'/2, so the two charts share one code path and the
-areal chart never divides by f at a horizon.
+A triple is in the areal chart exactly when it has a metric function f,
+and then it has no h profile.  Every curvature formula below is written in
+arclength-normalised variables (u, u', u'', h, h', h''), where a prime is
+d/drho.  The areal chart supplies them through u' = sqrt(f) du/dr,
+u'' = f d2u/dr2 + f' du/dr / 2, h = r, h' = sqrt(f), h'' = f'/2, so the
+two charts share one code path and the areal chart never divides by f at a
+horizon.
 
 `sphere_data(triple, x)` builds the one pointwise record, `SphereData`,
-from one profile evaluation at x; the curvature of g0, the derivatives of
-u and the conformal dictionary (see `conformal`) are read from it on
-demand.
+from one profile evaluation at x: its fields are that state, and the
+curvature of g0, the derivatives of u and the conformal dictionary (see
+`conformal`) are read from them on demand.
 
 The field equations verified here are, with the cosmological constant
 normalised to sign * n(n-1)/2,
@@ -111,7 +113,6 @@ class BoundaryComponent:
     location: float
     sphere_radius: float
     surface_gravity: float
-    euler_characteristic: int
 
 
 def boundary_scalar_curvature(n: int, component: BoundaryComponent) -> float:
@@ -124,27 +125,14 @@ class Extremum:
     """Where u attains its normalised extremum (max for sign=+1, min for -1).
 
     For the model families the extremal set is either a single point
-    (discrete=True, count=1) or a whole sphere of radius `sphere_radius`
-    (discrete=False, count=None); checks that assume a discrete extremal set
-    must refuse in the latter case rather than guess a count.
+    (discrete=True, count=1) or a whole sphere (discrete=False, count=None);
+    checks that assume a discrete extremal set must refuse in the latter
+    case rather than guess a count.
     """
 
     location: float
     discrete: bool
     count: Optional[int] = None
-    sphere_radius: float = 0.0
-
-
-@dataclass(frozen=True)
-class RadialState:
-    """Arclength-normalised pointwise data (u, u', u'', h, h', h'')."""
-
-    u: float
-    du: float
-    d2u: float
-    h: float
-    dh: float
-    d2h: float
 
 
 @dataclass(frozen=True)
@@ -165,16 +153,16 @@ class StaticTriple:
 
     lambda_sign is +1 for positive cosmological constant (u normalised to
     max 1, u = 0 on the boundary) and -1 for negative (u normalised to
-    min 1, empty boundary, possibly conformally compact).  `branch` is None
-    for the whole solution, and "inner" or "outer" on a view made by
+    min 1, empty boundary, possibly conformally compact).  The chart
+    follows `f`, and `h` is None in the areal chart.  `branch` is None for
+    the whole solution, and "inner" or "outer" on a view made by
     `on_branch`.
     """
 
     n: int
     lambda_sign: int
-    chart: str  # "arclength" | "areal"
     u: RadialProfile
-    h: RadialProfile
+    h: Optional[RadialProfile]
     f: Optional[RadialProfile]
     boundaries: tuple[BoundaryComponent, ...]
     extremum: Extremum
@@ -187,26 +175,20 @@ class StaticTriple:
     def domain(self) -> tuple[float, float]:
         return self.u.domain
 
-    def radial_state(self, x: float) -> RadialState:
-        u, du, d2u = self.u(x)
-        if self.chart == "arclength":
-            h, dh, d2h = self.h(x)
-            return RadialState(u, du, d2u, h, dh, d2h)
-        if self.chart == "areal":
-            fval, f1, _ = self.f(x)
-            sf = math.sqrt(max(fval, 0.0))
-            return RadialState(u, sf * du, fval * d2u + 0.5 * f1 * du,
-                               x, sf, 0.5 * f1)
-        raise ValueError(f"unknown chart {self.chart!r}")
+    @property
+    def chart(self) -> str:
+        return "arclength" if self.f is None else "areal"
 
-    def arclength_jacobian(self, x: float) -> float:
-        """d(rho)/dx at x: 1 in the arclength chart, 1/sqrt(f) in the areal."""
-        if self.chart == "arclength":
-            return 1.0
-        fval = self.f(x)[0]
-        if not fval > 0.0:
-            raise ValueError(f"metric function not positive at x={x}")
-        return 1.0 / math.sqrt(fval)
+    def radial_state(self, x: float) -> "SphereData":
+        """The record at x from one evaluation of the profiles, unchecked;
+        `sphere_data` is the checked entry point."""
+        u, du, d2u = self.u(x)
+        if self.f is None:
+            return SphereData(self, x, u, du, d2u, *self.h(x))
+        fval, f1, _ = self.f(x)
+        sf = math.sqrt(max(fval, 0.0))
+        return SphereData(self, x, u, sf * du, fval * d2u + 0.5 * f1 * du,
+                          x, sf, 0.5 * f1)
 
     def interior_points(self, count: int) -> list[float]:
         """Uniform sample of the interior, inset by INTERIOR_PAD * span per
@@ -277,47 +259,48 @@ def check_window(u: float) -> None:
 class SphereData:
     """Everything known at radial point x, i.e. on the level sphere through x.
 
-    `st` comes from one evaluation of the profiles, and every other quantity
-    is read from it: the curvature of g0 and the derivatives of u, in
-    orthonormal (radial, sphere) components, on each read; the rest once,
-    on first use.  Lazy, because the curvature-deficit integrand reaches the
-    extremal sphere, where W, H and the conformal dictionary are singular;
-    only the dictionary entries refuse the band around it (the level-set
-    readers do in `levelset.level_spheres`).
+    The fields are the arclength-normalised state (u, u', u'', h, h', h'')
+    from one evaluation of the profiles, and every other quantity is read
+    from them: the curvature of g0 and the derivatives of u, in orthonormal
+    (radial, sphere) components, on each read; the rest once, on first use.
+    Lazy, because the curvature-deficit integrand reaches the extremal
+    sphere, where W, H and the conformal dictionary are singular; only the
+    dictionary entries refuse the band around it (the level-set readers do
+    in `levelset.level_spheres`).
     """
 
     triple: StaticTriple
     x: float
-    st: RadialState
-
-    @property
-    def u(self) -> float:
-        return self.st.u
+    u: float
+    du: float
+    d2u: float
+    h: float
+    dh: float
+    d2h: float
 
     @property
     def grad_u(self) -> float:
         """|Du|."""
-        return abs(self.st.du)
+        return abs(self.du)
 
     @property
     def arclength_jacobian(self) -> float:
         """d(rho)/dx: 1 in the arclength chart, 1/sqrt(f) = 1/h' in the
         areal."""
-        if self.triple.chart == "arclength":
+        if self.triple.f is None:
             return 1.0
-        if not self.st.dh > 0.0:
+        if not self.dh > 0.0:
             raise ValueError(f"metric function not positive at x={self.x}")
-        return 1.0 / self.st.dh
+        return 1.0 / self.dh
 
     @property
     def ric_rr(self) -> float:
-        return -(self.triple.n - 1) * self.st.d2h / self.st.h
+        return -(self.triple.n - 1) * self.d2h / self.h
 
     @property
     def ric_tan(self) -> float:
-        st = self.st
-        return -(st.h * st.d2h + (self.triple.n - 2) * (st.dh ** 2 - 1.0)) \
-            / st.h ** 2
+        h, n = self.h, self.triple.n
+        return -(h * self.d2h + (n - 2) * (self.dh ** 2 - 1.0)) / h ** 2
 
     @property
     def scalar(self) -> float:
@@ -325,34 +308,30 @@ class SphereData:
 
     @property
     def hess_u_rr(self) -> float:
-        return self.st.d2u
+        return self.d2u
 
     @property
     def hess_u_tan(self) -> float:
-        return (self.st.dh / self.st.h) * self.st.du
+        return (self.dh / self.h) * self.du
 
     @property
     def lap_u(self) -> float:
-        return self.st.d2u + (self.triple.n - 1) * self.hess_u_tan
+        return self.d2u + (self.triple.n - 1) * self.hess_u_tan
 
     @property
     def hess_u_norm2(self) -> float:
-        return self.st.d2u ** 2 + (self.triple.n - 1) * self.hess_u_tan ** 2
-
-    @property
-    def grad_u_norm2(self) -> float:
-        return self.st.du ** 2
+        return self.d2u ** 2 + (self.triple.n - 1) * self.hess_u_tan ** 2
 
     @cached_property
     def area(self) -> float:
         """Sphere area w.r.t. g0."""
-        return sphere_area(self.triple.n, self.st.h)
+        return sphere_area(self.triple.n, self.h)
 
     @cached_property
     def D(self) -> float:
         """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
         dictionary's beta), refused where it is not positive."""
-        u = self.st.u
+        u = self.u
         d = self.triple.lambda_sign * (1.0 - u * u)
         if d <= 0.0:
             raise ValueError(f"conformal factor degenerate at u={u}")
@@ -366,20 +345,20 @@ class SphereData:
     @cached_property
     def W(self) -> float:
         """|Du|^2 / |1 - u^2|."""
-        return self.st.du ** 2 / self.D
+        return self.du ** 2 / self.D
 
     @cached_property
     def H(self) -> float:
         """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
         H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
-        if self.st.du == 0.0:
+        if self.du == 0.0:
             raise ValueError(f"singular level at x={self.x}")
-        return (self.lap_u - self.hess_u_rr) / abs(self.st.du)
+        return (self.lap_u - self.hess_u_rr) / abs(self.du)
 
     @property
     def hess_phi_components(self) -> tuple[float, float]:
         """hess_g phi as a (0,2)-tensor in the g0-orthonormal frame."""
-        u, du2, d = self.st.u, self.st.du ** 2, self.D
+        u, du2, d = self.u, self.du ** 2, self.D
         s = float(self.triple.lambda_sign)
         return (s * self.hess_u_rr / d + u * du2 / d ** 2,
                 s * self.hess_u_tan / d + u * du2 / d ** 2)
@@ -392,14 +371,14 @@ class SphereData:
     @cached_property
     def _D_off_band(self) -> float:
         """D, refused in the extremal band; read by every entry below."""
-        check_window(self.st.u)
+        check_window(self.u)
         return self.D
 
     @cached_property
     def phi(self) -> float:
         """The conformal level coordinate artanh u or arcoth u."""
         self._D_off_band
-        u = self.st.u
+        u = self.u
         if self.triple.lambda_sign > 0:
             return 0.5 * math.log((1.0 + u) / (1.0 - u))
         return 0.5 * math.log((u + 1.0) / (u - 1.0))
@@ -407,33 +386,33 @@ class SphereData:
     @cached_property
     def H_g(self) -> float:
         """Mean curvature of the level w.r.t. g."""
-        d, n, u = self._D_off_band, self.triple.n, self.st.u
-        h = self.H if self.triple.lambda_sign > 0 else -self.H
-        return math.sqrt(d) * (h + (n - 1) * u * abs(self.st.du) / d)
+        d, n, u = self._D_off_band, self.triple.n, self.u
+        mean = self.H if self.triple.lambda_sign > 0 else -self.H
+        return math.sqrt(d) * (mean + (n - 1) * u * abs(self.du) / d)
 
     @cached_property
     def hess_phi_norm2(self) -> float:
         """|hess_g phi|_g^2."""
         self._D_off_band
-        n, u, w_norm = self.triple.n, self.st.u, self.W
+        n, u, w_norm = self.triple.n, self.u, self.W
         return self.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
 
     @cached_property
     def lap_phi(self) -> float:
         """lap_g phi (on solutions)."""
         self._D_off_band
-        return -self.triple.n * self.st.u * (1.0 - self.W)
+        return -self.triple.n * self.u * (1.0 - self.W)
 
     @cached_property
     def gamma(self) -> float:
         """gamma(phi) = D^((n+2)/2) / u."""
-        return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.st.u
+        return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.u
 
     @cached_property
     def scalar_g(self) -> float:
         """R_g, from the trace identity."""
         self._D_off_band
-        n, u = self.triple.n, self.st.u
+        n, u = self.triple.n, self.u
         return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
 
 
@@ -443,10 +422,10 @@ def sphere_data(triple: StaticTriple, x: float) -> SphereData:
     lo, hi = triple.domain
     if not (lo < x < hi):
         raise ValueError(f"x={x} outside the open interior ({lo}, {hi})")
-    st = triple.radial_state(x)
-    if st.h <= 0.0:
-        raise ValueError(f"degenerate warping radius h={st.h} at x={x}")
-    return SphereData(triple, x, st)
+    sp = triple.radial_state(x)
+    if sp.h <= 0.0:
+        raise ValueError(f"degenerate warping radius h={sp.h} at x={x}")
+    return sp
 
 
 def warped_curvature(triple: StaticTriple, x: float) -> SphereData:
@@ -529,8 +508,9 @@ def to_arclength(triple: StaticTriple,
     seg, err, _ = _kronrod_panel(jacobian, r_grid[:-1], r_grid[1:])
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(seg))
     for i in np.flatnonzero(err > tol):
-        seg[i] = adaptive(triple.arclength_jacobian, r_grid[i],
-                          r_grid[i + 1], cfg).value
+        seg[i] = adaptive(
+            lambda r: sphere_data(triple, r).arclength_jacobian,
+            r_grid[i], r_grid[i + 1], cfg).value
     rho = np.concatenate(([0.0], np.cumsum(seg)))
     u_vals = np.array([triple.u.value(r) for r in r_grid])
     u_prof = RadialProfile.from_samples(rho, u_vals)
@@ -540,7 +520,7 @@ def to_arclength(triple: StaticTriple,
     ext = replace(triple.extremum,
                   location=float(rho_of_r(min(max(xstar, a), b))))
     converted = StaticTriple(
-        n=triple.n, lambda_sign=triple.lambda_sign, chart="arclength",
+        n=triple.n, lambda_sign=triple.lambda_sign,
         u=u_prof, h=h_prof, f=None, boundaries=(), extremum=ext,
         normalization_factor=triple.normalization_factor,
         conformally_compact=triple.conformally_compact,

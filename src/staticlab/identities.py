@@ -185,7 +185,7 @@ def _deficit_flux(triple: StaticTriple, t: float) -> float:
     total = 0.0
     for x in level_radii(triple, t):
         sp = sphere_data(triple, x)
-        total += sp.area / sp.u * (sp.st.du ** 2 * sp.H
+        total += sp.area / sp.u * (sp.du ** 2 * sp.H
                                    - (n - 1) / n * sp.grad_u * sp.lap_u)
     return total
 

@@ -20,6 +20,7 @@ from .geometry import (
     StaticTriple,
     boundary_scalar_curvature,
     sphere_area,
+    sphere_euler_characteristic,
     unit_sphere_area,
 )
 from .levelset import (
@@ -50,8 +51,8 @@ def gradient_bound(triple: StaticTriple) -> IdentityReport:
     the estimate breaks is located and recorded instead of failing.
     """
     def margin(x: float) -> float:
-        st = triple.radial_state(x)
-        return triple.lambda_sign * (1.0 - st.u ** 2) - st.du ** 2
+        sp = triple.radial_state(x)
+        return triple.lambda_sign * (1.0 - sp.u ** 2) - sp.du ** 2
 
     pts = triple.interior_points(GRADIENT_SAMPLES)
     values = [margin(x) for x in pts]
@@ -197,10 +198,10 @@ def overdetermined_condition(triple: StaticTriple, t: float) -> IdentityReport:
     target = t / (1.0 - t * t) if triple.lambda_sign > 0 else -t / (t * t - 1.0)
     residuals = []
     for x in level_radii(triple, t):
-        st = triple.radial_state(x)
-        if st.du == 0.0:
+        sp = triple.radial_state(x)
+        if sp.du == 0.0:
             raise ValueError(f"singular level at t={t}")
-        residuals.append(-st.d2u / st.du ** 2 - target)
+        residuals.append(-sp.d2u / sp.du ** 2 - target)
     worst = max(abs(r) for r in residuals)
     flags = assumption_flags(triple)
     return identity_report(
@@ -228,8 +229,8 @@ def n3_uniqueness_inequality(triple: StaticTriple) -> IdentityReport:
         return refusal_report("n3_uniqueness_inequality",
                               "stated for positive constant only",
                               assumptions=flags)
-    rhs = sum(c.surface_gravity * c.euler_characteristic
-              for c in triple.boundaries)
+    chi = sphere_euler_characteristic(triple.n)
+    rhs = sum(c.surface_gravity * chi for c in triple.boundaries)
     if not triple.extremum.discrete:
         rep = refusal_report("n3_uniqueness_inequality",
                              "non-discrete extremum set", assumptions=flags)

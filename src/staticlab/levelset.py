@@ -102,8 +102,8 @@ def up_value(triple: StaticTriple, p: float, t: float) -> float:
     pref = abs(1.0 - t * t) ** (-(n + p - 1) / 2.0)
     total = 0.0
     for x in level_radii(triple, t):
-        st = triple.radial_state(x)
-        total += sphere_area(n, st.h) * abs(st.du) ** p
+        sp = triple.radial_state(x)
+        total += sphere_area(n, sp.h) * abs(sp.du) ** p
     return pref * total
 
 
@@ -388,8 +388,8 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
     def at(t: float) -> tuple[float, float, float]:
         (x,) = level_radii(triple, t)
         sp = sphere_data(triple, x)
-        scal = (n - 1) * (n - 2) * sp.D / sp.st.h ** 2
-        return sp.area_g, scal, sp.D - sp.st.du ** 2
+        scal = (n - 1) * (n - 2) * sp.D / sp.h ** 2
+        return sp.area_g, scal, sp.D - sp.du ** 2
 
     t1, t2 = BOUNDARY_LEVELS
     return ConformalBoundaryData(*(

@@ -11,13 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .geometry import (
-    BoundaryComponent,
-    Extremum,
-    RadialProfile,
-    StaticTriple,
-    sphere_euler_characteristic,
-)
+from .geometry import BoundaryComponent, Extremum, RadialProfile, StaticTriple
 from .roots import find_root
 
 ADS_R_MAX = 500.0  # where anti-de Sitter's numerical domain ends
@@ -68,13 +62,10 @@ def de_sitter(n: int) -> StaticTriple:
         g = _tiny_guard(val)
         return val, -r / g, -1.0 / g - r * r / g ** 3
 
-    boundary = BoundaryComponent(
-        location=1.0, sphere_radius=1.0, surface_gravity=1.0,
-        euler_characteristic=sphere_euler_characteristic(n))
+    boundary = BoundaryComponent(location=1.0, sphere_radius=1.0,
+                                 surface_gravity=1.0)
     return StaticTriple(
-        n=n, lambda_sign=+1, chart="areal",
-        u=RadialProfile((0.0, 1.0), u_fn),
-        h=RadialProfile((0.0, 1.0), lambda r: (r, 1.0, 0.0)),
+        n=n, lambda_sign=+1, u=RadialProfile((0.0, 1.0), u_fn), h=None,
         f=RadialProfile((0.0, 1.0), f_fn),
         boundaries=(boundary,),
         extremum=Extremum(location=0.0, discrete=True, count=1),
@@ -100,9 +91,7 @@ def anti_de_sitter(n: int) -> StaticTriple:
         return val, r / val, 1.0 / val ** 3
 
     return StaticTriple(
-        n=n, lambda_sign=-1, chart="areal",
-        u=RadialProfile((0.0, ADS_R_MAX), u_fn),
-        h=RadialProfile((0.0, ADS_R_MAX), lambda r: (r, 1.0, 0.0)),
+        n=n, lambda_sign=-1, u=RadialProfile((0.0, ADS_R_MAX), u_fn), h=None,
         f=RadialProfile((0.0, ADS_R_MAX), f_fn),
         boundaries=(),
         extremum=Extremum(location=0.0, discrete=True, count=1),
@@ -130,7 +119,9 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
         return -2.0 - 2.0 * m * (n - 2) * (n - 1) * r ** (-n)
 
     r0 = (m * (n - 2)) ** (1.0 / n)
-    r1 = bracketed_root(f_val, 1e-12, r0, dfn=f_d1)
+    # in high dimension, start where the r^(1-n) of f' is at most 1e300
+    r_min = max(1e-12, 1e-300 ** (1.0 / (n - 1)))
+    r1 = bracketed_root(f_val, r_min, r0, dfn=f_d1)
     r2 = bracketed_root(f_val, r0, 1.0, dfn=f_d1)
     f0 = f_val(r0)
     inv_sqrt_f0 = 1.0 / math.sqrt(f0)
@@ -146,19 +137,15 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
         d2 = inv_sqrt_f0 * (2.0 * fv * f_d2(r) - f_d1(r) ** 2) / (4.0 * g ** 3)
         return val, d1, d2
 
-    chi = sphere_euler_characteristic(n)
     kappas = tuple(abs(f_d1(r)) / (2.0 * math.sqrt(f0)) for r in (r1, r2))
     boundaries = tuple(
-        BoundaryComponent(location=r, sphere_radius=r, surface_gravity=k,
-                          euler_characteristic=chi)
+        BoundaryComponent(location=r, sphere_radius=r, surface_gravity=k)
         for r, k in zip((r1, r2), kappas))
     return StaticTriple(
-        n=n, lambda_sign=+1, chart="areal",
-        u=RadialProfile((r1, r2), u_fn),
-        h=RadialProfile((r1, r2), lambda r: (r, 1.0, 0.0)),
+        n=n, lambda_sign=+1, u=RadialProfile((r1, r2), u_fn), h=None,
         f=RadialProfile((r1, r2), f_fn),
         boundaries=boundaries,
-        extremum=Extremum(location=r0, discrete=False, sphere_radius=r0),
+        extremum=Extremum(location=r0, discrete=False),
         normalization_factor=inv_sqrt_f0,
         name=f"schwarzschild_de_sitter(n={n}, m={m})",
     )
@@ -178,32 +165,27 @@ def nariai(n: int) -> StaticTriple:
         return (math.sin(sn * rho), sn * math.cos(sn * rho),
                 -n * math.sin(sn * rho))
 
-    chi = sphere_euler_characteristic(n)
     boundaries = tuple(
-        BoundaryComponent(location=loc, sphere_radius=h0, surface_gravity=sn,
-                          euler_characteristic=chi)
+        BoundaryComponent(location=loc, sphere_radius=h0, surface_gravity=sn)
         for loc in (0.0, length))
     return StaticTriple(
-        n=n, lambda_sign=+1, chart="arclength",
-        u=RadialProfile((0.0, length), u_fn),
+        n=n, lambda_sign=+1, u=RadialProfile((0.0, length), u_fn),
         h=RadialProfile((0.0, length), lambda rho: (h0, 0.0, 0.0)),
         f=None,
         boundaries=boundaries,
-        extremum=Extremum(location=0.5 * length, discrete=False,
-                          sphere_radius=h0),
+        extremum=Extremum(location=0.5 * length, discrete=False),
         name=f"nariai(n={n})",
     )
 
 
 def by_name(name: str, n: int = 3, m: float = 0.1) -> StaticTriple:
-    """Constructor lookup used by the command-line front end."""
-    key = name.lower().replace("-", "").replace("_", "")
-    if key in ("desitter", "ds"):
+    """Constructor lookup by the command-line model name."""
+    if name == "desitter":
         return de_sitter(n)
-    if key in ("antidesitter", "ads"):
+    if name == "antidesitter":
         return anti_de_sitter(n)
-    if key == "sds":
+    if name == "sds":
         return schwarzschild_de_sitter(SdSParams(n=n, m=m))
-    if key == "nariai":
+    if name == "nariai":
         return nariai(n)
     raise ValueError(f"unknown model {name!r}")

@@ -30,13 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    BoundaryComponent,
-    Extremum,
-    RadialProfile,
-    StaticTriple,
-    sphere_euler_characteristic,
-)
+from .geometry import BoundaryComponent, Extremum, RadialProfile, StaticTriple
 
 RTOL, ATOL = 1e-12, 1e-13  # solve_ivp tolerances of a shot
 MAX_ARCLENGTH = 20.0    # a shot that meets no stop condition by here fails
@@ -218,24 +212,21 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
         rho_star = float(extremal_rhos[0])
         h_star = float(sol.sol(rho_star)[0])
         if h_star > 10.0 * h_floor:
-            extremum = Extremum(location=rho_star, discrete=False,
-                                sphere_radius=h_star)
+            extremum = Extremum(location=rho_star, discrete=False)
         else:
             extremum = Extremum(location=rho_star, discrete=True, count=1)
     else:
         extremum = Extremum(location=rho_end, discrete=True, count=1)
 
-    chi = sphere_euler_characteristic(data.n)
     boundaries = [BoundaryComponent(location=0.0, sphere_radius=data.h0,
-                                    surface_gravity=scale,
-                                    euler_characteristic=chi)]
+                                    surface_gravity=scale)]
     if hit_second_horizon:
         boundaries.append(BoundaryComponent(
             location=rho_bdry, sphere_radius=radius2,
-            surface_gravity=kappa2 * scale, euler_characteristic=chi))
+            surface_gravity=kappa2 * scale))
 
     return StaticTriple(
-        n=data.n, lambda_sign=data.lambda_sign, chart="arclength",
+        n=data.n, lambda_sign=data.lambda_sign,
         u=RadialProfile((0.0, domain_end), u_fn),
         h=RadialProfile((0.0, domain_end), h_fn),
         f=None, boundaries=tuple(boundaries), extremum=extremum,

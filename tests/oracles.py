@@ -78,9 +78,15 @@ def arclength_reference(triple, samples: int):
     seg = np.empty(samples - 1)
     rho = np.empty_like(r_grid)
     rho[0] = 0.0
+
+    def jacobian(r):  # 1/sqrt(f), refused where f is not positive or NaN
+        fval = triple.f(r)[0]
+        if not fval > 0.0:
+            raise ValueError(f"metric function not positive at x={r}")
+        return 1.0 / math.sqrt(fval)
+
     for i in range(1, len(r_grid)):
-        seg[i - 1] = adaptive(lambda r: triple.arclength_jacobian(r),
-                              r_grid[i - 1], r_grid[i], cfg).value
+        seg[i - 1] = adaptive(jacobian, r_grid[i - 1], r_grid[i], cfg).value
         rho[i] = rho[i - 1] + seg[i - 1]
     return r_grid, seg, rho
 

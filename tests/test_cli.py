@@ -131,6 +131,25 @@ def test_scan_sds(tmp_path, capsys):
         assert r1 < r2
 
 
+def test_sds_builds_in_high_dimension(capsys):
+    # the inner-horizon bracket starts where r^(1-n) in f' is finite
+    code, out = run(capsys, "check", "--model", "sds", "--n", "30",
+                    "--m", "0.001", "--suite", "static")
+    assert code == 0
+    assert {c["status"] for c in json.loads(out)["checks"]} == {"pass"}
+
+
+def test_scan_sds_in_high_dimension(capsys):
+    code, out = run(capsys, "scan-sds", "--n", "30",
+                    "--m-grid", "1e-6:2e-6:1e-6")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        m, r1, r2, k1, k2 = (float(tok) for tok in line.split(","))
+        assert 0.0 < r1 < r2 < 1.0 and k1 > 1.0
+
+
 def test_shoot_csv(tmp_path, capsys):
     path = tmp_path / "shot.csv"
     code, _ = run(capsys, "shoot", "--n", "3", "--h0", "1.0", "--kappa",

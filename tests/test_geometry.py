@@ -29,7 +29,7 @@ from oracles import arclength_reference, numeric_curvature, sds_horizon_data
 def make_arclength_triple(n, h_fn, u_fn, domain):
     """Bare triple for curvature evaluation (not necessarily a solution)."""
     return StaticTriple(
-        n=n, lambda_sign=+1, chart="arclength",
+        n=n, lambda_sign=+1,
         u=RadialProfile(domain, u_fn), h=RadialProfile(domain, h_fn), f=None,
         boundaries=(), extremum=Extremum(location=domain[0], discrete=True,
                                          count=1))
@@ -42,11 +42,23 @@ def test_unit_sphere_area_values():
 
 def test_sphere_euler_characteristic():
     assert [sphere_euler_characteristic(n) for n in (3, 4, 5, 6)] == [2, 0, 2, 0]
-    # S^4 bounds the n = 5 hemisphere: chi = 2, like S^2 at n = 3
-    for tr in (de_sitter(5), nariai(5),
-               schwarzschild_de_sitter(SdSParams(n=5, m=0.01))):
-        assert {c.euler_characteristic for c in tr.boundaries} == {2}
-    assert {c.euler_characteristic for c in nariai(4).boundaries} == {0}
+
+
+def test_chart_and_euler_characteristic_are_derived(all_models):
+    from staticlab import odegen
+    from staticlab.inequalities import n3_uniqueness_inequality
+    shot = odegen.shoot_from_horizon(odegen.HorizonData(3, +1, 0.3, 1.0))
+    for tr in (*all_models, shot):
+        # an areal triple has h = r, so it keeps no h profile
+        assert (tr.h is None) == (tr.f is not None), tr.name
+        # each level S^2 at n = 3 has chi = 2, read from the dimension
+        if tr.boundaries:
+            assert n3_uniqueness_inequality(tr).rhs == pytest.approx(
+                2 * sum(c.surface_gravity for c in tr.boundaries),
+                rel=1e-15), tr.name
+    # the chart follows f: areal exactly where the metric function is set
+    assert [tr.chart for tr in all_models] == ["areal"] * 3 + ["arclength"]
+    assert shot.chart == "arclength"
 
 
 def test_round_sphere_slice_curvature():
@@ -200,7 +212,7 @@ def test_chart_independence(sds01):
         c1 = warped_curvature(sds01, r)
         c2 = warped_curvature(arc, rho_of_r(r))
         for key in ("ric_rr", "ric_tan", "scalar", "hess_u_rr", "hess_u_tan",
-                    "lap_u", "hess_u_norm2", "grad_u_norm2"):
+                    "lap_u", "hess_u_norm2"):
             a, b = getattr(c1, key), getattr(c2, key)
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a)), key
 
@@ -273,9 +285,8 @@ def test_unresolved_segments_are_refined_like_the_loop(monkeypatch, sds01):
 
 def _areal(f_fn, domain=(0.0, 1.0)):
     return StaticTriple(
-        n=3, lambda_sign=+1, chart="areal",
-        u=RadialProfile(domain, lambda r: (1.0, 0.0, 0.0)),
-        h=RadialProfile(domain, lambda r: (r, 1.0, 0.0)),
+        n=3, lambda_sign=+1,
+        u=RadialProfile(domain, lambda r: (1.0, 0.0, 0.0)), h=None,
         f=RadialProfile(domain, f_fn), boundaries=(),
         extremum=Extremum(location=domain[0], discrete=True, count=1))
 

@@ -107,8 +107,8 @@ def test_n3_uniqueness_two_boundary_arithmetic(ds3):
     fake = dataclasses.replace(
         ds3,
         boundaries=(
-            BoundaryComponent(0.99, 1.0, 1.0, 2),
-            BoundaryComponent(1.0, 1.0, 1.0, 2),
+            BoundaryComponent(0.99, 1.0, 1.0),
+            BoundaryComponent(1.0, 1.0, 1.0),
         ))
     rep = IQ.n3_uniqueness_inequality(fake)
     assert rep.lhs == 2.0 and rep.rhs == 4.0

@@ -140,7 +140,8 @@ def test_nariai_structure(nariai3):
     for b in nariai3.boundaries:
         assert b.surface_gravity == pytest.approx(math.sqrt(3), rel=1e-14)
     assert not nariai3.extremum.discrete
-    assert nariai3.extremum.sphere_radius == pytest.approx(math.sqrt(1 / 3))
+    assert nariai3.h(nariai3.extremum.location)[0] == \
+        pytest.approx(math.sqrt(1 / 3))
 
 
 def test_small_mass_limit_approaches_de_sitter():
@@ -163,8 +164,9 @@ def test_by_name_lookup():
     assert by_name("antidesitter").lambda_sign == -1
     assert by_name("sds", m=0.05).name.startswith("schwarzschild")
     assert by_name("nariai").name == "nariai(n=3)"
-    with pytest.raises(ValueError):
-        by_name("mystery")
+    for name in ("mystery", "ds", "de-sitter", "SdS"):
+        with pytest.raises(ValueError):
+            by_name(name)
 
 
 def test_normalization_factor_recoverable(sds01):

@@ -131,7 +131,7 @@ def test_shoot_reproduces_two_horizon_family(sds01):
         exact[1].surface_gravity, rel=1e-7)
     # extremal sphere flagged non-discrete at the right radius
     assert not tr.extremum.discrete
-    assert tr.extremum.sphere_radius == pytest.approx(
+    assert tr.h(tr.extremum.location)[0] == pytest.approx(
         sds01.extremum.location, abs=1e-8)
 
 

@@ -17,7 +17,7 @@ from staticlab.levelset import sphere_data
 
 DICTIONARY = ("phi", "H_g", "hess_phi_norm2", "lap_phi", "gamma", "scalar_g")
 CURVATURE = ("ric_rr", "ric_tan", "scalar", "hess_u_rr", "hess_u_tan", "lap_u",
-             "hess_u_norm2", "grad_u_norm2")
+             "hess_u_norm2")
 
 
 def _counting_u(tr):
@@ -43,6 +43,17 @@ def test_sphere_data_evaluates_the_profile_once(all_models):
                 *(getattr(sp, c) for c in CURVATURE))
         assert all(math.isfinite(v) for v in read), tr.name
         assert calls[0] == 1, tr.name
+
+
+def test_radial_state_is_the_record(all_models):
+    # one object per radial point: the state is the record itself
+    for tr in all_models:
+        for x in tr.interior_points(5):
+            sp, ref = tr.radial_state(x), sphere_data(tr, x)
+            assert isinstance(sp, SphereData), tr.name
+            assert [getattr(sp, f.name) for f in dataclasses.fields(sp)] == \
+                [getattr(ref, f.name) for f in dataclasses.fields(ref)], \
+                tr.name
 
 
 def test_warped_curvature_is_the_record(all_models, monkeypatch):
@@ -136,13 +147,12 @@ def test_quadrature_node_evaluates_f_once(sds01, check, monkeypatch):
 
 def test_areal_jacobian_refuses_nonpositive_f(sds01):
     x = sds01.interior_points(3)[1]
-    st = sds01.radial_state(x)
-    assert SphereData(sds01, x, st).arclength_jacobian == \
-        sds01.arclength_jacobian(x)
+    sp = sds01.radial_state(x)
+    assert sp.arclength_jacobian == 1.0 / math.sqrt(sds01.f(x)[0])
     for dh in (0.0, math.nan):  # sqrt(max(f, 0)) where f <= 0 or is NaN
-        sp = SphereData(sds01, x, dataclasses.replace(st, dh=dh))
+        bad = dataclasses.replace(sp, dh=dh)
         with pytest.raises(ValueError, match="metric function not positive"):
-            sp.arclength_jacobian
+            bad.arclength_jacobian
 
 
 def test_singular_quantities_are_lazy(nariai3):
