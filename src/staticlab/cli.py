@@ -7,6 +7,10 @@ errors and on shots that cannot be integrated or close at a singular
 pole, 1 when any check fails (an inapplicable check is not a failure)
 or a shot's monitor drift exceeds odegen.DRIFT_TOL, and 0 otherwise.
 
+A curve row reads one level's records: `d_analytic` is the derivative
+through the field equations (p >= 3, else nan), `d_numeric` the one
+along the level flow, which uses no field equation.
+
 STATICLAB_TOL (a finite number > 0; 1e-6 by default) is the tolerance of
 the static, conformal, liminf and integral-identity checks.  It does not
 reach boundary_curvature_inequality or the inequality suite: those keep
@@ -348,25 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=0.1)
     p.set_defaults(func=cmd_models)
 
-    p = sub.add_parser("up-curve", help="sample a level integral curve in t")
-    add_model_flags(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--branch", choices=["inner", "outer"], default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_up_curve)
-
-    p = sub.add_parser("phi-curve", help="sample the conformal curve in s")
-    add_model_flags(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--s1", type=float, required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--branch", choices=["inner", "outer"], default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_phi_curve)
+    for name, about, ends, func in (
+            ("up-curve", "sample a level integral curve in t",
+             ("--t0", "--t1"), cmd_up_curve),
+            ("phi-curve", "sample the conformal curve in s",
+             ("--s0", "--s1"), cmd_phi_curve)):
+        p = sub.add_parser(name, help=about)
+        add_model_flags(p)
+        for flag in ("--p", *ends):
+            p.add_argument(flag, type=float, required=True)
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--branch", choices=["inner", "outer"], default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check", help="run a verification suite")
     add_model_flags(p)

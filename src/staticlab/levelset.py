@@ -9,9 +9,9 @@ with A the sphere area, and on the conformal side
     Phi_p(s) = sum over spheres of  A_g * W^(p/2),     W = |Du|^2 / |1-u^2|,
 
 at s = (1/2) log|(1+t)/(1-t)|.  Both reduce to closed-form sphere sums in
-the rotationally symmetric setting; their derivatives do not, and are
-evaluated through two independent routes (mean curvature of the level vs
-conformal mean curvature) that the tests compare.
+the rotationally symmetric setting.  Their derivatives are read through
+the field equations (level vs conformal mean curvature) and, on a curve,
+also along the level flow dx/dt = 1/u', which uses no field equation.
 
 Every function here sums over the spheres of the level that its triple
 sees: on a two-branch triple, both; on the view `triple.on_branch("inner")`
@@ -24,13 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import (BRANCH_INSET, EXTREMUM_BAND, SphereData, StaticTriple,
-                       check_window, sphere_area, sphere_data,
-                       unit_sphere_area)
+from .geometry import (BRANCH_INSET, SphereData, StaticTriple, check_window,
+                       sphere_area, sphere_data, unit_sphere_area)
 from .roots import find_root
 
-EXTREMUM_CUTOFF = 1e-8  # band around u = 1 excluded from curve sampling
-FD_STEP = 1e-4  # largest level step of the numeric curve derivatives
 LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
 BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 
@@ -66,6 +63,11 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
 # --------------------------------------------------------------------------
 # data on a level
 
+def _level_states(triple: StaticTriple, t: float) -> list[SphereData]:
+    """The records of {u = t}, unchecked: U_p reads them up to u = 1."""
+    return [triple.radial_state(x) for x in level_radii(triple, t)]
+
+
 def level_spheres(triple: StaticTriple, t: float) -> tuple[SphereData, ...]:
     """The records of the spheres of {u = t}, refused like the conformal
     dictionary within EXTREMUM_BAND of u = 1, where W loses every digit."""
@@ -93,18 +95,22 @@ def _boundary_spheres(triple: StaticTriple):
             for c in triple.horizons()]
 
 
+def _up_terms(n: int, p: float, t: float,
+              spheres: Sequence[SphereData]) -> list[float]:
+    """The sphere terms (h/sqrt d)^(n-1) (|u'|/sqrt d)^p of U_p(t)/|S^(n-1)|,
+    d = |1 - t^2|: scale-free, so neither overflows at small d, large n."""
+    rd = math.sqrt(abs(1.0 - t * t))
+    return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** p for sp in spheres]
+
+
 def up_value(triple: StaticTriple, p: float, t: float) -> float:
     """U_p(t) as a closed-form sphere sum."""
     n = triple.n
     if triple.lambda_sign > 0 and t == 0.0:
         return sum(a * c.surface_gravity ** p
                    for c, a in _boundary_spheres(triple))
-    pref = abs(1.0 - t * t) ** (-(n + p - 1) / 2.0)
-    total = 0.0
-    for x in level_radii(triple, t):
-        sp = triple.radial_state(x)
-        total += sphere_area(n, sp.h) * abs(sp.du) ** p
-    return pref * total
+    return unit_sphere_area(n) * sum(_up_terms(n, p, t,
+                                               _level_states(triple, t)))
 
 
 def up_derivative(triple: StaticTriple, p: float,
@@ -117,15 +123,21 @@ def up_derivative(triple: StaticTriple, p: float,
     """
     if p < 3:
         raise ValueError("the derivative formula is only asserted for p >= 3")
-    n = triple.n
-    sign = triple.lambda_sign
     if triple.lambda_sign > 0 and t == 0.0:
         return (0.0, 0.0, 0.0)
+    return _up_derivative_forms(triple, p, t, _level_states(triple, t))
+
+
+def _up_derivative_forms(triple: StaticTriple, p: float, t: float,
+                         spheres: Sequence[SphereData]
+                         ) -> tuple[float, float, float]:
+    n, sign = triple.n, triple.lambda_sign
     d_level = sign * (1.0 - t * t)
     pref = -sign * (p - 1) * t * d_level ** (-(n + p - 1) / 2.0)
     c_np = (n + p - 1) / (p - 1)
     h_form = ricci_form = bound = 0.0
-    for sp in level_spheres(triple, t):
+    for sp in spheres:
+        check_window(sp.u)  # W loses every digit next to u = 1
         if sp.grad_u == 0.0:
             raise ValueError(f"singular level at t={t}")
         weight = sp.grad_u ** (p - 2) * sp.area
@@ -183,8 +195,11 @@ def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
 def phi_p(triple: StaticTriple, p: float, s: float) -> float:
     """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
     t = t_of_s(s, triple.lambda_sign)
-    return sum(sp.W ** (p / 2.0) * sp.area_g
-               for sp in level_spheres(triple, t))
+    return sum(_phi_terms(p, level_spheres(triple, t)))
+
+
+def _phi_terms(p: float, spheres: Sequence[SphereData]) -> list[float]:
+    return [sp.W ** (p / 2.0) * sp.area_g for sp in spheres]
 
 
 def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
@@ -193,12 +208,13 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
         integral of -(p-1) |grad phi|^(p-1) H_g + p |grad phi|^(p-2) lap phi.
     """
     t = t_of_s(s, triple.lambda_sign)
-    total = 0.0
-    for sp in level_spheres(triple, t):
-        total += sp.area_g * (
-            -(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
-            + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
-    return total
+    return _phi_derivative_sum(p, level_spheres(triple, t))
+
+
+def _phi_derivative_sum(p: float, spheres: Sequence[SphereData]) -> float:
+    return sum(sp.area_g * (-(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
+                            + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
+               for sp in spheres)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +223,7 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
 @dataclass(frozen=True)
 class Curve:
     """U_p or Phi_p on a grid of levels, with its analytic derivative
-    (p >= 3 only) and a finite-difference one."""
+    (p >= 3 only) and its transport derivative along the level flow."""
 
     p: float
     grid: tuple[float, ...]
@@ -216,70 +232,56 @@ class Curve:
     d_numeric: tuple[float, ...]
 
 
-def _level_window(triple: StaticTriple, band: float) -> tuple[float, float]:
-    """The levels that the branches of the triple can locate, kept `band`
-    off the extremal value 1."""
-    branches = triple.branches()
-    lo = min(b.u_lo for b in branches)
-    hi = max(b.u_hi for b in branches)
-    if triple.lambda_sign > 0:
-        return lo, min(hi, 1.0 - band)
-    return max(lo, 1.0 + band), hi
+def _log_rate(n: int, p: float, t: float, sp: SphereData) -> float:
+    """d/dt of log(|1-t^2|^(-(n+p-1)/2) h^(n-1) |u'|^p) along the level
+    flow, on which the sphere through x moves at dx/dt = 1/u'.  It reads
+    u', u'', h and h', and no field equation."""
+    if sp.du == 0.0:
+        raise ValueError(f"singular level at x={sp.x}")
+    return ((n + p - 1) * t / (1.0 - t * t)
+            + ((n - 1) * sp.dh / sp.h + p * sp.d2u / sp.du) / sp.du)
 
 
-def _numeric_derivative(triple: StaticTriple, p: float, t: float,
-                        base: float) -> float:
-    """Five-point difference of U_p at t with step at most `base`, one-sided
-    at a domain edge; the stencil never straddles the extremal value."""
-    lo, hi = _level_window(triple, EXTREMUM_CUTOFF)
-    lo_room, hi_room = t - lo, hi - t
-    h = min(base, 0.2 * lo_room, 0.2 * hi_room)
-    if h > 1e-12:
-        up = lambda tt: up_value(triple, p, tt)
-        return (up(t - 2 * h) - 8 * up(t - h) + 8 * up(t + h)
-                - up(t + 2 * h)) / (12.0 * h)
-    h = min(base, 0.45 * max(lo_room, hi_room))
-    sgn = 1.0 if hi_room >= lo_room else -1.0
-    return sgn * (up_value(triple, p, t + sgn * h)
-                  - up_value(triple, p, t)) / h
+def _curve(row, p: float, grid: Sequence[float]) -> Curve:
+    """The curve of `row(level) = (value, d_analytic, d_numeric)`."""
+    grid = tuple(grid)
+    values, d_ana, d_num = zip(*map(row, grid)) if grid else ((), (), ())
+    return Curve(p=p, grid=grid, values=values,
+                 d_analytic=d_ana if p >= 3 else None, d_numeric=d_num)
 
 
 def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
-    grid = tuple(grid)
-    values = tuple(up_value(triple, p, t) for t in grid)
-    d_num = tuple(_numeric_derivative(triple, p, t, FD_STEP) for t in grid)
-    d_ana = None
-    if p >= 3:
-        d_ana = tuple(up_derivative(triple, p, t)[0] for t in grid)
-    return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
-                 d_numeric=d_num)
+    """U_p over `grid`.  Each level is located once; its records give the
+    value, `up_derivative` (p >= 3) and the transport derivative, the sum
+    of each sphere term of `_up_terms` times its `_log_rate`."""
+    n, area = triple.n, unit_sphere_area(triple.n)
+
+    def row(t: float) -> tuple[float, float, float]:
+        if triple.lambda_sign > 0 and t == 0.0:  # horizons: h' = u'' = 0
+            return up_value(triple, p, t), 0.0, 0.0
+        spheres = _level_states(triple, t)
+        d_ana = (_up_derivative_forms(triple, p, t, spheres)[0] if p >= 3
+                 else math.nan)
+        terms = _up_terms(n, p, t, spheres)
+        slope = sum(w * _log_rate(n, p, t, sp)
+                    for w, sp in zip(terms, spheres))
+        return area * sum(terms), d_ana, area * slope
+    return _curve(row, p, grid)
 
 
 def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
-    """Phi_p over `grid`.  The numeric derivative is a centred difference
-    with step at most FD_STEP inside the levels that Phi_p can read, and
-    one-sided within 2e-9 of their edge, where t = tanh s or coth s leaves
-    too few bits to centre a stencil on."""
-    grid = tuple(grid)
-    phi = lambda s: phi_p(triple, p, s)
-    values = tuple(phi(s) for s in grid)
-    s_lo, s_hi = sorted(s_of_t(t) for t in
-                        _level_window(triple, EXTREMUM_BAND))
-    d_num = []
-    for s, value in zip(grid, values):
-        lo_room, hi_room = s - s_lo, s_hi - s
-        h = min(FD_STEP, 0.45 * lo_room, 0.45 * hi_room)
-        if h > 1e-9:
-            d_num.append((phi(s + h) - phi(s - h)) / (2.0 * h))
-            continue
-        h = min(FD_STEP, 0.45 * max(lo_room, hi_room))
-        sgn = 1.0 if hi_room >= lo_room else -1.0
-        d_num.append(sgn * (phi(s + sgn * h) - value) / h)
-    d_ana = None
-    if p >= 3:
-        d_ana = tuple(phi_p_derivative(triple, p, s) for s in grid)
-    return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
-                 d_numeric=tuple(d_num))
+    """Phi_p over `grid`, each level located once, with the transport
+    derivative: dt/ds = 1 - t^2 times the sum of each sphere term
+    A_g W^(p/2) times its `_log_rate` at the record's u."""
+    def row(s: float) -> tuple[float, float, float]:
+        t = t_of_s(s, triple.lambda_sign)
+        spheres = level_spheres(triple, t)
+        terms = _phi_terms(p, spheres)
+        slope = sum(w * _log_rate(triple.n, p, sp.u, sp)
+                    for w, sp in zip(terms, spheres))
+        d_ana = _phi_derivative_sum(p, spheres) if p >= 3 else math.nan
+        return sum(terms), d_ana, (1.0 - t * t) * slope
+    return _curve(row, p, grid)
 
 
 @dataclass(frozen=True)
@@ -386,8 +388,7 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
     n = triple.n
 
     def at(t: float) -> tuple[float, float, float]:
-        (x,) = level_radii(triple, t)
-        sp = sphere_data(triple, x)
+        (sp,) = level_spheres(triple, t)
         scal = (n - 1) * (n - 2) * sp.D / sp.h ** 2
         return sp.area_g, scal, sp.D - sp.du ** 2
 

@@ -20,7 +20,7 @@ ADS_R_MAX = 500.0  # where anti-de Sitter's numerical domain ends
 def admissible_mass_bound(n: int) -> float:
     """Largest mass for which the f(r) = 1 - r^2 - 2m r^(2-n) profile has two
     positive roots (the extremal limit where the horizons merge)."""
-    return math.sqrt((n - 2) ** (n - 2) / float(n) ** n)
+    return math.sqrt((n - 2) ** (n - 2) / n ** n)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,48 @@ def sds_horizon_data(n: int, m: float):
     return r0, r1, r2, f0, kappa1, kappa2
 
 
+def five_point_derivative(fn, t: float, step: float) -> float:
+    """The centred five-point difference of fn at t, error O(step^4)."""
+    return (fn(t - 2 * step) - 8 * fn(t - step) + 8 * fn(t + step)
+            - fn(t + 2 * step)) / (12.0 * step)
+
+
+def sds_outer_up_reference(n: int, m: float, p: float, t: float,
+                           dps: int = 50):
+    """U_p(t) and U_p'(t) on the outer branch of Schwarzschild-de Sitter at
+    `dps` digits, as mpmath numbers.  The level r(t) solves
+    f(r) = t^2 f(r0) between r0 and 1; there h = r and
+    |u'| = sqrt(f) |du/dr| = |f'(r)| / (2 sqrt(f(r0))), so
+
+        U_p(t) = |S^(n-1)| (1 - t^2)^(-(n+p-1)/2) r^(n-1) |u'|^p,
+
+    and the derivative is mpmath's numerical one of that."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m, t = mpmath.mpf(m), mpmath.mpf(t)
+        r0 = (m * (n - 2)) ** (mpmath.mpf(1) / n)
+
+        def f(r):
+            return 1 - r * r - 2 * m * r ** (2 - n)
+
+        def fp(r):
+            return -2 * r + 2 * m * (n - 2) * r ** (1 - n)
+
+        f0 = f(r0)
+        area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(
+            mpmath.mpf(n) / 2)
+
+        def up(tt):
+            r = mpmath.findroot(lambda x: f(x) - tt * tt * f0, (r0, 1),
+                                solver="anderson")
+            grad = abs(fp(r)) / (2 * mpmath.sqrt(f0))
+            return (area * (1 - tt * tt) ** (-mpmath.mpf(n + p - 1) / 2)
+                    * r ** (n - 1) * grad ** p)
+
+        return up(t), mpmath.diff(up, t)
+
+
 def arclength_from_horizon(f, fprime, rh: float, r: float) -> float:
     """rho(r) = int_rh^r dr'/sqrt(f), regularised by r' = rh + xi^2."""
     cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_evals=100_000)

@@ -24,7 +24,7 @@ from staticlab import inequalities as IQ
 from staticlab import levelset as LS
 from staticlab import odegen as OG
 
-from oracles import arclength_from_horizon
+from oracles import arclength_from_horizon, five_point_derivative
 
 S3_AREA = 4 * math.pi
 
@@ -76,7 +76,8 @@ def test_criterion_3_derivative_consistency():
     worst_forms = worst_fd = 0.0
     for t in np.linspace(0.05, 0.9, 50):
         f1, f2, _ = LS.up_derivative(sds, 3, float(t))
-        fd = LS._numeric_derivative(sds, 3, float(t), 1e-4)
+        fd = five_point_derivative(lambda tt: LS.up_value(sds, 3, tt),
+                                   float(t), 1e-4)
         worst_forms = max(worst_forms, abs(f1 - f2))
         worst_fd = max(worst_fd, abs(f1 - fd), abs(f2 - fd))
     elapsed = time.monotonic() - t0

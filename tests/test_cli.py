@@ -150,6 +150,27 @@ def test_scan_sds_in_high_dimension(capsys):
         assert 0.0 < r1 < r2 < 1.0 and k1 > 1.0
 
 
+@pytest.mark.parametrize("model", ["desitter", "antidesitter"])
+def test_liminf_in_high_dimension(capsys, model):
+    # U_p sums scale-free terms: |1 - t^2|^(-(n+p-1)/2) alone overflows at
+    # t = 1 - 2^-24 from n = 46
+    code, out = run(capsys, "check", "--model", model, "--n", "46",
+                    "--suite", "liminf")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 45
+    assert {c["status"] for c in checks} == {"pass"}
+
+
+@pytest.mark.parametrize("n", ["144", "150"])
+def test_models_in_high_dimension(capsys, n):
+    # the mass bound divides exact integers: float(n) ** n overflows from
+    # n = 144
+    code, out = run(capsys, "models", "--n", n, "--m", "1e-80")
+    assert code == 0
+    assert len(json.loads(out)) == 4
+
+
 def test_shoot_csv(tmp_path, capsys):
     path = tmp_path / "shot.csv"
     code, _ = run(capsys, "shoot", "--n", "3", "--h0", "1.0", "--kappa",

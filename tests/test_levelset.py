@@ -1,7 +1,7 @@
 import dataclasses
 import math
+import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +15,11 @@ from staticlab import (
     schwarzschild_de_sitter,
 )
 from staticlab import levelset as LS
-from staticlab.geometry import BRANCH_INSET, StaticTriple, sphere_area
+from staticlab.geometry import (BRANCH_INSET, StaticTriple, linspace,
+                                sphere_area, unit_sphere_area)
 
-from oracles import bisect_bracket, sds_horizon_data
+from oracles import (bisect_bracket, five_point_derivative,
+                     sds_horizon_data, sds_outer_up_reference)
 
 S3_AREA = 4 * math.pi
 
@@ -122,14 +124,14 @@ def test_level_radii_as_good_as_bisection(kind, n, mass_fraction, which,
     inset = BRANCH_INSET * (tr.domain[1] - tr.domain[0])
     ref = max(abs(tr.u.value(y) - t) for y in bisect_bracket(
         lambda y: tr.u.value(y) - t, br.lo + inset, br.hi - inset))
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     assert abs(tr.u.value(x) - t) <= 2 * ref + 4 * eps * abs(t)
 
 
 @pytest.mark.parametrize("tr, grid", [
     (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
-     np.linspace(0.05, 0.95, 1000)),
-    (de_sitter(3), np.linspace(0.0, 0.99, 1000)[1:]),
+     linspace(0.05, 0.95, 1000)),
+    (de_sitter(3), linspace(0.0, 0.99, 1000)[1:]),
 ])
 def test_level_location_cost(tr, grid):
     # the benchmark's curve grids; plain bisection spends 54-58
@@ -142,7 +144,7 @@ def test_level_location_cost(tr, grid):
         return fn(x)
 
     tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=counted))
-    located = sum(len(LS.level_radii(tr, float(t))) for t in grid)
+    located = sum(len(LS.level_radii(tr, t)) for t in grid)
     assert calls[0] / located <= 20
 
 
@@ -171,15 +173,15 @@ def test_s_t_maps_roundtrip():
 
 @pytest.mark.parametrize("p", [0, 1, 3, 5])
 def test_up_constant_on_de_sitter(ds3, p):
-    for t in np.linspace(0.0, 0.99, 100):
-        val = LS.up_value(ds3, p, float(t))
+    for t in linspace(0.0, 0.99, 100):
+        val = LS.up_value(ds3, p, t)
         assert abs(val - S3_AREA) <= 1e-8 * S3_AREA
 
 
 @pytest.mark.parametrize("p", [0, 1, 3, 5])
 def test_up_constant_on_anti_de_sitter(ads3, p):
-    for t in np.linspace(1.01, 10.0, 100):
-        val = LS.up_value(ads3, p, float(t))
+    for t in linspace(1.01, 10.0, 100):
+        val = LS.up_value(ads3, p, t)
         assert abs(val - S3_AREA) <= 1e-8 * S3_AREA
 
 
@@ -207,16 +209,17 @@ def test_up_derivative_zero_on_round_models(ds3, ads3):
 
 def test_up_derivative_forms_agree_sds(sds01):
     for view in (sds01.on_branch("inner"), sds01.on_branch("outer"), sds01):
-        for t in np.linspace(0.05, 0.9, 25):
-            f1, f2, _ = LS.up_derivative(view, 3, float(t))
+        for t in linspace(0.05, 0.9, 25):
+            f1, f2, _ = LS.up_derivative(view, 3, t)
             assert abs(f1 - f2) <= 1e-8 * max(1.0, abs(f1))
 
 
 def test_up_derivative_matches_finite_differences(sds01):
     outer = sds01.on_branch("outer")
-    for t in np.linspace(0.05, 0.9, 25):
-        f1, _, _ = LS.up_derivative(outer, 3, float(t))
-        fd = LS._numeric_derivative(outer, 3, float(t), 1e-4)
+    for t in linspace(0.05, 0.9, 25):
+        f1, _, _ = LS.up_derivative(outer, 3, t)
+        fd = five_point_derivative(lambda tt: LS.up_value(outer, 3, tt), t,
+                                   1e-4)
         assert abs(f1 - fd) <= 1e-5
 
 
@@ -252,19 +255,19 @@ def test_phi_0_is_conformal_area(sds01):
 
 def test_phi_p_constant_on_round_models(ds3, ads3):
     for tr in (ds3, ads3):
-        for s in np.linspace(0.3, 4.0, 20):
-            assert LS.phi_p(tr, 3, float(s)) == pytest.approx(
+        for s in linspace(0.3, 4.0, 20):
+            assert LS.phi_p(tr, 3, s) == pytest.approx(
                 S3_AREA, rel=1e-9)
-            assert abs(LS.phi_p_derivative(tr, 3, float(s))) <= 1e-9
+            assert abs(LS.phi_p_derivative(tr, 3, s)) <= 1e-9
 
 
 def test_derivative_relation_up_phi(sds01, ads3, nariai3):
     """U_p'(t) (1 - t^2) = Phi_p'(s(t)): the two sides run through entirely
     different formulas (level mean curvature vs conformal mean curvature)."""
     for tr in (sds01, nariai3):
-        for t in np.linspace(0.1, 0.9, 15):
-            lhs = LS.up_derivative(tr, 3, float(t))[0] * (1 - t * t)
-            rhs = LS.phi_p_derivative(tr, 3, LS.s_of_t(float(t)))
+        for t in linspace(0.1, 0.9, 15):
+            lhs = LS.up_derivative(tr, 3, t)[0] * (1 - t * t)
+            rhs = LS.phi_p_derivative(tr, 3, LS.s_of_t(t))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs)), tr.name
     for t in (1.5, 2.5):
         lhs = LS.up_derivative(ads3, 3, t)[0] * (1 - t * t)
@@ -335,30 +338,64 @@ def test_vp_second_derivative_limit_ads(ads3):
 # curves, scans, limits
 
 def test_up_curve_analytic_vs_numeric(sds01):
-    grid = np.linspace(0.05, 0.9, 20)
-    curve = LS.up_curve(sds01.on_branch("outer"), 3, grid)
-    for ana, num in zip(curve.d_analytic, curve.d_numeric):
-        assert abs(ana - num) <= max(1e-6, 1e-4 * abs(ana))
+    # the transport derivative reads no field equation, `d_analytic`
+    # rewrites with them; measured agreement on t in [0.05, 0.95] (four
+    # models, n = 3, 4, 5): <= 1.1e-13 of the curve's largest value
+    outer = sds01.on_branch("outer")
+    for curve in (LS.up_curve(outer, 3, linspace(0.05, 0.9, 20)),
+                  LS.phi_curve(outer, 3, linspace(0.05, 2.5, 20))):
+        scale = max(abs(v) for v in curve.values)
+        for ana, num in zip(curve.d_analytic, curve.d_numeric):
+            assert abs(ana - num) <= 1e-11 * scale
 
 
 def test_up_curve_skips_analytic_below_p3(ds3):
-    curve = LS.up_curve(ds3, 1, np.linspace(0.1, 0.9, 5))
+    curve = LS.up_curve(ds3, 1, linspace(0.1, 0.9, 5))
     assert curve.d_analytic is None
-    assert np.all(np.abs(curve.d_numeric) < 1e-8)
+    assert all(abs(d) < 1e-12 for d in curve.d_numeric)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_transport_derivative_below_p3_against_mpmath(sds01, p):
+    # no analytic derivative below p = 3: the transport one against a
+    # 50-digit U_p'(t) (measured 7.6e-14 and 1.4e-13 of the largest value)
+    grid = linspace(0.05, 0.95, 7)
+    curve = LS.up_curve(sds01.on_branch("outer"), p, grid)
+    scale = max(abs(v) for v in curve.values)
+    for t, value, num in zip(grid, curve.values, curve.d_numeric):
+        ref_value, ref_slope = sds_outer_up_reference(3, 0.1, p, t)
+        assert abs(value - float(ref_value)) <= 1e-12 * scale
+        assert abs(num - float(ref_slope)) <= 1e-12 * scale
+
+
+def test_transport_derivative_on_nariai(nariai3):
+    # U_1 = k |S| h0^(n-1) sqrt(n) (1-t^2)^(-(n-1)/2) over the k spheres
+    # of the view, whence U_1' = k |S| h0^(n-1) sqrt(n) (n-1) t
+    # (1-t^2)^(-(n+1)/2)
+    n = 3
+    h0 = math.sqrt((n - 2) / n)
+    grid = linspace(0.05, 0.95, 7)
+    for view, k in ((nariai3, 2), (nariai3.on_branch("outer"), 1)):
+        curve = LS.up_curve(view, 1, grid)
+        scale = max(abs(v) for v in curve.values)
+        for t, num in zip(grid, curve.d_numeric):
+            exact = (k * unit_sphere_area(n) * h0 ** (n - 1) * math.sqrt(n)
+                     * (n - 1) * t * (1 - t * t) ** (-(n + 1) / 2))
+            assert abs(num - exact) <= 1e-12 * scale
 
 
 def test_monotonicity_scan_round_models(ds3, ads3):
-    rep = LS.monotonicity_scan(ds3, 1, np.linspace(0.0, 0.99, 40))
+    rep = LS.monotonicity_scan(ds3, 1, linspace(0.0, 0.99, 40))
     assert rep.classification == "constant"
     assert not rep.informational
     assert rep.violations == ()
-    rep = LS.monotonicity_scan(ads3, 1, np.linspace(1.01, 10.0, 40))
+    rep = LS.monotonicity_scan(ads3, 1, linspace(1.01, 10.0, 40))
     assert rep.classification == "constant"
     assert rep.violations == ()
 
 
 def test_monotonicity_scan_sds_informational(sds01):
-    rep = LS.monotonicity_scan(sds01, 1, np.linspace(0.05, 0.9, 30))
+    rep = LS.monotonicity_scan(sds01, 1, linspace(0.05, 0.9, 30))
     assert rep.informational  # the gravity bound fails, so no verdict
     assert rep.violations == ()
     assert not rep.assumption_flags["surface_gravity_le_1"]
