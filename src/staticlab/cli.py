@@ -306,7 +306,7 @@ def cmd_scan_sds(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    from . import odegen  # numpy and scipy load only for this command
+    from . import odegen  # here, so that no other command compiles it
     _check_steps(args.steps)
     try:
         data = odegen.HorizonData(n=args.n, lambda_sign=+1, h0=args.h0,

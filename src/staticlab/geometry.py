@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
@@ -42,9 +42,11 @@ ARCLENGTH_MARGIN = 1e-4  # fraction of the span to_arclength drops per side
 EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
 
 
+@cache  # the level integrals read it once per sphere term
 def unit_sphere_area(n: int) -> float:
-    """Hypersurface area of the unit sphere S^(n-1) in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    """Hypersurface area of the unit sphere S^(n-1) in R^n, through
+    logarithms: pi^(n/2) and Gamma(n/2) overflow from n = 344 on."""
+    return 2.0 * math.exp((n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
 def sphere_area(n: int, r: float) -> float:

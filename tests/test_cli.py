@@ -171,6 +171,18 @@ def test_models_in_high_dimension(capsys, n):
     assert len(json.loads(out)) == 4
 
 
+@pytest.mark.parametrize("suite", ["identities", "inequalities"])
+def test_sphere_area_in_high_dimension(capsys, suite):
+    # |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2): Gamma(n/2) alone overflows from
+    # n = 344
+    code, out = run(capsys, "check", "--model", "desitter", "--n", "344",
+                    "--suite", suite)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    statuses = {c["status"] for c in checks}
+    assert "pass" in statuses and statuses <= {"pass", "inapplicable"}
+
+
 def test_shoot_csv(tmp_path, capsys):
     path = tmp_path / "shot.csv"
     code, _ = run(capsys, "shoot", "--n", "3", "--h0", "1.0", "--kappa",

@@ -19,6 +19,17 @@ differently does not fail the test:
   1e-13, the last one 1e-6 inside a horizon located to that accuracy;
 - anywhere else, 1e-12.
 
+The `monitor` cell of the last `shoot` row is integration error, not
+signal.  The closed-form solution through the same horizon data satisfies
+the trace equation identically (40-digit mpmath gives below 1e-41 there),
+and the row lies 1e-6 inside the second horizon, where the u'/u term of the
+reduction magnifies the state's error to about 1.8e-6.  Moving the start
+state of the shot by one ulp moves that cell by up to 9.4e-9 (3.4e-9 with
+scipy's RK45, which recorded it first).  It was recorded again, alone, when
+the shot moved to the package's own Dormand-Prince integrator
+(1.76835367347e-06 -> 1.76706122464e-06); its floor stays 1e-9, so any
+change of integrator shows there first.
+
 To record the files again from the current source tree:
 
     PYTHONPATH=src python tests/test_golden.py

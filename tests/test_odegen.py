@@ -1,10 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from staticlab import SdSParams, schwarzschild_de_sitter, static_residual
 from staticlab import odegen as OG
+from staticlab.geometry import linspace
 
 from oracles import arclength_from_horizon
 
@@ -20,8 +20,7 @@ def test_reduction_on_hemisphere_closed_form():
     """(h, h', u, u') = (sin, cos, cos, -sin) satisfies the reduction."""
     system = OG.reduce_system(3, +1)
     for rho in (0.3, 0.8, 1.2):
-        y = np.array([math.sin(rho), math.cos(rho),
-                      math.cos(rho), -math.sin(rho)])
+        y = (math.sin(rho), math.cos(rho), math.cos(rho), -math.sin(rho))
         d2h, d2u = system.second_derivatives(*y)
         assert d2h == pytest.approx(-math.sin(rho), abs=1e-13)
         assert d2u == pytest.approx(-math.cos(rho), abs=1e-13)
@@ -48,7 +47,7 @@ def test_reduction_flat_limit_is_schwarzschild():
         f = 1.0 - 2.0 * m / r
         u = math.sqrt(f)
         fp = 2.0 * m / r ** 2
-        return np.array([r, math.sqrt(f), u, fp / 2.0])
+        return r, math.sqrt(f), u, fp / 2.0
 
     for r in (0.9, 1.5, 3.0):
         h, dh, u, du = state(r)
@@ -88,7 +87,7 @@ def test_series_coefficients_match_models():
 
 def test_shoot_reproduces_hemisphere():
     tr = OG.shoot_from_horizon(OG.HorizonData(3, +1, 1.0, 1.0))
-    rhos = np.linspace(1e-3, tr.domain[1] - 1e-9, 400)
+    rhos = linspace(1e-3, tr.domain[1] - 1e-9, 400)
     sup_u = max(abs(tr.u(r)[0] / tr.normalization_factor - math.sin(r))
                 for r in rhos)
     sup_h = max(abs(tr.h(r)[0] - math.cos(r)) for r in rhos)
@@ -111,7 +110,7 @@ def test_shoot_reproduces_two_horizon_family(sds01):
     tr = OG.shoot_from_horizon(OG.HorizonData(3, +1, r1, fp(r1) / 2.0))
     # profiles against the closed form, matched through the arclength map
     sup_u = sup_h = 0.0
-    for r in np.linspace(r1 + 0.005, sds01.domain[1] - 0.005, 80):
+    for r in linspace(r1 + 0.005, sds01.domain[1] - 0.005, 80):
         rho = arclength_from_horizon(f, fp, r1, r)
         sup_u = max(sup_u, abs(tr.u(rho)[0] / tr.normalization_factor
                                - math.sqrt(f(r))))
@@ -138,7 +137,7 @@ def test_shoot_reproduces_two_horizon_family(sds01):
 def test_shoot_constant_warp_branch():
     h0 = math.sqrt(1 / 3)
     tr = OG.shoot_from_horizon(OG.HorizonData(3, +1, h0, 0.7))
-    rhos = np.linspace(1e-3, tr.domain[1] - 1e-6, 300)
+    rhos = linspace(1e-3, tr.domain[1] - 1e-6, 300)
     assert max(abs(tr.h(r)[0] - h0) for r in rhos) <= 1e-8
     assert tr.domain[1] == pytest.approx(math.pi / math.sqrt(3), abs=1e-6)
 
@@ -174,7 +173,54 @@ def test_shooting_grid_lands_on_known_families():
 
         f0 = f(sds.extremum.location)
         sup = 0.0
-        for r in np.linspace(h0 + 0.02, sds.domain[1] - 0.02, 25):
+        for r in linspace(h0 + 0.02, sds.domain[1] - 0.02, 25):
             rho = arclength_from_horizon(f, fp, h0, r)
             sup = max(sup, abs(tr.u(rho)[0] - math.sqrt(f(r) / f0)))
         assert sup <= 1e-5, (h0, kappa)
+
+
+SCIPY_SHOTS = ([(3, h0) for h0 in (0.6, 0.7, 0.8, 0.9, 1.0)]
+               + [(4, 0.75), (4, 0.8), (4, 0.9), (5, 0.8), (5, 0.9)])
+
+
+@pytest.mark.parametrize("n, h0", SCIPY_SHOTS)
+def test_shot_matches_scipy_rk45(monkeypatch, n, h0):
+    """The package's Dormand-Prince integrator against scipy's RK45 with the
+    same start, tolerances and events: the same shot, packaged by the same
+    code, agrees at 201 interior points, at the domain end and in the
+    gravities and the normalisation."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def scipy_integrate(rhs, t0, y0, t_bound, events):
+        def event(component, level, terminal):
+            def g(t, y):
+                return y[component] - level
+            g.terminal, g.direction = terminal, -1.0
+            return g
+
+        sol = solve_ivp(rhs, (t0, t_bound), y0, method="RK45",
+                        dense_output=True, rtol=OG.RTOL, atol=OG.ATOL,
+                        events=[event(*e) for e in events])
+        assert sol.success, sol.message
+        return (lambda t: tuple(float(v) for v in sol.sol(t)),
+                float(sol.t[-1]), [[float(t) for t in ts]
+                                   for ts in sol.t_events])
+
+    data = OG.HorizonData(n, +1, h0, 1.0)
+    ours = OG.shoot_from_horizon(data)
+    monkeypatch.setattr(OG, "integrate", scipy_integrate)
+    oracle = OG.shoot_from_horizon(data)
+
+    assert len(ours.boundaries) == len(oracle.boundaries)
+    assert ours.extremum.discrete == oracle.extremum.discrete
+    bound = 1e-10
+    assert abs(ours.domain[1] - oracle.domain[1]) <= bound
+    assert abs(ours.normalization_factor
+               - oracle.normalization_factor) <= bound
+    for a, b in zip(ours.boundaries, oracle.boundaries):
+        assert abs(a.surface_gravity - b.surface_gravity) <= bound
+        assert abs(a.sphere_radius - b.sphere_radius) <= bound
+    for rho in ours.interior_points(201):
+        got = ours.h(rho)[:2] + ours.u(rho)[:2]
+        want = oracle.h(rho)[:2] + oracle.u(rho)[:2]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= bound, rho
