@@ -24,14 +24,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from . import conformal, identities, inequalities, levelset
 from .geometry import StaticTriple, linspace, static_residual
 from .models import by_name
-from .report import (IdentityReport, default_tolerance, identity_report,
-                     refusal_report)
+from .report import IdentityReport, default_tolerance, identity_report
 
 
 def _fmt(x) -> str:
@@ -161,19 +159,7 @@ def suite_inequalities(triple: StaticTriple, tol: float) -> list[IdentityReport]
 
 
 def suite_liminf(triple: StaticTriple, tol: float) -> list[IdentityReport]:
-    flags = levelset.assumption_flags(triple)
-    about = "limit of the level integral at the extremal value"
-    out = []
-    for p in range(1, triple.n):
-        res = levelset.liminf_check(triple, p)
-        if res.status != "ok":
-            out.append(replace(refusal_report(f"liminf(p={p})", res.status,
-                                              flags, about), tolerance=tol))
-        else:
-            out.append(identity_report(
-                f"liminf(p={p})", res.limit, res.reference, tol,
-                assumptions=flags, description=about + " vs extremal count"))
-    return out
+    return [levelset.liminf_check(triple, p, tol) for p in range(1, triple.n)]
 
 
 SUITES = {

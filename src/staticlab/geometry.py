@@ -127,14 +127,17 @@ class Extremum:
     """Where u attains its normalised extremum (max for sign=+1, min for -1).
 
     For the model families the extremal set is either a single point
-    (discrete=True, count=1) or a whole sphere (discrete=False, count=None);
-    checks that assume a discrete extremal set must refuse in the latter
-    case rather than guess a count.
+    (count=1) or a whole sphere (count=None, not discrete); checks that
+    assume a discrete extremal set must refuse in the latter case rather
+    than guess a count.
     """
 
     location: float
-    discrete: bool
-    count: Optional[int] = None
+    count: Optional[int]
+
+    @property
+    def discrete(self) -> bool:
+        return self.count is not None
 
 
 @dataclass(frozen=True)
@@ -341,8 +344,10 @@ class SphereData:
 
     @cached_property
     def area_g(self) -> float:
-        """Sphere area w.r.t. the conformal metric."""
-        return self.area / self.D ** ((self.triple.n - 1) / 2.0)
+        """Sphere area w.r.t. the conformal metric, of radius h/sqrt(D):
+        scale-free, so it does not overflow where h^(n-1) would."""
+        n = self.triple.n
+        return unit_sphere_area(n) * (self.h / math.sqrt(self.D)) ** (n - 1)
 
     @cached_property
     def W(self) -> float:
@@ -498,10 +503,10 @@ def to_arclength(triple: StaticTriple,
     r_grid = a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * s))
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=20_000)
 
-    def jacobian(r):  # 1/sqrt(f) on an array of nodes
+    def jacobian(r):  # 1/sqrt(f) on one node or an array of nodes
         fval = triple.f.fn(r)[0]
         if not np.all(fval > 0.0):
-            bad = r[~(fval > 0.0)][0]
+            bad = np.atleast_1d(r)[~np.atleast_1d(fval > 0.0)][0]
             raise ValueError(f"metric function not positive at x={bad}")
         return 1.0 / np.sqrt(fval)
 
@@ -510,9 +515,7 @@ def to_arclength(triple: StaticTriple,
     seg, err, _ = _kronrod_panel(jacobian, r_grid[:-1], r_grid[1:])
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(seg))
     for i in np.flatnonzero(err > tol):
-        seg[i] = adaptive(
-            lambda r: sphere_data(triple, r).arclength_jacobian,
-            r_grid[i], r_grid[i + 1], cfg).value
+        seg[i] = adaptive(jacobian, r_grid[i], r_grid[i + 1], cfg).value
     rho = np.concatenate(([0.0], np.cumsum(seg)))
     u_vals = np.array([triple.u.value(r) for r in r_grid])
     u_prof = RadialProfile.from_samples(rho, u_vals)

@@ -21,11 +21,13 @@ sees: on a two-branch triple, both; on the view `triple.on_branch("inner")`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .geometry import (BRANCH_INSET, SphereData, StaticTriple, check_window,
                        sphere_area, sphere_data, unit_sphere_area)
+from .report import (IdentityReport, identity_report, inequality_report,
+                     refusal_report)
 from .roots import find_root
 
 LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
@@ -284,61 +286,37 @@ def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
     return _curve(row, p, grid)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    p: float
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    classification: str  # "constant" | "nonincreasing" | "nondecreasing" | "mixed"
-    assumption_flags: dict[str, bool]
-    informational: bool
-    violations: tuple[int, ...]
-
-
 def monotonicity_scan(triple: StaticTriple, p: float,
-                      grid: Sequence[float]) -> MonotonicityReport:
-    """Sign pattern of the numeric increments of U_p over `grid`.
-
-    Monotonicity violations are only flagged when the triple satisfies the
-    assumptions under which monotonicity is asserted (and p is an exponent
-    for which it is asserted); otherwise the scan is informational.
-    """
-    grid = tuple(grid)
-    values = tuple(up_value(triple, p, t) for t in grid)
+                      grid: Sequence[float]) -> IdentityReport:
+    """Monotonicity of U_p over `grid` as an inequality: its largest
+    increment against the asserted direction (down for positive constant,
+    up for negative) is at most 0.  Inapplicable unless the assumptions of
+    the statement hold and p is an exponent it is asserted for; `extra`
+    holds the sign pattern and the indices of the violating increments."""
+    values = [up_value(triple, p, t) for t in grid]
     deltas = [b - a for a, b in zip(values, values[1:])]
     tol = 1e-10 * max(1.0, max(abs(v) for v in values))
     incr = all(d >= -tol for d in deltas)
     decr = all(d <= tol for d in deltas)
-    if incr and decr:
-        cls = "constant"
-    elif decr:
-        cls = "nonincreasing"
-    elif incr:
-        cls = "nondecreasing"
-    else:
-        cls = "mixed"
+    cls = ("constant" if incr and decr else "nondecreasing" if incr
+           else "nonincreasing" if decr else "mixed")
     flags = assumption_flags(triple)
     applicable = assumptions_hold(triple, flags) and (p == 1 or p >= 3)
-    violations: tuple[int, ...] = ()
-    if applicable:
-        sign = triple.lambda_sign
-        violations = tuple(i for i, d in enumerate(deltas) if sign * d > tol)
-    return MonotonicityReport(p=p, grid=grid, values=values,
-                              classification=cls, assumption_flags=flags,
-                              informational=not applicable,
-                              violations=violations)
+    against = [triple.lambda_sign * d for d in deltas]
+    violations = (tuple(i for i, d in enumerate(against) if d > tol)
+                  if applicable else ())
+    return inequality_report(
+        f"monotonicity(p={p})", max(against, default=0.0), 0.0, tol,
+        assumptions=flags, applicable=applicable,
+        description="largest increment of the level integral against the "
+                    "asserted direction",
+        extra={"classification": cls, "violations": violations})
 
 
-@dataclass(frozen=True)
-class LiminfResult:
-    status: str  # "ok" | "non-discrete extremum set"
-    limit: float
-    reference: float  # |extremal set| * |S^(n-1)|
-    satisfied: Optional[bool]
-
-
-def liminf_check(triple: StaticTriple, p: float) -> LiminfResult:
-    """Estimate lim U_p(t) as t approaches the extremal value 1.
+def liminf_check(triple: StaticTriple, p: float,
+                 tolerance: float) -> IdentityReport:
+    """Estimate lim U_p(t) as t approaches the extremal value 1 and compare
+    it with |extremal set| * |S^(n-1)|.
 
     Samples t = 1 -+ 2^-k on a geometric sequence and extrapolates with an
     Aitken step; k is capped where 1 - t^2 still carries enough significant
@@ -346,10 +324,12 @@ def liminf_check(triple: StaticTriple, p: float) -> LiminfResult:
     """
     if p > triple.n - 1:
         raise ValueError("the limit estimate is asserted for p <= n-1")
+    flags = assumption_flags(triple)
+    name = f"liminf(p={p})"
+    about = "limit of the level integral at the extremal value"
     if not triple.extremum.discrete:
-        return LiminfResult(status="non-discrete extremum set",
-                            limit=math.nan, reference=math.nan,
-                            satisfied=None)
+        return replace(refusal_report(name, "non-discrete extremum set",
+                                      flags, about), tolerance=tolerance)
     sign = triple.lambda_sign
     ks = range(LIMINF_K[0], LIMINF_K[1] + 1)
     vals = [up_value(triple, p, 1.0 - sign * 2.0 ** (-k)) for k in ks]
@@ -361,8 +341,9 @@ def liminf_check(triple: StaticTriple, p: float) -> LiminfResult:
     else:
         limit = v2
     reference = triple.extremum.count * unit_sphere_area(triple.n)
-    return LiminfResult(status="ok", limit=limit, reference=reference,
-                        satisfied=limit >= reference - 1e-6 * reference)
+    return identity_report(name, limit, reference, tolerance,
+                           assumptions=flags,
+                           description=about + " vs extremal count")
 
 
 # --------------------------------------------------------------------------

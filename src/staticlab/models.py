@@ -68,7 +68,7 @@ def de_sitter(n: int) -> StaticTriple:
         n=n, lambda_sign=+1, u=RadialProfile((0.0, 1.0), u_fn), h=None,
         f=RadialProfile((0.0, 1.0), f_fn),
         boundaries=(boundary,),
-        extremum=Extremum(location=0.0, discrete=True, count=1),
+        extremum=Extremum(location=0.0, count=1),
         name="de_sitter",
     )
 
@@ -94,7 +94,7 @@ def anti_de_sitter(n: int) -> StaticTriple:
         n=n, lambda_sign=-1, u=RadialProfile((0.0, ADS_R_MAX), u_fn), h=None,
         f=RadialProfile((0.0, ADS_R_MAX), f_fn),
         boundaries=(),
-        extremum=Extremum(location=0.0, discrete=True, count=1),
+        extremum=Extremum(location=0.0, count=1),
         conformally_compact=True,
         name="anti_de_sitter",
     )
@@ -145,7 +145,7 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
         n=n, lambda_sign=+1, u=RadialProfile((r1, r2), u_fn), h=None,
         f=RadialProfile((r1, r2), f_fn),
         boundaries=boundaries,
-        extremum=Extremum(location=r0, discrete=False),
+        extremum=Extremum(location=r0, count=None),
         normalization_factor=inv_sqrt_f0,
         name=f"schwarzschild_de_sitter(n={n}, m={m})",
     )
@@ -173,7 +173,7 @@ def nariai(n: int) -> StaticTriple:
         h=RadialProfile((0.0, length), lambda rho: (h0, 0.0, 0.0)),
         f=None,
         boundaries=boundaries,
-        extremum=Extremum(location=0.5 * length, discrete=False),
+        extremum=Extremum(location=0.5 * length, count=None),
         name=f"nariai(n={n})",
     )
 

@@ -437,11 +437,11 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     if extremal_rhos:
         h_star = sol(rho_star)[0]
         if h_star > 10.0 * h_floor:
-            extremum = Extremum(location=rho_star, discrete=False)
+            extremum = Extremum(location=rho_star, count=None)
         else:
-            extremum = Extremum(location=rho_star, discrete=True, count=1)
+            extremum = Extremum(location=rho_star, count=1)
     else:
-        extremum = Extremum(location=rho_end, discrete=True, count=1)
+        extremum = Extremum(location=rho_end, count=1)
 
     boundaries = [BoundaryComponent(location=0.0, sphere_radius=data.h0,
                                     surface_gravity=scale)]

@@ -172,13 +172,15 @@ def test_criterion_7_liminf():
                     (anti_de_sitter, 4)):
         tr = make(n)
         for p in range(1, n):
-            res = LS.liminf_check(tr, p)
-            results.append(abs(res.limit - unit_sphere_area(n))
+            res = LS.liminf_check(tr, p, 1e-6)
+            results.append(abs(res.lhs - unit_sphere_area(n))
                            / unit_sphere_area(n))
     worst = max(results)
-    refused = (LS.liminf_check(schwarzschild_de_sitter(SdSParams(3, 0.1)), 1),
-               LS.liminf_check(nariai(3), 1))
-    refusals_ok = all(r.status == "non-discrete extremum set"
+    refused = (
+        LS.liminf_check(schwarzschild_de_sitter(SdSParams(3, 0.1)), 1, 1e-6),
+        LS.liminf_check(nariai(3), 1, 1e-6))
+    refusals_ok = all(r.status == "inapplicable"
+                      and r.extra["reason"] == "non-discrete extremum set"
                       for r in refused)
     ok = worst <= 1e-6 and refusals_ok
     report(7, ok, f"extremal limits equal the round-sphere area "

@@ -183,6 +183,24 @@ def test_sphere_area_in_high_dimension(capsys, suite):
     assert "pass" in statuses and statuses <= {"pass", "inapplicable"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("models", "--n", "200", "--m", "1e-80"),
+    ("models", "--n", "400", "--m", "1e-80"),
+    *(("check", "--model", "antidesitter", "--n", "200", "--suite", suite)
+      for suite in ("identities", "inequalities", "liminf")),
+], ids=["models-200", "models-400", "identities", "inequalities", "liminf"])
+def test_conformal_area_in_high_dimension(capsys, argv):
+    # A_g = |S^(n-1)| (h / sqrt(D))^(n-1): h^(n-1) alone overflows at the
+    # boundary level t = 100 of anti-de Sitter (h ~ 100) from n = 156
+    code, out = run(capsys, *argv)
+    assert code == 0
+    if argv[0] == "check":
+        checks = json.loads(out)["checks"]
+        assert "fail" not in {c["status"] for c in checks}
+    else:
+        assert len(json.loads(out)) == 4
+
+
 def test_shoot_csv(tmp_path, capsys):
     path = tmp_path / "shot.csv"
     code, _ = run(capsys, "shoot", "--n", "3", "--h0", "1.0", "--kappa",

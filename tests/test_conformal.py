@@ -1,19 +1,18 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from staticlab import SdSParams, cli, schwarzschild_de_sitter
 from staticlab import conformal as CF
-from staticlab.geometry import StaticTriple
+from staticlab.geometry import StaticTriple, linspace
 
 from oracles import sds_horizon_data
 
 
 def test_de_sitter_state_is_cylindrical(ds3):
     # the conformal picture of the hemisphere is a round cylinder
-    for r in np.linspace(0.05, 0.95, 20):
+    for r in linspace(0.05, 0.95, 20):
         st = CF.to_conformal(ds3, r)
         assert st.W == pytest.approx(1.0, abs=1e-12)
         assert st.hess_phi_norm2 == pytest.approx(0.0, abs=1e-12)
@@ -24,7 +23,7 @@ def test_de_sitter_state_is_cylindrical(ds3):
 
 
 def test_anti_de_sitter_state(ads3):
-    for r in np.linspace(0.2, 10, 20):
+    for r in linspace(0.2, 10, 20):
         st = CF.to_conformal(ads3, r)
         assert st.W == pytest.approx(1.0, abs=1e-12)
         # trace identity with W = 1 kills the u^2 term entirely
@@ -95,7 +94,7 @@ def test_quasi_einstein_residual_on_solutions(all_models):
 def test_quasi_einstein_residual_sds_inner_region(sds01):
     lo = sds01.domain[0]
     r0 = sds01.extremum.location
-    for r in np.linspace(lo + 0.01, r0 - 0.01, 50):
+    for r in linspace(lo + 0.01, r0 - 0.01, 50):
         assert CF.quasi_einstein_residual(CF.sphere_data(sds01, r)) <= 1e-8
 
 

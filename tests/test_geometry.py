@@ -31,8 +31,7 @@ def make_arclength_triple(n, h_fn, u_fn, domain):
     return StaticTriple(
         n=n, lambda_sign=+1,
         u=RadialProfile(domain, u_fn), h=RadialProfile(domain, h_fn), f=None,
-        boundaries=(), extremum=Extremum(location=domain[0], discrete=True,
-                                         count=1))
+        boundaries=(), extremum=Extremum(location=domain[0], count=1))
 
 
 def test_unit_sphere_area_values():
@@ -288,7 +287,7 @@ def _areal(f_fn, domain=(0.0, 1.0)):
         n=3, lambda_sign=+1,
         u=RadialProfile(domain, lambda r: (1.0, 0.0, 0.0)), h=None,
         f=RadialProfile(domain, f_fn), boundaries=(),
-        extremum=Extremum(location=domain[0], discrete=True, count=1))
+        extremum=Extremum(location=domain[0], count=1))
 
 
 @pytest.mark.parametrize("f_fn", [
@@ -298,3 +297,19 @@ def _areal(f_fn, domain=(0.0, 1.0)):
 def test_arclength_refuses_a_bad_metric_function(f_fn):
     with pytest.raises(ValueError, match="metric function"):
         to_arclength(_areal(f_fn), samples=50)
+
+
+def test_arclength_refuses_a_bad_node_of_a_refinement(monkeypatch):
+    # f is positive at every node of the first panels and negative within
+    # 1e-4 of r = 0.4237, where only `adaptive`, node by node, reaches
+    refined = []
+
+    def spy(f, a, b, config):
+        refined.append(a)
+        return adaptive(f, a, b, config)
+
+    monkeypatch.setattr(geometry, "adaptive", spy)
+    with pytest.raises(ValueError, match="metric function not positive"):
+        to_arclength(_areal(lambda r: (100.0 * abs(r - 0.4237) - 0.01,
+                                       0.0, 0.0)), samples=50)
+    assert refined

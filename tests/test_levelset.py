@@ -386,19 +386,55 @@ def test_transport_derivative_on_nariai(nariai3):
 
 def test_monotonicity_scan_round_models(ds3, ads3):
     rep = LS.monotonicity_scan(ds3, 1, linspace(0.0, 0.99, 40))
-    assert rep.classification == "constant"
-    assert not rep.informational
-    assert rep.violations == ()
+    assert rep.extra["classification"] == "constant"
+    assert rep.status == "pass"
+    assert rep.extra["violations"] == ()
     rep = LS.monotonicity_scan(ads3, 1, linspace(1.01, 10.0, 40))
-    assert rep.classification == "constant"
-    assert rep.violations == ()
+    assert rep.extra["classification"] == "constant"
+    assert rep.extra["violations"] == ()
 
 
 def test_monotonicity_scan_sds_informational(sds01):
     rep = LS.monotonicity_scan(sds01, 1, linspace(0.05, 0.9, 30))
-    assert rep.informational  # the gravity bound fails, so no verdict
-    assert rep.violations == ()
-    assert not rep.assumption_flags["surface_gravity_le_1"]
+    assert rep.status == "inapplicable"  # the gravity bound fails
+    assert rep.extra["violations"] == ()
+    assert not rep.assumption_status["surface_gravity_le_1"]
+
+
+def _scaled_hemisphere(ds3, eps):
+    """The hemisphere's potential times 1 + eps r^2, with its horizon data
+    kept: not a static solution, but every assumption flag still holds."""
+    def fn(r):
+        u, du, d2u = ds3.u(r)
+        k = 1.0 + eps * r * r
+        return (u * k, du * k + 2.0 * eps * r * u,
+                d2u * k + 4.0 * eps * r * du + 2.0 * eps * u)
+    return dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=fn))
+
+
+@pytest.mark.parametrize("eps,cls,count", [(0.3, "nondecreasing", 29),
+                                           (-0.3, "mixed", 23)])
+def test_monotonicity_scan_flags_violations(ds3, eps, cls, count):
+    grid = linspace(0.05, 0.95, 30)
+    rep = LS.monotonicity_scan(_scaled_hemisphere(ds3, eps), 1, grid)
+    assert all(rep.assumption_status.values())
+    assert rep.status == "fail"
+    assert rep.extra["classification"] == cls
+    assert len(rep.extra["violations"]) == count
+    assert rep.lhs > rep.tolerance and rep.rhs == 0.0
+
+
+def test_monotonicity_scan_fails_exactly_on_violations(ds3, ads3, sds01,
+                                                       nariai3):
+    grid = linspace(0.05, 0.95, 30)
+    scans = [LS.monotonicity_scan(tr, p, grid)
+             for tr in (ds3, sds01, nariai3, _scaled_hemisphere(ds3, 0.3),
+                        _scaled_hemisphere(ds3, -0.3)) for p in (1, 3)]
+    scans.append(LS.monotonicity_scan(ads3, 1, linspace(1.01, 10.0, 30)))
+    scans.append(LS.monotonicity_scan(ds3, 1, [0.5]))  # no increment
+    assert {rep.status for rep in scans} == {"pass", "fail", "inapplicable"}
+    for rep in scans:
+        assert (rep.status == "fail") == bool(rep.extra["violations"])
 
 
 @pytest.mark.parametrize("make,n,p,expect", [
@@ -410,22 +446,30 @@ def test_monotonicity_scan_sds_informational(sds01):
 ])
 def test_liminf_round_models(make, n, p, expect):
     tr = make(n)
-    res = LS.liminf_check(tr, p)
-    assert res.status == "ok"
-    assert res.limit == pytest.approx(expect, rel=1e-6)
-    assert res.satisfied
+    res = LS.liminf_check(tr, p, 1e-6)
+    assert res.status == "pass"
+    assert res.lhs == pytest.approx(expect, rel=1e-6)
+    assert res.rhs == pytest.approx(expect, rel=1e-14)
 
 
 def test_liminf_refuses_non_discrete(sds01, nariai3):
     for tr in (sds01, nariai3):
-        res = LS.liminf_check(tr, 1)
-        assert res.status == "non-discrete extremum set"
-        assert res.satisfied is None
+        res = LS.liminf_check(tr, 1, 1e-6)
+        assert res.status == "inapplicable"
+        assert res.extra["reason"] == "non-discrete extremum set"
+        assert res.tolerance == 1e-6
+        assert math.isnan(res.lhs) and math.isnan(res.rhs)
+
+
+def test_liminf_verdict_follows_the_tolerance(ads3):
+    for p in (1, 2):
+        assert LS.liminf_check(ads3, p, 1e-13).status == "fail"
+        assert LS.liminf_check(ads3, p, 1e-6).status == "pass"
 
 
 def test_liminf_rejects_large_p(ds3):
     with pytest.raises(ValueError):
-        LS.liminf_check(ds3, 3)  # p must be <= n-1
+        LS.liminf_check(ds3, 3, 1e-6)  # p must be <= n-1
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from staticlab import (
@@ -13,6 +12,8 @@ from staticlab import (
     schwarzschild_de_sitter,
     static_residual,
 )
+from staticlab.cli import _parse_grid
+from staticlab.geometry import linspace
 from staticlab.models import bracketed_root
 
 from oracles import sds_horizon_data
@@ -78,8 +79,8 @@ def test_sds_example_roots_m01():
 
 
 def test_sds_kappa_exceeds_one_on_mass_grid():
-    for m in np.arange(0.01, 0.1925, 0.01):
-        tr = schwarzschild_de_sitter(SdSParams(n=3, m=float(m)))
+    for m in _parse_grid("0.01:0.19:0.01"):
+        tr = schwarzschild_de_sitter(SdSParams(n=3, m=m))
         inner = min(tr.boundaries, key=lambda b: b.location)
         assert inner.surface_gravity > 1.0, f"m={m}"
 
@@ -98,7 +99,7 @@ def test_all_constructors_solve_field_equations():
 
 def test_de_sitter_gradient_identity(ds3):
     # |Du|^2 = 1 - u^2 exactly on the hemisphere
-    for r in np.linspace(0.05, 0.95, 30):
+    for r in linspace(0.05, 0.95, 30):
         st = ds3.radial_state(r)
         assert st.du ** 2 == pytest.approx(1 - st.u ** 2, abs=1e-14)
         assert st.du ** 2 == pytest.approx(r * r, abs=1e-14)
@@ -116,7 +117,7 @@ def test_de_sitter_extremum(ds3):
 
 
 def test_anti_de_sitter_gradient_identity(ads3):
-    for r in np.linspace(0.1, 50, 30):
+    for r in linspace(0.1, 50, 30):
         st = ads3.radial_state(r)
         assert st.u ** 2 - 1 - st.du ** 2 == pytest.approx(0.0, abs=1e-10)
     assert ads3.u.value(0.0) == 1.0
@@ -148,7 +149,7 @@ def test_small_mass_limit_approaches_de_sitter():
     ds = de_sitter(3)
     tr = schwarzschild_de_sitter(SdSParams(n=3, m=1e-6))
     hi = min(tr.domain[1], 0.999)
-    for r in np.linspace(0.2, hi, 50):
+    for r in linspace(0.2, hi, 50):
         assert abs(tr.f(r)[0] - ds.f(r)[0]) <= 1e-4
 
 
