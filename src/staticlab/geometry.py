@@ -29,8 +29,10 @@ whose residuals `static_residual` reports componentwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
@@ -46,7 +48,17 @@ EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
 def unit_sphere_area(n: int) -> float:
     """Hypersurface area of the unit sphere S^(n-1) in R^n, through
     logarithms: pi^(n/2) and Gamma(n/2) overflow from n = 344 on."""
-    return 2.0 * math.exp((n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0))
+    return sphere_area_from_log(n, 0.0)
+
+
+def sphere_area_from_log(n: int, log_r: float) -> float:
+    """Area of the round sphere S^(n-1) of radius exp(log_r), combined in
+    logarithms before one `exp`, and inf past the double range."""
+    try:
+        return 2.0 * math.exp((n / 2.0) * math.log(math.pi)
+                              - math.lgamma(n / 2.0) + (n - 1) * log_r)
+    except OverflowError:
+        return math.inf
 
 
 def sphere_area(n: int, r: float) -> float:
@@ -58,6 +70,26 @@ def sphere_euler_characteristic(n: int) -> int:
     """Euler characteristic of the level sphere S^(n-1): 2 when n-1 is
     even, 0 when it is odd."""
     return 2 if (n - 1) % 2 == 0 else 0
+
+
+class lazy:
+    """A field computed on first read and stored in the instance's
+    `__dict__`, which then shadows this descriptor; nothing is stored when
+    the function raises.  `functools.cached_property` does the same, but
+    before Python 3.12 it takes a lock on every first read."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def linspace(a: float, b: float, num: int) -> list[float]:
@@ -82,7 +114,8 @@ class RadialProfile:
     restricted to the open interior of `domain`; closed-form profiles may
     blow up or lose precision exactly at the endpoints.  `to_arclength`
     evaluates an areal triple's `f` elementwise on numpy arrays, so its
-    closed form uses arithmetic, not `math.*`.
+    closed form uses arithmetic, not `math.*`.  `hermite` builds a profile
+    from values and derivatives at knots.
     """
 
     domain: tuple[float, float]
@@ -95,19 +128,35 @@ class RadialProfile:
         return self.fn(x)[0]
 
     @staticmethod
-    def from_samples(xs: Sequence[float],
-                     ys: Sequence[float]) -> "RadialProfile":
-        """Cubic interpolant of sampled values; derivatives are those of the
-        interpolant itself."""
-        from scipy.interpolate import CubicSpline
-        spline = CubicSpline(xs, ys)
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
+    def hermite(xs: list[float], ys: list[float], d1s: list[float],
+                d2s: list[float]) -> "RadialProfile":
+        """The C^2 piecewise quintic through the knots xs (increasing) with
+        value, first and second derivative ys, d1s and d2s at each: exact at
+        the knots, and with no linear solve, as each piece is built from its
+        two knots when it is evaluated.  Takes plain lists of floats; outside
+        [xs[0], xs[-1]] the end pieces extrapolate."""
+        last = len(xs) - 2
 
         def fn(x: float) -> tuple[float, float, float]:
-            return float(spline(x)), float(d1(x)), float(d2(x))
+            i = min(max(bisect_right(xs, x) - 1, 0), last)
+            # y = y0 + s d0 + s^2 a0/2 + c3 s^3 + c4 s^4 + c5 s^5 with
+            # s = x - x0; r0, r1, r2 are what the quadratic misses at the
+            # right knot in value, slope*step and curvature*step^2
+            x0, y0, d0, a0 = xs[i], ys[i], d1s[i], d2s[i]
+            step = xs[i + 1] - x0
+            r0 = ys[i + 1] - y0 - step * (d0 + 0.5 * step * a0)
+            r1 = step * (d1s[i + 1] - d0 - step * a0)
+            r2 = step * step * (d2s[i + 1] - a0)
+            c3 = (10.0 * r0 - 4.0 * r1 + 0.5 * r2) / step ** 3
+            c4 = (7.0 * r1 - 15.0 * r0 - r2) / step ** 4
+            c5 = (6.0 * r0 - 3.0 * r1 + 0.5 * r2) / step ** 5
+            s = x - x0
+            return (
+                y0 + s * (d0 + s * (0.5 * a0 + s * (c3 + s * (c4 + s * c5)))),
+                d0 + s * (a0 + s * (3.0 * c3 + s * (4.0 * c4 + s * 5 * c5))),
+                a0 + s * (6.0 * c3 + s * (12.0 * c4 + s * 20.0 * c5)))
 
-        return RadialProfile(domain=(float(xs[0]), float(xs[-1])), fn=fn)
+        return RadialProfile(domain=(xs[0], xs[-1]), fn=fn)
 
 
 @dataclass(frozen=True)
@@ -229,7 +278,7 @@ class StaticTriple:
         its side."""
         return self._on_side(sorted(self.boundaries, key=lambda c: c.location))
 
-    @cached_property
+    @lazy
     def _branches(self) -> tuple[Branch, ...]:
         # held on the instance: every level location needs the branches;
         # `dataclasses.replace` builds a triple that starts afresh, and
@@ -327,12 +376,12 @@ class SphereData:
     def hess_u_norm2(self) -> float:
         return self.d2u ** 2 + (self.triple.n - 1) * self.hess_u_tan ** 2
 
-    @cached_property
+    @lazy
     def area(self) -> float:
         """Sphere area w.r.t. g0."""
         return sphere_area(self.triple.n, self.h)
 
-    @cached_property
+    @lazy
     def D(self) -> float:
         """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
         dictionary's beta), refused where it is not positive."""
@@ -342,19 +391,19 @@ class SphereData:
             raise ValueError(f"conformal factor degenerate at u={u}")
         return d
 
-    @cached_property
+    @lazy
     def area_g(self) -> float:
         """Sphere area w.r.t. the conformal metric, of radius h/sqrt(D):
         scale-free, so it does not overflow where h^(n-1) would."""
         n = self.triple.n
         return unit_sphere_area(n) * (self.h / math.sqrt(self.D)) ** (n - 1)
 
-    @cached_property
+    @lazy
     def W(self) -> float:
         """|Du|^2 / |1 - u^2|."""
         return self.du ** 2 / self.D
 
-    @cached_property
+    @lazy
     def H(self) -> float:
         """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
         H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
@@ -370,18 +419,18 @@ class SphereData:
         return (s * self.hess_u_rr / d + u * du2 / d ** 2,
                 s * self.hess_u_tan / d + u * du2 / d ** 2)
 
-    @cached_property
+    @lazy
     def hess_phi_nn(self) -> float:
         """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
         return self.D * self.hess_phi_components[0]
 
-    @cached_property
+    @lazy
     def _D_off_band(self) -> float:
         """D, refused in the extremal band; read by every entry below."""
         check_window(self.u)
         return self.D
 
-    @cached_property
+    @lazy
     def phi(self) -> float:
         """The conformal level coordinate artanh u or arcoth u."""
         self._D_off_band
@@ -390,32 +439,32 @@ class SphereData:
             return 0.5 * math.log((1.0 + u) / (1.0 - u))
         return 0.5 * math.log((u + 1.0) / (u - 1.0))
 
-    @cached_property
+    @lazy
     def H_g(self) -> float:
         """Mean curvature of the level w.r.t. g."""
         d, n, u = self._D_off_band, self.triple.n, self.u
         mean = self.H if self.triple.lambda_sign > 0 else -self.H
         return math.sqrt(d) * (mean + (n - 1) * u * abs(self.du) / d)
 
-    @cached_property
+    @lazy
     def hess_phi_norm2(self) -> float:
         """|hess_g phi|_g^2."""
         self._D_off_band
         n, u, w_norm = self.triple.n, self.u, self.W
         return self.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
 
-    @cached_property
+    @lazy
     def lap_phi(self) -> float:
         """lap_g phi (on solutions)."""
         self._D_off_band
         return -self.triple.n * self.u * (1.0 - self.W)
 
-    @cached_property
+    @lazy
     def gamma(self) -> float:
         """gamma(phi) = D^((n+2)/2) / u."""
         return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.u
 
-    @cached_property
+    @lazy
     def scalar_g(self) -> float:
         """R_g, from the trace identity."""
         self._D_off_band
@@ -482,19 +531,23 @@ def to_arclength(triple: StaticTriple,
     """Re-express an areal-chart triple in arclength, via rho = int dr/sqrt(f).
 
     The domain is inset by ARCLENGTH_MARGIN * span per side so the 1/sqrt(f)
-    integrand stays finite, and the profiles become cubic interpolants of
-    the sampled values.  `f` is evaluated elementwise on numpy arrays of
-    quadrature nodes (arithmetic, not `math.*`); a node where it is not
-    positive or is NaN raises ValueError.  Boundary data is not carried
-    over: the converted triple is meant for interior curvature evaluation
-    and cross-checks.
+    integrand stays finite.  rho is integrated on a grid of `samples` radii,
+    and u(rho), h(rho) and rho(r) become quintic Hermite interpolants
+    (`RadialProfile.hermite`) of the exact state at the grid points: u and
+    its r-derivatives from one evaluation of `u` per point, transformed as
+    in `StaticTriple.radial_state`, h = r with h' = sqrt(f) and h'' = f'/2,
+    and d(rho)/dr = 1/sqrt(f) with d2(rho)/dr2 = -f'/(2 f^(3/2)).  `f` is
+    evaluated elementwise on numpy arrays (arithmetic, not `math.*`): on
+    the quadrature nodes and on the grid; a point where it is not positive
+    or is NaN raises ValueError.  Boundary data is not carried over: the
+    converted triple is meant for interior curvature evaluation and
+    cross-checks.
 
     Returns (converted triple, rho_of_r callable).
     """
     if triple.chart != "areal":
         raise ValueError("to_arclength expects an areal-chart triple")
     import numpy as np
-    from scipy.interpolate import CubicSpline
     lo, hi = triple.domain
     span = hi - lo
     a, b = lo + ARCLENGTH_MARGIN * span, hi - ARCLENGTH_MARGIN * span
@@ -503,12 +556,15 @@ def to_arclength(triple: StaticTriple,
     r_grid = a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * s))
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=20_000)
 
-    def jacobian(r):  # 1/sqrt(f) on one node or an array of nodes
-        fval = triple.f.fn(r)[0]
+    def metric(r):  # f and f' on one node or an array of nodes, f > 0
+        fval, f1, _ = triple.f.fn(r)
         if not np.all(fval > 0.0):
             bad = np.atleast_1d(r)[~np.atleast_1d(fval > 0.0)][0]
             raise ValueError(f"metric function not positive at x={bad}")
-        return 1.0 / np.sqrt(fval)
+        return fval, f1
+
+    def jacobian(r):  # 1/sqrt(f)
+        return 1.0 / np.sqrt(metric(r)[0])
 
     # one Gauss-Kronrod panel per segment, all segments at once; only those
     # it does not resolve go through `adaptive`, which starts from that panel
@@ -517,17 +573,28 @@ def to_arclength(triple: StaticTriple,
     for i in np.flatnonzero(err > tol):
         seg[i] = adaptive(jacobian, r_grid[i], r_grid[i + 1], cfg).value
     rho = np.concatenate(([0.0], np.cumsum(seg)))
-    u_vals = np.array([triple.u.value(r) for r in r_grid])
-    u_prof = RadialProfile.from_samples(rho, u_vals)
-    h_prof = RadialProfile.from_samples(rho, r_grid)
+    fval, f1 = metric(r_grid)
+    f1 = np.broadcast_to(f1, r_grid.shape)
+    sf = np.sqrt(fval)
+    r_list = r_grid.tolist()
+    # (u, u_r, u_rr) at each point, each tuple read as soon as it is made:
+    # holding them all would set off a garbage collection every 700 points
+    u, ur, urr = np.fromiter(chain.from_iterable(map(triple.u.fn, r_list)),
+                             float, 3 * samples).reshape(-1, 3).T
+    rho_list = rho.tolist()
+    u_prof = RadialProfile.hermite(rho_list, u.tolist(), (sf * ur).tolist(),
+                                   (fval * urr + 0.5 * f1 * ur).tolist())
+    h_prof = RadialProfile.hermite(rho_list, r_list, sf.tolist(),
+                                   (0.5 * f1).tolist())
+    rho_prof = RadialProfile.hermite(r_list, rho_list, (1.0 / sf).tolist(),
+                                     (-0.5 * f1 / (fval * sf)).tolist())
     xstar = triple.extremum.location
-    rho_of_r = CubicSpline(r_grid, rho)
     ext = replace(triple.extremum,
-                  location=float(rho_of_r(min(max(xstar, a), b))))
+                  location=rho_prof.value(min(max(xstar, a), b)))
     converted = StaticTriple(
         n=triple.n, lambda_sign=triple.lambda_sign,
         u=u_prof, h=h_prof, f=None, boundaries=(), extremum=ext,
         normalization_factor=triple.normalization_factor,
         conformally_compact=triple.conformally_compact,
         name=triple.name + "[arclength]")
-    return converted, lambda r: float(rho_of_r(r))
+    return converted, rho_prof.value

@@ -14,12 +14,14 @@ negative), and the `equality` flag certifies that rigidity numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from .geometry import (
     StaticTriple,
     boundary_scalar_curvature,
     sphere_area,
+    sphere_area_from_log,
     sphere_euler_characteristic,
     unit_sphere_area,
 )
@@ -110,8 +112,12 @@ def willmore_bound(triple: StaticTriple) -> IdentityReport:
     n = triple.n
     flags = assumption_flags(triple)
     if triple.lambda_sign > 0:
-        rhs = sum(abs((boundary_scalar_curvature(n, c) - n * (n - 3)) / 2.0)
-                  ** (n - 1) * sphere_area(n, c.sphere_radius)
+        # each horizon term is |S^(n-1)| (|R - n(n-3)| r / 2)^(n-1), the
+        # area of a sphere of that radius; its power alone overflows from
+        # n = 144 on (Nariai), where the term need not
+        rhs = sum(sphere_area_from_log(n, math.log(
+                      abs(boundary_scalar_curvature(n, c) - n * (n - 3))
+                      * c.sphere_radius / 2.0))
                   for c in triple.boundaries)
         applicable = assumptions_hold(triple, flags)
     else:

@@ -201,6 +201,22 @@ def test_conformal_area_in_high_dimension(capsys, argv):
         assert len(json.loads(out)) == 4
 
 
+@pytest.mark.parametrize("argv, rhs", [
+    (("--model", "nariai", "--n", "144"), 4.77223969803e+242),
+    (("--model", "sds", "--n", "60", "--m", "1e-80"), 1.14096178289e+256),
+    (("--model", "nariai", "--n", "400"), None),
+], ids=["nariai-144", "sds-60", "nariai-400"])
+def test_willmore_bound_in_high_dimension(capsys, argv, rhs):
+    # a horizon term is |S^(n-1)| (|R - n(n-3)| r / 2)^(n-1): its power
+    # alone overflows from n = 144 on Nariai, and past the double range the
+    # term is inf, printed as null
+    code, out = run(capsys, "check", *argv, "--suite", "inequalities")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    got = checks["willmore_bound"]["rhs"]
+    assert got == (rhs if rhs is None else pytest.approx(rhs, rel=1e-11))
+
+
 def test_shoot_csv(tmp_path, capsys):
     path = tmp_path / "shot.csv"
     code, _ = run(capsys, "shoot", "--n", "3", "--h0", "1.0", "--kappa",
