@@ -26,10 +26,12 @@ import os
 import sys
 from typing import Optional
 
-from . import conformal, identities, inequalities, levelset
-from .geometry import StaticTriple, linspace, static_residual
+from .geometry import EXTREMUM_BAND, StaticTriple, linspace, static_residual
 from .models import by_name
 from .report import IdentityReport, default_tolerance, identity_report
+
+# Every other staticlab module is imported by the function that reads it:
+# each command runs in a process of its own, so it compiles only those.
 
 
 def _fmt(x) -> str:
@@ -111,6 +113,7 @@ def suite_static(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 
 
 def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
+    from . import conformal
     # one record per sample point, read by all five residuals
     records = [conformal.sphere_data(triple, x)
                for x in conformal.sample_points_off_extremum(triple, 50)]
@@ -129,6 +132,7 @@ def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 
 
 def suite_identities(triple: StaticTriple, tol: float) -> list[IdentityReport]:
+    from . import identities
     view = _on_branch(triple, None)  # a slab must meet one branch
     s, big_s = 0.5, 2.5
     out = [
@@ -144,6 +148,7 @@ def suite_identities(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 
 
 def suite_inequalities(triple: StaticTriple, tol: float) -> list[IdentityReport]:
+    from . import inequalities
     t0 = 0.5 if triple.lambda_sign > 0 else 2.0
     p_glob = 1 if triple.n == 3 else 3
     return [
@@ -159,6 +164,7 @@ def suite_inequalities(triple: StaticTriple, tol: float) -> list[IdentityReport]
 
 
 def suite_liminf(triple: StaticTriple, tol: float) -> list[IdentityReport]:
+    from . import levelset
     return [levelset.liminf_check(triple, p, tol) for p in range(1, triple.n)]
 
 
@@ -175,6 +181,7 @@ SUITES = {
 # subcommands
 
 def cmd_models(args) -> int:
+    from . import levelset
     rows = []
     for name in ("desitter", "antidesitter", "sds", "nariai"):
         tr = _triple(name, args.n, args.m)
@@ -210,6 +217,7 @@ def _check_level(tr: StaticTriple, flag: str, value: float, t: float,
                  band: float) -> None:
     """Refuse an end level that level location cannot resolve, or one within
     `band` of the extremal value 1, where U_p and Phi_p are singular."""
+    from . import levelset
     if abs(t - 1.0) > band:
         try:
             levelset.level_radii(tr, t)
@@ -224,6 +232,7 @@ def _curve_command(args, curve_fn, ends, to_level, band) -> int:
     """Shared body of the two curve commands: `ends` holds the two (flag,
     value) grid ends, `to_level(triple, value)` gives the level t of a grid
     value, and the curve refuses levels within `band` of t = 1."""
+    from . import levelset
     _check_steps(args.steps)
     if not math.isfinite(args.p):
         raise UsageError(f"--p must be a finite number, got {args.p:g}")
@@ -242,8 +251,9 @@ def _curve_command(args, curve_fn, ends, to_level, band) -> int:
 
 
 def cmd_up_curve(args) -> int:
+    from . import levelset
     # U_p is defined up to t = 1; U_p' (p >= 3) reads W, refused near it
-    band = conformal.EXTREMUM_BAND if args.p >= 3 else 0.0
+    band = EXTREMUM_BAND if args.p >= 3 else 0.0
     return _curve_command(args, levelset.up_curve,
                           (("--t0", args.t0), ("--t1", args.t1)),
                           lambda tr, t: t, band)
@@ -254,9 +264,10 @@ def cmd_phi_curve(args) -> int:
     for flag, s in ends:
         if not s > 0.0:
             raise UsageError(f"{flag} must be positive, got {s:g}")
+    from . import levelset
     return _curve_command(args, levelset.phi_curve, ends,
                           lambda tr, s: levelset.t_of_s(s, tr.lambda_sign),
-                          conformal.EXTREMUM_BAND)
+                          EXTREMUM_BAND)
 
 
 def cmd_check(args) -> int:
@@ -292,7 +303,7 @@ def cmd_scan_sds(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    from . import odegen  # here, so that no other command compiles it
+    from . import odegen
     _check_steps(args.steps)
     try:
         data = odegen.HorizonData(n=args.n, lambda_sign=+1, h0=args.h0,

@@ -35,13 +35,20 @@ from functools import cache
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
-
 
 BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
 INTERIOR_PAD = 0.01  # fraction of the span interior_points drops per side
 ARCLENGTH_MARGIN = 1e-4  # fraction of the span to_arclength drops per side
 EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
+MAX_DIMENSION = 438  # |S^(n-1)| is subnormal from n = 439 on, 0.0 from 456
+
+
+def check_dimension(n: int) -> None:
+    """Refuse a dimension below 3, or above MAX_DIMENSION, where the area
+    of the unit sphere leaves the normal double range."""
+    if not 3 <= n <= MAX_DIMENSION:
+        raise ValueError(
+            f"dimension must be from 3 to {MAX_DIMENSION}, got {n}")
 
 
 @cache  # the level integrals read it once per sphere term
@@ -394,9 +401,13 @@ class SphereData:
     @lazy
     def area_g(self) -> float:
         """Sphere area w.r.t. the conformal metric, of radius h/sqrt(D):
-        scale-free, so it does not overflow where h^(n-1) would."""
-        n = self.triple.n
-        return unit_sphere_area(n) * (self.h / math.sqrt(self.D)) ** (n - 1)
+        scale-free, so it does not overflow where h^(n-1) would, and inf
+        past the double range."""
+        n, radius = self.triple.n, self.h / math.sqrt(self.D)
+        try:
+            return unit_sphere_area(n) * radius ** (n - 1)
+        except OverflowError:
+            return math.inf
 
     @lazy
     def W(self) -> float:
@@ -548,6 +559,9 @@ def to_arclength(triple: StaticTriple,
     if triple.chart != "areal":
         raise ValueError("to_arclength expects an areal-chart triple")
     import numpy as np
+
+    # here, so that the commands, which convert nothing, do not compile it
+    from .quadrature import QuadratureConfig, _kronrod_panel, adaptive
     lo, hi = triple.domain
     span = hi - lo
     a, b = lo + ARCLENGTH_MARGIN * span, hi - ARCLENGTH_MARGIN * span

@@ -19,11 +19,11 @@ and for a level value tau the weights are
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 from .geometry import (SphereData, StaticTriple, boundary_scalar_curvature,
                        sphere_area)
-from .inequalities import INEQ_TOL
 from .levelset import (
     assumption_flags,
     conformal_boundary_data,
@@ -33,7 +33,8 @@ from .levelset import (
     t_of_s,
 )
 from .quadrature import QuadratureConfig, adaptive, composite_simpson
-from .report import IdentityReport, identity_report, inequality_report
+from .report import (INEQ_TOL, IdentityReport, identity_report,
+                     inequality_report)
 
 DEFAULT_QUAD = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=100_000)
 
@@ -117,8 +118,11 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
         hess_term = sp.W * sp.hess_phi_nn
         core = ((p - 1) * hess_term + sp.W * sp.lap_phi
                 - triple.n * _coth_phi(triple, sp.u) * sp.W ** 2)
-        return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
-                * _volume_density(sp) / sp.D ** (triple.n / 2.0))
+        try:
+            return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
+                    * _volume_density(sp) / sp.D ** (triple.n / 2.0))
+        except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
+            return math.nan
 
     rhs, evals = _integrate(integrand, _conformal_region(triple, s, S), panels)
     return identity_report(
@@ -165,8 +169,11 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         sp = sphere_data(triple, x)
         core = (sp.hess_phi_norm2 + (p - 3) * sp.hess_phi_nn ** 2
                 + triple.n * sp.u ** 2 * sp.W * (1.0 - sp.W))
-        return (sp.gamma * sp.W ** ((p - 3) / 2.0) * core
-                * _volume_density(sp) / sp.D ** (triple.n / 2.0))
+        try:
+            return (sp.gamma * sp.W ** ((p - 3) / 2.0) * core
+                    * _volume_density(sp) / sp.D ** (triple.n / 2.0))
+        except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
+            return math.nan
 
     rhs, evals = _integrate(integrand, _conformal_region(triple, s, S), panels)
     return identity_report(

@@ -33,11 +33,11 @@ from .levelset import (
     level_spheres,
 )
 from .models import bracketed_root
-from .report import IdentityReport, identity_report, inequality_report, refusal_report
+from .report import (INEQ_TOL, IdentityReport, identity_report,
+                     inequality_report, refusal_report)
 
 GRADIENT_SAMPLES = 400  # interior points gradient_bound checks
-INEQ_TOL = 1e-9    # tolerance of the inequality checks, and ...
-GRAD_TOL = 1e-10   # ... of gradient_bound, which is pointwise
+GRAD_TOL = 1e-10   # tolerance of gradient_bound, which is pointwise
 
 
 def _boundary_area(triple: StaticTriple) -> float:

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .geometry import BoundaryComponent, Extremum, RadialProfile, StaticTriple
+from .geometry import (BoundaryComponent, Extremum, RadialProfile,
+                       StaticTriple, check_dimension)
 from .roots import find_root
 
 ADS_R_MAX = 500.0  # where anti-de Sitter's numerical domain ends
@@ -29,8 +30,7 @@ class SdSParams:
     m: float
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("dimension must be >= 3")
+        check_dimension(self.n)
         bound = admissible_mass_bound(self.n)
         if not 0.0 < self.m < bound:
             raise ValueError(
@@ -51,8 +51,7 @@ def _tiny_guard(x: float) -> float:
 def de_sitter(n: int) -> StaticTriple:
     """Round-hemisphere solution: f(r) = 1 - r^2, u = sqrt(1 - r^2) on [0, 1],
     single horizon at r = 1 with unit surface gravity."""
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    check_dimension(n)
 
     def f_fn(r: float) -> tuple[float, float, float]:
         return 1.0 - r * r, -2.0 * r, -2.0
@@ -80,8 +79,7 @@ def anti_de_sitter(n: int) -> StaticTriple:
     The manifold is unbounded; ADS_R_MAX only truncates the numerical domain
     and is chosen so every sampled field-equation term stays well inside
     double precision (the tensor terms grow like u)."""
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    check_dimension(n)
 
     def f_fn(r: float) -> tuple[float, float, float]:
         return 1.0 + r * r, 2.0 * r, 2.0
@@ -155,8 +153,7 @@ def nariai(n: int) -> StaticTriple:
     """Product solution: constant warping radius sqrt((n-2)/n) and potential
     u = sin(sqrt(n) rho) on [0, pi/sqrt(n)], surface gravity sqrt(n) at both
     horizons; the extremal set is a whole sphere."""
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    check_dimension(n)
     h0 = math.sqrt((n - 2) / n)
     sn = math.sqrt(n)
     length = math.pi / sn

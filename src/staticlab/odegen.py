@@ -43,7 +43,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .geometry import BoundaryComponent, Extremum, RadialProfile, StaticTriple
+from .geometry import (BoundaryComponent, Extremum, RadialProfile,
+                       StaticTriple, check_dimension)
 from .roots import find_root
 
 RTOL, ATOL = 1e-12, 1e-13  # integration tolerances of a shot
@@ -101,8 +102,7 @@ class HorizonData:
     kappa: float    # unnormalised surface gravity u'(0)
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("dimension must be >= 3")
+        check_dimension(self.n)
         if not (0.0 < self.h0 < math.inf and 0.0 < self.kappa < math.inf):
             raise ValueError("h0 and kappa must be finite and positive")
 
@@ -135,8 +135,7 @@ class ReducedSystem:
 
 
 def reduce_system(n: int, lambda_sign: int) -> ReducedSystem:
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    check_dimension(n)
     if lambda_sign not in (+1, -1):
         raise ValueError("lambda_sign must be +1 or -1")
     return ReducedSystem(n=n, lambda_sign=lambda_sign)

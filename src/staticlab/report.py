@@ -17,6 +17,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+INEQ_TOL = 1e-9  # fixed tolerance of the inequality checks
+
 
 def default_tolerance() -> float:
     """Tolerance of the static, conformal, integral-identity and liminf

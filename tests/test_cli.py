@@ -162,10 +162,10 @@ def test_liminf_in_high_dimension(capsys, model):
     assert {c["status"] for c in checks} == {"pass"}
 
 
-@pytest.mark.parametrize("n", ["144", "150"])
+@pytest.mark.parametrize("n", ["144", "150", "438"])
 def test_models_in_high_dimension(capsys, n):
     # the mass bound divides exact integers: float(n) ** n overflows from
-    # n = 144
+    # n = 144; 438 is the largest dimension accepted
     code, out = run(capsys, "models", "--n", n, "--m", "1e-80")
     assert code == 0
     assert len(json.loads(out)) == 4
@@ -215,6 +215,50 @@ def test_willmore_bound_in_high_dimension(capsys, argv, rhs):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     got = checks["willmore_bound"]["rhs"]
     assert got == (rhs if rhs is None else pytest.approx(rhs, rel=1e-11))
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "nariai", "--n", "393"),
+    ("--model", "desitter", "--n", "416"),
+    ("--model", "antidesitter", "--n", "425"),
+    ("--model", "sds", "--n", "425", "--m", "1e-80"),
+], ids=["nariai-393", "desitter-416", "antidesitter-425", "sds-425"])
+def test_identities_in_high_dimension(capsys, argv):
+    # (h/sqrt(D))^(n-1) overflows on Nariai from n = 393, and D^(n/2) of
+    # the slab integrands underflows to 0 from n = 416: the area is inf,
+    # the integrand NaN, and a check that reads either fails, with no
+    # traceback
+    code, out = run(capsys, "check", *argv, "--suite", "identities")
+    assert code in (0, 1)
+    checks = json.loads(out, parse_constant=_reject)["checks"]
+    assert len(checks) == 6
+    for c in checks:
+        if c["lhs"] is None or c["rhs"] is None:
+            assert c["status"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--model", "desitter", "--n", "600", "--suite", "inequalities"),
+    ("models", "--n", "1000000"),
+    ("models", "--n", "439"),
+    ("scan-sds", "--n", "2", "--m-grid", "0.1:0.1:0.1"),
+    ("shoot", "--n", "439", "--h0", "1", "--kappa", "1"),
+], ids=["check-600", "models-1e6", "models-439", "scan-sds-2", "shoot-439"])
+def test_dimension_outside_3_to_438_exits_2_with_one_line(capsys, argv):
+    # |S^(n-1)| is subnormal from n = 439 and 0.0 from 456, where the area
+    # checks would compare zeros; the refusal comes before the mass bound,
+    # which takes seconds at n = 10^6
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"staticlab {argv[0]}: error: dimension must be "
+                            f"from 3 to 438, got {argv[argv.index('--n') + 1]}"
+                            "\n")
 
 
 def test_shoot_csv(tmp_path, capsys):
@@ -392,15 +436,12 @@ def test_shoot_that_cannot_integrate_exits_2_with_one_line(capsys, h0):
 
 
 def test_check_emits_strict_json_at_12_digits(capsys):
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
     for model, suite in (("sds", "inequalities"), ("nariai", "liminf"),
                          ("desitter", "identities")):
         code, out = run(capsys, "check", "--model", model, "--suite", suite)
         assert code == 0
         floats = []
-        json.loads(out, parse_constant=reject, parse_float=floats.append)
+        json.loads(out, parse_constant=_reject, parse_float=floats.append)
         assert floats
         for tok in floats:
             digits = tok.lstrip("-").split("e")[0].replace(".", "").lstrip("0")

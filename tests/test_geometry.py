@@ -13,6 +13,7 @@ from staticlab import (
     de_sitter,
     geometry,
     nariai,
+    quadrature,
     schwarzschild_de_sitter,
     sphere_euler_characteristic,
     static_residual,
@@ -344,7 +345,7 @@ def test_unresolved_segments_are_refined_like_the_loop(monkeypatch, sds01):
         refined[a] = res.value
         return res
 
-    monkeypatch.setattr(geometry, "adaptive", spy)
+    monkeypatch.setattr(quadrature, "adaptive", spy)
     to_arclength(sds01, samples=100)
     r_grid, seg, _ = arclength_reference(sds01, 100)
     assert len(refined) == 6
@@ -377,7 +378,7 @@ def test_arclength_refuses_a_bad_node_of_a_refinement(monkeypatch):
         refined.append(a)
         return adaptive(f, a, b, config)
 
-    monkeypatch.setattr(geometry, "adaptive", spy)
+    monkeypatch.setattr(quadrature, "adaptive", spy)
     with pytest.raises(ValueError, match="metric function not positive"):
         to_arclength(_areal(lambda r: (100.0 * abs(r - 0.4237) - 0.01,
                                        0.0, 0.0)), samples=50)

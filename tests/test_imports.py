@@ -1,12 +1,15 @@
 """The command line, `shoot` included, runs on the standard library alone:
 neither `import staticlab.cli` nor `import staticlab.odegen` loads numpy or
-scipy, and every golden command passes with both blocked.  The array path,
-`to_arclength`, needs numpy and not scipy."""
+scipy, and every golden command passes with both blocked.  Each command
+loads only the staticlab modules it reads.  The array path, `to_arclength`,
+needs numpy and not scipy."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src"
@@ -35,6 +38,53 @@ def test_cli_runs_without_numpy_and_scipy():
     assert proc.stdout.split() == ["ok", "33"]
 
 
+MODULES_CHILD = """
+import contextlib, io, sys
+from staticlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(code, *sorted(k for k in sys.modules if k.startswith("staticlab.")))
+"""
+
+BASE = {"geometry", "models", "report", "roots"}  # what every command loads
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--help"], set()),
+    (["check", "--model", "sds", "--suite", "static"], set()),
+    (["scan-sds", "--m-grid", "0.01:0.02:0.01"], set()),
+    (["check", "--model", "sds", "--suite", "conformal"], {"conformal"}),
+    (["check", "--model", "desitter", "--suite", "identities"],
+     {"identities", "levelset", "quadrature"}),
+    (["check", "--model", "desitter", "--suite", "inequalities"],
+     {"inequalities", "levelset"}),
+    (["check", "--model", "desitter", "--suite", "liminf"], {"levelset"}),
+    (["models"], {"levelset"}),
+    (["up-curve", "--model", "desitter", "--p", "3", "--t0", "0", "--t1",
+      "0.5", "--steps", "3"], {"levelset"}),
+    (["phi-curve", "--model", "desitter", "--p", "3", "--s0", "0.2", "--s1",
+      "2", "--steps", "3"], {"levelset"}),
+    (["shoot", "--h0", "1", "--kappa", "1", "--steps", "3"], {"odegen"}),
+], ids=["help", "static", "scan-sds", "conformal", "identities",
+        "inequalities", "liminf", "models", "up-curve", "phi-curve", "shoot"])
+def test_each_command_loads_only_the_modules_it_reads(argv, extra):
+    # a command runs in a process of its own and, without a bytecode
+    # cache, compiles every module it loads: a new top-level import
+    # costs every command and fails here
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MODULES_CHILD, *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert loaded == sorted(f"staticlab.{m}" for m in {"cli"} | BASE | extra)
+
+
 ARCLENGTH_CHILD = """
 import math, sys
 sys.modules["scipy"] = None  # any import now fails
@@ -54,6 +104,7 @@ print(max(abs(rho_of_r(r) - (math.asinh(r) - math.asinh(a)))
 
 
 def test_arclength_runs_without_scipy():
+    pytest.importorskip("numpy")
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", ARCLENGTH_CHILD],

@@ -36,6 +36,19 @@ def test_sds_params_validation():
     SdSParams(n=3, m=admissible_mass_bound(3) - 1e-6)
 
 
+@pytest.mark.parametrize("build", [
+    de_sitter, anti_de_sitter, nariai,
+    lambda n: schwarzschild_de_sitter(SdSParams(n=n, m=1e-80)),
+], ids=["desitter", "antidesitter", "nariai", "sds"])
+def test_dimension_from_3_to_438(build):
+    # |S^(n-1)| = 3.2e-308 at n = 438 and subnormal from 439 on
+    assert build(438).n == 438
+    for n in (2, 439):
+        with pytest.raises(ValueError,
+                           match=f"dimension must be from 3 to 438, got {n}"):
+            build(n)
+
+
 def test_bracketed_root_basic():
     root = bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0,
                           dfn=lambda x: 2 * x)

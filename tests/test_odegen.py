@@ -10,8 +10,10 @@ from oracles import arclength_from_horizon
 
 
 def test_reduce_system_validates():
-    with pytest.raises(ValueError):
-        OG.reduce_system(2, +1)
+    for n in (2, 439):
+        with pytest.raises(ValueError, match="dimension must be from 3"):
+            OG.reduce_system(n, +1)
+    OG.reduce_system(438, +1)
     with pytest.raises(ValueError):
         OG.reduce_system(3, 0)
 
@@ -66,6 +68,9 @@ def test_reduction_flat_limit_is_schwarzschild():
 
 
 def test_horizon_data_validation():
+    for n in (2, 439):
+        with pytest.raises(ValueError, match="dimension must be from 3"):
+            OG.HorizonData(n, +1, 1.0, 1.0)
     with pytest.raises(ValueError):
         OG.HorizonData(3, +1, -1.0, 1.0)
     with pytest.raises(ValueError):
