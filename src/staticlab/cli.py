@@ -243,8 +243,8 @@ def _curve_command(args, curve_fn, ends, to_level, band) -> int:
     curve = curve_fn(tr, args.p, grid)
     flags = _flags_str(levelset.assumption_flags(tr))
     lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
-    d_ana = curve.d_analytic or (math.nan,) * len(curve.grid)
-    for row in zip(curve.grid, curve.values, d_ana, curve.d_numeric):
+    for row in zip(curve.grid, curve.values, curve.d_analytic,
+                   curve.d_numeric):
         lines.append(",".join([*map(_fmt, row), flags]))
     _write_lines(args.out, lines)
     return 0

@@ -262,6 +262,7 @@ def boundary_curvature_inequality(triple: StaticTriple) -> IdentityReport:
     limit, with equality in the rigid case.
     """
     n = triple.n
+    flags = assumption_flags(triple)
     if triple.lambda_sign > 0:
         if not triple.boundaries:
             raise ValueError("triple has no boundary")
@@ -270,19 +271,15 @@ def boundary_curvature_inequality(triple: StaticTriple) -> IdentityReport:
             area = sphere_area(n, c.sphere_radius)
             lhs += c.surface_gravity * (n - 1) * (n - 2) * area
             rhs += c.surface_gravity * boundary_scalar_curvature(n, c) * area
-        return inequality_report(
-            name="boundary_curvature_inequality", lhs=lhs, rhs=rhs,
-            tolerance=INEQ_TOL, assumptions=assumption_flags(triple),
-            description="horizon-weighted boundary scalar curvature vs its "
-                        "round value",
-            extra={"value": rhs - lhs})
-    bdry = conformal_boundary_data(triple)
-    lhs = bdry.scalar_g_boundary * bdry.area_g
-    rhs = (n - 1) * (n - 2) * bdry.area_g
-    flags = assumption_flags(triple)
+        applicable, where = True, "horizon-weighted boundary"
+    else:
+        bdry = conformal_boundary_data(triple)
+        lhs = bdry.scalar_g_boundary * bdry.area_g
+        rhs = (n - 1) * (n - 2) * bdry.area_g
+        applicable = flags.get("gradient_limit_zero", False)
+        where = "conformal-boundary"
     return inequality_report(
         name="boundary_curvature_inequality", lhs=lhs, rhs=rhs,
-        tolerance=INEQ_TOL, assumptions=flags,
-        applicable=flags.get("gradient_limit_zero", False),
-        description="conformal-boundary scalar curvature vs its round value",
+        tolerance=INEQ_TOL, assumptions=flags, applicable=applicable,
+        description=f"{where} scalar curvature vs its round value",
         extra={"value": rhs - lhs})

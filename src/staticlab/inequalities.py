@@ -5,7 +5,10 @@ structural hypotheses the triple satisfies (normalised potential, surface
 gravity at most one / vanishing boundary gradient limit, discrete extremal
 set).  The two-horizon and product families violate those hypotheses by
 construction, so for them the checks report "inapplicable" with the raw
-numbers kept in `extra` -- they are counterexample material, not failures.
+numbers kept -- they are counterexample material, not failures.  A check
+refused on a non-discrete extremal set, which has no count to weigh, prints
+the right side it computed in `rhs` and `extra["rhs"]`; the five
+extremal-count checks build that refusal and their verdict in `_count_report`.
 
 In each inequality the left side equals the right exactly on the round
 model (the hemisphere for positive constant, hyperbolic space for
@@ -33,8 +36,8 @@ from .levelset import (
     level_spheres,
 )
 from .models import bracketed_root
-from .report import (INEQ_TOL, IdentityReport, identity_report,
-                     inequality_report, refusal_report)
+from .report import (INEQ_TOL, _NON_DISCRETE, IdentityReport,
+                     identity_report, inequality_report, refusal_report)
 
 GRADIENT_SAMPLES = 400  # interior points gradient_bound checks
 GRAD_TOL = 1e-10   # tolerance of gradient_bound, which is pointwise
@@ -83,22 +86,30 @@ def gradient_bound(triple: StaticTriple) -> IdentityReport:
         extra=extra)
 
 
+def _count_report(triple: StaticTriple, name: str, weight: float,
+                  rhs: float, flags: dict[str, bool], applicable: bool,
+                  description: str) -> IdentityReport:
+    """The verdict on |extremal set| * weight <= rhs, `weight` being what one
+    extremal point counts for; on a non-discrete set, the refusal keeps rhs."""
+    if not triple.extremum.discrete:
+        rep = refusal_report(name, _NON_DISCRETE, assumptions=flags)
+        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
+    return inequality_report(
+        name=name, lhs=triple.extremum.count * weight, rhs=rhs,
+        tolerance=INEQ_TOL, assumptions=flags, applicable=applicable,
+        description=description)
+
+
 def area_bound(triple: StaticTriple) -> IdentityReport:
     """Extremal-count area bound: |extremal set| * |S^(n-1)| <= |boundary|
     (conformal boundary area for negative constant)."""
     flags = assumption_flags(triple)
-    if not triple.extremum.discrete:
-        return refusal_report("area_bound", "non-discrete extremum set",
-                              assumptions=flags)
-    lhs = triple.extremum.count * unit_sphere_area(triple.n)
-    if triple.lambda_sign > 0:
-        rhs = _boundary_area(triple)
-    else:
-        rhs = conformal_boundary_data(triple).area_g
-    return inequality_report(
-        name="area_bound", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-        assumptions=flags, applicable=assumptions_hold(triple, flags),
-        description="extremal count times round-sphere area vs boundary area")
+    rhs = (_boundary_area(triple) if triple.lambda_sign > 0
+           else conformal_boundary_data(triple).area_g)
+    return _count_report(
+        triple, "area_bound", unit_sphere_area(triple.n), rhs, flags,
+        assumptions_hold(triple, flags),
+        "extremal count times round-sphere area vs boundary area")
 
 
 def willmore_bound(triple: StaticTriple) -> IdentityReport:
@@ -126,16 +137,10 @@ def willmore_bound(triple: StaticTriple) -> IdentityReport:
                   / (2.0 * (n - 2))) ** (n - 1) * bdry.area_g
         applicable = (assumptions_hold(triple, flags)
                       and flags.get("gradient_limit_zero", False))
-    if not triple.extremum.discrete:
-        rep = refusal_report("willmore_bound", "non-discrete extremum set",
-                             assumptions=flags)
-        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
-    lhs = triple.extremum.count * unit_sphere_area(n)
-    return inequality_report(
-        name="willmore_bound", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-        assumptions=flags, applicable=applicable,
-        description="extremal count vs (n-1)-th power of the normalised "
-                    "boundary curvature")
+    return _count_report(
+        triple, "willmore_bound", unit_sphere_area(n), rhs, flags, applicable,
+        "extremal count vs (n-1)-th power of the normalised boundary "
+        "curvature")
 
 
 def scalar_average_bound(triple: StaticTriple) -> IdentityReport:
@@ -150,16 +155,10 @@ def scalar_average_bound(triple: StaticTriple) -> IdentityReport:
             assumptions=flags)
     rhs = sum(boundary_scalar_curvature(n, c) / ((n - 1) * (n - 2))
               * sphere_area(n, c.sphere_radius) for c in triple.boundaries)
-    if not triple.extremum.discrete:
-        rep = refusal_report("scalar_average_bound",
-                             "non-discrete extremum set", assumptions=flags)
-        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
-    lhs = triple.extremum.count * unit_sphere_area(n)
-    return inequality_report(
-        name="scalar_average_bound", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-        assumptions=flags, applicable=assumptions_hold(triple, flags),
-        description="extremal count vs boundary average of the scalar "
-                    "curvature")
+    return _count_report(
+        triple, "scalar_average_bound", unit_sphere_area(n), rhs, flags,
+        assumptions_hold(triple, flags),
+        "extremal count vs boundary average of the scalar curvature")
 
 
 def lp_gradient_bound(triple: StaticTriple, p: float,
@@ -229,28 +228,21 @@ def n3_uniqueness_inequality(triple: StaticTriple) -> IdentityReport:
     flags = assumption_flags(triple)
     if triple.n != 3:
         return refusal_report("n3_uniqueness_inequality",
-                              "stated for dimension 3 only",
-                              assumptions=flags)
+                              "stated for dimension 3 only", assumptions=flags)
     if triple.lambda_sign < 0:
         return refusal_report("n3_uniqueness_inequality",
                               "stated for positive constant only",
                               assumptions=flags)
     chi = sphere_euler_characteristic(triple.n)
     rhs = sum(c.surface_gravity * chi for c in triple.boundaries)
+    rep = _count_report(
+        triple, "n3_uniqueness_inequality", 2.0, rhs, flags,
+        assumptions_hold(triple, flags),
+        "twice the extremal count vs gravity-weighted Euler characteristics")
     if not triple.extremum.discrete:
-        rep = refusal_report("n3_uniqueness_inequality",
-                             "non-discrete extremum set", assumptions=flags)
-        return replace(rep, rhs=rhs, extra={**rep.extra, "rhs": rhs})
-    lhs = 2.0 * triple.extremum.count
-    rep = inequality_report(
-        name="n3_uniqueness_inequality", lhs=lhs, rhs=rhs,
-        tolerance=INEQ_TOL, assumptions=flags,
-        applicable=assumptions_hold(triple, flags),
-        description="twice the extremal count vs gravity-weighted Euler "
-                    "characteristics")
+        return rep
     connected = len(triple.boundaries) == 1
-    equality = bool(rep.equality) and connected
-    return replace(rep, equality=equality,
+    return replace(rep, equality=rep.equality and connected,
                    extra={"connected_boundary": connected})
 
 
@@ -266,38 +258,28 @@ def mon_glob_bound(triple: StaticTriple, p: float) -> IdentityReport:
     """
     n = triple.n
     flags = assumption_flags(triple)
-    if triple.lambda_sign > 0:
-        p_max = 1.0 if n == 3 else n - 1.0
-        if not 0.0 <= p <= p_max:
-            return refusal_report(
-                f"mon_glob_bound(p={p})",
-                f"exponent outside the admissible range [0, {p_max}]",
-                assumptions=flags)
-        if not triple.extremum.discrete:
-            return refusal_report(f"mon_glob_bound(p={p})",
-                                  "non-discrete extremum set",
-                                  assumptions=flags)
-        lhs = triple.extremum.count * unit_sphere_area(n)
-        mid = sum(c.surface_gravity ** p * sphere_area(n, c.sphere_radius)
-                  for c in triple.boundaries)
-        upper = _boundary_area(triple)
-        applicable = assumptions_hold(triple, flags)
-        rep = inequality_report(
-            name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=mid,
-            tolerance=INEQ_TOL, assumptions=flags, applicable=applicable,
-            description="extremal count vs boundary gravity integral vs "
-                        "boundary area",
-            extra={"upper": upper,
-                   "chain_holds": lhs <= mid + INEQ_TOL <= upper + 2 * INEQ_TOL})
-        if rep.status == "pass" and mid > upper + INEQ_TOL:
-            rep = replace(rep, status="fail")
-        return rep
+    name = f"mon_glob_bound(p={p})"
+    if triple.lambda_sign < 0:
+        return _count_report(
+            triple, name, unit_sphere_area(n),
+            conformal_boundary_data(triple).area_g, flags,
+            assumptions_hold(triple, flags),
+            "extremal count vs conformal boundary area")
+    p_max = 1.0 if n == 3 else n - 1.0
+    if not 0.0 <= p <= p_max:
+        return refusal_report(
+            name, f"exponent outside the admissible range [0, {p_max}]",
+            assumptions=flags)
+    mid = sum(c.surface_gravity ** p * sphere_area(n, c.sphere_radius)
+              for c in triple.boundaries)
+    upper = _boundary_area(triple)
+    rep = _count_report(
+        triple, name, unit_sphere_area(n), mid, flags,
+        assumptions_hold(triple, flags),
+        "extremal count vs boundary gravity integral vs boundary area")
     if not triple.extremum.discrete:
-        return refusal_report(f"mon_glob_bound(p={p})",
-                              "non-discrete extremum set", assumptions=flags)
-    lhs = triple.extremum.count * unit_sphere_area(n)
-    rhs = conformal_boundary_data(triple).area_g
-    return inequality_report(
-        name=f"mon_glob_bound(p={p})", lhs=lhs, rhs=rhs, tolerance=INEQ_TOL,
-        assumptions=flags, applicable=assumptions_hold(triple, flags),
-        description="extremal count vs conformal boundary area")
+        return rep
+    chain_holds = rep.lhs <= mid + INEQ_TOL <= upper + 2 * INEQ_TOL
+    if rep.status == "pass" and mid > upper + INEQ_TOL:  # the second step
+        rep = replace(rep, status="fail")
+    return replace(rep, extra={"upper": upper, "chain_holds": chain_holds})

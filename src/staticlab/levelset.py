@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import (BRANCH_INSET, SphereData, StaticTriple, check_window,
                        sphere_area, sphere_data, unit_sphere_area)
-from .report import (IdentityReport, identity_report, inequality_report,
-                     refusal_report)
+from .report import (_NON_DISCRETE, IdentityReport, identity_report,
+                     inequality_report, refusal_report)
 from .roots import find_root
 
 LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
@@ -134,15 +134,15 @@ def _up_derivative_forms(triple: StaticTriple, p: float, t: float,
                          spheres: Sequence[SphereData]
                          ) -> tuple[float, float, float]:
     n, sign = triple.n, triple.lambda_sign
-    d_level = sign * (1.0 - t * t)
-    pref = -sign * (p - 1) * t * d_level ** (-(n + p - 1) / 2.0)
+    # each sphere weighs |S^(n-1)| h^(n-1) |Du|^(p-2) d^(-(n+p-1)/2), which
+    # is its scale-free term of U_(p-2) times |S^(n-1)| / d, d = |1 - t^2|
+    pref = -sign * (p - 1) * t * unit_sphere_area(n) / abs(1.0 - t * t)
     c_np = (n + p - 1) / (p - 1)
     h_form = ricci_form = bound = 0.0
-    for sp in spheres:
+    for sp, weight in zip(spheres, _up_terms(n, p - 2, t, spheres)):
         check_window(sp.u)  # W loses every digit next to u = 1
         if sp.grad_u == 0.0:
             raise ValueError(f"singular level at t={t}")
-        weight = sp.grad_u ** (p - 2) * sp.area
         h_form += weight * (sign * (sp.grad_u / sp.u) * sp.H
                             + n * p / (p - 1) - c_np * sp.W)
         ricci_form += weight * ((n - 1) - sign * sp.ric_rr
@@ -225,12 +225,12 @@ def _phi_derivative_sum(p: float, spheres: Sequence[SphereData]) -> float:
 @dataclass(frozen=True)
 class Curve:
     """U_p or Phi_p on a grid of levels, with its analytic derivative
-    (p >= 3 only) and its transport derivative along the level flow."""
+    (NaN for p < 3) and its transport derivative along the level flow."""
 
     p: float
     grid: tuple[float, ...]
     values: tuple[float, ...]
-    d_analytic: Optional[tuple[float, ...]]
+    d_analytic: tuple[float, ...]
     d_numeric: tuple[float, ...]
 
 
@@ -248,8 +248,8 @@ def _curve(row, p: float, grid: Sequence[float]) -> Curve:
     """The curve of `row(level) = (value, d_analytic, d_numeric)`."""
     grid = tuple(grid)
     values, d_ana, d_num = zip(*map(row, grid)) if grid else ((), (), ())
-    return Curve(p=p, grid=grid, values=values,
-                 d_analytic=d_ana if p >= 3 else None, d_numeric=d_num)
+    return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
+                 d_numeric=d_num)
 
 
 def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
@@ -328,8 +328,8 @@ def liminf_check(triple: StaticTriple, p: float,
     name = f"liminf(p={p})"
     about = "limit of the level integral at the extremal value"
     if not triple.extremum.discrete:
-        return replace(refusal_report(name, "non-discrete extremum set",
-                                      flags, about), tolerance=tolerance)
+        return replace(refusal_report(name, _NON_DISCRETE, flags, about),
+                       tolerance=tolerance)
     sign = triple.lambda_sign
     ks = range(LIMINF_K[0], LIMINF_K[1] + 1)
     vals = [up_value(triple, p, 1.0 - sign * 2.0 ** (-k)) for k in ks]

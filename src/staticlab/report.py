@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 INEQ_TOL = 1e-9  # fixed tolerance of the inequality checks
+_NON_DISCRETE = "non-discrete extremum set"  # refusal reason: no count
 
 
 def default_tolerance() -> float:

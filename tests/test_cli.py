@@ -87,6 +87,20 @@ def test_up_curve_without_derivative_reaches_the_band(capsys):
     assert len(out.splitlines()) == 4
 
 
+def test_up_curve_at_large_p_does_not_overflow(capsys):
+    # |Du|^(p-2) alone overflows at p = 300 on anti-de Sitter; U_p' weighs
+    # each sphere by its scale-free term instead.  U_p = 4 pi, U_p' = 0
+    code, out = run(capsys, "up-curve", "--model", "antidesitter", "--p",
+                    "300", "--t0", "1.5", "--t1", "20", "--steps", "3")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert len(rows) == 3
+    for _, value, d_ana, d_num, _ in rows:
+        assert float(value) == pytest.approx(4 * math.pi, rel=1e-9)
+        assert abs(float(d_ana)) <= 1e-9 * 4 * math.pi
+        assert abs(float(d_num)) <= 1e-9 * 4 * math.pi
+
+
 def test_check_suites_pass(capsys):
     for model, suite in (("desitter", "static"), ("desitter", "identities"),
                          ("sds", "identities"), ("sds", "inequalities"),

@@ -30,9 +30,14 @@ the shot moved to the package's own Dormand-Prince integrator
 (1.76835367347e-06 -> 1.76706122464e-06); its floor stays 1e-9, so any
 change of integrator shows there first.
 
-To record the files again from the current source tree:
+To record the files again from the current source tree, all of them or
+only the named ones (an unknown name exits 2 and writes nothing):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME...]
+
+Re-record by name, so that files whose command did not change keep their
+bytes: a full run also rewrites the last digits of residuals that are
+rounding noise.
 """
 
 from __future__ import annotations
@@ -157,7 +162,13 @@ def test_cli_output_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        print(f"unknown golden file(s): {', '.join(unknown)}", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.txt").write_text(run(argv), encoding="utf-8")
+    for name in names:
+        (GOLDEN / f"{name}.txt").write_text(run(COMMANDS[name]),
+                                            encoding="utf-8")
     sys.exit(0)

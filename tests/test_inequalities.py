@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from staticlab import BoundaryComponent, de_sitter
+from staticlab import (BoundaryComponent, SdSParams, de_sitter, nariai,
+                       schwarzschild_de_sitter)
 from staticlab import inequalities as IQ
 from staticlab.report import inequality_report
 
@@ -80,6 +81,32 @@ def test_no_fail_verdicts_when_assumptions_violated(sds01, nariai3):
         ]
         for rep in reports:
             assert rep.status == "inapplicable", (tr.name, rep.name)
+
+
+def test_non_discrete_refusals_keep_their_right_side():
+    # every check refused on a non-discrete extremal set prints the right
+    # side it computed, in `rhs` and in `extra["rhs"]`
+    for tr in (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
+               schwarzschild_de_sitter(SdSParams(n=4, m=0.05)),
+               nariai(3), nariai(4)):
+        reports = [
+            IQ.gradient_bound(tr),
+            IQ.area_bound(tr),
+            IQ.willmore_bound(tr),
+            IQ.scalar_average_bound(tr),
+            IQ.lp_gradient_bound(tr, 3, 0.5),
+            IQ.overdetermined_condition(tr, 0.5),
+            IQ.n3_uniqueness_inequality(tr),
+            IQ.mon_glob_bound(tr, 1 if tr.n == 3 else 3),
+        ]
+        refused = [rep for rep in reports
+                   if rep.extra.get("reason") == "non-discrete extremum set"]
+        # the five extremal-count checks; at n = 4 the n = 3 count is out
+        # of scope
+        assert len(refused) == (5 if tr.n == 3 else 4), tr.name
+        for rep in refused:
+            assert math.isfinite(rep.rhs), (tr.name, tr.n, rep.name)
+            assert rep.rhs == rep.extra["rhs"], (tr.name, tr.n, rep.name)
 
 
 def test_sds_informational_values(sds01):

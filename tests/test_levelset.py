@@ -351,7 +351,8 @@ def test_up_curve_analytic_vs_numeric(sds01):
 
 def test_up_curve_skips_analytic_below_p3(ds3):
     curve = LS.up_curve(ds3, 1, linspace(0.1, 0.9, 5))
-    assert curve.d_analytic is None
+    assert len(curve.d_analytic) == 5
+    assert all(math.isnan(d) for d in curve.d_analytic)
     assert all(abs(d) < 1e-12 for d in curve.d_numeric)
 
 
