@@ -22,16 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .geometry import (BRANCH_INSET, SphereData, StaticTriple, check_window,
                        sphere_area, sphere_data, unit_sphere_area)
 from .report import (_NON_DISCRETE, IdentityReport, identity_report,
                      inequality_report, refusal_report)
-from .roots import find_root
+from .roots import EPS, find_root
 
 LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
 BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
+WALK_STEPS = 6  # Newton steps of a walked sphere before its level goes cold
 
 
 # --------------------------------------------------------------------------
@@ -62,6 +63,48 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
     return tuple(sorted(radii))
 
 
+def _level_walk(triple: StaticTriple, levels: Sequence[float]):
+    """Yield `level_radii` of each of `levels`, walked along the level flow
+    dx/dt = 1/u' by `_walk_sphere` from the last level's (x, u, u', u'') on
+    each sphere.  A level is located cold when it is the first, follows a
+    horizon row (t = 0), meets another set of branches, or when Newton
+    leaves a sphere's branch or does not converge."""
+    inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
+    branches, states = None, []  # the last level's, and (x, u, u', u'')
+    for t in levels:
+        if triple.lambda_sign > 0 and t == 0.0:
+            branches = None
+            yield level_radii(triple, t)
+            continue
+        here = tuple(b for b in triple.branches() if b.u_lo <= t <= b.u_hi)
+        if here == branches:
+            states = [_walk_sphere(triple, t, st, br.lo + inset, br.hi - inset)
+                      for st, br in zip(states, here)]
+        if here != branches or None in states:
+            states = [(x, *triple.u(x)) for x in level_radii(triple, t)]
+            branches = here
+        yield tuple(st[0] for st in states)
+
+
+def _walk_sphere(triple: StaticTriple, t: float, state: tuple[float, ...],
+                 lo: float, hi: float) -> Optional[tuple[float, ...]]:
+    """Newton on u(x) = t from `state` = (x, u, u', u''), done once a step
+    from a point evaluated on this level is below sqrt(EPS) x and leaves
+    |u''/(2u')| step^2 under half an ulp of x: the state after it, u = t.
+    None when a step leaves [lo, hi] or fails to halve, or after WALK_STEPS."""
+    (x, val, slope, curv), last = state, math.inf
+    for _ in range(WALK_STEPS):
+        step = (t - val) / slope if slope else math.nan
+        if not (lo <= x + step <= hi and abs(step) <= 0.5 * last):
+            return None
+        if (last < math.inf and abs(curv) * step * step <= EPS * abs(slope * x)
+                and step * step <= EPS * x * x):
+            return x + step, t, slope, curv
+        x, last = x + step, abs(step)
+        val, slope, curv = triple.u(x)
+    return None
+
+
 # --------------------------------------------------------------------------
 # data on a level
 
@@ -73,7 +116,11 @@ def _level_states(triple: StaticTriple, t: float) -> list[SphereData]:
 def level_spheres(triple: StaticTriple, t: float) -> tuple[SphereData, ...]:
     """The records of the spheres of {u = t}, refused like the conformal
     dictionary within EXTREMUM_BAND of u = 1, where W loses every digit."""
-    spheres = tuple(sphere_data(triple, x) for x in level_radii(triple, t))
+    return _spheres_off_band(triple, level_radii(triple, t))
+
+
+def _spheres_off_band(triple: StaticTriple, radii) -> tuple[SphereData, ...]:
+    spheres = tuple(sphere_data(triple, x) for x in radii)
     for sp in spheres:
         check_window(sp.u)
     return spheres
@@ -244,46 +291,51 @@ def _log_rate(n: int, p: float, t: float, sp: SphereData) -> float:
             + ((n - 1) * sp.dh / sp.h + p * sp.d2u / sp.du) / sp.du)
 
 
-def _curve(row, p: float, grid: Sequence[float]) -> Curve:
-    """The curve of `row(level) = (value, d_analytic, d_numeric)`."""
+def _curve(triple: StaticTriple, row, p: float, grid: Sequence[float],
+           level_of) -> Curve:
+    """`row(t, radii) = (value, d_analytic, d_numeric)` over `grid`, at the
+    levels t = `level_of(point)`, each located by `_level_walk`."""
     grid = tuple(grid)
-    values, d_ana, d_num = zip(*map(row, grid)) if grid else ((), (), ())
+    levels = [level_of(point) for point in grid]
+    rows = list(map(row, levels, _level_walk(triple, levels)))
+    values, d_ana, d_num = zip(*rows) if rows else ((), (), ())
     return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
                  d_numeric=d_num)
 
 
 def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
-    """U_p over `grid`.  Each level is located once; its records give the
+    """U_p over `grid`, walked by `_level_walk`.  A level's records give the
     value, `up_derivative` (p >= 3) and the transport derivative, the sum
     of each sphere term of `_up_terms` times its `_log_rate`."""
     n, area = triple.n, unit_sphere_area(triple.n)
 
-    def row(t: float) -> tuple[float, float, float]:
+    def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
         if triple.lambda_sign > 0 and t == 0.0:  # horizons: h' = u'' = 0
             return up_value(triple, p, t), 0.0, 0.0
-        spheres = _level_states(triple, t)
+        spheres = [triple.radial_state(x) for x in radii]
         d_ana = (_up_derivative_forms(triple, p, t, spheres)[0] if p >= 3
                  else math.nan)
         terms = _up_terms(n, p, t, spheres)
         slope = sum(w * _log_rate(n, p, t, sp)
                     for w, sp in zip(terms, spheres))
         return area * sum(terms), d_ana, area * slope
-    return _curve(row, p, grid)
+    return _curve(triple, row, p, grid, lambda t: t)
 
 
 def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
-    """Phi_p over `grid`, each level located once, with the transport
-    derivative: dt/ds = 1 - t^2 times the sum of each sphere term
-    A_g W^(p/2) times its `_log_rate` at the record's u."""
-    def row(s: float) -> tuple[float, float, float]:
-        t = t_of_s(s, triple.lambda_sign)
-        spheres = level_spheres(triple, t)
+    """Phi_p over `grid`, walked by `_level_walk` and refused like
+    `level_spheres`, with the transport derivative: dt/ds = 1 - t^2 times
+    the sum of each sphere term A_g W^(p/2) times its `_log_rate` at the
+    record's u."""
+    def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
+        spheres = _spheres_off_band(triple, radii)
         terms = _phi_terms(p, spheres)
         slope = sum(w * _log_rate(triple.n, p, sp.u, sp)
                     for w, sp in zip(terms, spheres))
         d_ana = _phi_derivative_sum(p, spheres) if p >= 3 else math.nan
         return sum(terms), d_ana, (1.0 - t * t) * slope
-    return _curve(row, p, grid)
+    return _curve(triple, row, p, grid,
+                  lambda s: t_of_s(s, triple.lambda_sign))
 
 
 def monotonicity_scan(triple: StaticTriple, p: float,

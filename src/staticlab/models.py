@@ -131,8 +131,9 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
         fv = max(f_val(r), 0.0)
         val = math.sqrt(fv) * inv_sqrt_f0
         g = _tiny_guard(math.sqrt(fv))
-        d1 = inv_sqrt_f0 * f_d1(r) / (2.0 * g)
-        d2 = inv_sqrt_f0 * (2.0 * fv * f_d2(r) - f_d1(r) ** 2) / (4.0 * g ** 3)
+        f1 = f_d1(r)
+        d1 = inv_sqrt_f0 * f1 / (2.0 * g)
+        d2 = inv_sqrt_f0 * (2.0 * fv * f_d2(r) - f1 ** 2) / (4.0 * g ** 3)
         return val, d1, d2
 
     kappas = tuple(abs(f_d1(r)) / (2.0 * math.sqrt(f0)) for r in (r1, r2))

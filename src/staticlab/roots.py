@@ -1,16 +1,17 @@
 """The one bracketed root finder of the package.
 
-Level location, the horizon radii of the two-horizon family and the window
-edges of the conformal checkers all solve g(x) = 0 for a function with a
-known sign change on [lo, hi].  `find_root` keeps that bracket and, at
-every iterate, tries in turn
+Cold level location (curves walk by `levelset._walk_sphere`, a Newton with
+its own stop, and come here when it gives up), the horizon radii and the
+window edges of the conformal checkers solve g(x) = 0 with a known sign
+change on [lo, hi].  `find_root` keeps that bracket and at each iterate tries
 
 1. the Newton step, from the slope that the same evaluation returned;
 2. Illinois false position, when the Newton step would leave the bracket
    or no slope is known (near a horizon u ~ sqrt(distance), so Newton
    overshoots from the far side of the root);
 3. bisection, when the false-position point is not strictly inside the
-   bracket.
+   bracket, or after CRAWL_STEPS moves in a row that did not shrink (as
+   Newton crawls to the inner SdS horizon in high dimension).
 
 It stops when a Newton step no longer moves the iterate (the step is below
 half an ulp of it) or the bracket closes to about one ulp, and returns the
@@ -25,6 +26,7 @@ from typing import Callable, Optional
 
 EPS = 2.0 ** -52
 MAX_ITERATIONS = 200
+CRAWL_STEPS = 8
 
 
 def find_root(g: Callable[[float], tuple[float, Optional[float]]],
@@ -51,6 +53,7 @@ def find_root(g: Callable[[float], tuple[float, Optional[float]]],
     if not a < x < b:
         x = 0.5 * (a + b)
     best, best_res = x, math.inf
+    last_move, crawl = math.inf, 0  # crawl: moves in a row that did not shrink
     for _ in range(MAX_ITERATIONS):
         gx, slope = g(x)
         if gx == 0.0:
@@ -78,5 +81,9 @@ def find_root(g: Callable[[float], tuple[float, Optional[float]]],
             nxt = a - fa * (b - a) / (fb - fa)
             if not a < nxt < b:
                 nxt = 0.5 * (a + b)
+        move = abs(nxt - x)
+        crawl, last_move = (crawl + 1 if move >= last_move else 0), move
+        if crawl == CRAWL_STEPS:
+            nxt, last_move, crawl = 0.5 * (a + b), math.inf, 0
         x = nxt
     return best

@@ -164,6 +164,18 @@ def test_scan_sds_in_high_dimension(capsys):
         assert 0.0 < r1 < r2 < 1.0 and k1 > 1.0
 
 
+@pytest.mark.parametrize("n, m", [("420", "1e-20"), ("430", "1e-20"),
+                                  ("438", "1e-10")])
+def test_sds_at_tiny_mass_in_high_dimension(capsys, n, m):
+    # the inner horizon used to come back 200 Newton steps short of the
+    # root, and u'' divided by a g^3 that underflowed to 0 where f < 0
+    code, out = run(capsys, "check", "--model", "sds", "--n", n, "--m", m,
+                    "--suite", "static")
+    assert code == 0
+    checks = json.loads(out, parse_constant=_reject)["checks"]
+    assert {c["status"] for c in checks} == {"pass"}
+
+
 @pytest.mark.parametrize("model", ["desitter", "antidesitter"])
 def test_liminf_in_high_dimension(capsys, model):
     # U_p sums scale-free terms: |1 - t^2|^(-(n+p-1)/2) alone overflows at

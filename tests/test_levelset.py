@@ -15,7 +15,8 @@ from staticlab import (
     schwarzschild_de_sitter,
 )
 from staticlab import levelset as LS
-from staticlab.geometry import (BRANCH_INSET, StaticTriple, linspace,
+from staticlab.geometry import (BRANCH_INSET, EXTREMUM_BAND, Extremum,
+                                RadialProfile, StaticTriple, linspace,
                                 sphere_area, unit_sphere_area)
 
 from oracles import (bisect_bracket, five_point_derivative,
@@ -128,6 +129,10 @@ def test_level_radii_as_good_as_bisection(kind, n, mass_fraction, which,
     assert abs(tr.u.value(x) - t) <= 2 * ref + 4 * eps * abs(t)
 
 
+def _sds_view(which):
+    return schwarzschild_de_sitter(SdSParams(n=3, m=0.1)).on_branch(which)
+
+
 @pytest.mark.parametrize("tr, grid", [
     (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
      linspace(0.05, 0.95, 1000)),
@@ -146,6 +151,136 @@ def test_level_location_cost(tr, grid):
     tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=counted))
     located = sum(len(LS.level_radii(tr, t)) for t in grid)
     assert calls[0] / located <= 20
+
+
+# The curves benchmark grids at seed 0 (1000 levels, p = 3), each on the
+# triple the command line walks (the outer branch where there are two),
+# with the u evaluations per level that cold location (`level_radii`, then
+# the record) spent on it; and the inner branch of SdS.
+WALKED_CURVES = {
+    "up-desitter": ("up", de_sitter(3), (0.0, 0.99), 9.22),
+    "up-antidesitter": ("up", anti_de_sitter(3), (1.01, 20.0), 5.52),
+    "up-sds": ("up", _sds_view("outer"), (0.05, 0.95), 9.02),
+    "up-nariai": ("up", nariai(3).on_branch("outer"), (0.05, 0.95), 6.91),
+    "phi-desitter": ("phi", de_sitter(3), (0.1, 2.5), 9.56),
+    "phi-sds": ("phi", _sds_view("outer"), (0.1, 2.5), 9.77),
+    "up-sds-inner": ("up", _sds_view("inner"), (0.05, 0.95), 10.31),
+}
+
+
+def _walked_levels(kind, tr, ends):
+    grid = linspace(*ends, 1000)
+    if kind == "phi":
+        return grid, [LS.t_of_s(s, tr.lambda_sign) for s in grid]
+    return grid, grid
+
+
+def _counting_u(tr):
+    """`tr` with a u that counts its evaluations, its branches built."""
+    calls = [0]
+    fn = tr.u.fn
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+
+    tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=counted))
+    tr.branches()
+    calls[0] = 0
+    return tr, calls
+
+
+@pytest.mark.parametrize("name", WALKED_CURVES)
+def test_level_walk_matches_cold_location(name):
+    kind, tr, ends, _ = WALKED_CURVES[name]
+    _, levels = _walked_levels(kind, tr, ends)
+    walked = list(LS._level_walk(tr, levels))
+    assert len(walked) == len(levels)
+    for t, radii in zip(levels, walked):
+        cold = LS.level_radii(tr, t)
+        assert len(radii) == len(cold)
+        for x, y in zip(radii, cold):
+            assert abs(x - y) <= 1e-14 * abs(y)
+
+
+@pytest.mark.parametrize("ends", [(0.5, 0.5 + 1e-4), (0.9, 0.9 + 1e-5)])
+def test_level_walk_on_a_dense_grid(ends):
+    # levels 1e-8 and 1e-9 apart: each predictor step is below sqrt(EPS) x,
+    # so a walk that took it without evaluating u would go on from the
+    # first level's slope and drift from cold location by about 1e-9
+    levels = linspace(*ends, 10_000)
+    tr = de_sitter(3)
+    for t, radii in zip(levels, LS._level_walk(tr, levels)):
+        assert radii == pytest.approx(LS.level_radii(tr, t), rel=1e-14)
+
+
+@pytest.mark.parametrize("name", WALKED_CURVES)
+def test_level_walk_cost(name, monkeypatch):
+    kind, tr, ends, cold_cost = WALKED_CURVES[name]
+    grid, _ = _walked_levels(kind, tr, ends)
+    tr, calls = _counting_u(tr)
+    cold = []
+    level_radii = LS.level_radii
+    monkeypatch.setattr(LS, "level_radii",
+                        lambda tr, t: cold.append(t) or level_radii(tr, t))
+    (LS.up_curve if kind == "up" else LS.phi_curve)(tr, 3, grid)
+    # one cold start (on de Sitter's grid, after its t = 0 horizon row)
+    assert len(cold) == (2 if grid[0] == 0.0 else 1)
+    assert calls[0] / len(grid) <= 0.6 * cold_cost
+
+
+@pytest.mark.parametrize("tr, levels, cold_rows", [
+    # the horizon row is answered from its data, and the row after it cold
+    (de_sitter(3), [0.0, 0.3, 0.31], [0, 1]),
+    (de_sitter(3), [0.3, 0.31, 0.0, 0.31], [0, 2, 3]),
+    # Newton stalls on the way to the extremal band
+    (de_sitter(3), linspace(0.5, 1.0 - 2.0 * EXTREMUM_BAND, 3), [0, 2]),
+    # steps across most of each branch; on de Sitter the predictor of
+    # t = 0.01 from t = 0.99 lies at r = 7, outside the hemisphere
+    (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
+     linspace(0.05, 0.95, 3), [0, 1, 2]),
+    (de_sitter(3), [0.99, 0.01], [0, 1]),
+    # u reaches 6e-7 on the outer branch only (the inner one starts at
+    # 8.9e-7), so the levels have 1, 1, 2, 2 and 1 spheres
+    (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
+     [6e-7, 7e-7, 1e-6, 1.1e-6, 7e-7], [0, 2, 4]),
+], ids=["from-horizon", "through-horizon", "to-band", "jumps",
+        "jump-out", "sphere-count"])
+def test_level_walk_falls_back_to_cold_location(tr, levels, cold_rows,
+                                                monkeypatch):
+    tr, calls = _counting_u(tr)
+    cold = []
+    level_radii = LS.level_radii
+    monkeypatch.setattr(LS, "level_radii",
+                        lambda tr, t: cold.append(t) or level_radii(tr, t))
+    walked = list(LS._level_walk(tr, levels))
+    walk_cost, calls[0] = calls[0], 0
+    assert cold == [levels[i] for i in cold_rows]
+    for i, (t, radii) in enumerate(zip(levels, walked)):
+        if i in cold_rows:
+            assert radii == level_radii(tr, t)
+        else:
+            assert radii == pytest.approx(level_radii(tr, t), rel=1e-14)
+    # Newton gives up early: a walk costs at most 3 evaluations of u per
+    # sphere more than cold location (64 against 54 on the SdS jumps)
+    assert walk_cost <= calls[0] + 3 * sum(map(len, walked))
+
+
+def test_level_walk_through_an_inflection():
+    # u = x + (x - 1)^3 has u'' = 0 at the root x = 1 of the first level,
+    # so |u''/(2u')| step^2 reads 0 for any step there: only the bound on
+    # the step keeps Newton from returning its predictor 1.1, where
+    # u = 1.101
+    def u_fn(x):
+        return x + (x - 1.0) ** 3, 1.0 + 3.0 * (x - 1.0) ** 2, 6.0 * (x - 1.0)
+
+    tr = StaticTriple(
+        n=3, lambda_sign=-1, u=RadialProfile((0.0, 2.0), u_fn),
+        h=RadialProfile((0.0, 2.0), lambda x: (1.0, 0.0, 0.0)), f=None,
+        boundaries=(), extremum=Extremum(location=0.0, count=1))
+    levels = [1.0, 1.1, 1.2]
+    for t, radii in zip(levels, LS._level_walk(tr, levels)):
+        assert radii == pytest.approx(LS.level_radii(tr, t), rel=1e-14)
 
 
 def test_level_data_fields(sds01):

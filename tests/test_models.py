@@ -82,6 +82,18 @@ def test_sds_root_finder_precision():
     assert abs(f(tr.extremum.location)[1]) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [420, 430, 438])
+def test_sds_inner_horizon_at_tiny_mass_in_high_dimension(n):
+    # from the left end of its bracket f' ~ 2m(n-2) r^(1-n) is so steep
+    # that each Newton step moves r by about r/n: the solver bisects where
+    # its steps stop shrinking, instead of stopping 200 steps short with
+    # f(r1) = -187 at n = 420
+    tr = schwarzschild_de_sitter(SdSParams(n=n, m=1e-20))
+    for r in tr.domain:
+        fval, f1, _ = tr.f(r)
+        assert abs(fval) <= 1e-12 * abs(f1) * r
+
+
 def test_sds_example_roots_m01():
     # frozen from the bisection oracle
     tr = schwarzschild_de_sitter(SdSParams(n=3, m=0.1))
