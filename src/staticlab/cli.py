@@ -9,7 +9,8 @@ or a shot's monitor drift exceeds odegen.DRIFT_TOL, and 0 otherwise.
 
 A curve row reads one level's records: `d_analytic` is the derivative
 through the field equations (p >= 3, else nan), `d_numeric` the one
-along the level flow, which uses no field equation.
+along the level flow, which uses no field equation.  A curve end is
+refused with the ValueError of levelset's curve on it, after its flag.
 
 STATICLAB_TOL (a finite number > 0; 1e-6 by default) is the tolerance of
 the static, conformal, liminf and integral-identity checks.  It does not
@@ -26,12 +27,14 @@ import os
 import sys
 from typing import Optional
 
-from .geometry import EXTREMUM_BAND, StaticTriple, linspace, static_residual
+from .geometry import StaticTriple, linspace, static_residual
 from .models import by_name
 from .report import IdentityReport, default_tolerance, identity_report
 
 # Every other staticlab module is imported by the function that reads it:
 # each command runs in a process of its own, so it compiles only those.
+
+MODELS = ("desitter", "antidesitter", "sds", "nariai")  # names for by_name
 
 
 def _fmt(x) -> str:
@@ -183,7 +186,7 @@ SUITES = {
 def cmd_models(args) -> int:
     from . import levelset
     rows = []
-    for name in ("desitter", "antidesitter", "sds", "nariai"):
+    for name in MODELS:
         tr = _triple(name, args.n, args.m)
         rows.append({
             "model": name,
@@ -213,34 +216,20 @@ def _check_steps(steps: int) -> None:
         raise UsageError(f"--steps must be at least 1, got {steps}")
 
 
-def _check_level(tr: StaticTriple, flag: str, value: float, t: float,
-                 band: float) -> None:
-    """Refuse an end level that level location cannot resolve, or one within
-    `band` of the extremal value 1, where U_p and Phi_p are singular."""
-    from . import levelset
-    if abs(t - 1.0) > band:
-        try:
-            levelset.level_radii(tr, t)
-            return
-        except ValueError:
-            pass
-    raise UsageError(f"{flag} {value:.12g}: level t={t:.12g} is outside the "
-                     f"range of u or within {band:g} of its extremal value 1")
-
-
-def _curve_command(args, curve_fn, ends, to_level, band) -> int:
-    """Shared body of the two curve commands: `ends` holds the two (flag,
-    value) grid ends, `to_level(triple, value)` gives the level t of a grid
-    value, and the curve refuses levels within `band` of t = 1."""
+def _curve_command(args, curve_fn) -> int:
+    """Shared body of the two curve commands, on the grid between the flags
+    `args.ends`, each end first taken alone: a level the curve refuses is
+    named by its flag even where the grid never reaches it (--steps 1)."""
     from . import levelset
     _check_steps(args.steps)
-    if not math.isfinite(args.p):
-        raise UsageError(f"--p must be a finite number, got {args.p:g}")
     tr = _on_branch(_triple(args.model, args.n, args.m), args.branch)
-    for flag, value in ends:
-        _check_level(tr, flag, value, to_level(tr, value), band)
-    grid = linspace(ends[0][1], ends[1][1], args.steps)
-    curve = curve_fn(tr, args.p, grid)
+    ends = [getattr(args, flag[2:]) for flag in args.ends]
+    for flag, value in zip(args.ends, ends):
+        try:
+            curve_fn(tr, args.p, [value])
+        except ValueError as exc:
+            raise UsageError(f"{flag} {value:.12g}: {exc}") from None
+    curve = curve_fn(tr, args.p, linspace(*ends, args.steps))
     flags = _flags_str(levelset.assumption_flags(tr))
     lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
     for row in zip(curve.grid, curve.values, curve.d_analytic,
@@ -252,22 +241,12 @@ def _curve_command(args, curve_fn, ends, to_level, band) -> int:
 
 def cmd_up_curve(args) -> int:
     from . import levelset
-    # U_p is defined up to t = 1; U_p' (p >= 3) reads W, refused near it
-    band = EXTREMUM_BAND if args.p >= 3 else 0.0
-    return _curve_command(args, levelset.up_curve,
-                          (("--t0", args.t0), ("--t1", args.t1)),
-                          lambda tr, t: t, band)
+    return _curve_command(args, levelset.up_curve)
 
 
 def cmd_phi_curve(args) -> int:
-    ends = (("--s0", args.s0), ("--s1", args.s1))
-    for flag, s in ends:
-        if not s > 0.0:
-            raise UsageError(f"{flag} must be positive, got {s:g}")
     from . import levelset
-    return _curve_command(args, levelset.phi_curve, ends,
-                          lambda tr, s: levelset.t_of_s(s, tr.lambda_sign),
-                          EXTREMUM_BAND)
+    return _curve_command(args, levelset.phi_curve)
 
 
 def cmd_check(args) -> int:
@@ -292,7 +271,7 @@ def cmd_scan_sds(args) -> int:
     ok = True
     for m in _parse_grid(args.m_grid):
         tr = _triple("sds", args.n, m)
-        (b1, b2) = sorted(tr.boundaries, key=lambda b: b.location)
+        b1, b2 = tr.horizons()
         lines.append(",".join(_fmt(v) for v in (
             m, b1.location, b2.location,
             b1.surface_gravity, b2.surface_gravity)))
@@ -339,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", required=True,
-                       choices=["desitter", "antidesitter", "sds", "nariai"])
+        p.add_argument("--model", required=True, choices=MODELS)
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=float, default=0.1)
 
@@ -361,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=100)
         p.add_argument("--branch", choices=["inner", "outer"], default=None)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, ends=ends)
 
     p = sub.add_parser("check", help="run a verification suite")
     add_model_flags(p)

@@ -33,8 +33,8 @@ from .levelset import (
     t_of_s,
 )
 from .quadrature import QuadratureConfig, adaptive, composite_simpson
-from .report import (INEQ_TOL, IdentityReport, identity_report,
-                     inequality_report)
+from .report import (IDENTITY_TOL, INEQ_TOL, IdentityReport,
+                     identity_report, inequality_report)
 
 DEFAULT_QUAD = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=100_000)
 
@@ -95,7 +95,7 @@ def first_identity_flux(triple: StaticTriple, p: float, tau: float) -> float:
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
                    branch: Optional[str] = None,
                    panels: Optional[int] = None,
-                   tolerance: float = 1e-6) -> IdentityReport:
+                   tolerance: float = IDENTITY_TOL) -> IdentityReport:
     """Divergence identity for the field W^((p-1)/2) grad phi / sinh(phi)^n
     on the slab {s < phi < S}:
 
@@ -137,7 +137,7 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
                     branch: Optional[str] = None,
                     panels: Optional[int] = None,
-                    tolerance: float = 1e-6) -> IdentityReport:
+                    tolerance: float = IDENTITY_TOL) -> IdentityReport:
     """Weighted Bochner identity for p >= 3 on the slab {s < phi < S}:
 
         gamma(s) B(s) - gamma(S) B(S)  =  bulk integral of
@@ -200,7 +200,7 @@ def _deficit_flux(triple: StaticTriple, t: float) -> float:
 def curvature_deficit_identity(triple: StaticTriple, t: float,
                  t_upper: Optional[float] = None,
                  panels: Optional[int] = None,
-                 tolerance: float = 1e-6) -> IdentityReport:
+                 tolerance: float = IDENTITY_TOL) -> IdentityReport:
     """Curvature-deficit flux identity (no assumptions needed):
 
         sum_{u=t} (1/u)(|Du|^2 H - ((n-1)/n)|Du| lap u)

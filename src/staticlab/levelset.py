@@ -132,7 +132,9 @@ def s_of_t(t: float) -> float:
 
 
 def t_of_s(s: float, lambda_sign: int) -> float:
-    """Inverse of s_of_t on the relevant side: tanh(s) or coth(s)."""
+    """Inverse of s_of_t on the relevant side: tanh(s) or coth(s), s > 0."""
+    if not s > 0.0:
+        raise ValueError(f"conformal level s must be positive, got {s:g}")
     return math.tanh(s) if lambda_sign > 0 else 1.0 / math.tanh(s)
 
 
@@ -149,6 +151,8 @@ def _up_terms(n: int, p: float, t: float,
     """The sphere terms (h/sqrt d)^(n-1) (|u'|/sqrt d)^p of U_p(t)/|S^(n-1)|,
     d = |1 - t^2|: scale-free, so neither overflows at small d, large n."""
     rd = math.sqrt(abs(1.0 - t * t))
+    if rd == 0.0:
+        raise ValueError(f"U_p is singular at the extremal level t={t:g}")
     return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** p for sp in spheres]
 
 
@@ -274,7 +278,6 @@ class Curve:
     """U_p or Phi_p on a grid of levels, with its analytic derivative
     (NaN for p < 3) and its transport derivative along the level flow."""
 
-    p: float
     grid: tuple[float, ...]
     values: tuple[float, ...]
     d_analytic: tuple[float, ...]
@@ -294,12 +297,15 @@ def _log_rate(n: int, p: float, t: float, sp: SphereData) -> float:
 def _curve(triple: StaticTriple, row, p: float, grid: Sequence[float],
            level_of) -> Curve:
     """`row(t, radii) = (value, d_analytic, d_numeric)` over `grid`, at the
-    levels t = `level_of(point)`, each located by `_level_walk`."""
+    levels t = `level_of(point)`, each located by `_level_walk`; a p that
+    is not finite is refused (its rows read nan, or 4 pi as 1 ** nan)."""
+    if not math.isfinite(p):
+        raise ValueError(f"exponent p must be a finite number, got {p:g}")
     grid = tuple(grid)
     levels = [level_of(point) for point in grid]
     rows = list(map(row, levels, _level_walk(triple, levels)))
     values, d_ana, d_num = zip(*rows) if rows else ((), (), ())
-    return Curve(p=p, grid=grid, values=values, d_analytic=d_ana,
+    return Curve(grid=grid, values=values, d_analytic=d_ana,
                  d_numeric=d_num)
 
 
@@ -313,9 +319,9 @@ def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
         if triple.lambda_sign > 0 and t == 0.0:  # horizons: h' = u'' = 0
             return up_value(triple, p, t), 0.0, 0.0
         spheres = [triple.radial_state(x) for x in radii]
+        terms = _up_terms(n, p, t, spheres)  # refuses t = 1 first
         d_ana = (_up_derivative_forms(triple, p, t, spheres)[0] if p >= 3
                  else math.nan)
-        terms = _up_terms(n, p, t, spheres)
         slope = sum(w * _log_rate(n, p, t, sp)
                     for w, sp in zip(terms, spheres))
         return area * sum(terms), d_ana, area * slope

@@ -24,6 +24,12 @@ def admissible_mass_bound(n: int) -> float:
     return math.sqrt((n - 2) ** (n - 2) / n ** n)
 
 
+def _inner_start(n: int) -> float:
+    """Where the inner SdS horizon is sought from: 1e-12, or where r^(1-n)
+    in f' is at most 1e300.  It lies above only for m > r^(n-2)(1-r^2)/2."""
+    return max(1e-12, 1e-300 ** (1.0 / (n - 1)))
+
+
 @dataclass(frozen=True)
 class SdSParams:
     n: int
@@ -31,10 +37,12 @@ class SdSParams:
 
     def __post_init__(self) -> None:
         check_dimension(self.n)
+        r_min = _inner_start(self.n)
+        floor = r_min ** (self.n - 2) * (1.0 - r_min * r_min) / 2.0
         bound = admissible_mass_bound(self.n)
-        if not 0.0 < self.m < bound:
-            raise ValueError(
-                f"mass m={self.m} outside the admissible interval (0, {bound})")
+        if not floor < self.m < bound:
+            raise ValueError(f"mass m={self.m} outside the admissible "
+                             f"interval ({floor:.6g}, {bound})")
 
 
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
@@ -117,9 +125,7 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
         return -2.0 - 2.0 * m * (n - 2) * (n - 1) * r ** (-n)
 
     r0 = (m * (n - 2)) ** (1.0 / n)
-    # in high dimension, start where the r^(1-n) of f' is at most 1e300
-    r_min = max(1e-12, 1e-300 ** (1.0 / (n - 1)))
-    r1 = bracketed_root(f_val, r_min, r0, dfn=f_d1)
+    r1 = bracketed_root(f_val, _inner_start(n), r0, dfn=f_d1)
     r2 = bracketed_root(f_val, r0, 1.0, dfn=f_d1)
     f0 = f_val(r0)
     inv_sqrt_f0 = 1.0 / math.sqrt(f0)
@@ -176,7 +182,7 @@ def nariai(n: int) -> StaticTriple:
     )
 
 
-def by_name(name: str, n: int = 3, m: float = 0.1) -> StaticTriple:
+def by_name(name: str, n: int, m: float) -> StaticTriple:
     """Constructor lookup by the command-line model name."""
     if name == "desitter":
         return de_sitter(n)

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+IDENTITY_TOL = 1e-6  # default tolerance of the identity checks
 INEQ_TOL = 1e-9  # fixed tolerance of the inequality checks
 _NON_DISCRETE = "non-discrete extremum set"  # refusal reason: no count
 
 
 def default_tolerance() -> float:
     """Tolerance of the static, conformal, integral-identity and liminf
-    checks: 1e-6, or the STATICLAB_TOL env var, a finite number > 0."""
-    tol = float(os.environ.get("STATICLAB_TOL", 1e-6))
+    checks: IDENTITY_TOL, or the STATICLAB_TOL env var, a finite number > 0."""
+    tol = float(os.environ.get("STATICLAB_TOL", IDENTITY_TOL))
     if not 0.0 < tol < math.inf:
         raise ValueError(f"must be a finite number > 0, got {tol}")
     return tol
@@ -39,10 +40,10 @@ class IdentityReport:
     rel_residual: float
     tolerance: float
     status: str  # "pass" | "fail" | "inapplicable"
-    assumption_status: dict[str, bool] = field(default_factory=dict)
+    assumption_status: dict[str, bool]
+    description: str
+    extra: dict
     equality: Optional[bool] = None
-    description: str = ""
-    extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         out = {
@@ -63,8 +64,8 @@ class IdentityReport:
 
 
 def identity_report(name: str, lhs: float, rhs: float, tolerance: float,
+                    description: str, applicable: bool = True,
                     assumptions: dict[str, bool] | None = None,
-                    applicable: bool = True, description: str = "",
                     extra: dict | None = None) -> IdentityReport:
     """Report for a two-sided identity lhs = rhs."""
     abs_res = abs(lhs - rhs)
@@ -79,11 +80,12 @@ def identity_report(name: str, lhs: float, rhs: float, tolerance: float,
 
 
 def inequality_report(name: str, lhs: float, rhs: float, tolerance: float,
-                      assumptions: dict[str, bool] | None = None,
-                      applicable: bool = True, description: str = "",
+                      assumptions: dict[str, bool], applicable: bool,
+                      description: str,
                       extra: dict | None = None) -> IdentityReport:
     """Report for a one-sided inequality lhs <= rhs; residual is the
-    violation and `equality` marks the rigidity case."""
+    violation and `equality` marks the rigidity case.  The caller states
+    whether the hypotheses hold: no inequality passes by omission."""
     gap = lhs - rhs
     violation = gap if math.isnan(gap) else max(0.0, gap)  # NaN never passes
     rel = violation / max(abs(lhs), abs(rhs), 1e-300)
@@ -92,17 +94,16 @@ def inequality_report(name: str, lhs: float, rhs: float, tolerance: float,
         status = "inapplicable"
     return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_residual=violation,
                           rel_residual=rel, tolerance=tolerance, status=status,
-                          assumption_status=assumptions or {},
+                          assumption_status=assumptions,
                           equality=abs(lhs - rhs) <= tolerance,
                           description=description, extra=extra or {})
 
 
-def refusal_report(name: str, reason: str,
-                   assumptions: dict[str, bool] | None = None,
+def refusal_report(name: str, reason: str, assumptions: dict[str, bool],
                    description: str = "") -> IdentityReport:
     """Report for a check whose preconditions the triple does not meet."""
     return IdentityReport(name=name, lhs=float("nan"), rhs=float("nan"),
                           abs_residual=float("nan"), rel_residual=float("nan"),
                           tolerance=float("nan"), status="inapplicable",
-                          assumption_status=assumptions or {},
+                          assumption_status=assumptions,
                           description=description, extra={"reason": reason})

@@ -16,7 +16,7 @@ change on [lo, hi].  `find_root` keeps that bracket and at each iterate tries
 It stops when a Newton step no longer moves the iterate (the step is below
 half an ulp of it) or the bracket closes to about one ulp, and returns the
 iterate with the smallest |g| (one of the last two, once the steps
-converge).
+converge).  No stop within MAX_ITERATIONS is a ValueError.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def find_root(g: Callable[[float], tuple[float, Optional[float]]],
                 fa *= 0.5
             last_side = 1
         if b - a <= EPS * abs(x) + floor:
-            break
+            return best
         nxt = x - gx / slope if slope else math.nan
         if nxt == x:  # the Newton step is below half an ulp of x
-            break
+            return best
         if not a < nxt < b:
             nxt = a - fa * (b - a) / (fb - fa)
             if not a < nxt < b:
@@ -86,4 +86,5 @@ def find_root(g: Callable[[float], tuple[float, Optional[float]]],
         if crawl == CRAWL_STEPS:
             nxt, last_move, crawl = 0.5 * (a + b), math.inf, 0
         x = nxt
-    return best
+    raise ValueError(f"no root located on [{lo}, {hi}] in {MAX_ITERATIONS} "
+                     f"iterations; smallest |g| {best_res:.3g}")

@@ -320,39 +320,78 @@ def test_float_formatting_12_digits(capsys):
     assert row[3] == "3.49237298164"  # 12 significant digits
 
 
-@pytest.mark.parametrize("argv", [
+# each bad curve argv, and the start of its one stderr line after
+# "staticlab <command>: error: ": a refused end names its flag and value,
+# then the reason the curve gave
+BAD_CURVE = {
     ("phi-curve", "--model", "desitter", "--p", "3", "--s0", "0",
-     "--s1", "1"),
+     "--s1", "1"): "--s0 0: conformal level s must be positive",
     ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0",
-     "--t1", "1.5"),
+     "--t1", "1.5"): "--t1 1.5: level t=1.5 outside the range of u",
     ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0",
-     "--t1", "0.5", "--steps", "0"),
+     "--t1", "0.5", "--steps", "0"): "--steps must be at least 1",
     ("phi-curve", "--model", "antidesitter", "--p", "3", "--s0", "1e-4",
-     "--s1", "1"),
+     "--s1", "1"): "--s0 0.0001: level t=10000.0000333",
     ("up-curve", "--model", "sds", "--m", "0.5", "--p", "3", "--t0", "0.1",
-     "--t1", "0.5"),
+     "--t1", "0.5"): "mass m=0.5 outside the admissible interval",
     # ends within 1e-6 of the extremal value, where U_p' and Phi_p refuse
     ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0.5",
-     "--t1", "0.9999999", "--steps", "3"),
+     "--t1", "0.9999999", "--steps", "3"):
+        "--t1 0.9999999: point with u=0.9999999 lies in the excluded band",
     ("phi-curve", "--model", "sds", "--p", "3", "--s0", "0.5", "--s1", "8",
-     "--steps", "3"),
+     "--steps", "3"): "--s1 8: point with u=0.99999977",
     # a non-finite exponent printed rows of nan, or 4 pi as 1 ** nan
     ("up-curve", "--model", "desitter", "--p", "nan", "--t0", "0",
-     "--t1", "0.5"),
+     "--t1", "0.5"): "--t0 0: exponent p must be a finite number, got nan",
     ("up-curve", "--model", "desitter", "--p", "inf", "--t0", "0",
-     "--t1", "0.5"),
+     "--t1", "0.5"): "--t0 0: exponent p must be a finite number, got inf",
     ("phi-curve", "--model", "desitter", "--p", "nan", "--s0", "0.5",
-     "--s1", "1"),
+     "--s1", "1"): "--s0 0.5: exponent p must be a finite number",
     ("phi-curve", "--model", "desitter", "--p", "inf", "--s0", "0.5",
-     "--s1", "1"),
-])
+     "--s1", "1"): "--s0 0.5: exponent p must be a finite number",
+    # one step reads only --t0, yet a bad --t1 is still refused
+    ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0.5",
+     "--t1", "1.5", "--steps", "1"): "--t1 1.5: level t=1.5 outside",
+    ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0.5",
+     "--t1", "0.9999999", "--steps", "1"): "--t1 0.9999999: point with",
+    # U_p is singular at t = 1 for every p; coth(0) divides by zero
+    ("up-curve", "--model", "desitter", "--p", "1", "--t0", "0.5",
+     "--t1", "1"): "--t1 1: U_p is singular at the extremal level t=1",
+    ("up-curve", "--model", "antidesitter", "--p", "1", "--t0", "1",
+     "--t1", "2"): "--t0 1: U_p is singular at the extremal level t=1",
+    ("phi-curve", "--model", "antidesitter", "--p", "3", "--s0", "0",
+     "--s1", "1"): "--s0 0: conformal level s must be positive, got 0",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_CURVE))
 def test_bad_curve_input_exits_2_with_one_line(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"staticlab {argv[0]}: error: ")
+    assert captured.err.startswith(
+        f"staticlab {argv[0]}: error: {BAD_CURVE[argv]}")
+
+
+@pytest.mark.parametrize("n, floor", [("3", "5e-13"), ("4", "5e-25")])
+def test_sds_below_its_mass_floor_exits_2_naming_the_interval(capsys, n,
+                                                              floor):
+    below, above = (f"{f * float(floor):g}" for f in (0.98, 1.02))
+    code = main(["check", "--model", "sds", "--n", n, "--m", below,
+                 "--suite", "static"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"staticlab check: error: mass m={below} outside the admissible "
+        f"interval ({floor}, ")
+    assert len(captured.err.splitlines()) == 1
+    code, out = run(capsys, "check", "--model", "sds", "--n", n, "--m",
+                    above, "--suite", "static")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 
 
 @pytest.mark.parametrize("spec", ["0.1:x", "0.1:0.2:0", "0:inf:0.1",

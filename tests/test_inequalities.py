@@ -194,6 +194,7 @@ def test_scalar_average_refused_for_negative_constant(ads3):
 
 def test_nan_side_never_passes():
     for lhs, rhs in ((math.nan, 1.0), (1.0, math.nan)):
-        assert inequality_report("x", lhs, rhs, 1e-9).status == "fail"
-        gated = inequality_report("x", lhs, rhs, 1e-9, applicable=False)
+        assert inequality_report("x", lhs, rhs, 1e-9, {}, True,
+                                 "").status == "fail"
+        gated = inequality_report("x", lhs, rhs, 1e-9, {}, False, "")
         assert gated.status == "inapplicable"

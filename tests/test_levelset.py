@@ -358,6 +358,24 @@ def test_up_derivative_matches_finite_differences(sds01):
         assert abs(f1 - fd) <= 1e-5
 
 
+def test_curves_refuse_what_they_cannot_evaluate(ds3, ads3):
+    # the command line takes its curve refusals from these ValueErrors
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="exponent p must be a finite"):
+            LS.up_curve(ds3, p, [0.5])
+        with pytest.raises(ValueError, match="exponent p must be a finite"):
+            LS.phi_curve(ds3, p, [0.5])
+    # U_p divides by 1 - t^2 at the extremal value (p < 3 reads no W)
+    for tr, p in ((ds3, 1), (ds3, 3), (ads3, 1)):
+        with pytest.raises(ValueError, match="singular at the extremal"):
+            LS.up_curve(tr, p, [1.0])
+    # coth(0) divides by zero; s < 0 is no level of a positive constant
+    for tr in (ds3, ads3):
+        for s in (0.0, -0.5):
+            with pytest.raises(ValueError, match="s must be positive"):
+                LS.phi_curve(tr, 3, [s])
+
+
 def test_up_derivative_rejects_small_p(ds3):
     with pytest.raises(ValueError):
         LS.up_derivative(ds3, 2, 0.5)

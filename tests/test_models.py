@@ -15,6 +15,7 @@ from staticlab import (
 from staticlab.cli import _parse_grid
 from staticlab.geometry import linspace
 from staticlab.models import bracketed_root
+from staticlab.roots import MAX_ITERATIONS, find_root
 
 from oracles import sds_horizon_data
 
@@ -92,6 +93,34 @@ def test_sds_inner_horizon_at_tiny_mass_in_high_dimension(n):
     for r in tr.domain:
         fval, f1, _ = tr.f(r)
         assert abs(fval) <= 1e-12 * abs(f1) * r
+
+
+@pytest.mark.parametrize("n, floor", [(3, 5e-13), (4, 5e-25)])
+def test_sds_mass_floor(n, floor):
+    # below r^(n-2)(1 - r^2)/2 at r = 1e-12, where the search for the inner
+    # horizon starts, f has no root above it: refused with the interval
+    # the family can build
+    with pytest.raises(ValueError, match=rf"\({floor:g}, "):
+        SdSParams(n=n, m=0.98 * floor)
+    tr = schwarzschild_de_sitter(SdSParams(n=n, m=1.02 * floor))
+    assert 1e-12 < tr.domain[0] < 1.1e-12
+
+
+def test_find_root_that_runs_out_of_iterations_raises():
+    # a slope 100 times too large makes every Newton step a hundredth of
+    # the one needed; the steps keep shrinking and stay inside the bracket
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x * x - 2.0, 100.0 * 2.0 * x
+
+    with pytest.raises(ValueError, match=r"no root located on \[0.0, 2.0\]"
+                                         r" in 200 iterations; smallest"):
+        find_root(g, 0.0, 2.0)
+    assert len(calls) == MAX_ITERATIONS + 2  # the two ends, then the loop
+    assert find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0) == \
+        pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_sds_example_roots_m01():
@@ -186,13 +215,13 @@ def test_small_mass_outer_kappa_near_one():
 
 
 def test_by_name_lookup():
-    assert by_name("desitter", n=4).name == "de_sitter"
-    assert by_name("antidesitter").lambda_sign == -1
-    assert by_name("sds", m=0.05).name.startswith("schwarzschild")
-    assert by_name("nariai").name == "nariai(n=3)"
+    assert by_name("desitter", n=4, m=0.1).name == "de_sitter"
+    assert by_name("antidesitter", n=3, m=0.1).lambda_sign == -1
+    assert by_name("sds", n=3, m=0.05).name.startswith("schwarzschild")
+    assert by_name("nariai", n=3, m=0.1).name == "nariai(n=3)"
     for name in ("mystery", "ds", "de-sitter", "SdS"):
         with pytest.raises(ValueError):
-            by_name(name)
+            by_name(name, n=3, m=0.1)
 
 
 def test_normalization_factor_recoverable(sds01):
