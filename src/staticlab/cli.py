@@ -219,17 +219,18 @@ def _check_steps(steps: int) -> None:
 def _curve_command(args, curve_fn) -> int:
     """Shared body of the two curve commands, on the grid between the flags
     `args.ends`, each end first taken alone: a level the curve refuses is
-    named by its flag even where the grid never reaches it (--steps 1)."""
+    named by its flag even where the grid never reaches it (--steps 1),
+    and a level between them, which can fail alone, by the curve."""
     from . import levelset
     _check_steps(args.steps)
     tr = _on_branch(_triple(args.model, args.n, args.m), args.branch)
     ends = [getattr(args, flag[2:]) for flag in args.ends]
-    for flag, value in zip(args.ends, ends):
+    probes = [(f"{flag} {v:.12g}: ", [v]) for flag, v in zip(args.ends, ends)]
+    for prefix, grid in probes + [("", linspace(*ends, args.steps))]:
         try:
-            curve_fn(tr, args.p, [value])
+            curve = curve_fn(tr, args.p, grid)
         except ValueError as exc:
-            raise UsageError(f"{flag} {value:.12g}: {exc}") from None
-    curve = curve_fn(tr, args.p, linspace(*ends, args.steps))
+            raise UsageError(f"{prefix}{exc}") from None
     flags = _flags_str(levelset.assumption_flags(tr))
     lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
     for row in zip(curve.grid, curve.values, curve.d_analytic,

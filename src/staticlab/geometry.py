@@ -32,7 +32,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 
@@ -41,6 +40,7 @@ INTERIOR_PAD = 0.01  # fraction of the span interior_points drops per side
 ARCLENGTH_MARGIN = 1e-4  # fraction of the span to_arclength drops per side
 EXTREMUM_BAND = 1e-6  # |u - 1| below which the conformal metric is refused
 MAX_DIMENSION = 438  # |S^(n-1)| is subnormal from n = 439 on, 0.0 from 456
+BIRKHOFF_TOL = 1e-12  # |u - c sqrt(f)|/u at to_arclength's checks: <= 1.8e-14
 
 
 def check_dimension(n: int) -> None:
@@ -215,9 +215,9 @@ class StaticTriple:
     lambda_sign is +1 for positive cosmological constant (u normalised to
     max 1, u = 0 on the boundary) and -1 for negative (u normalised to
     min 1, empty boundary, possibly conformally compact).  The chart
-    follows `f`, and `h` is None in the areal chart.  `branch` is None for
-    the whole solution, and "inner" or "outer" on a view made by
-    `on_branch`.
+    follows `f`; in the areal chart `h` is None and u is
+    `normalization_factor` * sqrt(f).  `branch` is None for the whole
+    solution, and "inner" or "outer" on a view made by `on_branch`.
     """
 
     n: int
@@ -544,15 +544,16 @@ def to_arclength(triple: StaticTriple,
     The domain is inset by ARCLENGTH_MARGIN * span per side so the 1/sqrt(f)
     integrand stays finite.  rho is integrated on a grid of `samples` radii,
     and u(rho), h(rho) and rho(r) become quintic Hermite interpolants
-    (`RadialProfile.hermite`) of the exact state at the grid points: u and
-    its r-derivatives from one evaluation of `u` per point, transformed as
-    in `StaticTriple.radial_state`, h = r with h' = sqrt(f) and h'' = f'/2,
-    and d(rho)/dr = 1/sqrt(f) with d2(rho)/dr2 = -f'/(2 f^(3/2)).  `f` is
-    evaluated elementwise on numpy arrays (arithmetic, not `math.*`): on
-    the quadrature nodes and on the grid; a point where it is not positive
-    or is NaN raises ValueError.  Boundary data is not carried over: the
-    converted triple is meant for interior curvature evaluation and
-    cross-checks.
+    (`RadialProfile.hermite`) of the exact state at the grid points, all
+    from `f`, f' and f'' on numpy arrays (arithmetic, not `math.*`): on the
+    quadrature nodes and on the grid.  An areal static solution has
+    u = c sqrt(f), c = `normalization_factor` (Birkhoff), so u' = c f'/2 and
+    u'' = c f'' sqrt(f)/2, which do not divide by sqrt(f) at a horizon;
+    h = r, h' = sqrt(f), h'' = f'/2; d(rho)/dr = 1/sqrt(f), d2(rho)/dr2 =
+    -f'/(2 f^(3/2)).  A point where f is not positive or is NaN raises
+    ValueError, as does any of three interior knots where `u` is read and
+    is not c sqrt(f) to BIRKHOFF_TOL.  Boundary data is not carried over:
+    the converted triple is for interior curvature and cross-checks.
 
     Returns (converted triple, rho_of_r callable).
     """
@@ -570,12 +571,12 @@ def to_arclength(triple: StaticTriple,
     r_grid = a + (b - a) * 0.5 * (1.0 - np.cos(math.pi * s))
     cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_evals=20_000)
 
-    def metric(r):  # f and f' on one node or an array of nodes, f > 0
-        fval, f1, _ = triple.f.fn(r)
-        if not np.all(fval > 0.0):
-            bad = np.atleast_1d(r)[~np.atleast_1d(fval > 0.0)][0]
+    def metric(r):  # f, f' and f'' on one node or an array of nodes, f > 0
+        values = triple.f.fn(r)
+        if not np.all(values[0] > 0.0):
+            bad = np.atleast_1d(r)[~np.atleast_1d(values[0] > 0.0)][0]
             raise ValueError(f"metric function not positive at x={bad}")
-        return fval, f1
+        return values
 
     def jacobian(r):  # 1/sqrt(f)
         return 1.0 / np.sqrt(metric(r)[0])
@@ -587,17 +588,16 @@ def to_arclength(triple: StaticTriple,
     for i in np.flatnonzero(err > tol):
         seg[i] = adaptive(jacobian, r_grid[i], r_grid[i + 1], cfg).value
     rho = np.concatenate(([0.0], np.cumsum(seg)))
-    fval, f1 = metric(r_grid)
-    f1 = np.broadcast_to(f1, r_grid.shape)
-    sf = np.sqrt(fval)
-    r_list = r_grid.tolist()
-    # (u, u_r, u_rr) at each point, each tuple read as soon as it is made:
-    # holding them all would set off a garbage collection every 700 points
-    u, ur, urr = np.fromiter(chain.from_iterable(map(triple.u.fn, r_list)),
-                             float, 3 * samples).reshape(-1, 3).T
+    fval, f1, f2 = np.broadcast_arrays(r_grid, *metric(r_grid))[1:]
+    sf, c, r_list = np.sqrt(fval), triple.normalization_factor, r_grid.tolist()
+    u, knots = c * sf, [samples // 4, samples // 2, 3 * samples // 4]
+    for x, want in zip(r_grid[knots].tolist(), u[knots].tolist()):
+        if not abs(triple.u.fn(x)[0] - want) <= BIRKHOFF_TOL * want:
+            raise ValueError(f"u is not normalization_factor*sqrt(f) at x={x}")
     rho_list = rho.tolist()
-    u_prof = RadialProfile.hermite(rho_list, u.tolist(), (sf * ur).tolist(),
-                                   (fval * urr + 0.5 * f1 * ur).tolist())
+    u_prof = RadialProfile.hermite(rho_list, u.tolist(),
+                                   (0.5 * c * f1).tolist(),
+                                   (0.5 * f2 * u).tolist())
     h_prof = RadialProfile.hermite(rho_list, r_list, sf.tolist(),
                                    (0.5 * f1).tolist())
     rho_prof = RadialProfile.hermite(r_list, rho_list, (1.0 / sf).tolist(),
@@ -608,7 +608,7 @@ def to_arclength(triple: StaticTriple,
     converted = StaticTriple(
         n=triple.n, lambda_sign=triple.lambda_sign,
         u=u_prof, h=h_prof, f=None, boundaries=(), extremum=ext,
-        normalization_factor=triple.normalization_factor,
+        normalization_factor=c,
         conformally_compact=triple.conformally_compact,
         name=triple.name + "[arclength]")
     return converted, rho_prof.value

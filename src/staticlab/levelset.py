@@ -33,6 +33,8 @@ from .roots import EPS, find_root
 LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
 BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 WALK_STEPS = 6  # Newton steps of a walked sphere before its level goes cold
+OUT_OF_RANGE = ("a sphere term at p={:.12g} leaves the double range at the "
+                "level u={:.12g}")  # OverflowError of a term, as ValueError
 
 
 # --------------------------------------------------------------------------
@@ -153,15 +155,22 @@ def _up_terms(n: int, p: float, t: float,
     rd = math.sqrt(abs(1.0 - t * t))
     if rd == 0.0:
         raise ValueError(f"U_p is singular at the extremal level t={t:g}")
-    return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** p for sp in spheres]
+    try:
+        return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** p
+                for sp in spheres]
+    except OverflowError:
+        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
 
 
 def up_value(triple: StaticTriple, p: float, t: float) -> float:
     """U_p(t) as a closed-form sphere sum."""
     n = triple.n
     if triple.lambda_sign > 0 and t == 0.0:
-        return sum(a * c.surface_gravity ** p
-                   for c, a in _boundary_spheres(triple))
+        try:
+            return sum(a * c.surface_gravity ** p
+                       for c, a in _boundary_spheres(triple))
+        except OverflowError:
+            raise ValueError(OUT_OF_RANGE.format(p, t)) from None
     return unit_sphere_area(n) * sum(_up_terms(n, p, t,
                                                _level_states(triple, t)))
 
@@ -248,11 +257,15 @@ def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
 def phi_p(triple: StaticTriple, p: float, s: float) -> float:
     """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
     t = t_of_s(s, triple.lambda_sign)
-    return sum(_phi_terms(p, level_spheres(triple, t)))
+    return sum(_phi_terms(p, t, level_spheres(triple, t)))
 
 
-def _phi_terms(p: float, spheres: Sequence[SphereData]) -> list[float]:
-    return [sp.W ** (p / 2.0) * sp.area_g for sp in spheres]
+def _phi_terms(p: float, t: float,
+               spheres: Sequence[SphereData]) -> list[float]:
+    try:
+        return [sp.W ** (p / 2.0) * sp.area_g for sp in spheres]
+    except OverflowError:
+        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
 
 
 def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
@@ -335,7 +348,7 @@ def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
     record's u."""
     def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
         spheres = _spheres_off_band(triple, radii)
-        terms = _phi_terms(p, spheres)
+        terms = _phi_terms(p, t, spheres)
         slope = sum(w * _log_rate(triple.n, p, sp.u, sp)
                     for w, sp in zip(terms, spheres))
         d_ana = _phi_derivative_sum(p, spheres) if p >= 3 else math.nan

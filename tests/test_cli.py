@@ -361,6 +361,17 @@ BAD_CURVE = {
      "--t1", "2"): "--t0 1: U_p is singular at the extremal level t=1",
     ("phi-curve", "--model", "antidesitter", "--p", "3", "--s0", "0",
      "--s1", "1"): "--s0 0: conformal level s must be positive, got 0",
+    # a sphere term past the double range ended in an OverflowError
+    ("up-curve", "--model", "sds", "--p", "1e3", "--t0", "0.1", "--t1",
+     "0.5", "--steps", "2", "--branch", "inner"):
+        "--t0 0.1: a sphere term at p=1000 leaves the double range at the "
+        "level u=0.1",
+    ("up-curve", "--model", "sds", "--p", "1e6", "--t0", "0", "--t1",
+     "0.5", "--steps", "2", "--branch", "inner"):
+        "--t0 0: a sphere term at p=1000000 leaves the double range",
+    ("phi-curve", "--model", "sds", "--p", "1e3", "--s0", "0.1", "--s1",
+     "0.5", "--steps", "2", "--branch", "inner"):
+        "--s0 0.1: a sphere term at p=1000 leaves the double range",
 }
 
 
@@ -373,6 +384,31 @@ def test_bad_curve_input_exits_2_with_one_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(
         f"staticlab {argv[0]}: error: {BAD_CURVE[argv]}")
+
+
+@pytest.mark.parametrize("command, ends", [("up-curve", ("--t0", "--t1")),
+                                            ("phi-curve", ("--s0", "--s1"))])
+def test_a_level_refused_inside_the_grid_exits_2_with_one_line(
+        capsys, monkeypatch, command, ends):
+    # no closed-form family is known to fail between two ends that pass, so
+    # a curve that refuses every grid of more than one level stands in
+    from staticlab import levelset
+    name = command.replace("-", "_")
+    curve = getattr(levelset, name)
+
+    def refuse_inside(tr, p, grid):
+        if len(grid) > 1:
+            raise ValueError(levelset.OUT_OF_RANGE.format(p, grid[1]))
+        return curve(tr, p, grid)
+
+    monkeypatch.setattr(levelset, name, refuse_inside)
+    code = main([command, "--model", "desitter", "--p", "3", ends[0], "0.1",
+                 ends[1], "0.5", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"staticlab {command}: error: a sphere term at "
+                            "p=3 leaves the double range at the level u=0.3\n")
 
 
 @pytest.mark.parametrize("n, floor", [("3", "5e-13"), ("4", "5e-25")])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -383,3 +384,52 @@ def test_arclength_refuses_a_bad_node_of_a_refinement(monkeypatch):
         to_arclength(_areal(lambda r: (100.0 * abs(r - 0.4237) - 0.01,
                                        0.0, 0.0)), samples=50)
     assert refined
+
+
+@pytest.mark.parametrize("samples", [200, 8000])
+def test_arclength_reads_u_only_at_its_check_points(sds01, samples):
+    # the converted state comes from one array call of f; a scalar u loop
+    # over the grid would read u.fn `samples` times
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return sds01.u.fn(r)
+
+    tr = dataclasses.replace(sds01, u=dataclasses.replace(sds01.u, fn=counted))
+    to_arclength(tr, samples=samples)
+    assert len(calls) == 3
+
+
+def test_arclength_refuses_a_u_that_is_not_c_sqrt_f():
+    # u = 1 against sqrt(2 - r): f is positive, so only the u check refuses
+    with pytest.raises(ValueError, match=r"u is not normalization_factor"
+                                         r"\*sqrt\(f\) at x=0\.\d+"):
+        to_arclength(_areal(lambda r: (2.0 - r, -1.0, 0.0)), samples=50)
+
+
+@pytest.mark.parametrize("make, asin, tol", [
+    # parent and this version both measured 1.6e-15, 1.1e-11 and 1.5e-6
+    (de_sitter, math.asin, (1e-14, 1e-10, 1e-5)),
+    # both measured 1.2e-14, 1.2e-11 and 1.3e-6
+    (anti_de_sitter, math.asinh, (1e-13, 1e-10, 1e-5)),
+])
+@pytest.mark.parametrize("n", [3, 4])
+def test_converted_round_models_match_closed_forms(make, asin, tol, n):
+    """u, u' and u'' of the conversion against cos or cosh(rho + rho_a),
+    rho_a the arclength from the centre to where the grid starts; errors
+    relative to max(1, |exact|)."""
+    tr = make(n)
+    arc, _ = to_arclength(tr)
+    lo, hi = tr.domain
+    rho_a = asin(lo + geometry.ARCLENGTH_MARGIN * (hi - lo))
+    xs = np.linspace(*arc.domain, 3003)[1:-1]
+    got = np.array([arc.u(x) for x in xs.tolist()])
+    if make is de_sitter:
+        want = np.stack([np.cos(xs + rho_a), -np.sin(xs + rho_a),
+                         -np.cos(xs + rho_a)], axis=1)
+    else:
+        want = np.stack([np.cosh(xs + rho_a), np.sinh(xs + rho_a),
+                         np.cosh(xs + rho_a)], axis=1)
+    err = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), axis=0)
+    assert np.all(err <= tol), err

@@ -376,6 +376,20 @@ def test_curves_refuse_what_they_cannot_evaluate(ds3, ads3):
                 LS.phi_curve(tr, 3, [s])
 
 
+def test_sphere_terms_past_the_double_range_are_refused(sds01):
+    # |Du| / sqrt(1 - t^2) is about 3.5 on the inner branch and the inner
+    # surface gravity 3.5: their 1000th power is past 1.8e308
+    inner = sds01.on_branch("inner")
+    for call in (lambda: LS.up_value(inner, 1e3, 0.1),
+                 lambda: LS.up_value(inner, 1e3, 0.0),
+                 lambda: LS.up_curve(inner, 1e3, [0.3, 0.1]),
+                 lambda: LS.phi_p(inner, 1e3, 0.1),
+                 lambda: LS.phi_curve(inner, 1e3, [0.3, 0.1])):
+        with pytest.raises(ValueError, match="at p=1000 leaves the double "
+                                             "range at the level u=0"):
+            call()
+
+
 def test_up_derivative_rejects_small_p(ds3):
     with pytest.raises(ValueError):
         LS.up_derivative(ds3, 2, 0.5)
