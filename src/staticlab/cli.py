@@ -4,8 +4,9 @@ Output is deterministic for fixed flags: floats are printed at 12
 significant digits, CSV rows and JSON keys are emitted in a canonical
 order, files are UTF-8 with LF line endings.  Exit status is 2 on usage
 errors and on shots that cannot be integrated or close at a singular
-pole, 1 when any check fails (an inapplicable check is not a failure)
-or a shot's monitor drift exceeds odegen.DRIFT_TOL, and 0 otherwise.
+pole, 1 when any check fails (an inapplicable check is not a failure),
+a shot's monitor drift exceeds odegen.DRIFT_TOL or a scanned inner
+horizon has surface gravity at most 1, and 0 otherwise.
 
 A curve row reads one level's records: `d_analytic` is the derivative
 through the field equations (p >= 3, else nan), `d_numeric` the one
@@ -268,18 +269,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan_sds(args) -> int:
-    lines = ["m,r1,r2,kappa1,kappa2"]
-    ok = True
-    for m in _parse_grid(args.m_grid):
-        tr = _triple("sds", args.n, m)
-        b1, b2 = tr.horizons()
-        lines.append(",".join(_fmt(v) for v in (
-            m, b1.location, b2.location,
-            b1.surface_gravity, b2.surface_gravity)))
-        if args.emit == "kappa" and b1.surface_gravity <= 1.0:
-            ok = False
-    _write_lines(args.out, lines)
-    return 0 if ok else 1
+    grid = _parse_grid(args.m_grid)
+    horizons = [_triple("sds", args.n, m).horizons() for m in grid]
+    _write_lines(args.out, ["m,r1,r2,kappa1,kappa2"] + [
+        ",".join(_fmt(v) for v in (m, b1.location, b2.location,
+                                   b1.surface_gravity, b2.surface_gravity))
+        for m, (b1, b2) in zip(grid, horizons)])
+    return 1 if any(b1.surface_gravity <= 1.0 for b1, _ in horizons) else 0
 
 
 def cmd_shoot(args) -> int:
@@ -352,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--m-grid", required=True,
                    help="mass grid as start:stop:step")
-    p.add_argument("--emit", choices=["kappa"], default="kappa")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan_sds)
 

@@ -8,6 +8,10 @@ integration is always performed in the native radial coordinate with its
 arclength Jacobian, never in the conformal level coordinate (whose
 parametrization degenerates at the extremal sphere).
 
+The first and second identities share one slab body, `_slab_identity`,
+which locates each end level once and takes both fluxes and the radial
+interval from its records (`levelset.level_states`).
+
 Conventions: phi denotes the conformal level coordinate, W = |grad phi|_g^2,
 and for a level value tau the weights are
 
@@ -27,8 +31,7 @@ from .geometry import (SphereData, StaticTriple, boundary_scalar_curvature,
 from .levelset import (
     assumption_flags,
     conformal_boundary_data,
-    level_radii,
-    level_spheres,
+    level_states,
     sphere_data,
     t_of_s,
 )
@@ -43,10 +46,6 @@ def _inv_sinh_n(triple: StaticTriple, u: float) -> float:
     if triple.lambda_sign > 0:
         return (1.0 - u * u) ** (triple.n / 2.0) / u ** triple.n
     return (u * u - 1.0) ** (triple.n / 2.0)
-
-
-def _coth_phi(triple: StaticTriple, u: float) -> float:
-    return 1.0 / u if triple.lambda_sign > 0 else u
 
 
 def _integrate(f: Callable[[float], float],
@@ -65,18 +64,44 @@ def _volume_density(sp: SphereData) -> float:
     return sp.area * sp.arclength_jacobian
 
 
-def _conformal_region(triple: StaticTriple, s: float,
-                      S: float) -> list[tuple[float, float]]:
-    """The radial interval of the slab {s < phi < S} on a branch, as a
-    one-interval list."""
+def _slab_identity(triple: StaticTriple, s: float, S: float,
+                   branch: Optional[str], name: str, description: str,
+                   flux: Callable[[Sequence[SphereData]], float],
+                   integrand: Callable[[SphereData], float],
+                   panels: Optional[int], tolerance: float) -> IdentityReport:
+    """flux(S) - flux(s) against the integral of `integrand` over the slab
+    {s < phi < S} of the triple on `branch`, each end located once; the two
+    may read n and lambda_sign of the given triple, which a view shares."""
+    if branch is not None:
+        triple = triple.on_branch(branch)
+    t_s, t_S = (t_of_s(tau, triple.lambda_sign) for tau in (s, S))
     if not 0.0 < s < S:
         raise ValueError("need 0 < s < S")
-    xs = level_radii(triple, t_of_s(s, triple.lambda_sign))
-    xS = level_radii(triple, t_of_s(S, triple.lambda_sign))
-    if len(xs) != 1 or len(xS) != 1:
+    at_s, at_S = level_states(triple, t_s), level_states(triple, t_S)
+    if len(at_s) != 1 or len(at_S) != 1:
         raise ValueError("conformal slab must meet a single monotone branch; "
                          "pass branch='inner' or 'outer'")
-    return [(min(xs[0], xS[0]), max(xs[0], xS[0]))]
+    lhs = flux(at_S) - flux(at_s)
+
+    def guarded(x: float) -> float:
+        sp = sphere_data(triple, x)
+        weighted = integrand(sp) * _volume_density(sp)
+        try:
+            return weighted / sp.D ** (triple.n / 2.0)
+        except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
+            return math.nan
+
+    rhs, evals = _integrate(guarded, [sorted((at_s[0].x, at_S[0].x))], panels)
+    return identity_report(
+        name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
+        assumptions=assumption_flags(triple), description=description,
+        extra={"evaluations": evals, "branch": triple.branch or "full"})
+
+
+def _first_flux(triple: StaticTriple, p: float,
+                spheres: Sequence[SphereData]) -> float:
+    return sum(sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(triple, sp.u)
+               for sp in spheres)
 
 
 def first_identity_flux(triple: StaticTriple, p: float, tau: float) -> float:
@@ -84,12 +109,8 @@ def first_identity_flux(triple: StaticTriple, p: float, tau: float) -> float:
     integral of W^(p/2) / sinh(phi)^n over the level, w.r.t. the conformal
     area element.  Stays finite arbitrarily close to the extremal value, so
     it reads nothing that refuses the band around it."""
-    t = t_of_s(tau, triple.lambda_sign)
-    total = 0.0
-    for x in level_radii(triple, t):
-        sp = sphere_data(triple, x)
-        total += sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(triple, sp.u)
-    return total
+    return _first_flux(triple, p,
+                       level_states(triple, t_of_s(tau, triple.lambda_sign)))
 
 
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -108,30 +129,18 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     """
     if p < 1:
         raise ValueError("asserted for p >= 1")
-    if branch is not None:
-        triple = triple.on_branch(branch)
-    lhs = (first_identity_flux(triple, p, S)
-           - first_identity_flux(triple, p, s))
 
-    def integrand(x: float) -> float:
-        sp = sphere_data(triple, x)
-        hess_term = sp.W * sp.hess_phi_nn
-        core = ((p - 1) * hess_term + sp.W * sp.lap_phi
-                - triple.n * _coth_phi(triple, sp.u) * sp.W ** 2)
-        try:
-            return (sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
-                    * _volume_density(sp) / sp.D ** (triple.n / 2.0))
-        except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
-            return math.nan
+    def integrand(sp: SphereData) -> float:
+        coth_phi = 1.0 / sp.u if triple.lambda_sign > 0 else sp.u
+        core = ((p - 1) * (sp.W * sp.hess_phi_nn) + sp.W * sp.lap_phi
+                - triple.n * coth_phi * sp.W ** 2)
+        return sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
 
-    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S), panels)
-    return identity_report(
-        name=f"first_integral_identity(p={p}, s={s}, S={S})",
-        lhs=lhs, rhs=rhs, tolerance=tolerance,
-        assumptions=assumption_flags(triple),
-        description="weighted gradient-flux divergence identity on a "
-                    "conformal slab",
-        extra={"evaluations": evals, "branch": triple.branch or "full"})
+    return _slab_identity(
+        triple, s, S, branch, f"first_integral_identity(p={p}, s={s}, S={S})",
+        "weighted gradient-flux divergence identity on a conformal slab",
+        lambda spheres: _first_flux(triple, p, spheres), integrand, panels,
+        tolerance)
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -151,50 +160,33 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
     """
     if p < 3:
         raise ValueError("asserted for p >= 3")
-    if branch is not None:
-        triple = triple.on_branch(branch)
 
-    def weighted_boundary(tau: float) -> float:
-        t = t_of_s(tau, triple.lambda_sign)
-        total = 0.0
-        for sp in level_spheres(triple, t):
-            total += sp.area_g * sp.gamma * (
-                sp.W ** ((p - 1) / 2.0) * sp.H_g
-                - sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
-        return total
+    def minus_weighted_boundary(spheres: Sequence[SphereData]) -> float:
+        # gamma first: it refuses the band around u = 1 before D is read
+        return -sum(sp.gamma * sp.area_g * (
+            sp.W ** ((p - 1) / 2.0) * sp.H_g
+            - sp.W ** ((p - 2) / 2.0) * sp.lap_phi) for sp in spheres)
 
-    lhs = weighted_boundary(s) - weighted_boundary(S)
-
-    def integrand(x: float) -> float:
-        sp = sphere_data(triple, x)
+    def integrand(sp: SphereData) -> float:
         core = (sp.hess_phi_norm2 + (p - 3) * sp.hess_phi_nn ** 2
                 + triple.n * sp.u ** 2 * sp.W * (1.0 - sp.W))
-        try:
-            return (sp.gamma * sp.W ** ((p - 3) / 2.0) * core
-                    * _volume_density(sp) / sp.D ** (triple.n / 2.0))
-        except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
-            return math.nan
+        return sp.gamma * sp.W ** ((p - 3) / 2.0) * core
 
-    rhs, evals = _integrate(integrand, _conformal_region(triple, s, S), panels)
-    return identity_report(
-        name=f"second_integral_identity(p={p}, s={s}, S={S})",
-        lhs=lhs, rhs=rhs, tolerance=tolerance,
-        assumptions=assumption_flags(triple),
-        description="weighted Bochner divergence identity on a conformal "
-                    "slab",
-        extra={"evaluations": evals, "branch": triple.branch or "full"})
+    return _slab_identity(
+        triple, s, S, branch,
+        f"second_integral_identity(p={p}, s={s}, S={S})",
+        "weighted Bochner divergence identity on a conformal slab",
+        minus_weighted_boundary, integrand, panels, tolerance)
 
 
-def _deficit_flux(triple: StaticTriple, t: float) -> float:
-    """Flux integrand of the curvature-deficit identity on {u = t}:
-    sum over the level of (1/u)(|Du|^2 H - ((n-1)/n) |Du| lap u)."""
-    n = triple.n
-    total = 0.0
-    for x in level_radii(triple, t):
-        sp = sphere_data(triple, x)
-        total += sp.area / sp.u * (sp.du ** 2 * sp.H
-                                   - (n - 1) / n * sp.grad_u * sp.lap_u)
-    return total
+def _deficit_level(triple: StaticTriple, t: float) -> tuple[float, list]:
+    """Flux integrand of the curvature-deficit identity on {u = t}, the sum
+    over the level of (1/u)(|Du|^2 H - ((n-1)/n) |Du| lap u), and the radii
+    of its spheres, from one location of the level."""
+    n, spheres = triple.n, level_states(triple, t)
+    return (sum(sp.area / sp.u * (sp.du ** 2 * sp.H
+                                  - (n - 1) / n * sp.grad_u * sp.lap_u)
+                for sp in spheres), [sp.x for sp in spheres])
 
 
 def curvature_deficit_identity(triple: StaticTriple, t: float,
@@ -219,12 +211,11 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
         return (1.0 / sp.u) * (sp.hess_u_norm2 - sp.lap_u ** 2 / n) \
             * _volume_density(sp)
 
-    lhs = _deficit_flux(triple, t)
-    radii = level_radii(triple, t)
+    lhs, radii = _deficit_level(triple, t)
     sign = 1.0 if t_upper is not None or triple.lambda_sign > 0 else -1.0
     if t_upper is not None:
-        lhs -= _deficit_flux(triple, t_upper)
-        radii_up = level_radii(triple, t_upper)
+        upper, radii_up = _deficit_level(triple, t_upper)
+        lhs -= upper
         if len(radii) != len(radii_up):
             raise ValueError("levels straddle the extremal sphere unevenly")
         if len(radii) == 2:  # one sub-annulus per monotone branch

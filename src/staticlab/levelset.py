@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .geometry import (BRANCH_INSET, SphereData, StaticTriple, check_window,
-                       sphere_area, sphere_data, unit_sphere_area)
+from .geometry import (BRANCH_INSET, SphereData, StaticTriple,
+                       boundary_scalar_curvature, check_window, sphere_area,
+                       sphere_data, unit_sphere_area)
 from .report import (_NON_DISCRETE, IdentityReport, identity_report,
                      inequality_report, refusal_report)
 from .roots import EPS, find_root
@@ -34,7 +35,7 @@ LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
 BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 WALK_STEPS = 6  # Newton steps of a walked sphere before its level goes cold
 OUT_OF_RANGE = ("a sphere term at p={:.12g} leaves the double range at the "
-                "level u={:.12g}")  # OverflowError of a term, as ValueError
+                "level u={:.12g}")  # a term or sum past it, as ValueError
 
 
 # --------------------------------------------------------------------------
@@ -110,9 +111,10 @@ def _walk_sphere(triple: StaticTriple, t: float, state: tuple[float, ...],
 # --------------------------------------------------------------------------
 # data on a level
 
-def _level_states(triple: StaticTriple, t: float) -> list[SphereData]:
-    """The records of {u = t}, unchecked: U_p reads them up to u = 1."""
-    return [triple.radial_state(x) for x in level_radii(triple, t)]
+def level_states(triple: StaticTriple, t: float) -> list[SphereData]:
+    """The records of {u = t} by `sphere_data`, not refused in the band:
+    U_p reads them up to u = 1, and the conformal entries refuse it."""
+    return [sphere_data(triple, x) for x in level_radii(triple, t)]
 
 
 def level_spheres(triple: StaticTriple, t: float) -> tuple[SphereData, ...]:
@@ -148,18 +150,28 @@ def _boundary_spheres(triple: StaticTriple):
             for c in triple.horizons()]
 
 
-def _up_terms(n: int, p: float, t: float,
-              spheres: Sequence[SphereData]) -> list[float]:
-    """The sphere terms (h/sqrt d)^(n-1) (|u'|/sqrt d)^p of U_p(t)/|S^(n-1)|,
-    d = |1 - t^2|: scale-free, so neither overflows at small d, large n."""
+def _up_terms(n: int, p: float, t: float, spheres: Sequence[SphereData],
+              power: float) -> list[float]:
+    """The sphere terms (h/sqrt d)^(n-1) (|u'|/sqrt d)^power, d = |1 - t^2|,
+    of U_power(t) / |S^(n-1)|: scale-free, so neither overflows at small d,
+    large n; one past the double range is refused naming the caller's p."""
     rd = math.sqrt(abs(1.0 - t * t))
     if rd == 0.0:
         raise ValueError(f"U_p is singular at the extremal level t={t:g}")
     try:
-        return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** p
+        return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** power
                 for sp in spheres]
     except OverflowError:
         raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+
+
+def _in_range(p: float, t: float, *values: float) -> tuple[float, ...]:
+    """`values`, refused as OUT_OF_RANGE naming p and t where one is not
+    finite: finite sphere terms can sum past the double range."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(OUT_OF_RANGE.format(p, t))
+    return values
 
 
 def up_value(triple: StaticTriple, p: float, t: float) -> float:
@@ -167,12 +179,12 @@ def up_value(triple: StaticTriple, p: float, t: float) -> float:
     n = triple.n
     if triple.lambda_sign > 0 and t == 0.0:
         try:
-            return sum(a * c.surface_gravity ** p
-                       for c, a in _boundary_spheres(triple))
+            return _in_range(p, t, sum(a * c.surface_gravity ** p for c, a
+                                       in _boundary_spheres(triple)))[0]
         except OverflowError:
             raise ValueError(OUT_OF_RANGE.format(p, t)) from None
-    return unit_sphere_area(n) * sum(_up_terms(n, p, t,
-                                               _level_states(triple, t)))
+    return _in_range(p, t, unit_sphere_area(n) * sum(
+        _up_terms(n, p, t, level_states(triple, t), p)))[0]
 
 
 def up_derivative(triple: StaticTriple, p: float,
@@ -187,7 +199,7 @@ def up_derivative(triple: StaticTriple, p: float,
         raise ValueError("the derivative formula is only asserted for p >= 3")
     if triple.lambda_sign > 0 and t == 0.0:
         return (0.0, 0.0, 0.0)
-    return _up_derivative_forms(triple, p, t, _level_states(triple, t))
+    return _up_derivative_forms(triple, p, t, level_states(triple, t))
 
 
 def _up_derivative_forms(triple: StaticTriple, p: float, t: float,
@@ -196,19 +208,17 @@ def _up_derivative_forms(triple: StaticTriple, p: float, t: float,
     n, sign = triple.n, triple.lambda_sign
     # each sphere weighs |S^(n-1)| h^(n-1) |Du|^(p-2) d^(-(n+p-1)/2), which
     # is its scale-free term of U_(p-2) times |S^(n-1)| / d, d = |1 - t^2|
-    pref = -sign * (p - 1) * t * unit_sphere_area(n) / abs(1.0 - t * t)
     c_np = (n + p - 1) / (p - 1)
     h_form = ricci_form = bound = 0.0
-    for sp, weight in zip(spheres, _up_terms(n, p - 2, t, spheres)):
+    for sp, weight in zip(spheres, _up_terms(n, p, t, spheres, p - 2)):
         check_window(sp.u)  # W loses every digit next to u = 1
-        if sp.grad_u == 0.0:
-            raise ValueError(f"singular level at t={t}")
         h_form += weight * (sign * (sp.grad_u / sp.u) * sp.H
                             + n * p / (p - 1) - c_np * sp.W)
         ricci_form += weight * ((n - 1) - sign * sp.ric_rr
                                 + c_np * (1.0 - sp.W))
         bound += weight * (n / (p - 1)) * (1.0 - sp.W)
-    return (pref * h_form, pref * ricci_form, pref * bound)
+    pref = -sign * (p - 1) * t * unit_sphere_area(n) / abs(1.0 - t * t)
+    return _in_range(p, t, pref * h_form, pref * ricci_form, pref * bound)
 
 
 def up_second_derivative_at_boundary(triple: StaticTriple, p: float) -> float:
@@ -226,10 +236,9 @@ def up_second_derivative_at_boundary(triple: StaticTriple, p: float) -> float:
             raise ValueError("triple has no boundary")
         total = 0.0
         for c, a in _boundary_spheres(triple):
-            r_scal = (n - 1) * (n - 2) / c.sphere_radius ** 2
             kappa = c.surface_gravity
             total += a * kappa ** (p - 2) * (
-                (r_scal - (n - 1) * (n - 2)) / 2.0
+                (boundary_scalar_curvature(n, c) - (n - 1) * (n - 2)) / 2.0
                 + ((n + p - 1) / (p - 1)) * (1.0 - kappa ** 2))
         return -(p - 1) * total
     bdry = conformal_boundary_data(triple)
@@ -257,7 +266,7 @@ def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
 def phi_p(triple: StaticTriple, p: float, s: float) -> float:
     """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
     t = t_of_s(s, triple.lambda_sign)
-    return sum(_phi_terms(p, t, level_spheres(triple, t)))
+    return _in_range(p, t, sum(_phi_terms(p, t, level_spheres(triple, t))))[0]
 
 
 def _phi_terms(p: float, t: float,
@@ -274,13 +283,18 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
         integral of -(p-1) |grad phi|^(p-1) H_g + p |grad phi|^(p-2) lap phi.
     """
     t = t_of_s(s, triple.lambda_sign)
-    return _phi_derivative_sum(p, level_spheres(triple, t))
+    return _phi_derivative_sum(p, t, level_spheres(triple, t))
 
 
-def _phi_derivative_sum(p: float, spheres: Sequence[SphereData]) -> float:
-    return sum(sp.area_g * (-(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
-                            + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
-               for sp in spheres)
+def _phi_derivative_sum(p: float, t: float,
+                        spheres: Sequence[SphereData]) -> float:
+    try:
+        return _in_range(p, t, sum(
+            sp.area_g * (-(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
+                         + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
+            for sp in spheres))[0]
+    except OverflowError:
+        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
 
 
 # --------------------------------------------------------------------------
@@ -332,12 +346,13 @@ def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
         if triple.lambda_sign > 0 and t == 0.0:  # horizons: h' = u'' = 0
             return up_value(triple, p, t), 0.0, 0.0
         spheres = [triple.radial_state(x) for x in radii]
-        terms = _up_terms(n, p, t, spheres)  # refuses t = 1 first
+        terms = _up_terms(n, p, t, spheres, p)  # refuses t = 1 first
         d_ana = (_up_derivative_forms(triple, p, t, spheres)[0] if p >= 3
                  else math.nan)
         slope = sum(w * _log_rate(n, p, t, sp)
                     for w, sp in zip(terms, spheres))
-        return area * sum(terms), d_ana, area * slope
+        value, d_num = _in_range(p, t, area * sum(terms), area * slope)
+        return value, d_ana, d_num
     return _curve(triple, row, p, grid, lambda t: t)
 
 
@@ -351,8 +366,9 @@ def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
         terms = _phi_terms(p, t, spheres)
         slope = sum(w * _log_rate(triple.n, p, sp.u, sp)
                     for w, sp in zip(terms, spheres))
-        d_ana = _phi_derivative_sum(p, spheres) if p >= 3 else math.nan
-        return sum(terms), d_ana, (1.0 - t * t) * slope
+        d_ana = _phi_derivative_sum(p, t, spheres) if p >= 3 else math.nan
+        value, d_num = _in_range(p, t, sum(terms), (1.0 - t * t) * slope)
+        return value, d_ana, d_num
     return _curve(triple, row, p, grid,
                   lambda s: t_of_s(s, triple.lambda_sign))
 

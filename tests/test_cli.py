@@ -134,7 +134,7 @@ def test_check_exit_code_on_failure(capsys, monkeypatch):
 def test_scan_sds(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     code, _ = run(capsys, "scan-sds", "--n", "3", "--m-grid", "0.01:0.19:0.01",
-                  "--emit", "kappa", "--out", str(path))
+                  "--out", str(path))
     assert code == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "m,r1,r2,kappa1,kappa2"
@@ -372,6 +372,15 @@ BAD_CURVE = {
     ("phi-curve", "--model", "sds", "--p", "1e3", "--s0", "0.1", "--s1",
      "0.5", "--steps", "2", "--branch", "inner"):
         "--s0 0.1: a sphere term at p=1000 leaves the double range",
+    # finite sphere terms whose derivative sums left it printed -inf or nan
+    ("up-curve", "--model", "sds", "--p", "567", "--t0", "0.1", "--t1",
+     "0.5", "--steps", "2", "--branch", "inner"):
+        "--t0 0.1: a sphere term at p=567 leaves the double range at the "
+        "level u=0.1",
+    ("phi-curve", "--model", "sds", "--p", "566", "--s0", "0.1", "--s1",
+     "0.5", "--steps", "2", "--branch", "inner"):
+        "--s0 0.1: a sphere term at p=566 leaves the double range at the "
+        "level u=0.0996679946",
 }
 
 

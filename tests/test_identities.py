@@ -1,8 +1,11 @@
 import math
+import sys
 
 import pytest
 
 from staticlab import identities as ID
+from staticlab import levelset as LS
+from staticlab.geometry import Extremum, RadialProfile, StaticTriple
 from staticlab.quadrature import QuadratureConfig, adaptive
 
 S3_AREA = 4 * math.pi
@@ -172,6 +175,61 @@ def test_deficit_identity_nariai(nariai3):
     rep = ID.curvature_deficit_identity(nariai3, 0.4)
     assert rep.status == "pass"
     assert rep.abs_residual <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# refusals and level location
+
+@pytest.mark.parametrize("identity", [ID.first_identity, ID.second_identity])
+@pytest.mark.parametrize("s, S, branch, message", [
+    (0.0, 2.5, "outer", "conformal level s must be positive, got 0$"),
+    (2.5, 2.5, "outer", "need 0 < s < S"),
+    (2.5, 0.5, "outer", "need 0 < s < S"),
+    (0.5, 2.5, None, "conformal slab must meet a single monotone branch"),
+])
+def test_slab_refusals(sds01, identity, s, S, branch, message):
+    # s > 0 first, then the order of the ends, then one branch: the whole
+    # two-branch triple meets each level twice
+    with pytest.raises(ValueError, match=message):
+        identity(sds01, 3, s, S, branch)
+
+
+@pytest.mark.parametrize("t, t_upper", [(0.3, 0.8), (0.8, 0.3)])
+def test_deficit_refuses_levels_straddling_unevenly(t, t_upper):
+    # u = sin x on (0, 2.5) peaks at pi/2: levels below sin(2.5) = 0.598
+    # meet only the inner branch, levels above it both
+    tr = StaticTriple(
+        n=3, lambda_sign=+1, u=RadialProfile(
+            (0.0, 2.5), lambda x: (math.sin(x), math.cos(x), -math.sin(x))),
+        h=RadialProfile((0.0, 2.5), lambda x: (1.0, 0.0, 0.0)), f=None,
+        boundaries=(), extremum=Extremum(location=math.pi / 2, count=1))
+    with pytest.raises(ValueError, match="straddle the extremal sphere "
+                                         "unevenly"):
+        ID.curvature_deficit_identity(tr, t, t_upper)
+
+
+@pytest.mark.parametrize("report, located", [
+    (lambda sds, ds: ID.first_identity(sds, 3, 0.5, 2.5, "outer"), 2),
+    (lambda sds, ds: ID.second_identity(sds, 3, 0.5, 2.5, "outer"), 2),
+    (lambda sds, ds: ID.curvature_deficit_identity(sds, 0.3), 1),
+    (lambda sds, ds: ID.curvature_deficit_identity(ds, 0.3, 0.8), 2),
+], ids=["first", "second", "deficit", "deficit-truncated"])
+def test_each_level_is_located_once(monkeypatch, sds01, ds3, report,
+                                    located):
+    # counted wherever a staticlab module binds level_radii; the fluxes and
+    # the radial intervals read the records of one location per level
+    levels, level_radii = [], LS.level_radii
+
+    def counted(triple, t):
+        levels.append(t)
+        return level_radii(triple, t)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("staticlab")
+                and getattr(module, "level_radii", None) is level_radii):
+            monkeypatch.setattr(module, "level_radii", counted)
+    assert report(sds01, ds3).status == "pass"
+    assert len(levels) == located
 
 
 # --------------------------------------------------------------------------

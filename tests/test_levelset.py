@@ -390,6 +390,23 @@ def test_sphere_terms_past_the_double_range_are_refused(sds01):
             call()
 
 
+def test_derivatives_past_the_double_range_are_refused(sds01, ds3):
+    # each sphere term is finite, but the weighted sums are not (U_p' would
+    # be -inf, Phi_p' nan), or a weight of U_(p-2) overflows: the refusal
+    # names the p of the call, not p - 2
+    inner, u = sds01.on_branch("inner"), LS.t_of_s(0.1, +1)
+    for call, p, level in ((LS.up_derivative, 567, 0.1),
+                           (LS.up_derivative, 575, 0.1),
+                           (LS.phi_p_derivative, 566, u),
+                           (LS.phi_p_derivative, 1e3, u)):
+        with pytest.raises(ValueError) as exc:
+            call(inner, p, 0.1)
+        assert str(exc.value) == LS.OUT_OF_RANGE.format(p, level)
+    # the weights refuse t = 1 before the prefactor divides by 1 - t^2
+    with pytest.raises(ValueError, match="singular at the extremal level"):
+        LS.up_derivative(ds3, 3, 1.0)
+
+
 def test_up_derivative_rejects_small_p(ds3):
     with pytest.raises(ValueError):
         LS.up_derivative(ds3, 2, 0.5)
