@@ -17,7 +17,6 @@ from .geometry import (
     boundary_scalar_curvature,
     sphere_euler_characteristic,
     static_residual,
-    surface_gravity,
     to_arclength,
     unit_sphere_area,
     warped_curvature,
@@ -52,7 +51,6 @@ __all__ = [
     "schwarzschild_de_sitter",
     "sphere_euler_characteristic",
     "static_residual",
-    "surface_gravity",
     "to_arclength",
     "unit_sphere_area",
     "warped_curvature",

@@ -364,10 +364,6 @@ class SphereData:
         return -(h * self.d2h + (n - 2) * (self.dh ** 2 - 1.0)) / h ** 2
 
     @property
-    def scalar(self) -> float:
-        return self.ric_rr + (self.triple.n - 1) * self.ric_tan
-
-    @property
     def hess_u_rr(self) -> float:
         return self.d2u
 
@@ -442,15 +438,6 @@ class SphereData:
         return self.D
 
     @lazy
-    def phi(self) -> float:
-        """The conformal level coordinate artanh u or arcoth u."""
-        self._D_off_band
-        u = self.u
-        if self.triple.lambda_sign > 0:
-            return 0.5 * math.log((1.0 + u) / (1.0 - u))
-        return 0.5 * math.log((u + 1.0) / (u - 1.0))
-
-    @lazy
     def H_g(self) -> float:
         """Mean curvature of the level w.r.t. g."""
         d, n, u = self._D_off_band, self.triple.n, self.u
@@ -514,27 +501,6 @@ def static_residual(triple: StaticTriple, x: float) -> tuple[float, float]:
     t_tan = u * sp.ric_tan - sp.hess_u_tan - eps_n * u
     lap = sp.lap_u + eps_n * u
     return max(abs(t_rr), abs(t_tan)), abs(lap)
-
-
-def surface_gravity(triple: StaticTriple, component: BoundaryComponent) -> float:
-    """One-sided limit of |Du| at a boundary component.
-
-    |Du| extends smoothly across a horizon, so two evaluations just inside
-    the boundary with a Richardson step remove the O(delta) term.
-    """
-    lo, hi = triple.domain
-    span = hi - lo
-    delta = 1e-5 * span
-    loc = component.location
-    sgn = 1.0 if abs(loc - lo) < abs(loc - hi) else -1.0
-    if triple.lambda_sign > 0:
-        u_near = triple.u.value(loc + sgn * 1e-9 * span)
-        if abs(u_near) > 1e-2:
-            raise ValueError(
-                f"u does not vanish at the boundary component at {loc}")
-    g1 = abs(triple.radial_state(loc + sgn * delta).du)
-    g2 = abs(triple.radial_state(loc + sgn * 0.5 * delta).du)
-    return 2.0 * g2 - g1
 
 
 def to_arclength(triple: StaticTriple,

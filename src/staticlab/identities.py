@@ -3,10 +3,11 @@
 Each identity equates boundary flux terms on level spheres with a bulk
 integral over the region between them.  In the rotationally symmetric
 setting the flux terms are closed-form sphere values and every bulk
-integral reduces to one radial quadrature against the sphere-area density;
-integration is always performed in the native radial coordinate with its
-arclength Jacobian, never in the conformal level coordinate (whose
-parametrization degenerates at the extremal sphere).
+integral reduces to one radial quadrature against the sphere-area density,
+by the adaptive Gauss-Kronrod rule `quadrature.adaptive`.  Integration is
+always performed in the native radial coordinate with its arclength
+Jacobian, never in the conformal level coordinate (whose parametrization
+degenerates at the extremal sphere).
 
 The first and second identities share one slab body, `_slab_identity`,
 which locates each end level once and takes both fluxes and the radial
@@ -35,7 +36,7 @@ from .levelset import (
     sphere_data,
     t_of_s,
 )
-from .quadrature import QuadratureConfig, adaptive, composite_simpson
+from .quadrature import QuadratureConfig, adaptive
 from .report import (IDENTITY_TOL, INEQ_TOL, IdentityReport,
                      identity_report, inequality_report)
 
@@ -49,12 +50,11 @@ def _inv_sinh_n(triple: StaticTriple, u: float) -> float:
 
 
 def _integrate(f: Callable[[float], float],
-               intervals: Sequence[tuple[float, float]],
-               panels: Optional[int]) -> tuple[float, int]:
-    """The summed quadrature of f over radial intervals, and its evaluations;
-    the sum starts from the first value, so a lone -0.0 keeps its sign."""
-    quads = [composite_simpson(f, a, b, panels) if panels is not None
-             else adaptive(f, a, b, DEFAULT_QUAD) for a, b in intervals]
+               intervals: Sequence[tuple[float, float]]) -> tuple[float, int]:
+    """The summed adaptive quadrature of f over radial intervals, and its
+    evaluations; the sum starts from the first value, so a lone -0.0 keeps
+    its sign."""
+    quads = [adaptive(f, a, b, DEFAULT_QUAD) for a, b in intervals]
     return (sum((q.value for q in quads[1:]), quads[0].value),
             sum(q.evaluations for q in quads))
 
@@ -68,7 +68,7 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
                    branch: Optional[str], name: str, description: str,
                    flux: Callable[[Sequence[SphereData]], float],
                    integrand: Callable[[SphereData], float],
-                   panels: Optional[int], tolerance: float) -> IdentityReport:
+                   tolerance: float) -> IdentityReport:
     """flux(S) - flux(s) against the integral of `integrand` over the slab
     {s < phi < S} of the triple on `branch`, each end located once; the two
     may read n and lambda_sign of the given triple, which a view shares."""
@@ -91,7 +91,7 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
             return math.nan
 
-    rhs, evals = _integrate(guarded, [sorted((at_s[0].x, at_S[0].x))], panels)
+    rhs, evals = _integrate(guarded, [sorted((at_s[0].x, at_S[0].x))])
     return identity_report(
         name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
         assumptions=assumption_flags(triple), description=description,
@@ -100,22 +100,16 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
 
 def _first_flux(triple: StaticTriple, p: float,
                 spheres: Sequence[SphereData]) -> float:
+    """Flux term of the first identity on a level's records: the integral of
+    W^(p/2) / sinh(phi)^n w.r.t. the conformal area element.  Finite
+    arbitrarily close to the extremal value: it reads nothing that refuses
+    the band around it."""
     return sum(sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(triple, sp.u)
                for sp in spheres)
 
 
-def first_identity_flux(triple: StaticTriple, p: float, tau: float) -> float:
-    """Flux term of the first identity at the level {phi = tau}:
-    integral of W^(p/2) / sinh(phi)^n over the level, w.r.t. the conformal
-    area element.  Stays finite arbitrarily close to the extremal value, so
-    it reads nothing that refuses the band around it."""
-    return _first_flux(triple, p,
-                       level_states(triple, t_of_s(tau, triple.lambda_sign)))
-
-
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
                    branch: Optional[str] = None,
-                   panels: Optional[int] = None,
                    tolerance: float = IDENTITY_TOL) -> IdentityReport:
     """Divergence identity for the field W^((p-1)/2) grad phi / sinh(phi)^n
     on the slab {s < phi < S}:
@@ -139,13 +133,11 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     return _slab_identity(
         triple, s, S, branch, f"first_integral_identity(p={p}, s={s}, S={S})",
         "weighted gradient-flux divergence identity on a conformal slab",
-        lambda spheres: _first_flux(triple, p, spheres), integrand, panels,
-        tolerance)
+        lambda spheres: _first_flux(triple, p, spheres), integrand, tolerance)
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
                     branch: Optional[str] = None,
-                    panels: Optional[int] = None,
                     tolerance: float = IDENTITY_TOL) -> IdentityReport:
     """Weighted Bochner identity for p >= 3 on the slab {s < phi < S}:
 
@@ -176,7 +168,7 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         triple, s, S, branch,
         f"second_integral_identity(p={p}, s={s}, S={S})",
         "weighted Bochner divergence identity on a conformal slab",
-        minus_weighted_boundary, integrand, panels, tolerance)
+        minus_weighted_boundary, integrand, tolerance)
 
 
 def _deficit_level(triple: StaticTriple, t: float) -> tuple[float, list]:
@@ -191,7 +183,6 @@ def _deficit_level(triple: StaticTriple, t: float) -> tuple[float, list]:
 
 def curvature_deficit_identity(triple: StaticTriple, t: float,
                  t_upper: Optional[float] = None,
-                 panels: Optional[int] = None,
                  tolerance: float = IDENTITY_TOL) -> IdentityReport:
     """Curvature-deficit flux identity (no assumptions needed):
 
@@ -231,7 +222,7 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
         inset = 1e-9 * (hi_dom - lo_dom)
         a, b = sorted((x0, triple.extremum.location))
         intervals = [(max(a, lo_dom + inset), min(b, hi_dom - inset))]
-    rhs, evals = _integrate(integrand, intervals, panels)
+    rhs, evals = _integrate(integrand, intervals)
     return identity_report(
         name=f"curvature_deficit_identity(t={t}"
              + (f", t_upper={t_upper})" if t_upper is not None else ")"),

@@ -198,9 +198,13 @@ def overdetermined_condition(triple: StaticTriple, t: float) -> IdentityReport:
 
     whose validity on a single level forces the round model.  The normal
     derivative is -D2u(nu,nu)/|Du|^2 = -u''/u'^2 in arclength variables."""
+    spheres = level_states(triple, t)
+    if t * t == 1.0:
+        raise ValueError("the overdetermined condition is singular at the "
+                         f"extremal level t={t:g}")
     target = t / (1.0 - t * t) if triple.lambda_sign > 0 else -t / (t * t - 1.0)
     residuals = []
-    for sp in level_states(triple, t):
+    for sp in spheres:
         if sp.du == 0.0:
             raise ValueError(f"singular level at t={t}")
         residuals.append(-sp.d2u / sp.du ** 2 - target)

@@ -130,13 +130,9 @@ def _spheres_off_band(triple: StaticTriple, radii) -> tuple[SphereData, ...]:
     return spheres
 
 
-def s_of_t(t: float) -> float:
-    """Conformal level coordinate s = (1/2) log|(1+t)/(1-t)|."""
-    return 0.5 * math.log(abs((1.0 + t) / (1.0 - t)))
-
-
 def t_of_s(s: float, lambda_sign: int) -> float:
-    """Inverse of s_of_t on the relevant side: tanh(s) or coth(s), s > 0."""
+    """The level t of the conformal level s > 0, on the side of u = 1 that
+    lambda_sign fixes: tanh(s) or coth(s)."""
     if not s > 0.0:
         raise ValueError(f"conformal level s must be positive, got {s:g}")
     return math.tanh(s) if lambda_sign > 0 else 1.0 / math.tanh(s)

@@ -1,16 +1,14 @@
-"""One-dimensional quadrature for the integral-identity checkers.
+"""One-dimensional quadrature for the integral identities and the
+arclength conversion.
 
-Two regimes are provided.  `adaptive` is a Gauss-Kronrod (7, 15) scheme with
-worst-interval-first subdivision, absolute and relative targets, and a hard
-budget on integrand evaluations.  `composite_simpson` integrates on a fixed
-uniform panel grid; halving the panel width must shrink the error at the
-order of the rule, which is what the convergence-order tests exercise.
+`adaptive` is a Gauss-Kronrod (7, 15) scheme with worst-interval-first
+subdivision, absolute and relative targets, and a hard budget on integrand
+evaluations.  It is the one rule of the package.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,15 +118,3 @@ def adaptive(f: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
     return QuadResult(total_val, total_err, evals)
 
-
-def composite_simpson(f: Callable[[float], float], a: float, b: float,
-                      panels: int) -> QuadResult:
-    """Composite Simpson rule on `panels` uniform panels (2*panels+1 points)."""
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    m = 2 * panels
-    hstep = (b - a) / m
-    total = f(a) + f(b)
-    for i in range(1, m):
-        total += f(a + i * hstep) * (4.0 if i % 2 == 1 else 2.0)
-    return QuadResult(total * hstep / 3.0, math.nan, m + 1)

@@ -3,14 +3,62 @@
 Everything here deliberately avoids the library's own code paths: curvature
 comes from finite differences of the metric in explicit nested-sphere
 coordinates, roots from plain bisection, and arclength from quadrature of
-the metric coefficient, one scalar `adaptive` call per segment.  The tests compare library output against these.
+the metric coefficient, one scalar `adaptive` call per segment.  The tests
+compare library output against these.  Three more residents serve as
+references that no command needs:
+
+- `composite_simpson`, a fixed-grid rule of known order: substituted for
+  `adaptive`, it shows each identity's residual shrinking with the grid;
+- `surface_gravity`, a Richardson estimate of |Du| at a boundary
+  component from the profile, against the gravity each model stores in
+  closed form;
+- `s_of_t`, the conformal level coordinate of a level t, the inverse of
+  `levelset.t_of_s`.
 """
 
 from __future__ import annotations
 
 import math
 
-from staticlab.quadrature import QuadratureConfig, adaptive
+from staticlab.quadrature import QuadratureConfig, QuadResult, adaptive
+
+
+def composite_simpson(f, a: float, b: float, panels: int) -> QuadResult:
+    """Composite Simpson rule on `panels` uniform panels (2*panels+1 points)."""
+    if panels < 1:
+        raise ValueError("panels must be >= 1")
+    m = 2 * panels
+    hstep = (b - a) / m
+    total = f(a) + f(b)
+    for i in range(1, m):
+        total += f(a + i * hstep) * (4.0 if i % 2 == 1 else 2.0)
+    return QuadResult(total * hstep / 3.0, math.nan, m + 1)
+
+
+def surface_gravity(triple, component) -> float:
+    """One-sided limit of |Du| at a boundary component.
+
+    |Du| extends smoothly across a horizon, so two evaluations just inside
+    the boundary with a Richardson step remove the O(delta) term.
+    """
+    lo, hi = triple.domain
+    span = hi - lo
+    delta = 1e-5 * span
+    loc = component.location
+    sgn = 1.0 if abs(loc - lo) < abs(loc - hi) else -1.0
+    if triple.lambda_sign > 0:
+        u_near = triple.u.value(loc + sgn * 1e-9 * span)
+        if abs(u_near) > 1e-2:
+            raise ValueError(
+                f"u does not vanish at the boundary component at {loc}")
+    g1 = abs(triple.radial_state(loc + sgn * delta).du)
+    g2 = abs(triple.radial_state(loc + sgn * 0.5 * delta).du)
+    return 2.0 * g2 - g1
+
+
+def s_of_t(t: float) -> float:
+    """Conformal level coordinate s = (1/2) log|(1+t)/(1-t)|."""
+    return 0.5 * math.log(abs((1.0 + t) / (1.0 - t)))
 
 
 def bisect_bracket(fn, lo: float, hi: float,

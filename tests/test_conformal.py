@@ -6,8 +6,9 @@ import pytest
 from staticlab import SdSParams, cli, schwarzschild_de_sitter
 from staticlab import conformal as CF
 from staticlab.geometry import StaticTriple, linspace
+from staticlab.levelset import t_of_s
 
-from oracles import sds_horizon_data
+from oracles import s_of_t, sds_horizon_data
 
 
 def test_de_sitter_state_is_cylindrical(ds3):
@@ -28,19 +29,20 @@ def test_anti_de_sitter_state(ads3):
         assert st.W == pytest.approx(1.0, abs=1e-12)
         # trace identity with W = 1 kills the u^2 term entirely
         assert st.scalar_g == pytest.approx(2.0, abs=1e-10)
-        assert 1 / math.tanh(st.phi) == pytest.approx(ads3.u.value(r),
-                                                      rel=1e-12)
+        assert t_of_s(s_of_t(st.u), -1) == pytest.approx(ads3.u.value(r),
+                                                         rel=1e-12)
 
 
 def test_phi_u_dictionary(ds3, ads3):
     st = CF.to_conformal(ds3, 0.5)
     u = ds3.u.value(0.5)
-    assert st.phi == pytest.approx(0.5 * math.log((1 + u) / (1 - u)))
-    assert math.tanh(st.phi) == pytest.approx(u, rel=1e-14)
+    assert st.u == u
+    assert t_of_s(s_of_t(u), +1) == pytest.approx(u, rel=1e-14)
     assert st.D == pytest.approx(1 - u * u, rel=1e-14)
     st = CF.to_conformal(ads3, 2.0)
     u = ads3.u.value(2.0)
-    assert st.phi == pytest.approx(0.5 * math.log((u + 1) / (u - 1)))
+    assert st.u == u
+    assert t_of_s(s_of_t(u), -1) == pytest.approx(u, rel=1e-14)
     assert st.D == pytest.approx(u * u - 1, rel=1e-14)
     # gamma = D^((n+2)/2)/u in both cases
     assert st.gamma == pytest.approx((u * u - 1) ** 2.5 / u, rel=1e-14)
@@ -56,7 +58,7 @@ def test_du_dphi_relation(all_models):
 
         def ratio(x, h):
             du = tr.u.value(x + h) - tr.u.value(x - h)
-            dphi = CF.to_conformal(tr, x + h).phi - CF.to_conformal(tr, x - h).phi
+            dphi = s_of_t(tr.u.value(x + h)) - s_of_t(tr.u.value(x - h))
             return du / dphi
 
         for x in pts[::3]:

@@ -129,6 +129,19 @@ def test_overdetermined_condition_nariai(nariai3):
     assert rep.abs_residual <= 1e-9
 
 
+@pytest.mark.parametrize("t, message", [
+    (1.0, "singular at the extremal level t=1"),
+    (-1.0, "outside the range of u"),
+])
+def test_overdetermined_condition_refuses_t_squared_one(ds3, ads3, t,
+                                                        message):
+    # the level is located first: t = -1 is no level of u > 0, and t = +1
+    # is the extremal level, where the target t/(1-t^2) is singular
+    for tr in (ds3, ads3):
+        with pytest.raises(ValueError, match=message):
+            IQ.overdetermined_condition(tr, t)
+
+
 def test_n3_uniqueness_two_boundary_arithmetic(ds3):
     """Synthetic two-component boundary with unit gravities: 2 < 4."""
     fake = dataclasses.replace(

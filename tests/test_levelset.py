@@ -19,7 +19,7 @@ from staticlab.geometry import (BRANCH_INSET, EXTREMUM_BAND, Extremum,
                                 RadialProfile, StaticTriple, linspace,
                                 sphere_area, unit_sphere_area)
 
-from oracles import (bisect_bracket, five_point_derivative,
+from oracles import (bisect, bisect_bracket, five_point_derivative, s_of_t,
                      sds_horizon_data, sds_outer_up_reference)
 
 S3_AREA = 4 * math.pi
@@ -287,7 +287,7 @@ def test_level_data_fields(sds01):
     spheres = LS.level_spheres(sds01, 0.5)
     radii = [sp.x for sp in spheres]
     assert len(radii) == 2
-    assert LS.s_of_t(0.5) == pytest.approx(0.5 * math.log(3.0))
+    assert s_of_t(0.5) == pytest.approx(0.5 * math.log(3.0))
     # area = |S^2| * sum r^2
     expect = S3_AREA * sum(r * r for r in radii)
     assert sum(sp.area for sp in spheres) == pytest.approx(expect, rel=1e-12)
@@ -298,9 +298,9 @@ def test_level_data_fields(sds01):
 
 def test_s_t_maps_roundtrip():
     for t in (0.2, 0.7, 0.95):
-        assert LS.t_of_s(LS.s_of_t(t), +1) == pytest.approx(t, rel=1e-13)
+        assert LS.t_of_s(s_of_t(t), +1) == pytest.approx(t, rel=1e-13)
     for t in (1.2, 2.0, 9.0):
-        assert LS.t_of_s(LS.s_of_t(t), -1) == pytest.approx(t, rel=1e-13)
+        assert LS.t_of_s(s_of_t(t), -1) == pytest.approx(t, rel=1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +347,26 @@ def test_up_derivative_forms_agree_sds(sds01):
         for t in linspace(0.05, 0.9, 25):
             f1, f2, _ = LS.up_derivative(view, 3, t)
             assert abs(f1 - f2) <= 1e-8 * max(1.0, abs(f1))
+
+
+def test_up_derivative_bound_form_closed_form(sds01):
+    """The `bound` form on the outer SdS branch against its closed form:
+    -(p-1) t times the sphere weight |S^2| r^2 |Du|^(p-2) d^(-(p+2)/2),
+    d = 1 - t^2, times n/(p-1) (1 - W), with r(t) from f(r) = t^2 f(r0)
+    and |Du| = |f'(r)| / (2 sqrt(f(r0)))."""
+    n, m = 3, 0.1
+    r0, _, r2, f0, _, _ = sds_horizon_data(n, m)
+    outer = sds01.on_branch("outer")
+    for p in (3.0, 5.0):
+        for t in (0.3, 0.6, 0.9):
+            d = 1.0 - t * t
+            r = bisect(lambda x: 1 - x * x - 2 * m / x - t * t * f0, r0, r2)
+            grad = abs(-2 * r + 2 * m / r ** 2) / (2 * math.sqrt(f0))
+            weight = (S3_AREA * r ** 2 * grad ** (p - 2)
+                      * d ** (-(n + p - 1) / 2))
+            want = -(p - 1) * t * weight * n / (p - 1) * (1 - grad ** 2 / d)
+            assert LS.up_derivative(outer, p, t)[2] == pytest.approx(
+                want, rel=1e-9), (p, t)
 
 
 def test_up_derivative_matches_finite_differences(sds01):
@@ -426,13 +446,13 @@ def test_phi_p_equals_up(ds3, sds01, ads3, nariai3):
     for tr, ts in ((ds3, (0.2, 0.5, 0.9)), (sds01, (0.2, 0.5, 0.9)),
                    (nariai3, (0.2, 0.5, 0.9)), (ads3, (1.5, 2.0, 5.0))):
         for t in ts:
-            s = LS.s_of_t(t)
+            s = s_of_t(t)
             assert LS.phi_p(tr, 3, s) == pytest.approx(
                 LS.up_value(tr, 3, t), rel=1e-10), tr.name
 
 
 def test_phi_0_is_conformal_area(sds01):
-    s = LS.s_of_t(0.5)
+    s = s_of_t(0.5)
     area_g = sum(sp.area_g for sp in LS.level_spheres(sds01, 0.5))
     assert LS.phi_p(sds01, 0, s) == pytest.approx(area_g, rel=1e-12)
 
@@ -451,11 +471,11 @@ def test_derivative_relation_up_phi(sds01, ads3, nariai3):
     for tr in (sds01, nariai3):
         for t in linspace(0.1, 0.9, 15):
             lhs = LS.up_derivative(tr, 3, t)[0] * (1 - t * t)
-            rhs = LS.phi_p_derivative(tr, 3, LS.s_of_t(t))
+            rhs = LS.phi_p_derivative(tr, 3, s_of_t(t))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs)), tr.name
     for t in (1.5, 2.5):
         lhs = LS.up_derivative(ads3, 3, t)[0] * (1 - t * t)
-        rhs = LS.phi_p_derivative(ads3, 3, LS.s_of_t(t))
+        rhs = LS.phi_p_derivative(ads3, 3, s_of_t(t))
         assert abs(lhs - rhs) <= 1e-8
 
 
@@ -480,7 +500,7 @@ def test_second_derivative_relation_up_phi(sds01):
         return (4 * one - two) / 3
 
     for t in (0.3, 0.6):
-        s = LS.s_of_t(t)
+        s = s_of_t(t)
         lhs = d_up(t)
         rhs = (2 * t * LS.phi_p_derivative(sds01, p, s) + d_phi(s)) \
             / (1 - t * t) ** 2
@@ -650,6 +670,16 @@ def test_liminf_verdict_follows_the_tolerance(ads3):
     for p in (1, 2):
         assert LS.liminf_check(ads3, p, 1e-13).status == "fail"
         assert LS.liminf_check(ads3, p, 1e-6).status == "pass"
+
+
+def test_liminf_aitken_step_is_exact_on_a_geometric_sequence(ds3, ads3,
+                                                             monkeypatch):
+    # U_p = 4 pi + (1 - t) on t = 1 -+ 2^-k is geometric in k with ratio
+    # 1/2, so one Aitken step on the last three samples lands on 4 pi
+    monkeypatch.setattr(LS, "up_value", lambda tr, p, t: S3_AREA + 1.0 - t)
+    for tr in (ds3, ads3):
+        rep = LS.liminf_check(tr, 1, 1e-6)
+        assert rep.lhs == pytest.approx(S3_AREA, abs=1e-12), tr.name
 
 
 def test_liminf_rejects_large_p(ds3):

@@ -17,7 +17,7 @@ from staticlab.geometry import linspace
 from staticlab.models import bracketed_root
 from staticlab.roots import MAX_ITERATIONS, find_root
 
-from oracles import sds_horizon_data
+from oracles import bisect, sds_horizon_data
 
 
 def test_mass_bound_values():
@@ -121,6 +121,48 @@ def test_find_root_that_runs_out_of_iterations_raises():
     assert len(calls) == MAX_ITERATIONS + 2  # the two ends, then the loop
     assert find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0) == \
         pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def _inner_horizon(n, m):
+    """f = 1 - r^2 - 2m r^(2-n) and its slope, and r0, where f peaks: from
+    below r0, Newton crawls up to the inner horizon in high dimension."""
+    r0 = (m * (n - 2)) ** (1.0 / n)
+    return (lambda r: (1 - r * r - 2 * m * r ** (2 - n),
+                       -2 * r + 2 * m * (n - 2) * r ** (1 - n))), r0
+
+
+_G20, _R20 = _inner_horizon(20, 1e-3)
+_G60, _R60 = _inner_horizon(60, 1e-4)
+
+
+@pytest.mark.parametrize("g, lo, hi, evaluations", [
+    pytest.param(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, 8, id="slope"),
+    pytest.param(lambda x: (x * x - 2.0, None), 1.0, 2.0, 11, id="no-slope"),
+    pytest.param(lambda x: (math.sqrt(x) - 1e-3, None), 0.0, 1.0, 13,
+                 id="no-slope-concave"),
+    pytest.param(lambda x: (math.sqrt(1.0 - x) - 0.3,
+                            -0.5 / math.sqrt(1.0 - x) if x < 1.0 else None),
+                 0.0, 1.0, 9, id="sqrt-horizon"),
+    pytest.param(lambda x: (math.sqrt(1.0 - x) - 0.3, None), 0.0, 1.0, 26,
+                 id="sqrt-horizon-no-slope"),
+    pytest.param(_G20, 0.5 * _R20, _R20, 21, id="crawl-n20"),
+    pytest.param(_G60, 1e-3 * _R60, _R60, 27, id="crawl-n60"),
+])
+def test_find_root_evaluation_counts(g, lo, hi, evaluations):
+    # the count pins each rule of the solver on a fixed bracket: the Newton
+    # step and its stop, the Illinois halving of either end, the false
+    # position fallback, and the crawl counter (which fires once at n = 20
+    # and twice at n = 60)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return g(x)
+
+    x = find_root(counted, lo, hi)
+    assert len(calls) == evaluations
+    assert abs(g(x)[0]) == min(abs(g(y)[0]) for y in calls)
+    assert x == pytest.approx(bisect(lambda y: g(y)[0], lo, hi), rel=1e-15)
 
 
 def test_sds_example_roots_m01():

@@ -14,9 +14,11 @@ from staticlab.geometry import (SphereData, StaticTriple, static_residual,
 from staticlab.inequalities import lp_gradient_bound
 from staticlab.levelset import sphere_data
 
+from oracles import s_of_t
 
-DICTIONARY = ("phi", "H_g", "hess_phi_norm2", "lap_phi", "gamma", "scalar_g")
-CURVATURE = ("ric_rr", "ric_tan", "scalar", "hess_u_rr", "hess_u_tan", "lap_u",
+
+DICTIONARY = ("H_g", "hess_phi_norm2", "lap_phi", "gamma", "scalar_g")
+CURVATURE = ("ric_rr", "ric_tan", "hess_u_rr", "hess_u_tan", "lap_u",
              "hess_u_norm2")
 
 
@@ -162,7 +164,7 @@ def test_singular_quantities_are_lazy(nariai3):
     assert sp.u == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(sp.area) and math.isfinite(sp.hess_u_norm2)
     with pytest.raises(ValueError, match="excluded band"):
-        sp.phi
+        sp.H_g
 
 
 @pytest.mark.parametrize("entry", DICTIONARY)
@@ -180,12 +182,12 @@ def test_level_readers_refuse_the_extremal_band(ds3):
     # W = |Du|^2 / |1-u^2| keeps no significant digit within 1e-6 of u = 1
     t = 1.0 - 1e-7
     for read in (lambda: LS.up_derivative(ds3, 3, t),
-                 lambda: LS.phi_p(ds3, 3, LS.s_of_t(t)),
-                 lambda: LS.phi_p_derivative(ds3, 3, LS.s_of_t(t)),
+                 lambda: LS.phi_p(ds3, 3, s_of_t(t)),
+                 lambda: LS.phi_p_derivative(ds3, 3, s_of_t(t)),
                  lambda: LS.level_spheres(ds3, t),
                  lambda: lp_gradient_bound(ds3, 3, t)):
         with pytest.raises(ValueError, match="excluded band"):
             read()
     # U_p and the first-identity flux stay finite up to the extremal value
     assert math.isfinite(LS.up_value(ds3, 3, t))
-    assert math.isfinite(ID.first_identity_flux(ds3, 3, LS.s_of_t(t)))
+    assert math.isfinite(ID._first_flux(ds3, 3, LS.level_states(ds3, t)))
