@@ -30,7 +30,7 @@ from .models import (
     nariai,
     schwarzschild_de_sitter,
 )
-from .report import IdentityReport, default_tolerance
+from .report import IdentityReport
 
 __all__ = [
     "BoundaryComponent",
@@ -46,7 +46,6 @@ __all__ = [
     "boundary_scalar_curvature",
     "by_name",
     "de_sitter",
-    "default_tolerance",
     "nariai",
     "schwarzschild_de_sitter",
     "sphere_euler_characteristic",

@@ -12,11 +12,6 @@ A curve row reads one level's records: `d_analytic` is the derivative
 through the field equations (p >= 3, else nan), `d_numeric` the one
 along the level flow, which uses no field equation.  A curve end is
 refused with the ValueError of levelset's curve on it, after its flag.
-
-STATICLAB_TOL (a finite number > 0; 1e-6 by default) is the tolerance of
-the static, conformal, liminf and integral-identity checks.  It does not
-reach boundary_curvature_inequality or the inequality suite: those keep
-1e-9, and gradient_bound 1e-10.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from typing import Optional
 
 from .geometry import StaticTriple, linspace, static_residual
 from .models import by_name
-from .report import IdentityReport, default_tolerance, identity_report
+from .report import IDENTITY_TOL, IdentityReport, identity_report
 
 # Every other staticlab module is imported by the function that reads it:
 # each command runs in a process of its own, so it compiles only those.
@@ -253,11 +248,7 @@ def cmd_phi_curve(args) -> int:
 
 def cmd_check(args) -> int:
     tr = _triple(args.model, args.n, args.m)
-    try:
-        tol = default_tolerance()
-    except ValueError as exc:
-        raise UsageError(f"STATICLAB_TOL: {exc}") from None
-    reports = SUITES[args.suite](tr, tol)
+    reports = SUITES[args.suite](tr, IDENTITY_TOL)
     payload = {
         "model": args.model,
         "n": args.n,

@@ -13,22 +13,12 @@ assumptions, and must not raise false alarms.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
-IDENTITY_TOL = 1e-6  # default tolerance of the identity checks
+IDENTITY_TOL = 1e-6  # the static, conformal, liminf and identity checks
 INEQ_TOL = 1e-9  # fixed tolerance of the inequality checks
 _NON_DISCRETE = "non-discrete extremum set"  # refusal reason: no count
-
-
-def default_tolerance() -> float:
-    """Tolerance of the static, conformal, integral-identity and liminf
-    checks: IDENTITY_TOL, or the STATICLAB_TOL env var, a finite number > 0."""
-    tol = float(os.environ.get("STATICLAB_TOL", IDENTITY_TOL))
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"must be a finite number > 0, got {tol}")
-    return tol
 
 
 @dataclass(frozen=True)

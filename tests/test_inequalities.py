@@ -3,12 +3,35 @@ import math
 
 import pytest
 
-from staticlab import (BoundaryComponent, SdSParams, de_sitter, nariai,
+from staticlab import (RadialProfile, SdSParams, de_sitter, nariai,
                        schwarzschild_de_sitter)
+from staticlab import identities as ID
 from staticlab import inequalities as IQ
+from staticlab.levelset import assumption_flags, conformal_boundary_data
+from staticlab.models import ADS_R_MAX
 from staticlab.report import inequality_report
 
 S3_AREA = 4 * math.pi
+
+
+@pytest.fixture(scope="module")
+def ads3_gradient_limit_half(ads3):
+    """Not static: anti-de Sitter's potential u = sqrt(1 + r^2) on the areal
+    metric with f = r^2 + 1/2.  It is conformally compact with a discrete
+    extremum at 0, and lim (u^2 - 1 - |Du|^2) = lim r^2 / (2 (1 + r^2)) is
+    1/2: nonnegative, but not zero."""
+    def f_fn(r: float) -> tuple[float, float, float]:
+        return r * r + 0.5, 2.0 * r, 2.0
+
+    return dataclasses.replace(ads3, f=RadialProfile((0.0, ADS_R_MAX), f_fn))
+
+
+@pytest.fixture(scope="module")
+def ds3_two_horizons(ds3):
+    """Not static: the round hemisphere with its unit horizon listed twice,
+    a discrete extremum with two boundary components."""
+    (b,) = ds3.boundaries
+    return dataclasses.replace(ds3, boundaries=(b, b))
 
 
 def test_all_equalities_on_de_sitter(ds3):
@@ -142,18 +165,25 @@ def test_overdetermined_condition_refuses_t_squared_one(ds3, ads3, t,
             IQ.overdetermined_condition(tr, t)
 
 
-def test_n3_uniqueness_two_boundary_arithmetic(ds3):
+def test_n3_uniqueness_two_boundary_arithmetic(ds3_two_horizons):
     """Synthetic two-component boundary with unit gravities: 2 < 4."""
-    fake = dataclasses.replace(
-        ds3,
-        boundaries=(
-            BoundaryComponent(0.99, 1.0, 1.0),
-            BoundaryComponent(1.0, 1.0, 1.0),
-        ))
-    rep = IQ.n3_uniqueness_inequality(fake)
+    rep = IQ.n3_uniqueness_inequality(ds3_two_horizons)
     assert rep.lhs == 2.0 and rep.rhs == 4.0
     assert rep.status == "pass"
     assert not rep.equality  # disconnected boundary: no rigidity claim
+    assert rep.extra["connected_boundary"] is False
+
+
+def test_vanishing_gradient_limit_gates(ads3_gradient_limit_half):
+    """The negative-constant Willmore and boundary-curvature statements ask
+    for a gradient limit of zero; a nonnegative one is not enough."""
+    tr = ads3_gradient_limit_half
+    flags = assumption_flags(tr)
+    assert flags["gradient_limit_nonneg"] and not flags["gradient_limit_zero"]
+    assert conformal_boundary_data(tr).gradient_limit == pytest.approx(
+        0.5, abs=1e-9)
+    for rep in (IQ.willmore_bound(tr), ID.boundary_curvature_inequality(tr)):
+        assert rep.status == "inapplicable", rep.name
 
 
 def test_n3_uniqueness_requires_dimension_three(ds4):
@@ -211,3 +241,8 @@ def test_nan_side_never_passes():
                                  "").status == "fail"
         gated = inequality_report("x", lhs, rhs, 1e-9, {}, False, "")
         assert gated.status == "inapplicable"
+
+
+def test_relative_residual_divides_by_the_larger_side():
+    assert inequality_report("x", 2.0, 1.0, 1e-9, {}, True,
+                             "").rel_residual == 0.5

@@ -161,6 +161,42 @@ def test_shot_triple_passes_field_equations():
     assert worst <= 1e-6
 
 
+def test_integrate_stops_after_max_steps(monkeypatch):
+    """Every Dormand-Prince step tried counts against MAX_STEPS, a rejected
+    one too, so an error estimate that keeps rejecting steps fails the shot
+    instead of hanging it."""
+    data = OG.HorizonData(3, +1, 0.5, 1.0)  # 24 of its 280 tries rejected
+    tried = []
+    step = OG._dopri_step
+
+    def counted(*args):
+        tried.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(OG, "_dopri_step", counted)
+    OG.shoot_from_horizon(data)
+    count = len(tried)
+    assert 0 < count <= OG.MAX_STEPS // 10
+    monkeypatch.setattr(OG, "MAX_STEPS", count)
+    OG.shoot_from_horizon(data)
+    monkeypatch.setattr(OG, "MAX_STEPS", count - 1)
+    with pytest.raises(RuntimeError, match=f"integration failed: "
+                                           f"{count - 1} steps tried"):
+        OG.shoot_from_horizon(data)
+
+
+def test_integrate_refuses_a_start_that_is_not_finite(monkeypatch):
+    def step(*args):  # the start is refused before any step is tried
+        raise AssertionError("a step was tried from a start not finite")
+
+    monkeypatch.setattr(OG, "_dopri_step", step)
+    system = OG.reduce_system(3, +1)
+    for y0 in ((1.0, 0.0, math.nan, 1.0), (1.0, 0.0, 0.5, math.inf)):
+        with pytest.raises(RuntimeError, match="the start state or first "
+                                               "step is not finite"):
+            OG.integrate(system.rhs, 1e-3, y0, 1.0, ())
+
+
 def test_shooting_grid_lands_on_known_families():
     """The horizon radius fixes the mass (the gravity parameter is pure
     scaling of u), so every shot lands on the two-horizon family or the

@@ -1,7 +1,8 @@
 """Print the size of the package as one JSON line: `src_lines`, the lines of
 every `.py` file under src/, and `options`, the knobs a caller may leave
-unset: the defaulted parameters of every `def` plus the defaulted fields of
-every dataclass.
+unset: the defaulted parameters of every `def`, the defaulted fields of
+every dataclass, and each read of the environment (`os.environ[...]`,
+`os.environ.get(...)` or `os.getenv(...)`), which any shell may set.
 
     python3 tools/counts.py [SRC_DIR]
 """
@@ -14,12 +15,25 @@ import sys
 from pathlib import Path
 
 
+def _name(node: ast.AST) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(
+        node, "id", None)
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else target.id
-        if name == "dataclass":
-            return True
+    return any(_name(dec.func if isinstance(dec, ast.Call) else dec)
+               == "dataclass" for dec in node.decorator_list)
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript):
+        return (isinstance(node.ctx, ast.Load)
+                and _name(node.value) == "environ")
+    if isinstance(node, ast.Call):
+        fn = node.func
+        return _name(fn) == "getenv" or (
+            _name(fn) == "get" and isinstance(fn, ast.Attribute)
+            and _name(fn.value) == "environ")
     return False
 
 
@@ -32,6 +46,8 @@ def options(tree: ast.AST) -> int:
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             count += sum(isinstance(stmt, ast.AnnAssign)
                          and stmt.value is not None for stmt in node.body)
+        elif _reads_environment(node):
+            count += 1
     return count
 
 
