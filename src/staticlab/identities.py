@@ -11,7 +11,9 @@ degenerates at the extremal sphere).
 
 The first and second identities share one slab body, `_slab_identity`,
 which locates each end level once and takes both fluxes and the radial
-interval from its records (`levelset.level_states`).
+interval from its records (`levelset.level_states`).  The curvature-deficit
+identity is stated over the whole region on the extremum's side of its
+level.  Every identity is judged at `report.IDENTITY_TOL`.
 
 Conventions: phi denotes the conformal level coordinate, W = |grad phi|_g^2,
 and for a level value tau the weights are
@@ -67,8 +69,8 @@ def _volume_density(sp: SphereData) -> float:
 def _slab_identity(triple: StaticTriple, s: float, S: float,
                    branch: Optional[str], name: str, description: str,
                    flux: Callable[[Sequence[SphereData]], float],
-                   integrand: Callable[[SphereData], float],
-                   tolerance: float) -> IdentityReport:
+                   integrand: Callable[[SphereData], float]
+                   ) -> IdentityReport:
     """flux(S) - flux(s) against the integral of `integrand` over the slab
     {s < phi < S} of the triple on `branch`, each end located once; the two
     may read n and lambda_sign of the given triple, which a view shares."""
@@ -93,7 +95,7 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
 
     rhs, evals = _integrate(guarded, [sorted((at_s[0].x, at_S[0].x))])
     return identity_report(
-        name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
+        name=name, lhs=lhs, rhs=rhs, tolerance=IDENTITY_TOL,
         assumptions=assumption_flags(triple), description=description,
         extra={"evaluations": evals, "branch": triple.branch or "full"})
 
@@ -109,8 +111,7 @@ def _first_flux(triple: StaticTriple, p: float,
 
 
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
-                   branch: Optional[str] = None,
-                   tolerance: float = IDENTITY_TOL) -> IdentityReport:
+                   branch: Optional[str] = None) -> IdentityReport:
     """Divergence identity for the field W^((p-1)/2) grad phi / sinh(phi)^n
     on the slab {s < phi < S}:
 
@@ -133,12 +134,11 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     return _slab_identity(
         triple, s, S, branch, f"first_integral_identity(p={p}, s={s}, S={S})",
         "weighted gradient-flux divergence identity on a conformal slab",
-        lambda spheres: _first_flux(triple, p, spheres), integrand, tolerance)
+        lambda spheres: _first_flux(triple, p, spheres), integrand)
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
-                    branch: Optional[str] = None,
-                    tolerance: float = IDENTITY_TOL) -> IdentityReport:
+                    branch: Optional[str] = None) -> IdentityReport:
     """Weighted Bochner identity for p >= 3 on the slab {s < phi < S}:
 
         gamma(s) B(s) - gamma(S) B(S)  =  bulk integral of
@@ -168,22 +168,11 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
         triple, s, S, branch,
         f"second_integral_identity(p={p}, s={s}, S={S})",
         "weighted Bochner divergence identity on a conformal slab",
-        minus_weighted_boundary, integrand, tolerance)
+        minus_weighted_boundary, integrand)
 
 
-def _deficit_level(triple: StaticTriple, t: float) -> tuple[float, list]:
-    """Flux integrand of the curvature-deficit identity on {u = t}, the sum
-    over the level of (1/u)(|Du|^2 H - ((n-1)/n) |Du| lap u), and the radii
-    of its spheres, from one location of the level."""
-    n, spheres = triple.n, level_states(triple, t)
-    return (sum(sp.area / sp.u * (sp.du ** 2 * sp.H
-                                  - (n - 1) / n * sp.grad_u * sp.lap_u)
-                for sp in spheres), [sp.x for sp in spheres])
-
-
-def curvature_deficit_identity(triple: StaticTriple, t: float,
-                 t_upper: Optional[float] = None,
-                 tolerance: float = IDENTITY_TOL) -> IdentityReport:
+def curvature_deficit_identity(triple: StaticTriple,
+                               t: float) -> IdentityReport:
     """Curvature-deficit flux identity (no assumptions needed):
 
         sum_{u=t} (1/u)(|Du|^2 H - ((n-1)/n)|Du| lap u)
@@ -192,28 +181,21 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
 
     with + over {u > t} (positive constant; the region crosses the extremal
     sphere, where the integrand stays finite) and - over {u < t} (negative
-    constant).  With t_upper given, the truncated version over
-    {t < u < t_upper} subtracts the upper flux instead.
+    constant): the sign is `lambda_sign`.  The level is located once, and
+    its records give the flux and the ends of the region.
     """
-    n = triple.n
+    n, spheres = triple.n, level_states(triple, t)
 
     def integrand(x: float) -> float:
         sp = sphere_data(triple, x)
         return (1.0 / sp.u) * (sp.hess_u_norm2 - sp.lap_u ** 2 / n) \
             * _volume_density(sp)
 
-    lhs, radii = _deficit_level(triple, t)
-    sign = 1.0 if t_upper is not None or triple.lambda_sign > 0 else -1.0
-    if t_upper is not None:
-        upper, radii_up = _deficit_level(triple, t_upper)
-        lhs -= upper
-        if len(radii) != len(radii_up):
-            raise ValueError("levels straddle the extremal sphere unevenly")
-        if len(radii) == 2:  # one sub-annulus per monotone branch
-            intervals = [(radii[0], radii_up[0]), (radii_up[1], radii[1])]
-        else:
-            intervals = [tuple(sorted((radii[0], radii_up[0])))]
-    elif len(radii) == 2:
+    lhs = sum(sp.area / sp.u * (sp.du ** 2 * sp.H
+                                - (n - 1) / n * sp.grad_u * sp.lap_u)
+              for sp in spheres)
+    radii = [sp.x for sp in spheres]
+    if len(radii) == 2:
         intervals = [radii]
     else:
         # region between the level and the extremum-side end of the domain
@@ -224,9 +206,8 @@ def curvature_deficit_identity(triple: StaticTriple, t: float,
         intervals = [(max(a, lo_dom + inset), min(b, hi_dom - inset))]
     rhs, evals = _integrate(integrand, intervals)
     return identity_report(
-        name=f"curvature_deficit_identity(t={t}"
-             + (f", t_upper={t_upper})" if t_upper is not None else ")"),
-        lhs=lhs, rhs=sign * rhs, tolerance=tolerance,
+        name=f"curvature_deficit_identity(t={t})", lhs=lhs,
+        rhs=triple.lambda_sign * rhs, tolerance=IDENTITY_TOL,
         assumptions=assumption_flags(triple),
         description="flux of the trace-free Hessian deficit field against "
                     "its bulk integral",

@@ -16,6 +16,8 @@ also along the level flow dx/dt = 1/u', which uses no field equation.
 Every function here sums over the spheres of the level that its triple
 sees: on a two-branch triple, both; on the view `triple.on_branch("inner")`
 (or "outer"), the one on that branch, and at t = 0 that side's horizon.
+Its two checks take no tolerance: `liminf_check` judges at IDENTITY_TOL,
+and `monotonicity_scan` at 1e-10 of the curve's scale.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Optional, Sequence
 from .geometry import (BRANCH_INSET, SphereData, StaticTriple,
                        boundary_scalar_curvature, check_window, sphere_area,
                        sphere_data, unit_sphere_area)
-from .report import (_NON_DISCRETE, IdentityReport, identity_report,
-                     inequality_report, refusal_report)
+from .report import (_NON_DISCRETE, IDENTITY_TOL, IdentityReport,
+                     identity_report, inequality_report, refusal_report)
 from .roots import EPS, find_root
 
 LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
@@ -396,10 +398,9 @@ def monotonicity_scan(triple: StaticTriple, p: float,
         extra={"classification": cls, "violations": violations})
 
 
-def liminf_check(triple: StaticTriple, p: float,
-                 tolerance: float) -> IdentityReport:
+def liminf_check(triple: StaticTriple, p: float) -> IdentityReport:
     """Estimate lim U_p(t) as t approaches the extremal value 1 and compare
-    it with |extremal set| * |S^(n-1)|.
+    it with |extremal set| * |S^(n-1)|, at IDENTITY_TOL.
 
     Samples t = 1 -+ 2^-k on a geometric sequence and extrapolates with an
     Aitken step; k is capped where 1 - t^2 still carries enough significant
@@ -412,7 +413,7 @@ def liminf_check(triple: StaticTriple, p: float,
     about = "limit of the level integral at the extremal value"
     if not triple.extremum.discrete:
         return replace(refusal_report(name, _NON_DISCRETE, flags, about),
-                       tolerance=tolerance)
+                       tolerance=IDENTITY_TOL)
     sign = triple.lambda_sign
     ks = range(LIMINF_K[0], LIMINF_K[1] + 1)
     vals = [up_value(triple, p, 1.0 - sign * 2.0 ** (-k)) for k in ks]
@@ -424,7 +425,7 @@ def liminf_check(triple: StaticTriple, p: float,
     else:
         limit = v2
     reference = triple.extremum.count * unit_sphere_area(triple.n)
-    return identity_report(name, limit, reference, tolerance,
+    return identity_report(name, limit, reference, IDENTITY_TOL,
                            assumptions=flags,
                            description=about + " vs extremal count")
 

@@ -451,6 +451,43 @@ def test_bad_grid_exits_2_with_one_line(capsys, spec):
     assert len(captured.err.splitlines()) == 1
 
 
+# each row count outside 1..MAX_ROWS, and its one stderr line after
+# "staticlab <command>: error: ": these ran for as long as building 10^12
+# curve levels or 10^298 masses took, or printed a header alone and exit 0
+BAD_ROW_COUNT = {
+    ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0", "--t1",
+     "0.5", "--steps", "1000000000000"):
+        "--steps must be at most 1000000, got 1000000000000",
+    ("phi-curve", "--model", "desitter", "--p", "3", "--s0", "0.5", "--s1",
+     "1", "--steps", "1000001"):
+        "--steps must be at most 1000000, got 1000001",
+    ("shoot", "--h0", "0.8", "--kappa", "1", "--steps", "1000000000000"):
+        "--steps must be at most 1000000, got 1000000000000",
+    ("scan-sds", "--n", "3", "--m-grid", "0.01:0.02:1e-300"):
+        "bad grid specification '0.01:0.02:1e-300': more than 1000000 "
+        "points",
+    ("scan-sds", "--m-grid", "0.2:0.1:0.01"):
+        "the mass count of --m-grid 0.2:0.1:0.01 must be at least 1, got 0",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_ROW_COUNT))
+def test_bad_row_count_exits_2_with_one_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"staticlab {argv[0]}: error: "
+                            f"{BAD_ROW_COUNT[argv]}\n")
+
+
+def test_grid_of_max_rows_is_built_and_one_more_refused():
+    # the bound is checked on the count, before the grid is built
+    assert len(cli._parse_grid(f"0:{cli.MAX_ROWS - 1}:1")) == cli.MAX_ROWS
+    with pytest.raises(cli.UsageError, match="more than 1000000 points"):
+        cli._parse_grid(f"0:{cli.MAX_ROWS}:1")
+
+
 @pytest.mark.parametrize("suite", ["static", "identities", "liminf"])
 def test_check_reads_no_tolerance_from_the_environment(capsys, monkeypatch,
                                                        suite):

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
-OPTIONS_CEILING = 21
+OPTIONS_CEILING = 17
 
 
 def _counts():
@@ -33,3 +33,24 @@ def test_each_environment_read_is_an_option():
               "os.environ['D'] = '1'\n"  # a write sets nothing a caller reads
               "env = dict(os.environ)\n")
     assert _counts().options(ast.parse(source)) == 3
+
+
+def test_list_names_each_option(capsys, tmp_path):
+    source = ("import os\n"
+              "from dataclasses import dataclass\n"
+              "def f(a, b=1, *, c, d=2):\n"
+              "    def inner(e=3): pass\n"
+              "@dataclass\n"
+              "class C:\n"
+              "    x: int\n"
+              "    y: int = 0\n"
+              "    def method(self, z=None):\n"
+              "        return os.getenv('Z')\n")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(source)
+    assert _counts().main(["--list", str(tmp_path)]) == 0
+    head, *names = capsys.readouterr().out.splitlines()
+    assert names == ["pkg.mod.f(b)", "pkg.mod.f(d)", "pkg.mod.f.inner(e)",
+                     "pkg.mod.C.y", "pkg.mod.C.method(z)",
+                     "pkg.mod.C.method: os.getenv('Z')"]
+    assert json.loads(head) == {"src_lines": 10, "options": 6}

@@ -161,6 +161,17 @@ def test_cli_output_matches_golden(name):
         same_csv(COMMANDS[name][0], got, want)
 
 
+def test_golden_bytes_runs_these_commands():
+    # tools/golden_bytes.py reads COMMANDS from this file without pytest
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "golden_bytes", Path(__file__).parent.parent / "tools"
+        / "golden_bytes.py")
+    golden_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_bytes)
+    assert golden_bytes.golden_commands() == COMMANDS
+
+
 if __name__ == "__main__":
     names = sys.argv[1:] or list(COMMANDS)
     unknown = [name for name in names if name not in COMMANDS]

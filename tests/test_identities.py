@@ -5,7 +5,6 @@ import pytest
 
 from staticlab import identities as ID
 from staticlab import levelset as LS
-from staticlab.geometry import Extremum, RadialProfile, StaticTriple
 from staticlab.quadrature import QuadratureConfig, adaptive
 
 from oracles import composite_simpson
@@ -41,7 +40,7 @@ def test_first_identity_de_sitter_closed_form(ds3):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_first_identity_all_p(ds3, p):
-    rep = ID.first_identity(ds3, p, 0.5, 3.0, tolerance=1e-7)
+    rep = ID.first_identity(ds3, p, 0.5, 3.0)
     assert rep.status == "pass"
     assert rep.abs_residual <= 1e-7
 
@@ -165,20 +164,6 @@ def test_deficit_identity_sds_crosses_extremal_sphere(sds01):
     assert rep.extra["evaluations"] <= 100_000
 
 
-def test_deficit_identity_truncated_consistency(sds01):
-    full = ID.curvature_deficit_identity(sds01, 0.3)
-    below = ID.curvature_deficit_identity(sds01, 0.3, t_upper=0.8)
-    assert below.status == "pass"
-    assert full.lhs > below.lhs > 0.0
-
-
-def test_deficit_identity_truncated_on_one_branch(ds3):
-    # both levels meet the single branch once: one sub-annulus
-    rep = ID.curvature_deficit_identity(ds3, 0.3, t_upper=0.8)
-    assert abs(rep.lhs) <= 1e-12 and abs(rep.rhs) <= 1e-12
-    assert rep.status == "pass"
-
-
 def test_deficit_identity_nariai(nariai3):
     rep = ID.curvature_deficit_identity(nariai3, 0.4)
     assert rep.status == "pass"
@@ -202,28 +187,12 @@ def test_slab_refusals(sds01, identity, s, S, branch, message):
         identity(sds01, 3, s, S, branch)
 
 
-@pytest.mark.parametrize("t, t_upper", [(0.3, 0.8), (0.8, 0.3)])
-def test_deficit_refuses_levels_straddling_unevenly(t, t_upper):
-    # u = sin x on (0, 2.5) peaks at pi/2: levels below sin(2.5) = 0.598
-    # meet only the inner branch, levels above it both
-    tr = StaticTriple(
-        n=3, lambda_sign=+1, u=RadialProfile(
-            (0.0, 2.5), lambda x: (math.sin(x), math.cos(x), -math.sin(x))),
-        h=RadialProfile((0.0, 2.5), lambda x: (1.0, 0.0, 0.0)), f=None,
-        boundaries=(), extremum=Extremum(location=math.pi / 2, count=1))
-    with pytest.raises(ValueError, match="straddle the extremal sphere "
-                                         "unevenly"):
-        ID.curvature_deficit_identity(tr, t, t_upper)
-
-
 @pytest.mark.parametrize("report, located", [
-    (lambda sds, ds: ID.first_identity(sds, 3, 0.5, 2.5, "outer"), 2),
-    (lambda sds, ds: ID.second_identity(sds, 3, 0.5, 2.5, "outer"), 2),
-    (lambda sds, ds: ID.curvature_deficit_identity(sds, 0.3), 1),
-    (lambda sds, ds: ID.curvature_deficit_identity(ds, 0.3, 0.8), 2),
-], ids=["first", "second", "deficit", "deficit-truncated"])
-def test_each_level_is_located_once(monkeypatch, sds01, ds3, report,
-                                    located):
+    (lambda sds: ID.first_identity(sds, 3, 0.5, 2.5, "outer"), 2),
+    (lambda sds: ID.second_identity(sds, 3, 0.5, 2.5, "outer"), 2),
+    (lambda sds: ID.curvature_deficit_identity(sds, 0.3), 1),
+], ids=["first", "second", "deficit"])
+def test_each_level_is_located_once(monkeypatch, sds01, report, located):
     # counted wherever a staticlab module binds level_radii; the fluxes and
     # the radial intervals read the records of one location per level
     levels, level_radii = [], LS.level_radii
@@ -236,7 +205,7 @@ def test_each_level_is_located_once(monkeypatch, sds01, ds3, report,
         if (name.startswith("staticlab")
                 and getattr(module, "level_radii", None) is level_radii):
             monkeypatch.setattr(module, "level_radii", counted)
-    assert report(sds01, ds3).status == "pass"
+    assert report(sds01).status == "pass"
     assert len(levels) == located
 
 

@@ -651,7 +651,7 @@ def test_monotonicity_scan_fails_exactly_on_violations(ds3, ads3, sds01,
 ])
 def test_liminf_round_models(make, n, p, expect):
     tr = make(n)
-    res = LS.liminf_check(tr, p, 1e-6)
+    res = LS.liminf_check(tr, p)
     assert res.status == "pass"
     assert res.lhs == pytest.approx(expect, rel=1e-6)
     assert res.rhs == pytest.approx(expect, rel=1e-14)
@@ -659,17 +659,19 @@ def test_liminf_round_models(make, n, p, expect):
 
 def test_liminf_refuses_non_discrete(sds01, nariai3):
     for tr in (sds01, nariai3):
-        res = LS.liminf_check(tr, 1, 1e-6)
+        res = LS.liminf_check(tr, 1)
         assert res.status == "inapplicable"
         assert res.extra["reason"] == "non-discrete extremum set"
         assert res.tolerance == 1e-6
         assert math.isnan(res.lhs) and math.isnan(res.rhs)
 
 
-def test_liminf_verdict_follows_the_tolerance(ads3):
+def test_liminf_verdict_follows_the_tolerance(ads3, monkeypatch):
     for p in (1, 2):
-        assert LS.liminf_check(ads3, p, 1e-13).status == "fail"
-        assert LS.liminf_check(ads3, p, 1e-6).status == "pass"
+        assert LS.liminf_check(ads3, p).status == "pass"
+    monkeypatch.setattr(LS, "IDENTITY_TOL", 1e-13)
+    for p in (1, 2):
+        assert LS.liminf_check(ads3, p).status == "fail"
 
 
 def test_liminf_aitken_step_is_exact_on_a_geometric_sequence(ds3, ads3,
@@ -678,13 +680,13 @@ def test_liminf_aitken_step_is_exact_on_a_geometric_sequence(ds3, ads3,
     # 1/2, so one Aitken step on the last three samples lands on 4 pi
     monkeypatch.setattr(LS, "up_value", lambda tr, p, t: S3_AREA + 1.0 - t)
     for tr in (ds3, ads3):
-        rep = LS.liminf_check(tr, 1, 1e-6)
+        rep = LS.liminf_check(tr, 1)
         assert rep.lhs == pytest.approx(S3_AREA, abs=1e-12), tr.name
 
 
 def test_liminf_rejects_large_p(ds3):
     with pytest.raises(ValueError):
-        LS.liminf_check(ds3, 3, 1e-6)  # p must be <= n-1
+        LS.liminf_check(ds3, 3)  # p must be <= n-1
 
 
 # --------------------------------------------------------------------------

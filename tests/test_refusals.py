@@ -1,0 +1,87 @@
+"""Refusals that no other test reaches, each by a public call on a small
+fixture.  The fixtures are not static solutions: each breaks the one
+hypothesis whose refusal it exercises."""
+
+import dataclasses
+import math
+
+import pytest
+
+from staticlab import (Extremum, RadialProfile, StaticTriple, anti_de_sitter,
+                       de_sitter, nariai)
+from staticlab import geometry as G
+from staticlab import identities as ID
+from staticlab import inequalities as IQ
+from staticlab import levelset as LS
+from staticlab import odegen
+from staticlab.cli import main
+
+
+def _plateau_u(x: float) -> tuple[float, float, float]:
+    # u = 1/2 on [0.9, 1.1], quadratic off it: C^1 and nondecreasing
+    q, side = max(abs(x - 1.0) - 0.1, 0.0), math.copysign(1.0, x - 1.0)
+    return 0.5 + 0.25 * side * q * q, 0.5 * q, 0.5 * side if q else 0.0
+
+
+# Not static: u is flat on the level {u = 1/2}, so Du = 0 on every sphere of
+# it, where the level's normal, mean curvature and flow are undefined
+PLATEAU = StaticTriple(
+    n=3, lambda_sign=+1, u=RadialProfile((0.0, 2.0), _plateau_u),
+    h=RadialProfile((0.0, 2.0), lambda x: (x, 1.0, 0.0)), f=None,
+    boundaries=(), extremum=Extremum(location=2.0, count=1))
+
+NARIAI3 = nariai(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    # Nariai is in the arclength chart already
+    (lambda: G.to_arclength(NARIAI3),
+     "to_arclength expects an areal-chart triple"),
+    # a warp that vanishes on the whole domain
+    (lambda: LS.up_value(dataclasses.replace(NARIAI3, h=RadialProfile(
+        NARIAI3.domain, lambda x: (0.0, 0.0, 0.0))), 1, 0.5),
+     "degenerate warping radius h=0.0 at x="),
+    # de Sitter's u < 1 read with the sign of a negative constant
+    (lambda: G.sphere_data(dataclasses.replace(de_sitter(3), lambda_sign=-1),
+                           0.5).D,
+     "conformal factor degenerate at u=0.866025403784"),
+    (lambda: G.sphere_data(PLATEAU, 1.0).H, r"singular level at x=1\.0$"),
+    (lambda: IQ.overdetermined_condition(PLATEAU, 0.5),
+     "singular level at t=0.5"),
+    (lambda: LS.up_curve(PLATEAU, 1, [0.5]), "singular level at x="),
+    (lambda: ID.boundary_curvature_inequality(
+        dataclasses.replace(de_sitter(3), boundaries=())),
+     "triple has no boundary"),
+    (lambda: LS.up_second_derivative_at_boundary(
+        dataclasses.replace(de_sitter(3), boundaries=()), 3),
+     "triple has no boundary"),
+    (lambda: LS.up_second_derivative_at_boundary(de_sitter(3), 2),
+     r"asserted for p >= 3 only"),
+    (lambda: LS.up_second_derivative_bound(de_sitter(3), 2),
+     r"asserted for p >= 3 only"),
+    (lambda: LS.conformal_boundary_data(dataclasses.replace(
+        anti_de_sitter(3), conformally_compact=False)),
+     "triple is not conformally compact"),
+], ids=["to-arclength-chart", "zero-warp", "conformal-factor",
+        "mean-curvature-singular", "overdetermined-singular",
+        "transport-singular", "boundary-inequality-no-boundary",
+        "boundary-second-derivative-no-boundary",
+        "boundary-second-derivative-p", "second-derivative-bound-p",
+        "not-conformally-compact"])
+def test_refusal(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_shot_past_the_arclength_budget_exits_2_with_one_line(capsys,
+                                                               monkeypatch):
+    # every closed form closes well inside MAX_ARCLENGTH, so a shorter
+    # budget stands in for a trajectory that meets no stop condition
+    monkeypatch.setattr(odegen, "MAX_ARCLENGTH", 0.1)
+    code = main(["shoot", "--h0", "1", "--kappa", "1", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("staticlab shoot: error: no stop condition met "
+                            "within the arclength budget; the trajectory may "
+                            "be blowing up\n")

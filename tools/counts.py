@@ -3,8 +3,9 @@ every `.py` file under src/, and `options`, the knobs a caller may leave
 unset: the defaulted parameters of every `def`, the defaulted fields of
 every dataclass, and each read of the environment (`os.environ[...]`,
 `os.environ.get(...)` or `os.getenv(...)`), which any shell may set.
+`--list` also prints each option on a line of its own after the JSON line.
 
-    python3 tools/counts.py [SRC_DIR]
+    python3 tools/counts.py [--list] [SRC_DIR]
 """
 
 from __future__ import annotations
@@ -37,28 +38,53 @@ def _reads_environment(node: ast.AST) -> bool:
     return False
 
 
-def options(tree: ast.AST) -> int:
-    count = 0
-    for node in ast.walk(tree):
+def option_names(tree: ast.AST, scope: str) -> list[str]:
+    """The options of `tree` in source order, named under `scope`: a
+    defaulted parameter as `scope.function(param)`, a defaulted dataclass
+    field as `scope.Class.field`, an environment read as `scope: <read>`;
+    nested definitions extend the scope."""
+    names: list[str] = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            count += len(node.args.defaults)
-            count += sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(stmt, ast.AnnAssign)
-                         and stmt.value is not None for stmt in node.body)
+            args, inner = node.args, f"{scope}.{node.name}"
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs,
+                                                      args.kw_defaults)
+                          if default is not None]
+            names += [f"{inner}({arg.arg})" for arg in defaulted]
+        elif isinstance(node, ast.ClassDef):
+            inner = f"{scope}.{node.name}"
+            if _is_dataclass(node):
+                names += [f"{inner}.{ast.unparse(stmt.target)}"
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and stmt.value is not None]
         elif _reads_environment(node):
-            count += 1
-    return count
+            names.append(f"{scope}: {ast.unparse(node)}")
+        names += option_names(node, inner)
+    return names
+
+
+def options(tree: ast.AST) -> int:
+    return len(option_names(tree, ""))
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).parent.parent / "src")
-    lines = opts = 0
+    listing = "--list" in argv
+    paths = [arg for arg in argv if arg != "--list"]
+    root = Path(paths[0] if paths else Path(__file__).parent.parent / "src")
+    lines, names = 0, []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines += len(text.splitlines())
-        opts += options(ast.parse(text, str(path)))
-    print(json.dumps({"src_lines": lines, "options": opts}))
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        names += option_names(ast.parse(text, str(path)),
+                              module.removesuffix(".__init__"))
+    print(json.dumps({"src_lines": lines, "options": len(names)}))
+    if listing:
+        print("\n".join(names))
     return 0
 
 

@@ -1,0 +1,84 @@
+"""Check that the golden commands print the same bytes at a revision and in
+the working tree.
+
+    python3 tools/golden_bytes.py REV
+
+Runs each command of `tests/test_golden.COMMANDS` as a child process,
+`python -m staticlab.cli ...`, twice: on `git archive REV src` extracted to
+a temporary directory, and on the working tree's `src/`.  Prints each
+command whose exit status or stdout bytes differ, then a summary line.
+Exits 1 if any command differs, 2 if REV cannot be archived, and 0
+otherwise.  `tests/test_golden.py` compares floats within tolerance floors;
+this compares bytes, which a change that means to move no output keeps.
+Standard library and git only.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_TEST = ROOT / "tests" / "test_golden.py"
+
+
+def golden_commands() -> dict[str, list[str]]:
+    """`COMMANDS` of tests/test_golden.py, from its MODELS, SUITES and
+    COMMANDS assignments alone: importing the module needs pytest."""
+    tree = ast.parse(GOLDEN_TEST.read_text(encoding="utf-8"))
+    body = [node for node in tree.body if isinstance(node, ast.Assign)
+            and {getattr(t, "id", None) for t in node.targets}
+            & {"MODELS", "SUITES", "COMMANDS"}]
+    scope: dict = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(GOLDEN_TEST),
+                 "exec"), scope)
+    return scope["COMMANDS"]
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
+    """Exit status and stdout of the CLI on the package under `src`."""
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "staticlab.cli", *argv],
+                          capture_output=True, env=env, cwd=src)
+    return proc.returncode, proc.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write("usage: python3 tools/golden_bytes.py REV\n")
+        return 2
+    rev = argv[0]
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    commands = golden_commands()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            # the "data" filter where this Python has it (3.12, backports)
+            tar.extractall(tmp, **({"filter": "data"}
+                                   if hasattr(tarfile, "data_filter") else {}))
+        for name, cmd in commands.items():
+            (code_at, out_at), (code, out) = (run(Path(tmp) / "src", cmd),
+                                              run(ROOT / "src", cmd))
+            if code != code_at:
+                print(f"{name}: exit {code_at} at {rev}, {code} here")
+            elif out != out_at:
+                print(f"{name}: stdout differs")
+            differ += (code, out) != (code_at, out_at)
+    print(f"{len(commands) - differ}/{len(commands)} golden commands "
+          f"byte-identical to {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
