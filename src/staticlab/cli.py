@@ -8,10 +8,12 @@ pole, 1 when any check fails (an inapplicable check is not a failure),
 a shot's monitor drift exceeds odegen.DRIFT_TOL or a scanned inner
 horizon has surface gravity at most 1, and 0 otherwise.
 
-A curve row reads one level's records: `d_analytic` is the derivative
-through the field equations (p >= 3, else nan), `d_numeric` the one
-along the level flow, which uses no field equation.  A curve end is
-refused with the ValueError of levelset's curve on it, after its flag.
+A curve row is a row of levelset's curve and the assumption flags:
+`d_analytic` is the derivative through the field equations (p >= 3, else
+nan), `d_numeric` the one along the level flow, which uses no field
+equation.  A curve end is refused with the ValueError of levelset's curve
+on it, after its flag.  Every command writes once, through `_write`, after
+its output is computed and one line at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .geometry import StaticTriple, linspace, static_residual
 from .models import by_name
@@ -31,8 +33,8 @@ from .report import IDENTITY_TOL, IdentityReport, identity_report
 # each command runs in a process of its own, so it compiles only those.
 
 MODELS = ("desitter", "antidesitter", "sds", "nariai")  # names for by_name
-# most rows of a curve, scan or shot; a 10^6-row up-curve takes 28 s and
-# peaks at 600 MB resident on a 2-vCPU box with Python 3.11
+# most rows of a curve, scan or shot; a 10^6-row up-curve takes 27 s and
+# peaks at 240 MB resident (its rows) on a 2-vCPU box with Python 3.11
 MAX_ROWS = 10 ** 6
 
 
@@ -55,8 +57,7 @@ def _json_ready(obj):
 
 
 def _dumps(payload) -> str:
-    return json.dumps(_json_ready(payload), sort_keys=True, indent=2,
-                      default=_fmt)
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2)
 
 
 class UsageError(Exception):
@@ -70,17 +71,27 @@ def _triple(model: str, n: int, m: float) -> StaticTriple:
         raise UsageError(str(exc)) from None
 
 
-def _flags_str(flags: dict[str, bool]) -> str:
-    return ";".join(f"{k}={str(v).lower()}" for k, v in sorted(flags.items()))
-
-
-def _write_lines(path: Optional[str], lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(path: Optional[str], lines: Iterable[str]) -> None:
+    """Each of `lines` and a newline, to stdout or to the file `path`
+    opened only now; an --out that cannot be written is a usage error."""
+    ended = (line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.writelines(ended)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(ended)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write --out {path}: {exc.strerror}") from None
+
+
+def _csv(header: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """`header`, then each of `rows` as a line of `_fmt` fields, formatted
+    only when the writer reaches it."""
+    yield header
+    for row in rows:
+        yield ",".join(map(_fmt, row))
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -203,7 +214,7 @@ def cmd_models(args) -> int:
             "extremum_discrete": tr.extremum.discrete,
             "assumption_flags": levelset.assumption_flags(tr),
         })
-    print(_dumps(rows))
+    _write(None, [_dumps(rows)])
     return 0
 
 
@@ -235,15 +246,13 @@ def _curve_command(args, curve_fn) -> int:
     probes = [(f"{flag} {v:.12g}: ", [v]) for flag, v in zip(args.ends, ends)]
     for prefix, grid in probes + [("", linspace(*ends, args.steps))]:
         try:
-            curve = curve_fn(tr, args.p, grid)
+            rows = curve_fn(tr, args.p, grid)
         except ValueError as exc:
             raise UsageError(f"{prefix}{exc}") from None
-    flags = _flags_str(levelset.assumption_flags(tr))
-    lines = ["level,value,d_analytic,d_numeric,assumption_flags"]
-    for row in zip(curve.grid, curve.values, curve.d_analytic,
-                   curve.d_numeric):
-        lines.append(",".join([*map(_fmt, row), flags]))
-    _write_lines(args.out, lines)
+    flags = ";".join(f"{k}={str(v).lower()}" for k, v
+                     in sorted(levelset.assumption_flags(tr).items()))
+    _write(args.out, _csv("level,value,d_analytic,d_numeric,assumption_flags",
+                          ((*row, flags) for row in rows)))
     return 0
 
 
@@ -266,7 +275,7 @@ def cmd_check(args) -> int:
         "suite": args.suite,
         "checks": [r.as_dict() for r in reports],
     }
-    _write_lines(args.out, [_dumps(payload)])
+    _write(args.out, [_dumps(payload)])
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
@@ -274,10 +283,9 @@ def cmd_scan_sds(args) -> int:
     grid = _parse_grid(args.m_grid)
     _check_rows(f"the mass count of --m-grid {args.m_grid}", len(grid))
     horizons = [_triple("sds", args.n, m).horizons() for m in grid]
-    _write_lines(args.out, ["m,r1,r2,kappa1,kappa2"] + [
-        ",".join(_fmt(v) for v in (m, b1.location, b2.location,
-                                   b1.surface_gravity, b2.surface_gravity))
-        for m, (b1, b2) in zip(grid, horizons)])
+    _write(args.out, _csv("m,r1,r2,kappa1,kappa2", (
+        (m, b1.location, b2.location, b1.surface_gravity, b2.surface_gravity)
+        for m, (b1, b2) in zip(grid, horizons))))
     return 1 if any(b1.surface_gravity <= 1.0 for b1, _ in horizons) else 0
 
 
@@ -285,23 +293,17 @@ def cmd_shoot(args) -> int:
     from . import odegen
     _check_rows("--steps", args.steps)
     try:
-        data = odegen.HorizonData(n=args.n, lambda_sign=+1, h0=args.h0,
-                                  kappa=args.kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        tr = odegen.shoot_from_horizon(data)
-    except RuntimeError as exc:
+        tr = odegen.shoot_from_horizon(odegen.HorizonData(
+            n=args.n, lambda_sign=+1, h0=args.h0, kappa=args.kappa))
+    except (ValueError, RuntimeError) as exc:
         raise UsageError(str(exc)) from None
     system = odegen.reduce_system(args.n, +1)
-    lines = ["rho,h,u,dh,du,monitor"]
-    for rho in linspace(tr.domain[0] + 1e-6, tr.domain[1] - 1e-6,
-                        args.steps):
-        h, dh, _ = tr.h(rho)
-        u, du, _ = tr.u(rho)
-        mon = system.monitor((h, dh, u, du))
-        lines.append(",".join(_fmt(v) for v in (rho, h, u, dh, du, mon)))
-    _write_lines(args.out, lines)
+
+    def row(rho: float) -> tuple[float, ...]:
+        (h, dh, _), (u, du, _) = tr.h(rho), tr.u(rho)
+        return rho, h, u, dh, du, system.monitor((h, dh, u, du))
+    _write(args.out, _csv("rho,h,u,dh,du,monitor", map(row, linspace(
+        tr.domain[0] + 1e-6, tr.domain[1] - 1e-6, args.steps))))
     drift = odegen.monitor_drift(tr, system)
     if not drift <= odegen.DRIFT_TOL:
         sys.stderr.write(f"staticlab shoot: monitor drift {_fmt(drift)} "

@@ -10,7 +10,8 @@ with A the sphere area, and on the conformal side
 
 at s = (1/2) log|(1+t)/(1-t)|.  Both reduce to closed-form sphere sums in
 the rotationally symmetric setting.  Their derivatives are read through
-the field equations (level vs conformal mean curvature) and, on a curve,
+the field equations (level vs conformal mean curvature) and, on a curve
+(`up_curve`, `phi_curve`: rows of grid point, value and both derivatives),
 also along the level flow dx/dt = 1/u', which uses no field equation.
 
 Every function here sums over the spheres of the level that its triple
@@ -298,17 +299,6 @@ def _phi_derivative_sum(p: float, t: float,
 # --------------------------------------------------------------------------
 # curves, scans, limits
 
-@dataclass(frozen=True)
-class Curve:
-    """U_p or Phi_p on a grid of levels, with its analytic derivative
-    (NaN for p < 3) and its transport derivative along the level flow."""
-
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    d_analytic: tuple[float, ...]
-    d_numeric: tuple[float, ...]
-
-
 def _log_rate(n: int, p: float, t: float, sp: SphereData) -> float:
     """d/dt of log(|1-t^2|^(-(n+p-1)/2) h^(n-1) |u'|^p) along the level
     flow, on which the sphere through x moves at dx/dt = 1/u'.  It reads
@@ -319,25 +309,28 @@ def _log_rate(n: int, p: float, t: float, sp: SphereData) -> float:
             + ((n - 1) * sp.dh / sp.h + p * sp.d2u / sp.du) / sp.du)
 
 
+Row = tuple[float, float, float, float]  # point, value, d_analytic, d_numeric
+
+
 def _curve(triple: StaticTriple, row, p: float, grid: Sequence[float],
-           level_of) -> Curve:
-    """`row(t, radii) = (value, d_analytic, d_numeric)` over `grid`, at the
-    levels t = `level_of(point)`, each located by `_level_walk`; a p that
-    is not finite is refused (its rows read nan, or 4 pi as 1 ** nan)."""
+           level_of) -> list[Row]:
+    """The rows (point, *`row(t, radii)`) over `grid`, all built before any
+    is returned, at the levels t = `level_of(point)` that `_level_walk`
+    locates; a p that is not finite is refused (its rows read nan, or 4 pi
+    as 1 ** nan)."""
     if not math.isfinite(p):
         raise ValueError(f"exponent p must be a finite number, got {p:g}")
-    grid = tuple(grid)
     levels = [level_of(point) for point in grid]
-    rows = list(map(row, levels, _level_walk(triple, levels)))
-    values, d_ana, d_num = zip(*rows) if rows else ((), (), ())
-    return Curve(grid=grid, values=values, d_analytic=d_ana,
-                 d_numeric=d_num)
+    return [(point, *row(t, radii)) for point, t, radii
+            in zip(grid, levels, _level_walk(triple, levels))]
 
 
-def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
-    """U_p over `grid`, walked by `_level_walk`.  A level's records give the
-    value, `up_derivative` (p >= 3) and the transport derivative, the sum
-    of each sphere term of `_up_terms` times its `_log_rate`."""
+def up_curve(triple: StaticTriple, p: float,
+             grid: Sequence[float]) -> list[Row]:
+    """The rows of U_p over `grid`, walked by `_level_walk`.  A level's
+    records give the value, `up_derivative` (p >= 3) and the transport
+    derivative, the sum of each sphere term of `_up_terms` times its
+    `_log_rate`."""
     n, area = triple.n, unit_sphere_area(triple.n)
 
     def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
@@ -354,11 +347,12 @@ def up_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
     return _curve(triple, row, p, grid, lambda t: t)
 
 
-def phi_curve(triple: StaticTriple, p: float, grid: Sequence[float]) -> Curve:
-    """Phi_p over `grid`, walked by `_level_walk` and refused like
-    `level_spheres`, with the transport derivative: dt/ds = 1 - t^2 times
-    the sum of each sphere term A_g W^(p/2) times its `_log_rate` at the
-    record's u."""
+def phi_curve(triple: StaticTriple, p: float,
+              grid: Sequence[float]) -> list[Row]:
+    """The rows of Phi_p over `grid`, walked by `_level_walk` and refused
+    like `level_spheres`, with the transport derivative: dt/ds = 1 - t^2
+    times the sum of each sphere term A_g W^(p/2) times its `_log_rate` at
+    the record's u."""
     def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
         spheres = _spheres_off_band(triple, radii)
         terms = _phi_terms(p, t, spheres)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -421,6 +422,42 @@ def test_a_level_refused_inside_the_grid_exits_2_with_one_line(
                             "p=3 leaves the double range at the level u=0.3\n")
 
 
+# a short argv of each command that takes --out
+OUT_COMMANDS = {
+    "up-curve": ("up-curve", "--model", "desitter", "--p", "3", "--t0", "0.1",
+                 "--t1", "0.5", "--steps", "2"),
+    "phi-curve": ("phi-curve", "--model", "desitter", "--p", "3", "--s0",
+                  "0.1", "--s1", "0.5", "--steps", "2"),
+    "check": ("check", "--model", "desitter", "--suite", "static"),
+    "scan-sds": ("scan-sds", "--m-grid", "0.1:0.1:0.1"),
+    "shoot": ("shoot", "--h0", "1", "--kappa", "1", "--steps", "2"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+@pytest.mark.parametrize("missing", [True, False])
+def test_out_that_cannot_be_written_exits_2_with_one_line(
+        capsys, tmp_path, command, missing):
+    # a file in a directory that does not exist, and a directory
+    path = tmp_path / "missing" / "x.csv" if missing else tmp_path
+    code = main([*OUT_COMMANDS[command], "--out", str(path)])
+    captured = capsys.readouterr()
+    reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"staticlab {command}: error: cannot write "
+                            f"--out {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_a_refused_command_opens_no_out_file(capsys, tmp_path, command):
+    path = tmp_path / "out.csv"
+    assert main([*OUT_COMMANDS[command], "--n", "2", "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"staticlab {command}: error: dimension must be from 3 to 438")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("n, floor", [("3", "5e-13"), ("4", "5e-25")])
 def test_sds_below_its_mass_floor_exits_2_naming_the_interval(capsys, n,
                                                               floor):
@@ -636,3 +673,36 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=600) == 1
     assert err == b""
+
+
+# run in an interpreter of its own: a child forked or vforked from pytest
+# carries pytest's resident pages into its ru_maxrss until it execs
+PEAK = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_a_long_curve_holds_no_copy_of_its_text(tmp_path):
+    # each child's ru_maxrss from os.wait4 is its own peak; a curve's above
+    # that of `models` (interpreter and imports) is what its rows cost:
+    # 1.9x the CSV here, where they are formatted one at a time as they are
+    # written; holding the rows, their strings and the joined text at once
+    # took 4.9x
+    def peak(*argv):
+        out = subprocess.run(
+            [sys.executable, "-c", PEAK, sys.executable, "-m", "staticlab.cli",
+             *argv], env=_child_env(), stdout=subprocess.PIPE, text=True,
+            check=True).stdout
+        code, maxrss = map(int, out.split())
+        assert code == 0, argv
+        return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+    path = tmp_path / "curve.csv"
+    curve = peak("up-curve", "--model", "desitter", "--p", "3", "--t0", "0",
+                 "--t1", "0.9", "--steps", "100000", "--out", str(path))
+    assert curve - peak("models", "--n", "3") <= 3 * path.stat().st_size

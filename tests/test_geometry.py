@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from staticlab import (
@@ -26,6 +25,8 @@ from staticlab.quadrature import adaptive
 
 from oracles import (arclength_reference, numeric_curvature,
                      sds_horizon_data, surface_gravity)
+
+np = pytest.importorskip("numpy")
 
 
 def make_arclength_triple(n, h_fn, u_fn, domain):

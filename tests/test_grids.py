@@ -1,12 +1,14 @@
 """The pure-Python grids give numpy's floats bit for bit, so CLI output
 does not change with the array library gone."""
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staticlab.cli import _parse_grid
 from staticlab.geometry import linspace
+
+np = pytest.importorskip("numpy")
 
 ends = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
