@@ -82,7 +82,7 @@ def hess_phi_radial(triple: StaticTriple, x: float) -> float:
 def _ricci_g_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
-    n, d, s = sp.triple.n, sp.D, sp.triple.lambda_sign
+    n, d, s = sp.n, sp.D, sp.lambda_sign
     u, du2 = sp.u, sp.du ** 2
     common = (u * sp.lap_u / d
               + s * ((n - 1) * u * u + 1.0) * du2 / d ** 2)
@@ -99,7 +99,7 @@ def quasi_einstein_residual(sp: SphereData) -> float:
                 + (n - 2 + 2(1 - W)) g,
 
     as the max over the two independent orthonormal components."""
-    n, u = sp.triple.n, sp.u
+    n, u = sp.n, sp.u
     d, w_norm = sp._D_off_band, sp.W
     ric_rr, ric_tt = _ricci_g_components(sp)
     hp_rr, hp_tt = sp.hess_phi_components
@@ -118,7 +118,7 @@ def _radial_derivatives(sp: SphereData) -> tuple[float, float, float, float]:
     u''' comes from differentiating the potential equation
     u'' + (n-1)(h'/h) u' = -sign n u once, so like `_ricci_g_components` and
     the dictionary's lap_phi this holds on solutions."""
-    s, n = sp.triple.lambda_sign, sp.triple.n
+    s, n = sp.lambda_sign, sp.n
     u, u1, u2 = sp.u, sp.du, sp.d2u
     k = sp.dh / sp.h
     u3 = -(n - 1) * ((sp.d2h / sp.h - k * k) * u1 + k * u2) - s * n * u1
@@ -139,10 +139,10 @@ def _laplacian_g_radial(sp: SphereData, p1: float, p2: float) -> float:
 
         lap_g psi = sign * [ (1 - u^2) lap_0 psi + (n-2) u <Du, Dpsi>_0 ].
     """
-    n, u = sp.triple.n, sp.u
+    n, u = sp.n, sp.u
     lap0 = p2 + (n - 1) * (sp.dh / sp.h) * p1
-    return sp.triple.lambda_sign * ((1.0 - u ** 2) * lap0
-                                    + (n - 2) * u * sp.du * p1)
+    return sp.lambda_sign * ((1.0 - u ** 2) * lap0
+                             + (n - 2) * u * sp.du * p1)
 
 
 def _drifted_laplacian(sp: SphereData, p1: float, p2: float,
@@ -150,7 +150,7 @@ def _drifted_laplacian(sp: SphereData, p1: float, p2: float,
     """lap_g psi - (1/u + c u) <grad psi, grad phi>_g for a radial psi with
     psi' = p1 and psi'' = p2; <grad psi, grad phi>_g = sign psi' u'."""
     u = sp.u
-    pairing = sp.triple.lambda_sign * p1 * sp.du
+    pairing = sp.lambda_sign * p1 * sp.du
     return _laplacian_g_radial(sp, p1, p2) - (1.0 / u + c * u) * pairing
 
 
@@ -160,7 +160,7 @@ def bochner_residual(sp: SphereData) -> float:
         lap_g W - (1/u + (n+1)u) <grad W, grad phi>_g
             - 2 |hess phi|^2 - 2 n u^2 W (1 - W)  =  0.
     """
-    n, u = sp.triple.n, sp.u
+    n, u = sp.n, sp.u
     w1, w2, _, _ = _radial_derivatives(sp)
     return abs(_drifted_laplacian(sp, w1, w2, n + 1)
                - 2.0 * sp.hess_phi_norm2
@@ -173,7 +173,7 @@ def w_equation_residual(sp: SphereData) -> float:
         lap_g w - (1/u + (n-3)u) <grad w, grad phi>_g
             + 2 beta (|hess phi|^2 - (lap phi)^2 / n)  =  0.
     """
-    n = sp.triple.n
+    n = sp.n
     _, _, w1, w2 = _radial_derivatives(sp)
     return abs(_drifted_laplacian(sp, w1, w2, n - 3) + 2.0 * sp.D
                * (sp.hess_phi_norm2 - sp.lap_phi ** 2 / n))
@@ -187,7 +187,7 @@ def trace_identity_residual(sp: SphereData) -> float:
     with R_g computed independently through the conformal transformation law
     for the Ricci tensor."""
     ric_rr, ric_tt = _ricci_g_components(sp)
-    scalar_direct = sp.D * (ric_rr + (sp.triple.n - 1) * ric_tt)
+    scalar_direct = sp.D * (ric_rr + (sp.n - 1) * ric_tt)
     return abs(scalar_direct - sp.scalar_g)
 
 

@@ -13,10 +13,10 @@ u'' = f d2u/dr2 + f' du/dr / 2, h = r, h' = sqrt(f), h'' = f'/2, so the
 two charts share one code path and the areal chart never divides by f at a
 horizon.
 
-`sphere_data(triple, x)` builds the one pointwise record, `SphereData`,
-from one profile evaluation at x: its fields are that state, and the
-curvature of g0, the derivatives of u and the conformal dictionary (see
-`conformal`) are read from them on demand.
+`sphere_data(triple, x)` builds the one pointwise record, `SphereData`:
+plain data, the triple's n, sign and chart and the state from one profile
+evaluation at x, from which the curvature of g0, the derivatives of u and
+the conformal dictionary (see `conformal`) are read on demand.
 
 The field equations verified here are, with the cosmological constant
 normalised to sign * n(n-1)/2,
@@ -81,9 +81,9 @@ def sphere_euler_characteristic(n: int) -> int:
 
 class lazy:
     """A field computed on first read and stored in the instance's
-    `__dict__`, which then shadows this descriptor; nothing is stored when
-    the function raises.  `functools.cached_property` does the same, but
-    before Python 3.12 it takes a lock on every first read."""
+    `__dict__`, frozen or not, which then shadows this descriptor; nothing
+    is stored when the function raises.  `functools.cached_property` does
+    the same, but before Python 3.12 it takes a lock on every first read."""
 
     def __init__(self, fn: Callable):
         self.fn = fn
@@ -245,11 +245,12 @@ class StaticTriple:
         `sphere_data` is the checked entry point."""
         u, du, d2u = self.u(x)
         if self.f is None:
-            return SphereData(self, x, u, du, d2u, *self.h(x))
+            return SphereData(self.n, self.lambda_sign, False, x, u, du, d2u,
+                              *self.h(x))
         fval, f1, _ = self.f(x)
         sf = math.sqrt(max(fval, 0.0))
-        return SphereData(self, x, u, sf * du, fval * d2u + 0.5 * f1 * du,
-                          x, sf, 0.5 * f1)
+        return SphereData(self.n, self.lambda_sign, True, x, u, sf * du,
+                          fval * d2u + 0.5 * f1 * du, x, sf, 0.5 * f1)
 
     def interior_points(self, count: int) -> list[float]:
         """Uniform sample of the interior, inset by INTERIOR_PAD * span per
@@ -262,12 +263,23 @@ class StaticTriple:
         """The same solution on one side of its extremum, "inner" or
         "outer": `branches()` and `horizons()` keep only the innermost or
         outermost one where there are two.  The view shares this triple's
-        branches, so nothing is derived again."""
+        branches and slab table, so nothing is derived again."""
         if which not in ("inner", "outer"):
             raise ValueError(f"unknown branch designator {which!r}")
         view = replace(self, branch=which)
-        view.__dict__["_branches"] = self._branches
+        view.__dict__.update(_branches=self._branches, _slab=self._slab)
         return view
+
+    def slab_records(self, a: float, b: float) -> dict[float, "SphereData"]:
+        """Records by x of the last slab integrated on this triple or its
+        views, if it spans the radial interval (a, b); else a new table."""
+        if self._slab[0] != (a, b):
+            self._slab[:] = (a, b), {}
+        return self._slab[1]
+
+    @lazy
+    def _slab(self) -> list:  # [interval, records]; `replace` starts afresh
+        return [None, {}]
 
     def _on_side(self, ordered: Sequence) -> tuple:
         """`ordered`, innermost first, cut to the side of a view."""
@@ -316,21 +328,22 @@ def check_window(u: float) -> None:
             "degenerates there")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SphereData:
     """Everything known at radial point x, i.e. on the level sphere through x.
 
-    The fields are the arclength-normalised state (u, u', u'', h, h', h'')
-    from one evaluation of the profiles, and every other quantity is read
-    from them: the curvature of g0 and the derivatives of u, in orthonormal
-    (radial, sphere) components, on each read; the rest once, on first use.
-    Lazy, because the curvature-deficit integrand reaches the extremal
-    sphere, where W, H and the conformal dictionary are singular; only the
-    dictionary entries refuse the band around it (the level-set readers do
-    in `levelset.level_spheres`).
+    Plain data from `StaticTriple.radial_state`: the triple's n, lambda_sign
+    and chart (`areal`), not the triple, and the arclength-normalised state
+    (u, u', u'', h, h', h'') from one profile evaluation.  The curvature of
+    g0 and the derivatives of u, in orthonormal (radial, sphere) components,
+    are read from them on each read; the rest once, on first use: lazy, as
+    the curvature-deficit integrand reaches the extremal sphere, where W, H
+    and the dictionary are singular (only its entries refuse that band).
     """
 
-    triple: StaticTriple
+    n: int
+    lambda_sign: int
+    areal: bool
     x: float
     u: float
     du: float
@@ -348,7 +361,7 @@ class SphereData:
     def arclength_jacobian(self) -> float:
         """d(rho)/dx: 1 in the arclength chart, 1/sqrt(f) = 1/h' in the
         areal."""
-        if self.triple.f is None:
+        if not self.areal:
             return 1.0
         if not self.dh > 0.0:
             raise ValueError(f"metric function not positive at x={self.x}")
@@ -356,11 +369,11 @@ class SphereData:
 
     @property
     def ric_rr(self) -> float:
-        return -(self.triple.n - 1) * self.d2h / self.h
+        return -(self.n - 1) * self.d2h / self.h
 
     @property
     def ric_tan(self) -> float:
-        h, n = self.h, self.triple.n
+        h, n = self.h, self.n
         return -(h * self.d2h + (n - 2) * (self.dh ** 2 - 1.0)) / h ** 2
 
     @property
@@ -373,23 +386,23 @@ class SphereData:
 
     @property
     def lap_u(self) -> float:
-        return self.d2u + (self.triple.n - 1) * self.hess_u_tan
+        return self.d2u + (self.n - 1) * self.hess_u_tan
 
     @property
     def hess_u_norm2(self) -> float:
-        return self.d2u ** 2 + (self.triple.n - 1) * self.hess_u_tan ** 2
+        return self.d2u ** 2 + (self.n - 1) * self.hess_u_tan ** 2
 
     @lazy
     def area(self) -> float:
         """Sphere area w.r.t. g0."""
-        return sphere_area(self.triple.n, self.h)
+        return sphere_area(self.n, self.h)
 
     @lazy
     def D(self) -> float:
         """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
         dictionary's beta), refused where it is not positive."""
         u = self.u
-        d = self.triple.lambda_sign * (1.0 - u * u)
+        d = self.lambda_sign * (1.0 - u * u)
         if d <= 0.0:
             raise ValueError(f"conformal factor degenerate at u={u}")
         return d
@@ -399,7 +412,7 @@ class SphereData:
         """Sphere area w.r.t. the conformal metric, of radius h/sqrt(D):
         scale-free, so it does not overflow where h^(n-1) would, and inf
         past the double range."""
-        n, radius = self.triple.n, self.h / math.sqrt(self.D)
+        n, radius = self.n, self.h / math.sqrt(self.D)
         try:
             return unit_sphere_area(n) * radius ** (n - 1)
         except OverflowError:
@@ -422,7 +435,7 @@ class SphereData:
     def hess_phi_components(self) -> tuple[float, float]:
         """hess_g phi as a (0,2)-tensor in the g0-orthonormal frame."""
         u, du2, d = self.u, self.du ** 2, self.D
-        s = float(self.triple.lambda_sign)
+        s = float(self.lambda_sign)
         return (s * self.hess_u_rr / d + u * du2 / d ** 2,
                 s * self.hess_u_tan / d + u * du2 / d ** 2)
 
@@ -440,33 +453,33 @@ class SphereData:
     @lazy
     def H_g(self) -> float:
         """Mean curvature of the level w.r.t. g."""
-        d, n, u = self._D_off_band, self.triple.n, self.u
-        mean = self.H if self.triple.lambda_sign > 0 else -self.H
+        d, n, u = self._D_off_band, self.n, self.u
+        mean = self.H if self.lambda_sign > 0 else -self.H
         return math.sqrt(d) * (mean + (n - 1) * u * abs(self.du) / d)
 
     @lazy
     def hess_phi_norm2(self) -> float:
         """|hess_g phi|_g^2."""
         self._D_off_band
-        n, u, w_norm = self.triple.n, self.u, self.W
+        n, u, w_norm = self.n, self.u, self.W
         return self.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
 
     @lazy
     def lap_phi(self) -> float:
         """lap_g phi (on solutions)."""
         self._D_off_band
-        return -self.triple.n * self.u * (1.0 - self.W)
+        return -self.n * self.u * (1.0 - self.W)
 
     @lazy
     def gamma(self) -> float:
         """gamma(phi) = D^((n+2)/2) / u."""
-        return self._D_off_band ** ((self.triple.n + 2) / 2.0) / self.u
+        return self._D_off_band ** ((self.n + 2) / 2.0) / self.u
 
     @lazy
     def scalar_g(self) -> float:
         """R_g, from the trace identity."""
         self._D_off_band
-        n, u = self.triple.n, self.u
+        n, u = self.n, self.u
         return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
 
 

@@ -10,10 +10,11 @@ Jacobian, never in the conformal level coordinate (whose parametrization
 degenerates at the extremal sphere).
 
 The first and second identities share one slab body, `_slab_identity`,
-which locates each end level once and takes both fluxes and the radial
-interval from its records (`levelset.level_states`).  The curvature-deficit
-identity is stated over the whole region on the extremum's side of its
-level.  Every identity is judged at `report.IDENTITY_TOL`.
+which locates each end level once, takes both fluxes and the radial
+interval from its records, and shares one record per quadrature node with
+the other identities on that slab (`StaticTriple.slab_records`).  The
+curvature-deficit identity, over the region on the extremum's side of its
+level, reads no such table.  Every identity is judged at `IDENTITY_TOL`.
 
 Conventions: phi denotes the conformal level coordinate, W = |grad phi|_g^2,
 and for a level value tau the weights are
@@ -71,9 +72,9 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
                    flux: Callable[[Sequence[SphereData]], float],
                    integrand: Callable[[SphereData], float]
                    ) -> IdentityReport:
-    """flux(S) - flux(s) against the integral of `integrand` over the slab
-    {s < phi < S} of the triple on `branch`, each end located once; the two
-    may read n and lambda_sign of the given triple, which a view shares."""
+    """flux(S) - flux(s) against the integral of `integrand`, on the records
+    of the triple's slab table, over {s < phi < S} on `branch`, each end
+    located once; both may read n and lambda_sign, which a view shares."""
     if branch is not None:
         triple = triple.on_branch(branch)
     t_s, t_S = (t_of_s(tau, triple.lambda_sign) for tau in (s, S))
@@ -84,16 +85,18 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         raise ValueError("conformal slab must meet a single monotone branch; "
                          "pass branch='inner' or 'outer'")
     lhs = flux(at_S) - flux(at_s)
+    a, b = sorted((at_s[0].x, at_S[0].x))
+    records = triple.slab_records(a, b)
 
     def guarded(x: float) -> float:
-        sp = sphere_data(triple, x)
+        sp = records.get(x) or records.setdefault(x, sphere_data(triple, x))
         weighted = integrand(sp) * _volume_density(sp)
         try:
             return weighted / sp.D ** (triple.n / 2.0)
         except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
             return math.nan
 
-    rhs, evals = _integrate(guarded, [sorted((at_s[0].x, at_S[0].x))])
+    rhs, evals = _integrate(guarded, [(a, b)])
     return identity_report(
         name=name, lhs=lhs, rhs=rhs, tolerance=IDENTITY_TOL,
         assumptions=assumption_flags(triple), description=description,

@@ -396,8 +396,12 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     # collapsing warp) end the shot; u' falling through 0 marks an extremum
     events = ((2, U_FLOOR_REL * data.h0, True), (0, h_floor, True),
               (3, 0.0, False))
+    try:  # h0^2 or rho0^3 overflows from h0 ~ 6e105
+        start = _series_state(unit, rho0)
+    except OverflowError:
+        raise ValueError(f"h0={data.h0:g} is too large to shoot") from None
     sol, rho_end, (horizon_hits, _, extremal_rhos) = integrate(
-        system.rhs, rho0, _series_state(unit, rho0), MAX_ARCLENGTH, events)
+        system.rhs, rho0, start, MAX_ARCLENGTH, events)
     if rho_end >= MAX_ARCLENGTH - 1e-12:
         raise RuntimeError("no stop condition met within the arclength "
                            "budget; the trajectory may be blowing up")

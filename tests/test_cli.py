@@ -557,6 +557,8 @@ def test_tolerance_env_var_leaves_the_inequality_tolerances(capsys):
     ("--h0", "nan", "--kappa", "1"),
     ("--h0", "1", "--kappa", "inf"),
     ("--n", "2", "--h0", "1", "--kappa", "1"),
+    ("--h0", "1e120", "--kappa", "1"),  # the horizon series overflows
+    ("--h0", "1e300", "--kappa", "1"),
 ])
 def test_bad_shoot_input_exits_2_with_one_line(capsys, flags):
     code = main(["shoot", *flags])

@@ -40,7 +40,7 @@ def make_arclength_triple(n, h_fn, u_fn, domain):
 def curvature(sp, key):
     """A curvature entry of the record; "scalar" is the trace of Ric."""
     if key == "scalar":
-        return sp.ric_rr + (sp.triple.n - 1) * sp.ric_tan
+        return sp.ric_rr + (sp.n - 1) * sp.ric_tan
     return getattr(sp, key)
 
 

@@ -77,6 +77,10 @@ def test_horizon_data_validation():
         OG.HorizonData(3, +1, 1.0, 0.0)
     with pytest.raises(ValueError):
         OG.shoot_from_horizon(OG.HorizonData(3, -1, 1.0, 1.0))
+    # a horizon series that overflows (from h0 ~ 6e105) is refused by name
+    for h0 in (1e120, 1.4e154, 1e300):
+        with pytest.raises(ValueError, match=r"^h0=.* is too large to shoot$"):
+            OG.shoot_from_horizon(OG.HorizonData(3, +1, h0, 1.0))
 
 
 def test_series_coefficients_match_models():

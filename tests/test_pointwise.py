@@ -2,7 +2,9 @@
 quantities that are singular at the extremal sphere derived only on demand."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -81,16 +83,30 @@ def test_warped_curvature_is_the_record(all_models, monkeypatch):
             assert calls[0] - before == 1, tr.name
 
 
-@pytest.mark.parametrize("check", [
-    lambda tr, br: ID.first_identity(tr, 3, 0.5, 2.5, br),
-    lambda tr, br: ID.second_identity(tr, 3, 0.5, 2.5, br),
-    lambda tr, br: ID.curvature_deficit_identity(tr, 0.3 if tr.lambda_sign > 0
-                                                 else 2.0),
-], ids=["first", "second", "deficit"])
-def test_quadrature_node_builds_one_radial_state(all_models, check,
+def slab_identities(s, big_s):
+    """The four slab identities of the identities suite on {s < phi < S}:
+    the first at p = 1 and 3, the second at p = 3 and 5."""
+    return {
+        "first1": lambda tr, br: ID.first_identity(tr, 1, s, big_s, br),
+        "first3": lambda tr, br: ID.first_identity(tr, 3, s, big_s, br),
+        "second3": lambda tr, br: ID.second_identity(tr, 3, s, big_s, br),
+        "second5": lambda tr, br: ID.second_identity(tr, 5, s, big_s, br),
+    }
+
+
+def _branch(tr):
+    return "outer" if len(tr.branches()) == 2 else None
+
+
+@pytest.mark.parametrize("lead", ["first", "second", "deficit"])
+def test_quadrature_node_builds_one_radial_state(all_models, lead,
                                                  monkeypatch):
+    # the four slab identities on one slab build one record per node among
+    # them: in the suite's order (the first identity leading) the first
+    # integration builds them all; a different slab replaces them.  The
+    # deficit identity reads no table and builds one per node.
     calls = [0]
-    per_node = []
+    runs = []  # (node, records built there), one list per identity
     radial_state = StaticTriple.radial_state
     adaptive = ID.adaptive
 
@@ -102,16 +118,86 @@ def test_quadrature_node_builds_one_radial_state(all_models, check,
         def node(x):
             before = calls[0]
             value = f(x)
-            per_node.append(calls[0] - before)
+            runs[-1].append((x, calls[0] - before))
             return value
         return adaptive(node, a, b, config)
+
+    def built(check, tr, branch):
+        runs.append([])
+        assert check(tr, branch).status == "pass", tr.name
+        assert runs[-1], tr.name
+        return {count for _, count in runs[-1]}
+
+    def deficit(tr, _):
+        return ID.curvature_deficit_identity(
+            tr, 0.3 if tr.lambda_sign > 0 else 2.0)
 
     monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
     monkeypatch.setattr(ID, "adaptive", counted_adaptive)
     for tr in all_models:
-        branch = "outer" if len(tr.branches()) == 2 else None
-        assert check(tr, branch).status == "pass", tr.name
-    assert per_node and set(per_node) == {1}
+        tr, branch = dataclasses.replace(tr), _branch(tr)
+        slab = slab_identities(0.5, 2.5)
+        if lead == "deficit":
+            for check in slab.values():
+                built(check, tr, branch)
+            assert built(deficit, tr, branch) == {1}, tr.name
+            continue
+        order = sorted(slab, key=lambda name: not name.startswith(lead))
+        runs.clear()
+        assert built(slab[order[0]], tr, branch) == {1}, tr.name
+        for name in order[1:]:
+            later = built(slab[name], tr, branch)
+            if lead == "first":  # the order of the identities suite
+                assert later == {0}, (tr.name, name)
+        per_node: dict[float, int] = {}
+        for x, count in (node for run in runs for node in run):
+            per_node[x] = per_node.get(x, 0) + count
+        assert set(per_node.values()) == {1}, tr.name
+        other = slab_identities(0.3, 1.5)[order[0]]
+        assert built(other, tr, branch) == {1}, tr.name
+        assert built(slab[order[0]], tr, branch) == {1}, tr.name
+
+
+def _bits(report):
+    return report.lhs.hex(), report.rhs.hex(), report.extra["evaluations"]
+
+
+def test_slab_reports_keep_their_bits_with_shared_records(all_models):
+    # a report reads the same records whether it builds them or finds them
+    # in the table, or finds that a different slab replaced them
+    for tr in all_models:
+        branch = _branch(tr)
+        slab = slab_identities(0.5, 2.5)
+        for name, check in slab.items():
+            others = [c for key, c in slab.items() if key != name]
+            alone = _bits(check(dataclasses.replace(tr), branch))
+            after, between = dataclasses.replace(tr), dataclasses.replace(tr)
+            for other in others:
+                other(after, branch)
+                other(between, branch)
+            slab_identities(0.3, 1.5)[name](between, branch)
+            assert _bits(check(after, branch)) == alone, (tr.name, name)
+            assert _bits(check(between, branch)) == alone, (tr.name, name)
+
+
+def test_triple_with_slab_records_is_freed_by_reference_counts(all_models):
+    # a record holds no reference to its triple, so triple -> table ->
+    # record is no cycle: the triple and its views die with their last name
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for tr in all_models:
+            tr, branch = dataclasses.replace(tr), _branch(tr)
+            view = tr.on_branch(branch or "outer")
+            for check in slab_identities(0.5, 2.5).values():
+                check(tr, branch)
+                check(view, None)
+            refs = weakref.ref(tr), weakref.ref(view)
+            del tr, view
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("check", [
