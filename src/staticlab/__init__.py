@@ -15,7 +15,6 @@ from .geometry import (
     SphereData,
     StaticTriple,
     boundary_scalar_curvature,
-    sphere_euler_characteristic,
     static_residual,
     to_arclength,
     unit_sphere_area,
@@ -48,7 +47,6 @@ __all__ = [
     "de_sitter",
     "nariai",
     "schwarzschild_de_sitter",
-    "sphere_euler_characteristic",
     "static_residual",
     "to_arclength",
     "unit_sphere_area",

@@ -3,10 +3,10 @@
 Output is deterministic for fixed flags: floats are printed at 12
 significant digits, CSV rows and JSON keys are emitted in a canonical
 order, files are UTF-8 with LF line endings.  Exit status is 2 on usage
-errors and on shots that cannot be integrated or close at a singular
-pole, 1 when any check fails (an inapplicable check is not a failure),
-a shot's monitor drift exceeds odegen.DRIFT_TOL or a scanned inner
-horizon has surface gravity at most 1, and 0 otherwise.
+errors and on shots that cannot be integrated, close at a singular pole
+or span 2e-6 or less (rows keep 1e-6 from each end), 1 when a check fails
+(an inapplicable one does not), a shot's monitor drift exceeds
+odegen.DRIFT_TOL or a scanned inner horizon has gravity at most 1, else 0.
 
 A curve row is a row of levelset's curve and the assumption flags:
 `d_analytic` is the derivative through the field equations (p >= 3, else
@@ -297,13 +297,17 @@ def cmd_shoot(args) -> int:
             n=args.n, lambda_sign=+1, h0=args.h0, kappa=args.kappa))
     except (ValueError, RuntimeError) as exc:
         raise UsageError(str(exc)) from None
+    lo, hi = tr.domain
+    if not hi - lo > 2e-6:  # the rows keep 1e-6 from each end
+        raise UsageError(f"the shot's arclength {hi - lo:g} is not above "
+                         "the 2e-06 that its rows keep from its ends")
     system = odegen.reduce_system(args.n, +1)
 
     def row(rho: float) -> tuple[float, ...]:
         (h, dh, _), (u, du, _) = tr.h(rho), tr.u(rho)
         return rho, h, u, dh, du, system.monitor((h, dh, u, du))
     _write(args.out, _csv("rho,h,u,dh,du,monitor", map(row, linspace(
-        tr.domain[0] + 1e-6, tr.domain[1] - 1e-6, args.steps))))
+        lo + 1e-6, hi - 1e-6, args.steps))))
     drift = odegen.monitor_drift(tr, system)
     if not drift <= odegen.DRIFT_TOL:
         sys.stderr.write(f"staticlab shoot: monitor drift {_fmt(drift)} "

@@ -73,12 +73,6 @@ def sphere_area(n: int, r: float) -> float:
     return unit_sphere_area(n) * r ** (n - 1)
 
 
-def sphere_euler_characteristic(n: int) -> int:
-    """Euler characteristic of the level sphere S^(n-1): 2 when n-1 is
-    even, 0 when it is odd."""
-    return 2 if (n - 1) % 2 == 0 else 0
-
-
 class lazy:
     """A field computed on first read and stored in the instance's
     `__dict__`, frozen or not, which then shadows this descriptor; nothing

@@ -2,10 +2,9 @@
 
 Each identity equates boundary flux terms on level spheres with a bulk
 integral over the region between them.  In the rotationally symmetric
-setting the flux terms are closed-form sphere values and every bulk
-integral reduces to one radial quadrature against the sphere-area density,
-by the adaptive Gauss-Kronrod rule `quadrature.adaptive`.  Integration is
-always performed in the native radial coordinate with its arclength
+setting the flux terms are closed-form sphere values and the bulk
+integral is one call of `quadrature.adaptive` (Gauss-Kronrod) over one
+radial interval, against the sphere-area density with its arclength
 Jacobian, never in the conformal level coordinate (whose parametrization
 degenerates at the extremal sphere).
 
@@ -13,8 +12,9 @@ The first and second identities share one slab body, `_slab_identity`,
 which locates each end level once, takes both fluxes and the radial
 interval from its records, and shares one record per quadrature node with
 the other identities on that slab (`StaticTriple.slab_records`).  The
-curvature-deficit identity, over the region on the extremum's side of its
-level, reads no such table.  Every identity is judged at `IDENTITY_TOL`.
+curvature-deficit identity reads no such table: its interval runs between
+the level's two spheres, or from its one sphere to the extremum, 1e-9 of
+the domain inside its ends.  Every identity is judged at `IDENTITY_TOL`.
 
 Conventions: phi denotes the conformal level coordinate, W = |grad phi|_g^2,
 and for a level value tau the weights are
@@ -52,16 +52,6 @@ def _inv_sinh_n(triple: StaticTriple, u: float) -> float:
     return (u * u - 1.0) ** (triple.n / 2.0)
 
 
-def _integrate(f: Callable[[float], float],
-               intervals: Sequence[tuple[float, float]]) -> tuple[float, int]:
-    """The summed adaptive quadrature of f over radial intervals, and its
-    evaluations; the sum starts from the first value, so a lone -0.0 keeps
-    its sign."""
-    quads = [adaptive(f, a, b, DEFAULT_QUAD) for a, b in intervals]
-    return (sum((q.value for q in quads[1:]), quads[0].value),
-            sum(q.evaluations for q in quads))
-
-
 def _volume_density(sp: SphereData) -> float:
     """g0 volume per unit radial coordinate: |S^(n-1)| h^(n-1) drho/dx."""
     return sp.area * sp.arclength_jacobian
@@ -96,11 +86,12 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
             return math.nan
 
-    rhs, evals = _integrate(guarded, [(a, b)])
+    quad = adaptive(guarded, a, b, DEFAULT_QUAD)
     return identity_report(
-        name=name, lhs=lhs, rhs=rhs, tolerance=IDENTITY_TOL,
+        name=name, lhs=lhs, rhs=quad.value, tolerance=IDENTITY_TOL,
         assumptions=assumption_flags(triple), description=description,
-        extra={"evaluations": evals, "branch": triple.branch or "full"})
+        extra={"evaluations": quad.evaluations,
+               "branch": triple.branch or "full"})
 
 
 def _first_flux(triple: StaticTriple, p: float,
@@ -197,24 +188,22 @@ def curvature_deficit_identity(triple: StaticTriple,
     lhs = sum(sp.area / sp.u * (sp.du ** 2 * sp.H
                                 - (n - 1) / n * sp.grad_u * sp.lap_u)
               for sp in spheres)
-    radii = [sp.x for sp in spheres]
-    if len(radii) == 2:
-        intervals = [radii]
-    else:
-        # region between the level and the extremum-side end of the domain
-        (x0,) = radii
+    if len(spheres) == 2:
+        a, b = (sp.x for sp in spheres)
+    else:  # the one sphere and the extremum, inset from the domain's ends
+        (sp0,) = spheres
         lo_dom, hi_dom = triple.domain
         inset = 1e-9 * (hi_dom - lo_dom)
-        a, b = sorted((x0, triple.extremum.location))
-        intervals = [(max(a, lo_dom + inset), min(b, hi_dom - inset))]
-    rhs, evals = _integrate(integrand, intervals)
+        a, b = sorted((sp0.x, triple.extremum.location))
+        a, b = max(a, lo_dom + inset), min(b, hi_dom - inset)
+    quad = adaptive(integrand, a, b, DEFAULT_QUAD)
     return identity_report(
         name=f"curvature_deficit_identity(t={t})", lhs=lhs,
-        rhs=triple.lambda_sign * rhs, tolerance=IDENTITY_TOL,
+        rhs=triple.lambda_sign * quad.value, tolerance=IDENTITY_TOL,
         assumptions=assumption_flags(triple),
         description="flux of the trace-free Hessian deficit field against "
                     "its bulk integral",
-        extra={"evaluations": evals})
+        extra={"evaluations": quad.evaluations})
 
 
 def boundary_curvature_inequality(triple: StaticTriple) -> IdentityReport:

@@ -25,7 +25,6 @@ from .geometry import (
     boundary_scalar_curvature,
     sphere_area,
     sphere_area_from_log,
-    sphere_euler_characteristic,
     unit_sphere_area,
 )
 from .levelset import (
@@ -234,8 +233,7 @@ def n3_uniqueness_inequality(triple: StaticTriple) -> IdentityReport:
         return refusal_report("n3_uniqueness_inequality",
                               "stated for positive constant only",
                               assumptions=flags)
-    chi = sphere_euler_characteristic(triple.n)
-    rhs = sum(c.surface_gravity * chi for c in triple.boundaries)
+    rhs = sum(2 * c.surface_gravity for c in triple.boundaries)  # chi(S^2)
     rep = _count_report(
         triple, "n3_uniqueness_inequality", 2.0, rhs, flags,
         assumptions_hold(triple, flags),

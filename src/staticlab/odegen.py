@@ -374,8 +374,9 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     Stops when u returns to zero (a second horizon), when the warping
     radius collapses (a pole closing off a ball), or at the arclength
     budget.  A pole that is not smooth (h' = -1 and normalised u' = 0 at
-    the end, to POLE_TOL) raises RuntimeError, as does a failed
-    integration.  An interior zero of u' with the warp still open
+    the end, to POLE_TOL) or a failed integration raises RuntimeError; an
+    h0 of 20000 or more, whose series would start past the budget, raises
+    ValueError first.  An interior zero of u' with the warp still open
     marks an extremal sphere and integration continues through it.
 
     The returned triple is normalised to max u = 1, carries dense-output
@@ -391,17 +392,18 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     system = reduce_system(data.n, data.lambda_sign)
     unit = replace(data, kappa=1.0)
     rho0 = SERIES_HANDOFF * data.h0
+    if not rho0 < MAX_ARCLENGTH:  # below, neither h0^2 nor rho0^3 overflows
+        raise ValueError(f"h0={data.h0:g} is too large to shoot: from h0 = "
+                         f"{MAX_ARCLENGTH / SERIES_HANDOFF:g} the series "
+                         f"starts at {SERIES_HANDOFF:g} h0, not below the "
+                         f"arclength budget {MAX_ARCLENGTH:g}")
     h_floor = H_FLOOR_REL * data.h0
     # u falling to its floor (a second horizon) and h to its floor (a
     # collapsing warp) end the shot; u' falling through 0 marks an extremum
     events = ((2, U_FLOOR_REL * data.h0, True), (0, h_floor, True),
               (3, 0.0, False))
-    try:  # h0^2 or rho0^3 overflows from h0 ~ 6e105
-        start = _series_state(unit, rho0)
-    except OverflowError:
-        raise ValueError(f"h0={data.h0:g} is too large to shoot") from None
     sol, rho_end, (horizon_hits, _, extremal_rhos) = integrate(
-        system.rhs, rho0, start, MAX_ARCLENGTH, events)
+        system.rhs, rho0, _series_state(unit, rho0), MAX_ARCLENGTH, events)
     if rho_end >= MAX_ARCLENGTH - 1e-12:
         raise RuntimeError("no stop condition met within the arclength "
                            "budget; the trajectory may be blowing up")

@@ -434,6 +434,11 @@ OUT_COMMANDS = {
 }
 
 
+# a shot of arclength 3e-111, shorter than the 2e-6 its rows keep from its
+# ends: its rows lay outside the shot, printed inf and then divided by u = 0
+TINY_SHOT = ("--n", "300", "--h0", "1e-113", "--kappa", "1", "--steps", "3")
+
+
 @pytest.mark.parametrize("command", list(OUT_COMMANDS))
 @pytest.mark.parametrize("missing", [True, False])
 def test_out_that_cannot_be_written_exits_2_with_one_line(
@@ -452,10 +457,15 @@ def test_out_that_cannot_be_written_exits_2_with_one_line(
 @pytest.mark.parametrize("command", list(OUT_COMMANDS))
 def test_a_refused_command_opens_no_out_file(capsys, tmp_path, command):
     path = tmp_path / "out.csv"
-    assert main([*OUT_COMMANDS[command], "--n", "2", "--out", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"staticlab {command}: error: dimension must be from 3 to 438")
-    assert not path.exists()
+    refusals = [([*OUT_COMMANDS[command], "--n", "2"],
+                 "dimension must be from 3 to 438")]
+    if command == "shoot":
+        refusals.append((["shoot", *TINY_SHOT], "the shot's arclength "))
+    for argv, reason in refusals:
+        assert main([*argv, "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"staticlab {command}: error: {reason}")
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("n, floor", [("3", "5e-13"), ("4", "5e-25")])
@@ -557,8 +567,9 @@ def test_tolerance_env_var_leaves_the_inequality_tolerances(capsys):
     ("--h0", "nan", "--kappa", "1"),
     ("--h0", "1", "--kappa", "inf"),
     ("--n", "2", "--h0", "1", "--kappa", "1"),
-    ("--h0", "1e120", "--kappa", "1"),  # the horizon series overflows
+    ("--h0", "1e120", "--kappa", "1"),  # past the arclength budget
     ("--h0", "1e300", "--kappa", "1"),
+    TINY_SHOT,
 ])
 def test_bad_shoot_input_exits_2_with_one_line(capsys, flags):
     code = main(["shoot", *flags])
@@ -567,6 +578,18 @@ def test_bad_shoot_input_exits_2_with_one_line(capsys, flags):
     assert captured.out == ""
     assert captured.err.startswith("staticlab shoot: error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("h0", ["2.1e4", "1e6", "1e105", "1e120", "1e300"])
+def test_shoot_from_a_horizon_too_large_exits_2_naming_the_bound(capsys, h0):
+    # the series starts at SERIES_HANDOFF h0, which from h0 = 20000 is not
+    # below MAX_ARCLENGTH; one refusal for all, before the series is read
+    code, out, err = _shoot(capsys, "--h0", h0, "--kappa", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (f"staticlab shoot: error: h0={float(h0):g} is too large to "
+                   "shoot: from h0 = 20000 the series starts at 0.001 h0, "
+                   "not below the arclength budget 20\n")
 
 
 def _shoot(capsys, *flags):
@@ -616,10 +639,14 @@ def test_shoot_that_closes_at_a_singular_pole_exits_2(capsys, flags):
 
 @pytest.mark.parametrize("h0", ["1e-6", "1e6"])
 def test_shoot_that_cannot_integrate_exits_2_with_one_line(capsys, h0):
+    # 1e-6: the step size underflows; 1e6: the series start is past the
+    # arclength budget
+    reason = {"1e-6": "integration failed",
+              "1e6": "h0=1e+06 is too large to shoot"}[h0]
     code, out, err = _shoot(capsys, "--h0", h0, "--kappa", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("staticlab shoot: error: integration failed")
+    assert err.startswith(f"staticlab shoot: error: {reason}")
     assert len(err.splitlines()) == 1
 
 

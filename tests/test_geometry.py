@@ -15,7 +15,6 @@ from staticlab import (
     nariai,
     quadrature,
     schwarzschild_de_sitter,
-    sphere_euler_characteristic,
     static_residual,
     to_arclength,
     unit_sphere_area,
@@ -49,10 +48,6 @@ def test_unit_sphere_area_values():
     assert unit_sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
 
 
-def test_sphere_euler_characteristic():
-    assert [sphere_euler_characteristic(n) for n in (3, 4, 5, 6)] == [2, 0, 2, 0]
-
-
 def test_chart_and_euler_characteristic_are_derived(all_models):
     from staticlab import odegen
     from staticlab.inequalities import n3_uniqueness_inequality
@@ -60,7 +55,7 @@ def test_chart_and_euler_characteristic_are_derived(all_models):
     for tr in (*all_models, shot):
         # an areal triple has h = r, so it keeps no h profile
         assert (tr.h is None) == (tr.f is not None), tr.name
-        # each level S^2 at n = 3 has chi = 2, read from the dimension
+        # each horizon of an n = 3 triple is an S^2, of chi = 2
         if tr.boundaries:
             assert n3_uniqueness_inequality(tr).rhs == pytest.approx(
                 2 * sum(c.surface_gravity for c in tr.boundaries),

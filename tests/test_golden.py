@@ -162,14 +162,23 @@ def test_cli_output_matches_golden(name):
 
 
 def test_golden_bytes_runs_these_commands():
-    # tools/golden_bytes.py reads COMMANDS from this file without pytest
+    # tools/golden_bytes.py reads COMMANDS from this file without pytest,
+    # then the 23 commands of the seed-0 cli benchmark workload
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "golden_bytes", Path(__file__).parent.parent / "tools"
         / "golden_bytes.py")
     golden_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden_bytes)
-    assert golden_bytes.golden_commands() == COMMANDS
+    commands = list(golden_bytes.commands().items())
+    assert commands[:len(COMMANDS)] == list(COMMANDS.items())
+    assert [argv for _, argv in commands[len(COMMANDS):]] == [
+        *(["check", "--model", model, "--n", "3", "--m", "0.1", "--suite",
+           suite] for model in MODELS for suite in SUITES),
+        ["scan-sds", "--n", "3", "--m-grid", "0.01:0.19:0.01"],
+        ["shoot", "--n", "3", "--h0", "1", "--kappa", "1"],
+        ["models", "--n", "3", "--m", "0.1"],
+    ]
 
 
 if __name__ == "__main__":

@@ -1,21 +1,23 @@
-"""Check that the golden commands print the same bytes at a revision and in
-the working tree.
+"""Check that the golden commands and the `cli` benchmark workload print
+the same bytes at a revision and in the working tree.
 
     python3 tools/golden_bytes.py REV
 
-Runs each command of `tests/test_golden.COMMANDS` as a child process,
-`python -m staticlab.cli ...`, twice: on `git archive REV src` extracted to
-a temporary directory, and on the working tree's `src/`.  Prints each
-command whose exit status or stdout bytes differ, then a summary line.
-Exits 1 if any command differs, 2 if REV cannot be archived, and 0
-otherwise.  `tests/test_golden.py` compares floats within tolerance floors;
-this compares bytes, which a change that means to move no output keeps.
-Standard library and git only.
+Runs each command of `tests/test_golden.COMMANDS` and each argv of the
+seed-0 `cli` workload (`perfbench/workloads.Cli(0, ROOT).argvs`) as a child
+process, `python -m staticlab.cli ...`, twice: on `git archive REV src`
+extracted to a temporary directory, and on the working tree's `src/`.
+Prints each command whose exit status or stdout bytes differ, then a
+summary line.  Exits 1 if any command differs, 2 if REV cannot be
+archived, and 0 otherwise.  `tests/test_golden.py` compares floats within
+tolerance floors; this compares bytes, which a change that means to move
+no output keeps.  Standard library and git only.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import io
 import os
 import subprocess
@@ -26,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_TEST = ROOT / "tests" / "test_golden.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def golden_commands() -> dict[str, list[str]]:
@@ -39,6 +42,22 @@ def golden_commands() -> dict[str, list[str]]:
     exec(compile(ast.Module(body=body, type_ignores=[]), str(GOLDEN_TEST),
                  "exec"), scope)
     return scope["COMMANDS"]
+
+
+def cli_workload_commands() -> dict[str, list[str]]:
+    """The argvs of the seed-0 `cli` workload, each named by its argv;
+    seed 0 draws nothing, so building the workload imports no staticlab."""
+    spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return {" ".join(argv): argv
+            for argv in workloads.Cli(0, str(ROOT)).argvs}
+
+
+def commands() -> dict[str, list[str]]:
+    """The golden commands, then the `cli` workload's."""
+    return {**golden_commands(), **cli_workload_commands()}
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
@@ -60,14 +79,14 @@ def main(argv: list[str]) -> int:
     if archive.returncode:
         sys.stderr.write(archive.stderr.decode(errors="replace"))
         return 2
-    commands = golden_commands()
+    todo = commands()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             # the "data" filter where this Python has it (3.12, backports)
             tar.extractall(tmp, **({"filter": "data"}
                                    if hasattr(tarfile, "data_filter") else {}))
-        for name, cmd in commands.items():
+        for name, cmd in todo.items():
             (code_at, out_at), (code, out) = (run(Path(tmp) / "src", cmd),
                                               run(ROOT / "src", cmd))
             if code != code_at:
@@ -75,8 +94,8 @@ def main(argv: list[str]) -> int:
             elif out != out_at:
                 print(f"{name}: stdout differs")
             differ += (code, out) != (code_at, out_at)
-    print(f"{len(commands) - differ}/{len(commands)} golden commands "
-          f"byte-identical to {rev}")
+    print(f"{len(todo) - differ}/{len(todo)} golden and cli workload "
+          f"commands byte-identical to {rev}")
     return 1 if differ else 0
 
 
