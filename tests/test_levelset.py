@@ -155,16 +155,17 @@ def test_level_location_cost(tr, grid):
 
 # The curves benchmark grids at seed 0 (1000 levels, p = 3), each on the
 # triple the command line walks (the outer branch where there are two),
-# with the u evaluations per level that cold location (`level_radii`, then
-# the record) spent on it; and the inner branch of SdS.
+# and the inner branch of SdS.  Cold location (`level_radii`, then the
+# record) spends 9.22, 5.52, 9.02, 6.91, 9.56, 9.77 and 10.31 evaluations
+# of u per level on them, in this order.
 WALKED_CURVES = {
-    "up-desitter": ("up", de_sitter(3), (0.0, 0.99), 9.22),
-    "up-antidesitter": ("up", anti_de_sitter(3), (1.01, 20.0), 5.52),
-    "up-sds": ("up", _sds_view("outer"), (0.05, 0.95), 9.02),
-    "up-nariai": ("up", nariai(3).on_branch("outer"), (0.05, 0.95), 6.91),
-    "phi-desitter": ("phi", de_sitter(3), (0.1, 2.5), 9.56),
-    "phi-sds": ("phi", _sds_view("outer"), (0.1, 2.5), 9.77),
-    "up-sds-inner": ("up", _sds_view("inner"), (0.05, 0.95), 10.31),
+    "up-desitter": ("up", de_sitter(3), (0.0, 0.99)),
+    "up-antidesitter": ("up", anti_de_sitter(3), (1.01, 20.0)),
+    "up-sds": ("up", _sds_view("outer"), (0.05, 0.95)),
+    "up-nariai": ("up", nariai(3).on_branch("outer"), (0.05, 0.95)),
+    "phi-desitter": ("phi", de_sitter(3), (0.1, 2.5)),
+    "phi-sds": ("phi", _sds_view("outer"), (0.1, 2.5)),
+    "up-sds-inner": ("up", _sds_view("inner"), (0.05, 0.95)),
 }
 
 
@@ -192,7 +193,7 @@ def _counting_u(tr):
 
 @pytest.mark.parametrize("name", WALKED_CURVES)
 def test_level_walk_matches_cold_location(name):
-    kind, tr, ends, _ = WALKED_CURVES[name]
+    kind, tr, ends = WALKED_CURVES[name]
     _, levels = _walked_levels(kind, tr, ends)
     walked = list(LS._level_walk(tr, levels))
     assert len(walked) == len(levels)
@@ -216,7 +217,7 @@ def test_level_walk_on_a_dense_grid(ends):
 
 @pytest.mark.parametrize("name", WALKED_CURVES)
 def test_level_walk_cost(name, monkeypatch):
-    kind, tr, ends, cold_cost = WALKED_CURVES[name]
+    kind, tr, ends = WALKED_CURVES[name]
     grid, _ = _walked_levels(kind, tr, ends)
     tr, calls = _counting_u(tr)
     cold = []
@@ -224,9 +225,10 @@ def test_level_walk_cost(name, monkeypatch):
     monkeypatch.setattr(LS, "level_radii",
                         lambda tr, t: cold.append(t) or level_radii(tr, t))
     (LS.up_curve if kind == "up" else LS.phi_curve)(tr, 3, grid)
-    # one cold start (on de Sitter's grid, after its t = 0 horizon row)
+    # one cold start (on de Sitter's grid, after its t = 0 horizon row),
+    # and about one evaluation of u to step each level and one to read it
     assert len(cold) == (2 if grid[0] == 0.0 else 1)
-    assert calls[0] / len(grid) <= 0.6 * cold_cost
+    assert calls[0] / len(grid) <= 2.25
 
 
 @pytest.mark.parametrize("tr, levels, cold_rows", [
@@ -235,10 +237,11 @@ def test_level_walk_cost(name, monkeypatch):
     (de_sitter(3), [0.3, 0.31, 0.0, 0.31], [0, 2, 3]),
     # Newton stalls on the way to the extremal band
     (de_sitter(3), linspace(0.5, 1.0 - 2.0 * EXTREMUM_BAND, 3), [0, 2]),
-    # steps across most of each branch; on de Sitter the predictor of
-    # t = 0.01 from t = 0.99 lies at r = 7, outside the hemisphere
+    # steps across most of each branch: the Taylor first step lands each
+    # SdS sphere where Newton converges; on de Sitter the predictor of
+    # t = 0.01 from t = 0.99 lies outside the hemisphere
     (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
-     linspace(0.05, 0.95, 3), [0, 1, 2]),
+     linspace(0.05, 0.95, 3), [0]),
     (de_sitter(3), [0.99, 0.01], [0, 1]),
     # u reaches 6e-7 on the outer branch only (the inner one starts at
     # 8.9e-7), so the levels have 1, 1, 2, 2 and 1 spheres
@@ -261,9 +264,23 @@ def test_level_walk_falls_back_to_cold_location(tr, levels, cold_rows,
             assert radii == level_radii(tr, t)
         else:
             assert radii == pytest.approx(level_radii(tr, t), rel=1e-14)
-    # Newton gives up early: a walk costs at most 3 evaluations of u per
-    # sphere more than cold location (64 against 54 on the SdS jumps)
+    # Newton gives up early: a walk, its records included, costs at most 3
+    # evaluations of u per sphere more than cold location (22 against 18
+    # on the de Sitter jump out; 42 against 54 on the SdS jumps)
     assert walk_cost <= calls[0] + 3 * sum(map(len, walked))
+
+
+def test_a_coarse_walk_costs_no_more_than_cold_location():
+    # 3 levels across both SdS branches: the Taylor first step keeps every
+    # level walked, and level location alone costs 6.0 evaluations of u
+    # per sphere, against 9.0 cold
+    tr, calls = _counting_u(schwarzschild_de_sitter(SdSParams(n=3, m=0.1)))
+    levels = linspace(0.05, 0.95, 3)
+    spheres = sum(map(len, LS._level_walk(tr, levels)))
+    walk_cost, calls[0] = calls[0] - spheres, 0  # less one record a sphere
+    for t in levels:
+        LS.level_radii(tr, t)
+    assert walk_cost <= calls[0]
 
 
 def test_level_walk_through_an_inflection():
@@ -551,6 +568,36 @@ def test_up_curve_analytic_vs_numeric(sds01):
         scale = max(abs(value) for _, value, _, _ in rows)
         for _, _, ana, num in rows:
             assert abs(ana - num) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("model", ["desitter", "antidesitter", "sds",
+                                   "nariai"])
+@pytest.mark.parametrize("branch", [None, "inner", "outer"])
+@pytest.mark.parametrize("p", [1, 3, 4])
+def test_a_curve_row_is_the_single_level_functions(model, branch, p):
+    # a row reads one pass over its level's walked records; the functions
+    # of one level locate it cold and read their own records.  The radii
+    # agree to about 1e-14 relative, which moves U_p by up to 5.3e-15
+    # relative and Phi_p by up to 4.4e-14 (W = |Du|^2 / |1 - u^2|)
+    tr = {"desitter": de_sitter, "antidesitter": anti_de_sitter,
+          "nariai": nariai,
+          "sds": lambda n: schwarzschild_de_sitter(SdSParams(n=n, m=0.1))
+          }[model](3)
+    tr = tr if branch is None else tr.on_branch(branch)
+    t_grid = (linspace(1.01, 20.0, 20) if tr.lambda_sign < 0
+              else linspace(0.0, 0.95, 20))  # t = 0: both derivatives 0
+    for rows, rel, value_at, slope_at in (
+            (LS.up_curve(tr, p, t_grid), 1e-14, LS.up_value,
+             lambda tr, p, t: LS.up_derivative(tr, p, t)[0]),
+            (LS.phi_curve(tr, p, linspace(0.1, 2.5, 20)), 1e-13, LS.phi_p,
+             LS.phi_p_derivative)):
+        scale = max(abs(value) for _, value, _, _ in rows)
+        for point, value, ana, _ in rows:
+            assert value == pytest.approx(value_at(tr, p, point), rel=rel)
+            if p >= 3:
+                assert abs(ana - slope_at(tr, p, point)) <= 1e-12 * scale
+            elif not (tr.lambda_sign > 0 and point == 0.0):
+                assert math.isnan(ana)
 
 
 def test_up_curve_skips_analytic_below_p3(ds3):

@@ -31,6 +31,8 @@ PLATEAU = StaticTriple(
     boundaries=(), extremum=Extremum(location=2.0, count=1))
 
 NARIAI3 = nariai(3)
+ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
+    NARIAI3.domain, lambda x: (0.0, 0.0, 0.0)))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -38,8 +40,11 @@ NARIAI3 = nariai(3)
     (lambda: G.to_arclength(NARIAI3),
      "to_arclength expects an areal-chart triple"),
     # a warp that vanishes on the whole domain
-    (lambda: LS.up_value(dataclasses.replace(NARIAI3, h=RadialProfile(
-        NARIAI3.domain, lambda x: (0.0, 0.0, 0.0))), 1, 0.5),
+    (lambda: LS.up_value(ZERO_WARP, 1, 0.5),
+     "degenerate warping radius h=0.0 at x="),
+    (lambda: LS.up_curve(ZERO_WARP, 1, [0.5]),
+     "degenerate warping radius h=0.0 at x="),
+    (lambda: LS.phi_curve(ZERO_WARP, 1, [0.5]),
      "degenerate warping radius h=0.0 at x="),
     # de Sitter's u < 1 read with the sign of a negative constant
     (lambda: G.sphere_data(dataclasses.replace(de_sitter(3), lambda_sign=-1),
@@ -62,7 +67,8 @@ NARIAI3 = nariai(3)
     (lambda: LS.conformal_boundary_data(dataclasses.replace(
         anti_de_sitter(3), conformally_compact=False)),
      "triple is not conformally compact"),
-], ids=["to-arclength-chart", "zero-warp", "conformal-factor",
+], ids=["to-arclength-chart", "zero-warp", "zero-warp-up-curve",
+        "zero-warp-phi-curve", "conformal-factor",
         "mean-curvature-singular", "overdetermined-singular",
         "transport-singular", "boundary-inequality-no-boundary",
         "boundary-second-derivative-no-boundary",

@@ -7,8 +7,9 @@ Runs each command of `tests/test_golden.COMMANDS` and each argv of the
 seed-0 `cli` workload (`perfbench/workloads.Cli(0, ROOT).argvs`) as a child
 process, `python -m staticlab.cli ...`, twice: on `git archive REV src`
 extracted to a temporary directory, and on the working tree's `src/`.
-Prints each command whose exit status or stdout bytes differ, then a
-summary line.  Exits 1 if any command differs, 2 if REV cannot be
+Prints each command whose exit status or stdout bytes differ, and under
+one whose stdout differs the cells that do (`cell_diff`), then a summary
+line.  Exits 1 if any command differs, 2 if REV cannot be
 archived, and 0 otherwise.  `tests/test_golden.py` compares floats within
 tolerance floors; this compares bytes, which a change that means to move
 no output keeps.  Standard library and git only.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -69,6 +71,45 @@ def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+def cell_diff(before: str, after: str) -> list[str]:
+    """The cells in which two outputs of one command differ, one line each:
+    the key path and both values of a JSON document, or the row (data rows
+    from 1), column and both texts of a CSV table under a header line."""
+    try:
+        docs = json.loads(before), json.loads(after)
+    except ValueError:
+        docs = None
+    if docs is not None:
+        return [f"{path}: {a} -> {b}" for path, a, b in _json_diff("", *docs)]
+    old, new = before.splitlines(), after.splitlines()
+    out = []
+    if len(old) != len(new):
+        out.append(f"{len(old) - 1} rows -> {len(new) - 1} rows")
+    header = old[0].split(",") if old else []
+    for i, (a_line, b_line) in enumerate(zip(old[1:], new[1:]), 1):
+        a_row, b_row = a_line.split(","), b_line.split(",")
+        if len(a_row) != len(b_row):
+            out.append(f"row {i}: {a_line} -> {b_line}")
+            continue
+        out += [f"row {i}, {column}: {a} -> {b}" for column, a, b
+                in zip(header, a_row, b_row) if a != b]
+    return out
+
+
+def _json_diff(path: str, a, b):
+    """(key path, old text, new text) of each leaf where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from _json_diff(f"{path}.{key}" if path else key,
+                                  a[key], b[key])
+    elif (isinstance(a, list) and isinstance(b, list)
+          and len(a) == len(b)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_diff(f"{path}[{i}]", x, y)
+    elif a != b or type(a) is not type(b):
+        yield path or "(document)", json.dumps(a), json.dumps(b)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.stderr.write("usage: python3 tools/golden_bytes.py REV\n")
@@ -93,6 +134,8 @@ def main(argv: list[str]) -> int:
                 print(f"{name}: exit {code_at} at {rev}, {code} here")
             elif out != out_at:
                 print(f"{name}: stdout differs")
+                for line in cell_diff(out_at.decode(), out.decode()):
+                    print(f"  {line}")
             differ += (code, out) != (code_at, out_at)
     print(f"{len(todo) - differ}/{len(todo)} golden and cli workload "
           f"commands byte-identical to {rev}")
