@@ -125,8 +125,7 @@ def suite_static(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
     from . import conformal
     # one record per sample point, read by all five residuals
-    records = [conformal.sphere_data(triple, x)
-               for x in conformal.sample_points_off_extremum(triple, 50)]
+    records = conformal.sample_points_off_extremum(triple, 50)
     checks = [  # (name, residual, description if not the default)
         ("quasi_einstein_residual", conformal.quasi_einstein_residual, None),
         ("bochner_residual", conformal.bochner_residual, None),

@@ -31,14 +31,17 @@ EXTREMUM_BAND, and `to_conformal` returns the record of a point outside it.
 This module holds the conformal identities that read the record.  The five
 pointwise residuals (quasi-Einstein, Bochner, drift equation for w, trace
 identity, mean-curvature relation) each read one record and evaluate no
-profile again.  The radial derivatives W', W'', w' and w'' are closed forms
-in u, u', u'' and u''' (`_radial_derivatives`), with u''' from the
-potential equation differentiated once.
+profile again; `sample_points_off_extremum` returns the sample's records.
+The radial derivatives W', W'', w' and w'' are closed forms in u, u', u''
+and u''' (`_radial_derivatives`), with u''' from the potential equation
+differentiated once.  They and Ric_g's components are computed once per
+record, for the two residuals that read each.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .geometry import (  # the record's names stay bound here for readers
     EXTREMUM_BAND,
@@ -79,6 +82,18 @@ def hess_phi_radial(triple: StaticTriple, x: float) -> float:
 # --------------------------------------------------------------------------
 # pointwise identities
 
+def _per_record(fn: Callable[[SphereData], tuple]) -> Callable:
+    """`fn` of a record, computed on its first call and kept in the
+    record's `__dict__`, as two residuals read each of these."""
+    def read(sp: SphereData) -> tuple:
+        got = sp.__dict__.get(fn.__name__)
+        if got is None:
+            got = sp.__dict__[fn.__name__] = fn(sp)
+        return got
+    return read
+
+
+@_per_record
 def _ricci_g_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
@@ -111,6 +126,7 @@ def quasi_einstein_residual(sp: SphereData) -> float:
     return max(abs(ric_rr - rhs_rr), abs(ric_tt - rhs_tt))
 
 
+@_per_record
 def _radial_derivatives(sp: SphereData) -> tuple[float, float, float, float]:
     """(W', W'', w', w'') in arclength, in closed form from the record:
     with q = u'^2 and D = sign (1 - u^2), W = q / D and w = D - q.
@@ -191,8 +207,10 @@ def trace_identity_residual(sp: SphereData) -> float:
     return abs(scalar_direct - sp.scalar_g)
 
 
-def sample_points_off_extremum(triple: StaticTriple, count: int):
-    """Interior sample points for the conformal-side checkers.
+def sample_points_off_extremum(triple: StaticTriple,
+                               count: int) -> list[SphereData]:
+    """The records of the interior sample points for the conformal-side
+    checkers, each point evaluated once.
 
     Filters the degenerate band around the extremal set, and on an
     unbounded negative-constant triple restricts to the window u <= U_CAP:
@@ -209,8 +227,9 @@ def sample_points_off_extremum(triple: StaticTriple, count: int):
         hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
         span = hi - lo
     pad = INTERIOR_PAD * span  # the inset of `StaticTriple.interior_points`
-    pts = linspace(lo + pad, hi - pad, count)
-    return [x for x in pts if abs(triple.u.value(x) - 1.0) >= SAMPLE_MIN_GAP]
+    records = [sphere_data(triple, x)
+               for x in linspace(lo + pad, hi - pad, count)]
+    return [sp for sp in records if abs(sp.u - 1.0) >= SAMPLE_MIN_GAP]
 
 
 def mean_curvature_relations(sp: SphereData) -> float:

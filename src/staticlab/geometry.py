@@ -264,15 +264,19 @@ class StaticTriple:
         view.__dict__.update(_branches=self._branches, _slab=self._slab)
         return view
 
-    def slab_records(self, a: float, b: float) -> dict[float, "SphereData"]:
-        """Records by x of the last slab integrated on this triple or its
-        views, if it spans the radial interval (a, b); else a new table."""
-        if self._slab[0] != (a, b):
-            self._slab[:] = (a, b), {}
+    def slab_table(self, key: tuple) -> dict:
+        """The table of the last slab integrated on this triple or its
+        views, if `key` = (t_s, t_S, branch of the view) names it; else a
+        new, empty one.  The slab identities keep in it what they share:
+        the records of the two end levels, the assumption flags, and by
+        quadrature node x the record with its volume weight and D^(n/2).
+        Plain data only: the table holds no triple."""
+        if self._slab[0] != key:
+            self._slab[:] = key, {}
         return self._slab[1]
 
     @lazy
-    def _slab(self) -> list:  # [interval, records]; `replace` starts afresh
+    def _slab(self) -> list:  # [key, table]; `replace` starts afresh
         return [None, {}]
 
     def _on_side(self, ordered: Sequence) -> tuple:
@@ -435,8 +439,11 @@ class SphereData:
 
     @lazy
     def hess_phi_nn(self) -> float:
-        """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g."""
-        return self.D * self.hess_phi_components[0]
+        """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g: D times the
+        radial entry of `hess_phi_components`, formed alone."""
+        d = self.D
+        return d * (float(self.lambda_sign) * self.d2u / d
+                    + self.u * self.du ** 2 / d ** 2)
 
     @lazy
     def _D_off_band(self) -> float:

@@ -9,9 +9,12 @@ Jacobian, never in the conformal level coordinate (whose parametrization
 degenerates at the extremal sphere).
 
 The first and second identities share one slab body, `_slab_identity`,
-which locates each end level once, takes both fluxes and the radial
-interval from its records, and shares one record per quadrature node with
-the other identities on that slab (`StaticTriple.slab_records`).  The
+which takes both fluxes and the radial interval from the records of the
+two end levels.  The identities on one slab share its table
+(`StaticTriple.slab_table`), keyed by (t_s, t_S, branch of the view) and
+so known before any location: the first report locates the ends and
+takes the assumption flags, and by quadrature node builds the record, its
+volume weight and D^(n/2), which the other reports read.  The
 curvature-deficit identity reads no such table: its interval runs between
 the level's two spheres, or from its one sphere to the extremum, 1e-9 of
 the domain inside its ends.  Every identity is judged at `IDENTITY_TOL`.
@@ -62,34 +65,45 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
                    flux: Callable[[Sequence[SphereData]], float],
                    integrand: Callable[[SphereData], float]
                    ) -> IdentityReport:
-    """flux(S) - flux(s) against the integral of `integrand`, on the records
-    of the triple's slab table, over {s < phi < S} on `branch`, each end
-    located once; both may read n and lambda_sign, which a view shares."""
+    """flux(S) - flux(s) against the integral of `integrand`, over
+    {s < phi < S} on `branch`, from the triple's slab table: the first
+    report on the slab locates its ends, builds each node's record and
+    weights and takes the flags, and the others read them; both callables
+    may read n and lambda_sign, which a view shares."""
     if branch is not None:
         triple = triple.on_branch(branch)
     t_s, t_S = (t_of_s(tau, triple.lambda_sign) for tau in (s, S))
     if not 0.0 < s < S:
         raise ValueError("need 0 < s < S")
-    at_s, at_S = level_states(triple, t_s), level_states(triple, t_S)
+    table = triple.slab_table((t_s, t_S, triple.branch))
+    at_s, at_S = table.get("ends") or (level_states(triple, t_s),
+                                       level_states(triple, t_S))
     if len(at_s) != 1 or len(at_S) != 1:
         raise ValueError("conformal slab must meet a single monotone branch; "
                          "pass branch='inner' or 'outer'")
+    table["ends"] = at_s, at_S
     lhs = flux(at_S) - flux(at_s)
-    a, b = sorted((at_s[0].x, at_S[0].x))
-    records = triple.slab_records(a, b)
+    nodes, half_n = table.setdefault("nodes", {}), triple.n / 2.0
 
     def guarded(x: float) -> float:
-        sp = records.get(x) or records.setdefault(x, sphere_data(triple, x))
-        weighted = integrand(sp) * _volume_density(sp)
+        node = nodes.get(x)  # (record, volume weight, D^(n/2))
+        if node is None:  # the integrand refuses before the weights
+            sp = sphere_data(triple, x)
+            value = integrand(sp)
+            node = nodes[x] = sp, _volume_density(sp), sp.D ** half_n
+        else:
+            value = integrand(node[0])
         try:
-            return weighted / sp.D ** (triple.n / 2.0)
+            return value * node[1] / node[2]
         except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
             return math.nan
 
-    quad = adaptive(guarded, a, b, DEFAULT_QUAD)
+    quad = adaptive(guarded, *sorted((at_s[0].x, at_S[0].x)), DEFAULT_QUAD)
+    if "flags" not in table:
+        table["flags"] = assumption_flags(triple)
     return identity_report(
         name=name, lhs=lhs, rhs=quad.value, tolerance=IDENTITY_TOL,
-        assumptions=assumption_flags(triple), description=description,
+        assumptions=dict(table["flags"]), description=description,
         extra={"evaluations": quad.evaluations,
                "branch": triple.branch or "full"})
 

@@ -83,8 +83,8 @@ def find_root(g: Callable[[float], tuple[float, Optional[float]]],
                 nxt = 0.5 * (a + b)
         move = abs(nxt - x)
         crawl, last_move = (crawl + 1 if move >= last_move else 0), move
-        if crawl == CRAWL_STEPS:
-            nxt, last_move, crawl = 0.5 * (a + b), math.inf, 0
+        if crawl == CRAWL_STEPS:  # no move is >= inf: the next resets crawl
+            nxt, last_move = 0.5 * (a + b), math.inf
         x = nxt
     raise ValueError(f"no root located on [{lo}, {hi}] in {MAX_ITERATIONS} "
                      f"iterations; smallest |g| {best_res:.3g}")

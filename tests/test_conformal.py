@@ -52,8 +52,8 @@ def test_du_dphi_relation(all_models):
     """du/dphi = 1 - u^2, checked by finite differences along phi (one
     Richardson level removes the quadratic stencil error)."""
     for tr in all_models:
-        pts = [x for x in CF.sample_points_off_extremum(tr, 12)
-               if abs(tr.u.value(x) - 1.0) >= 1e-3]
+        pts = [sp.x for sp in CF.sample_points_off_extremum(tr, 12)
+               if abs(sp.u - 1.0) >= 1e-3]
         lo, hi = tr.domain
 
         def ratio(x, h):
@@ -87,9 +87,8 @@ def test_quasi_einstein_tight_on_hemisphere(ds3):
 
 def test_quasi_einstein_residual_on_solutions(all_models):
     for tr in all_models:
-        pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.quasi_einstein_residual(CF.sphere_data(tr, x))
-                    for x in pts)
+        worst = max(CF.quasi_einstein_residual(sp)
+                    for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-8, tr.name
 
 
@@ -112,8 +111,8 @@ def test_quasi_einstein_detects_perturbation(ds3):
 def test_bochner_residual(all_models):
     # measured maximum over these four models: 5.7e-13 (anti-de Sitter)
     for tr in all_models:
-        pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.bochner_residual(CF.sphere_data(tr, x)) for x in pts)
+        worst = max(CF.bochner_residual(sp)
+                    for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-12, tr.name
 
 
@@ -122,9 +121,8 @@ def test_w_equation_residual(all_models):
     # u = 19.8, where beta = 391 multiplies |hess phi|^2 = 0 formed from
     # terms of size n u^2, so rounding leaves 2.3e-13 of it)
     for tr in all_models:
-        pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.w_equation_residual(CF.sphere_data(tr, x))
-                    for x in pts)
+        worst = max(CF.w_equation_residual(sp)
+                    for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-9, tr.name
 
 
@@ -133,10 +131,9 @@ def test_closed_form_residuals_at_small_sds_mass(m):
     # a five-point stencil for W'' read 2.6e-8, 1.0e-6, 3.9e-4 and 2.3e-3
     # at these masses; the closed form reads at most 2.3e-10
     tr = schwarzschild_de_sitter(SdSParams(n=3, m=m))
-    for x in CF.sample_points_off_extremum(tr, 50):
-        sp = CF.sphere_data(tr, x)
-        assert CF.bochner_residual(sp) <= 1e-9, (m, x)
-        assert CF.w_equation_residual(sp) <= 1e-9, (m, x)
+    for sp in CF.sample_points_off_extremum(tr, 50):
+        assert CF.bochner_residual(sp) <= 1e-9, (m, sp.x)
+        assert CF.w_equation_residual(sp) <= 1e-9, (m, sp.x)
 
 
 def test_closed_form_residuals_detect_perturbation(ds3):
@@ -153,6 +150,8 @@ def test_closed_form_residuals_detect_perturbation(ds3):
 
 
 def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
+    # the sample's records are the suite's: u is evaluated once at each
+    # point, for the band filter and all five residuals alike
     calls = []
     radial_state = StaticTriple.radial_state
 
@@ -162,25 +161,49 @@ def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
 
     monkeypatch.setattr(StaticTriple, "radial_state", counted)
     for tr in all_models:
-        pts = CF.sample_points_off_extremum(tr, 50)
+        evaluated = []
+
+        def u_fn(x, fn=tr.u.fn):
+            evaluated.append(x)
+            return fn(x)
+
+        tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=u_fn))
+        kept = [sp.x for sp in CF.sample_points_off_extremum(tr, 50)]
+        sampled = calls[:]
         calls.clear()
+        evaluated.clear()
         cli.suite_conformal(tr, 1e-6)
-        assert calls == pts, tr.name
+        assert calls == sampled and set(kept) <= set(calls), tr.name
+        assert len(set(evaluated)) == len(evaluated), tr.name
+        calls.clear()
+
+
+def test_residuals_that_share_a_part_keep_their_bits(all_models):
+    # Ric_g's components and the radial derivatives are computed once per
+    # record, each for two residuals: a residual reads the same bits on a
+    # record whose shared part the other residual computed
+    pairs = [(CF.quasi_einstein_residual, CF.trace_identity_residual),
+             (CF.bochner_residual, CF.w_equation_residual)]
+    for tr in all_models:
+        for sp in CF.sample_points_off_extremum(tr, 10):
+            for first, then in pairs + [pair[::-1] for pair in pairs]:
+                shared = CF.sphere_data(tr, sp.x)
+                first(shared)
+                assert then(shared) == then(CF.sphere_data(tr, sp.x)), \
+                    (tr.name, sp.x)
 
 
 def test_trace_identity_residual(all_models):
     for tr in all_models:
-        pts = CF.sample_points_off_extremum(tr, 50)
-        worst = max(CF.trace_identity_residual(CF.sphere_data(tr, x))
-                    for x in pts)
+        worst = max(CF.trace_identity_residual(sp)
+                    for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-8, tr.name
 
 
 def test_mean_curvature_relation_reports(all_models):
     for tr in all_models:
-        pts = CF.sample_points_off_extremum(tr, 25)
-        for x in pts[::5]:
-            assert CF.mean_curvature_relations(CF.sphere_data(tr, x)) <= 1e-8
+        for sp in CF.sample_points_off_extremum(tr, 25)[::5]:
+            assert CF.mean_curvature_relations(sp) <= 1e-8
 
 
 def test_de_sitter_level_mean_curvature_convention(ds3):
@@ -210,15 +233,14 @@ def test_sds_mean_curvatures_across_extremal_sphere(sds01):
 def test_gradient_lemma_on_round_models(ds3, ads3):
     # 1 - |grad phi|^2 >= 0 holds with equality on the rigid models
     for tr in (ds3, ads3):
-        pts = CF.sample_points_off_extremum(tr, 100)
-        for x in pts:
-            assert 1 - CF.to_conformal(tr, x).W >= -1e-12
+        for sp in CF.sample_points_off_extremum(tr, 100):
+            assert 1 - CF.to_conformal(tr, sp.x).W >= -1e-12
 
 
 def test_sds_violates_gradient_lemma(sds01):
     # the two-horizon family sits outside the lemma's hypotheses
-    pts = CF.sample_points_off_extremum(sds01, 100)
-    ws = [CF.to_conformal(sds01, x).W for x in pts]
+    ws = [CF.to_conformal(sds01, sp.x).W
+          for sp in CF.sample_points_off_extremum(sds01, 100)]
     assert max(ws) > 1.0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -193,20 +194,42 @@ def test_slab_refusals(sds01, identity, s, S, branch, message):
     (lambda sds: ID.curvature_deficit_identity(sds, 0.3), 1),
 ], ids=["first", "second", "deficit"])
 def test_each_level_is_located_once(monkeypatch, sds01, report, located):
-    # counted wherever a staticlab module binds level_radii; the fluxes and
-    # the radial intervals read the records of one location per level
-    levels, level_radii = [], LS.level_radii
-
-    def counted(triple, t):
-        levels.append(t)
-        return level_radii(triple, t)
-
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("staticlab")
-                and getattr(module, "level_radii", None) is level_radii):
-            monkeypatch.setattr(module, "level_radii", counted)
-    assert report(sds01).status == "pass"
+    # the fluxes and the radial intervals read the records of one location
+    # per level; a fresh triple, as the shared fixture may hold the slab
+    levels = _counted(monkeypatch, "level_radii")
+    assert report(dataclasses.replace(sds01)).status == "pass"
     assert len(levels) == located
+
+
+def _counted(monkeypatch, name):
+    """The calls of `levelset.<name>`, counted wherever a staticlab module
+    binds it."""
+    calls, original = [], getattr(LS, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if (key.startswith("staticlab")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_slab_is_set_up_once(monkeypatch, sds01):
+    # the four slab identities on one slab locate its two ends and take the
+    # assumption flags once among them, and each report gets its own flags
+    levels = _counted(monkeypatch, "level_radii")
+    flags = _counted(monkeypatch, "assumption_flags")
+    tr = dataclasses.replace(sds01)
+    reports = [ID.first_identity(tr, 1, 0.5, 2.5, "outer"),
+               ID.first_identity(tr, 3, 0.5, 2.5, "outer"),
+               ID.second_identity(tr, 3, 0.5, 2.5, "outer"),
+               ID.second_identity(tr, 5, 0.5, 2.5, "outer")]
+    assert [rep.status for rep in reports] == ["pass"] * 4
+    assert (len(levels), len(flags)) == (2, 1)
+    assert len({id(rep.assumption_status) for rep in reports}) == 4
 
 
 # --------------------------------------------------------------------------

@@ -147,12 +147,21 @@ _G60, _R60 = _inner_horizon(60, 1e-4)
                  id="sqrt-horizon-no-slope"),
     pytest.param(_G20, 0.5 * _R20, _R20, 21, id="crawl-n20"),
     pytest.param(_G60, 1e-3 * _R60, _R60, 27, id="crawl-n60"),
+    # the first iterate replaces the upper end, so no end is halved yet
+    pytest.param(lambda x: (math.sqrt(x) - 0.3, None), 0.0, 1.0, 13,
+                 id="upper-end-first"),
+    # a slope 64 |g| makes every Newton step exactly 1/64 long: a move as
+    # long as the last one counts as not shrinking
+    pytest.param(lambda x: (math.sqrt(x) - 0.3,
+                            64.0 * abs(math.sqrt(x) - 0.3)),
+                 0.0, 1.0, 19, id="equal-moves"),
 ])
 def test_find_root_evaluation_counts(g, lo, hi, evaluations):
     # the count pins each rule of the solver on a fixed bracket: the Newton
-    # step and its stop, the Illinois halving of either end, the false
-    # position fallback, and the crawl counter (which fires once at n = 20
-    # and twice at n = 60)
+    # step and its stop, the Illinois halving of either end (and of neither
+    # after the first iterate), the false position fallback, and the crawl
+    # counter (which fires once at n = 20 and twice at n = 60, and counts a
+    # move of the same length as the last)
     calls = []
 
     def counted(x):

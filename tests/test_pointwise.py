@@ -180,6 +180,35 @@ def test_slab_reports_keep_their_bits_with_shared_records(all_models):
             assert _bits(check(between, branch)) == alone, (tr.name, name)
 
 
+def test_slab_reports_equal_those_of_a_fresh_triple(all_models):
+    # a report that reads its slab's ends, flags and node weights from the
+    # table is the report of a fresh triple, on every branch that takes the
+    # slab, after a switch to another slab and back, and for "inner" after
+    # "outer" on the same triple: the branch is in the key, so "inner"
+    # never reads the ends of "outer"
+    for tr in all_models:
+        fresh = {}
+
+        def alone(slab, name, branch):
+            key = slab, name, branch
+            if key not in fresh:
+                check = slab_identities(*slab)[name]
+                fresh[key] = repr(check(dataclasses.replace(tr),
+                                        branch).as_dict())
+            return fresh[key]
+
+        shared, names = dataclasses.replace(tr), list(slab_identities(0, 0))
+        two = len(tr.branches()) == 2
+        for branch in ("outer", "inner") if two else (None, "outer", "inner"):
+            # the suite's order, another slab, then back in reverse order
+            for slab, order in (((0.5, 2.5), names), ((0.3, 1.5), names[:1]),
+                                ((0.5, 2.5), names[::-1])):
+                for name in order:
+                    check = slab_identities(*slab)[name]
+                    assert repr(check(shared, branch).as_dict()) == \
+                        alone(slab, name, branch), (tr.name, branch, name)
+
+
 def test_triple_with_slab_records_is_freed_by_reference_counts(all_models):
     # a record holds no reference to its triple, so triple -> table ->
     # record is no cycle: the triple and its views die with their last name
