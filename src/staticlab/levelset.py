@@ -472,7 +472,12 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
 
     Evaluates at the two large BOUNDARY_LEVELS and removes the O(1/t^2)
     correction by Richardson extrapolation.  The induced conformal sphere
-    radius squared is h^2/(u^2-1), whence the boundary scalar curvature."""
+    radius squared is h^2/(u^2-1), whence the boundary scalar curvature.
+    The limits are a pure function of the triple and are kept in its
+    `__dict__` (nothing when this raises; `replace` starts afresh)."""
+    kept = triple.__dict__.get("_conformal_boundary_data")
+    if kept is not None:
+        return kept
     if triple.lambda_sign > 0:
         raise ValueError("conformal boundary exists only for negative constant")
     if not triple.conformally_compact:
@@ -485,9 +490,10 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
         return sp.area_g, scal, sp.D - sp.du ** 2
 
     t1, t2 = BOUNDARY_LEVELS
-    return ConformalBoundaryData(*(
-        (t2 ** 2 * v2 - t1 ** 2 * v1) / (t2 ** 2 - t1 ** 2)
-        for v1, v2 in zip(at(t1), at(t2))))
+    kept = triple.__dict__["_conformal_boundary_data"] = ConformalBoundaryData(
+        *((t2 ** 2 * v2 - t1 ** 2 * v1) / (t2 ** 2 - t1 ** 2)
+          for v1, v2 in zip(at(t1), at(t2))))
+    return kept
 
 
 def assumption_flags(triple: StaticTriple) -> dict[str, bool]:

@@ -31,7 +31,8 @@ alone, by an embedded Runge-Kutta 5(4) pair:
   an RMS error norm, a step factor of 0.9 err^(-1/5) clamped to [0.2, 10],
   and no growth on the step right after a rejection;
 - the quartic dense output of Shampine, Math. Comp. 46 (1986) 135-150,
-  looked up by bisection over the step starts;
+  looked up by bisection over the step starts; a step's quartic is built
+  the first time a point in it is read or an event crosses in it;
 - events, downward zero crossings of a state component minus a level,
   located on the dense output with `roots.find_root`.
 """
@@ -126,9 +127,12 @@ class ReducedSystem:
         return d2h, d2u
 
     def rhs(self, rho: float, y: State) -> State:
+        # `second_derivatives` inline: the integrator's innermost call
         h, dh, u, du = y
-        d2h, d2u = self.second_derivatives(h, dh, u, du)
-        return dh, d2h, du, d2u
+        n, sgn = self.n, self.lambda_sign
+        d2h = (-(n - 2) * (dh * dh - 1.0) - h * dh * du / u
+               - sgn * n * h * h) / h
+        return dh, d2h, du, -(n - 1) * u * d2h / h - sgn * n * u
 
     def monitor(self, y: Sequence[float]) -> float:
         """Residual of the trace equation lap u + sign*n*u along the state."""
@@ -259,26 +263,34 @@ def _quartic(t: float, h: float, y: State, stages) -> tuple:
               + P74 * g3)))
 
 
-def _horner(p: tuple, x: float) -> float:
-    c0, c1, c2, c3, c4 = p
-    return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-
-
 @dataclass(frozen=True)
 class DenseSolution:
-    """Piecewise-quartic dense output of an integration: `pieces[i]` is the
-    interpolant of the step that starts at `starts[i]`.  A point on a step
-    boundary reads the earlier step; points outside extrapolate the first
-    or last step."""
+    """Piecewise-quartic dense output of an integration: `steps[i]` is the
+    (t, h, y, stages) of the step that starts at `starts[i]`, and
+    `pieces[i]` its interpolant, None until a point in the step is read or
+    an event crosses in it.  A point on a step boundary reads the earlier
+    step; points outside extrapolate the first or last step."""
 
     starts: list[float]
-    pieces: list[tuple]
+    steps: list[tuple]
+    pieces: list[tuple | None]
+
+    def _piece(self, i: int) -> tuple:
+        piece = self.pieces[i]
+        if piece is None:
+            piece = self.pieces[i] = _quartic(*self.steps[i])
+        return piece
 
     def __call__(self, t: float) -> State:
-        i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.pieces) - 1)
-        t0, h, (p0, p1, p2, p3) = self.pieces[i]
+        i = min(max(bisect_left(self.starts, t) - 1, 0), len(self.steps) - 1)
+        t0, h, ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4),
+                (c0, c1, c2, c3, c4), (d0, d1, d2, d3, d4)) = (
+                    self.pieces[i] or self._piece(i))
         x = (t - t0) / h
-        return _horner(p0, x), _horner(p1, x), _horner(p2, x), _horner(p3, x)
+        return (a0 + x * (a1 + x * (a2 + x * (a3 + x * a4))),
+                b0 + x * (b1 + x * (b2 + x * (b3 + x * b4))),
+                c0 + x * (c1 + x * (c2 + x * (c3 + x * c4))),
+                d0 + x * (d1 + x * (d2 + x * (d3 + x * d4))))
 
 
 def _crossing(piece: tuple, component: int, level: float, t_end: float,
@@ -321,7 +333,9 @@ def integrate(rhs: Rhs, t0: float, y0: State, t_bound: float,
     budget = MAX_STEPS
     t, y = t0, y0
     starts: list[float] = []
-    pieces: list[tuple] = []
+    steps: list[tuple] = []
+    pieces: list[tuple | None] = []
+    sol = DenseSolution(starts, steps, pieces)
     crossings: list[list[float]] = [[] for _ in events]
     g = [y0[i] - level for i, level, _ in events]
     while t < t_bound:
@@ -351,21 +365,21 @@ def integrate(rhs: Rhs, t0: float, y0: State, t_bound: float,
                 break
             step *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
-        piece = _quartic(t, h, y, stages)
         starts.append(t)
-        pieces.append(piece)
+        steps.append((t, h, y, stages))
+        pieces.append(None)
         t, y, k1 = t_new, y_new, stages[-1]
         g_new = [y[i] - level for i, level, _ in events]
         found = sorted(
-            (_crossing(piece, i, level, t, g[j], g_new[j]), j)
+            (_crossing(sol._piece(-1), i, level, t, g[j], g_new[j]), j)
             for j, (i, level, _) in enumerate(events)
             if g[j] >= 0.0 >= g_new[j])
         for root, j in found:
             crossings[j].append(root)
             if events[j][2]:
-                return DenseSolution(starts, pieces), root, crossings
+                return sol, root, crossings
         g = g_new
-    return DenseSolution(starts, pieces), t, crossings
+    return sol, t, crossings
 
 
 def shoot_from_horizon(data: HorizonData) -> StaticTriple:
@@ -437,20 +451,23 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
                 "and 0")
     domain_end = rho_bdry if hit_second_horizon else rho_end
 
-    def raw_state(rho: float) -> State:
-        if rho <= rho0:
-            return _series_state(unit, rho)
-        return sol(rho)
+    # u and h are read in pairs at one point: the point read last is kept
+    # with both rows, as one tuple so that a read sees one point's values
+    last = [(math.nan, None, None)]
+
+    def read(rho: float) -> tuple:
+        h, dh, u, du = _series_state(unit, rho) if rho <= rho0 else sol(rho)
+        d2h, d2u = system.second_derivatives(h, dh, u, du)
+        last[0] = got = rho, (h, dh, d2h), (scale * u, scale * du, scale * d2u)
+        return got
 
     def u_fn(rho: float) -> tuple[float, float, float]:
-        h, dh, u, du = raw_state(rho)
-        _, d2u = system.second_derivatives(h, dh, u, du)
-        return scale * u, scale * du, scale * d2u
+        got = last[0]
+        return (got if got[0] == rho else read(rho))[2]
 
     def h_fn(rho: float) -> tuple[float, float, float]:
-        h, dh, u, du = raw_state(rho)
-        d2h, _ = system.second_derivatives(h, dh, u, du)
-        return h, dh, d2h
+        got = last[0]
+        return (got if got[0] == rho else read(rho))[1]
 
     if extremal_rhos:
         h_star = sol(rho_star)[0]

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from staticlab import (RadialProfile, SdSParams, de_sitter, nariai,
+from staticlab import (RadialProfile, SdSParams, cli, de_sitter, nariai,
                        schwarzschild_de_sitter)
 from staticlab import identities as ID
 from staticlab import inequalities as IQ
+from staticlab import levelset as LS
 from staticlab.levelset import assumption_flags, conformal_boundary_data
 from staticlab.models import ADS_R_MAX
 from staticlab.report import inequality_report
@@ -184,6 +185,32 @@ def test_vanishing_gradient_limit_gates(ads3_gradient_limit_half):
         0.5, abs=1e-9)
     for rep in (IQ.willmore_bound(tr), ID.boundary_curvature_inequality(tr)):
         assert rep.status == "inapplicable", rep.name
+
+
+def test_boundary_limits_are_computed_once_per_triple(monkeypatch, ads3):
+    # the identities and inequalities suites read the conformal boundary
+    # limits from the flags and from three statements; a fresh triple
+    # computes them once, and a failed call keeps nothing
+    built, data = [], LS.ConformalBoundaryData
+
+    def counted(*limits):
+        built.append(limits)
+        return data(*limits)
+
+    monkeypatch.setattr(LS, "ConformalBoundaryData", counted)
+    tr = dataclasses.replace(ads3)
+    reports = (cli.suite_identities(tr, 1e-6)
+               + cli.suite_inequalities(tr, 1e-6))
+    assert {rep.status for rep in reports} <= {"pass", "inapplicable"}
+    assert len(built) == 1
+    assert conformal_boundary_data(tr) is conformal_boundary_data(tr)
+    assert conformal_boundary_data(dataclasses.replace(tr)) is not \
+        conformal_boundary_data(tr)
+    assert len(built) == 2
+    ds = de_sitter(3)
+    with pytest.raises(ValueError, match="exists only for negative constant"):
+        conformal_boundary_data(ds)
+    assert "_conformal_boundary_data" not in vars(ds)
 
 
 def test_n3_uniqueness_requires_dimension_three(ds4):

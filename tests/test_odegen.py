@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import pytest
 
@@ -271,3 +272,109 @@ def test_shot_matches_scipy_rk45(monkeypatch, n, h0):
         got = ours.h(rho)[:2] + ours.u(rho)[:2]
         want = oracle.h(rho)[:2] + oracle.u(rho)[:2]
         assert max(abs(g - w) for g, w in zip(got, want)) <= bound, rho
+
+
+# repr of (domain, boundaries, extremum, normalization_factor,
+# monitor_drift) of the five reconstruct-workload shots, n = 3, kappa = 1
+RECONSTRUCT_SHOTS = {
+    0.6: (
+        '((0.0, 1.8135634295323229), (BoundaryComponent(location=0.0, '
+        'sphere_radius=0.6, surface_gravity=1.68802612804574), '
+        'BoundaryComponent(location=1.8135634295323229, '
+        'sphere_radius=0.5544003745317797, '
+        'surface_gravity=1.7793837261085894)), '
+        'Extremum(location=0.9219912572549399, count=None), '
+        '1.68802612804574, 1.2500001034254637e-12)'),
+    0.7: (
+        '((0.0, 1.806227022517338), (BoundaryComponent(location=0.0, '
+        'sphere_radius=0.7, surface_gravity=1.5177182113627063), '
+        'BoundaryComponent(location=1.806227022517338, '
+        'sphere_radius=0.44529868602893924, '
+        'surface_gravity=2.0565125293523727)), '
+        'Extremum(location=0.9897539686497171, count=None), '
+        '1.5177182113627063, 2.94588242688576e-11)'),
+    0.8: (
+        '((0.0, 1.784819903906891), (BoundaryComponent(location=0.0, '
+        'sphere_radius=0.8, surface_gravity=1.3713594791051513), '
+        'BoundaryComponent(location=1.784819903906891, '
+        'sphere_radius=0.32111025509248614, '
+        'surface_gravity=2.5648767533891483)), '
+        'Extremum(location=1.0647285033128902, count=None), '
+        '1.3713594791051513, 4.9640513921644924e-11)'),
+    0.9: (
+        '((0.0, 1.7356337550748377), (BoundaryComponent(location=0.0, '
+        'sphere_radius=0.9, surface_gravity=1.2291298168869769), '
+        'BoundaryComponent(location=1.7356337550748377, '
+        'sphere_radius=0.17649820430760782, '
+        'surface_gravity=3.973318454949691)), '
+        'Extremum(location=1.1628694462024358, count=None), '
+        '1.2291298168869769, 9.13111808387157e-11)'),
+    1.0: (
+        '((0.0, 1.5706963268027625), (BoundaryComponent(location=0.0, '
+        'sphere_radius=1.0, surface_gravity=1.000000014255343),), '
+        'Extremum(location=1.5706963268027625, count=1), 1.000000014255343,'
+        ' 4.0613304386205584e-11)'),
+}
+
+
+@pytest.mark.parametrize("h0", sorted(RECONSTRUCT_SHOTS))
+def test_reconstruct_shots_keep_their_bits(h0):
+    tr = OG.shoot_from_horizon(OG.HorizonData(3, +1, h0, 1.0))
+    drift = OG.monitor_drift(tr, OG.reduce_system(3, +1))
+    assert repr((tr.domain, tr.boundaries, tr.extremum,
+                 tr.normalization_factor, drift)) == RECONSTRUCT_SHOTS[h0]
+
+
+def test_profile_reads_in_any_order_keep_their_bits():
+    """u and h share the evaluation of the point read last: each read, in
+    any order, gives the tuple a fresh shot gives."""
+    data = OG.HorizonData(3, +1, 0.8, 1.0)
+    a, b, c = 0.3, 1.1, 4e-4  # c is on the horizon series, up to 8e-4
+
+    def fresh(which, rho):
+        return repr(getattr(OG.shoot_from_horizon(data), which)(rho))
+
+    orders = ([("u", a), ("h", a)], [("h", b), ("u", b)],
+              [("u", a), ("u", a), ("h", a), ("h", a)],
+              [("u", a), ("h", b), ("u", a), ("h", b), ("u", c), ("h", a)],
+              [("h", c), ("u", c), ("u", b), ("h", c)])
+    want = {read: fresh(*read) for order in orders for read in order}
+    for order in orders:
+        tr = OG.shoot_from_horizon(data)
+        got = [repr(getattr(tr, which)(rho)) for which, rho in order]
+        assert got == [want[read] for read in order], order
+
+
+def test_quartics_are_built_for_the_steps_read(monkeypatch):
+    """After a shot and its drift, the dense output holds the quartics of
+    the steps a point was read in and of the steps an event crossed in, and
+    of no other step."""
+    sols, crossed, read = [], [], []
+    integrate, crossing = OG.integrate, OG._crossing
+    call = OG.DenseSolution.__call__
+
+    def kept(*args):
+        sols.append(integrate(*args))
+        return sols[-1]
+
+    def located(piece, *args):
+        crossed.append(piece[0])
+        return crossing(piece, *args)
+
+    def reading(sol, t):
+        read.append(t)
+        return call(sol, t)
+
+    monkeypatch.setattr(OG, "integrate", kept)
+    monkeypatch.setattr(OG, "_crossing", located)
+    monkeypatch.setattr(OG.DenseSolution, "__call__", reading)
+    tr = OG.shoot_from_horizon(OG.HorizonData(3, +1, 0.8, 1.0))
+    OG.monitor_drift(tr, OG.reduce_system(3, +1))
+    ((sol, _, _),) = sols
+    last = len(sol.steps) - 1
+    want = ({min(max(bisect_left(sol.starts, t) - 1, 0), last) for t in read}
+            | {sol.starts.index(t0) for t0 in crossed})
+    built = {i for i, piece in enumerate(sol.pieces) if piece is not None}
+    assert crossed and built == want
+    assert len(built) < len(sol.steps)
+    assert all(sol.pieces[i] == OG._quartic(*sol.steps[i]) for i in built)
