@@ -23,8 +23,8 @@ weighted divergence identities take one common form.
 
 Everything is computed from g0-side quantities through these dictionaries;
 no second metric representation is ever stored.  The dictionary entries
-are lazy properties of the pointwise record `geometry.SphereData`, next to
-D, W and the curvature of g0, and are derived from its fields, the radial
+are properties of the pointwise record `geometry.SphereData`, next to D, W
+and the curvature of g0, computed on each read from its fields, the radial
 state (u, u', u'', h, h', h''); each refuses the band |u - 1| <
 EXTREMUM_BAND, and `to_conformal` returns the record of a point outside it.
 
@@ -115,7 +115,8 @@ def quasi_einstein_residual(sp: SphereData) -> float:
 
     as the max over the two independent orthonormal components."""
     n, u = sp.n, sp.u
-    d, w_norm = sp._D_off_band, sp.W
+    check_window(u)
+    d, w_norm = sp.D, sp.W
     ric_rr, ric_tt = _ricci_g_components(sp)
     hp_rr, hp_tt = sp.hess_phi_components
     coeff = 1.0 / u - (n - 1) * u

@@ -16,7 +16,7 @@ horizon.
 `sphere_data(triple, x)` builds the one pointwise record, `SphereData`:
 plain data, the triple's n, sign and chart and the state from one profile
 evaluation at x, from which the curvature of g0, the derivatives of u and
-the conformal dictionary (see `conformal`) are read on demand.
+the conformal dictionary (see `conformal`) are computed on each read.
 
 The field equations verified here are, with the cosmological constant
 normalised to sign * n(n-1)/2,
@@ -268,9 +268,10 @@ class StaticTriple:
         """The table of the last slab integrated on this triple or its
         views, if `key` = (t_s, t_S, branch of the view) names it; else a
         new, empty one.  The slab identities keep in it what they share:
-        the records of the two end levels, the assumption flags, and by
-        quadrature node x the record with its volume weight and D^(n/2).
-        Plain data only: the table holds no triple."""
+        the records of the two end levels, the assumption flags, by
+        quadrature node x the record with its volume weight and D^(n/2),
+        and each identity's terms of that record.  Plain data only: the
+        table holds no triple."""
         if self._slab[0] != key:
             self._slab[:] = key, {}
         return self._slab[1]
@@ -332,11 +333,11 @@ class SphereData:
 
     Plain data from `StaticTriple.radial_state`: the triple's n, lambda_sign
     and chart (`areal`), not the triple, and the arclength-normalised state
-    (u, u', u'', h, h', h'') from one profile evaluation.  The curvature of
-    g0 and the derivatives of u, in orthonormal (radial, sphere) components,
-    are read from them on each read; the rest once, on first use: lazy, as
-    the curvature-deficit integrand reaches the extremal sphere, where W, H
-    and the dictionary are singular (only its entries refuse that band).
+    (u, u', u'', h, h', h'') from one profile evaluation.  Every other entry,
+    in orthonormal (radial, sphere) components, is computed from them on
+    each read and kept nowhere, and refuses only when read: the
+    curvature-deficit integrand reaches the extremal sphere, where W, H and
+    the dictionary are singular (only its entries refuse that band).
     """
 
     n: int
@@ -390,12 +391,12 @@ class SphereData:
     def hess_u_norm2(self) -> float:
         return self.d2u ** 2 + (self.n - 1) * self.hess_u_tan ** 2
 
-    @lazy
+    @property
     def area(self) -> float:
         """Sphere area w.r.t. g0."""
         return sphere_area(self.n, self.h)
 
-    @lazy
+    @property
     def D(self) -> float:
         """|1 - u^2| = sign (1 - u^2), the conformal denominator (the
         dictionary's beta), refused where it is not positive."""
@@ -405,7 +406,7 @@ class SphereData:
             raise ValueError(f"conformal factor degenerate at u={u}")
         return d
 
-    @lazy
+    @property
     def area_g(self) -> float:
         """Sphere area w.r.t. the conformal metric, of radius h/sqrt(D):
         scale-free, so it does not overflow where h^(n-1) would, and inf
@@ -416,12 +417,12 @@ class SphereData:
         except OverflowError:
             return math.inf
 
-    @lazy
+    @property
     def W(self) -> float:
         """|Du|^2 / |1 - u^2|."""
         return self.du ** 2 / self.D
 
-    @lazy
+    @property
     def H(self) -> float:
         """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
         H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
@@ -437,7 +438,7 @@ class SphereData:
         return (s * self.hess_u_rr / d + u * du2 / d ** 2,
                 s * self.hess_u_tan / d + u * du2 / d ** 2)
 
-    @lazy
+    @property
     def hess_phi_nn(self) -> float:
         """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g: D times the
         radial entry of `hess_phi_components`, formed alone."""
@@ -445,41 +446,37 @@ class SphereData:
         return d * (float(self.lambda_sign) * self.d2u / d
                     + self.u * self.du ** 2 / d ** 2)
 
-    @lazy
-    def _D_off_band(self) -> float:
-        """D, refused in the extremal band; read by every entry below."""
-        check_window(self.u)
-        return self.D
-
-    @lazy
+    @property
     def H_g(self) -> float:
         """Mean curvature of the level w.r.t. g."""
-        d, n, u = self._D_off_band, self.n, self.u
+        check_window(self.u)
+        d, n, u = self.D, self.n, self.u
         mean = self.H if self.lambda_sign > 0 else -self.H
         return math.sqrt(d) * (mean + (n - 1) * u * abs(self.du) / d)
 
-    @lazy
+    @property
     def hess_phi_norm2(self) -> float:
         """|hess_g phi|_g^2."""
-        self._D_off_band
+        check_window(self.u)
         n, u, w_norm = self.n, self.u, self.W
         return self.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
 
-    @lazy
+    @property
     def lap_phi(self) -> float:
         """lap_g phi (on solutions)."""
-        self._D_off_band
+        check_window(self.u)
         return -self.n * self.u * (1.0 - self.W)
 
-    @lazy
+    @property
     def gamma(self) -> float:
         """gamma(phi) = D^((n+2)/2) / u."""
-        return self._D_off_band ** ((self.n + 2) / 2.0) / self.u
+        check_window(self.u)
+        return self.D ** ((self.n + 2) / 2.0) / self.u
 
-    @lazy
+    @property
     def scalar_g(self) -> float:
         """R_g, from the trace identity."""
-        self._D_off_band
+        check_window(self.u)
         n, u = self.n, self.u
         return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
 
@@ -487,7 +484,7 @@ class SphereData:
 def sphere_data(triple: StaticTriple, x: float) -> SphereData:
     """The pointwise record at an interior point x, built from one profile
     evaluation."""
-    lo, hi = triple.domain
+    lo, hi = triple.u.domain
     if not (lo < x < hi):
         raise ValueError(f"x={x} outside the open interior ({lo}, {hi})")
     sp = triple.radial_state(x)

@@ -14,7 +14,8 @@ two end levels.  The identities on one slab share its table
 (`StaticTriple.slab_table`), keyed by (t_s, t_S, branch of the view) and
 so known before any location: the first report locates the ends and
 takes the assumption flags, and by quadrature node builds the record, its
-volume weight and D^(n/2), which the other reports read.  The
+volume weight and D^(n/2); each identity reads its own terms of a node's
+record once, into a tuple of floats that its reports share.  The
 curvature-deficit identity reads no such table: its interval runs between
 the level's two spheres, or from its one sphere to the extremum, 1e-9 of
 the domain inside its ends.  Every identity is judged at `IDENTITY_TOL`.
@@ -63,12 +64,13 @@ def _volume_density(sp: SphereData) -> float:
 def _slab_identity(triple: StaticTriple, s: float, S: float,
                    branch: Optional[str], name: str, description: str,
                    flux: Callable[[Sequence[SphereData]], float],
-                   integrand: Callable[[SphereData], float]
-                   ) -> IdentityReport:
-    """flux(S) - flux(s) against the integral of `integrand`, over
+                   terms: Callable[[StaticTriple, SphereData], tuple],
+                   integrand: Callable[..., float]) -> IdentityReport:
+    """flux(S) - flux(s) against the integral of `integrand(*terms)`, over
     {s < phi < S} on `branch`, from the triple's slab table: the first
     report on the slab locates its ends, builds each node's record and
-    weights and takes the flags, and the others read them; both callables
+    weights and takes the flags, and the first report that reads `terms`
+    of a node keeps them under `terms` for the others.  All three callables
     may read n and lambda_sign, which a view shares."""
     if branch is not None:
         triple = triple.on_branch(branch)
@@ -84,17 +86,21 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
     table["ends"] = at_s, at_S
     lhs = flux(at_S) - flux(at_s)
     nodes, half_n = table.setdefault("nodes", {}), triple.n / 2.0
+    read = table.setdefault(terms, {})
 
     def guarded(x: float) -> float:
-        node = nodes.get(x)  # (record, volume weight, D^(n/2))
-        if node is None:  # the integrand refuses before the weights
-            sp = sphere_data(triple, x)
-            value = integrand(sp)
-            node = nodes[x] = sp, _volume_density(sp), sp.D ** half_n
-        else:
-            value = integrand(node[0])
+        at_x = read.get(x)  # (terms of the record, volume weight, D^(n/2))
+        if at_x is None:
+            node = nodes.get(x)  # (record, volume weight, D^(n/2))
+            sp = sphere_data(triple, x) if node is None else node[0]
+            values = terms(triple, sp)  # the terms refuse before the weights
+            if node is None:
+                node = nodes[x] = sp, _volume_density(sp), sp.D ** half_n
+            at_x = read[x] = values, node[1], node[2]
+        values, weight, d_half_n = at_x
+        value = integrand(*values)
         try:
-            return value * node[1] / node[2]
+            return value * weight / d_half_n
         except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
             return math.nan
 
@@ -118,6 +124,15 @@ def _first_flux(triple: StaticTriple, p: float,
                for sp in spheres)
 
 
+def _first_terms(triple: StaticTriple, sp: SphereData) -> tuple:
+    """What the first integrand reads of a node's record, in the order it
+    read it: coth(phi), W (so D refuses first), then the band, then
+    1/sinh(phi)^n."""
+    u = sp.u
+    return (1.0 / u if triple.lambda_sign > 0 else u, sp.W, sp.hess_phi_nn,
+            sp.lap_phi, _inv_sinh_n(triple, u))
+
+
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
                    branch: Optional[str] = None) -> IdentityReport:
     """Divergence identity for the field W^((p-1)/2) grad phi / sinh(phi)^n
@@ -133,16 +148,25 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     if p < 1:
         raise ValueError("asserted for p >= 1")
 
-    def integrand(sp: SphereData) -> float:
-        coth_phi = 1.0 / sp.u if triple.lambda_sign > 0 else sp.u
-        core = ((p - 1) * (sp.W * sp.hess_phi_nn) + sp.W * sp.lap_phi
-                - triple.n * coth_phi * sp.W ** 2)
-        return sp.W ** ((p - 3) / 2.0) * core * _inv_sinh_n(triple, sp.u)
+    n, exponent = triple.n, (p - 3) / 2.0
+
+    def integrand(coth_phi: float, w_norm: float, hess_nn: float,
+                  lap_phi: float, inv_sinh_n: float) -> float:
+        core = ((p - 1) * (w_norm * hess_nn) + w_norm * lap_phi
+                - n * coth_phi * w_norm ** 2)
+        return w_norm ** exponent * core * inv_sinh_n
 
     return _slab_identity(
         triple, s, S, branch, f"first_integral_identity(p={p}, s={s}, S={S})",
         "weighted gradient-flux divergence identity on a conformal slab",
-        lambda spheres: _first_flux(triple, p, spheres), integrand)
+        lambda spheres: _first_flux(triple, p, spheres), _first_terms,
+        integrand)
+
+
+def _second_terms(triple: StaticTriple, sp: SphereData) -> tuple:
+    """What the second integrand reads of a node's record, in the order it
+    read it: |hess phi|^2 (so the band refuses first), then gamma."""
+    return sp.hess_phi_norm2, sp.hess_phi_nn, sp.u, sp.W, sp.gamma
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -167,16 +191,17 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
             sp.W ** ((p - 1) / 2.0) * sp.H_g
             - sp.W ** ((p - 2) / 2.0) * sp.lap_phi) for sp in spheres)
 
-    def integrand(sp: SphereData) -> float:
-        core = (sp.hess_phi_norm2 + (p - 3) * sp.hess_phi_nn ** 2
-                + triple.n * sp.u ** 2 * sp.W * (1.0 - sp.W))
-        return sp.gamma * sp.W ** ((p - 3) / 2.0) * core
+    def integrand(hess_norm2: float, hess_nn: float, u: float, w_norm: float,
+                  gamma: float) -> float:
+        core = (hess_norm2 + (p - 3) * hess_nn ** 2
+                + triple.n * u ** 2 * w_norm * (1.0 - w_norm))
+        return gamma * w_norm ** ((p - 3) / 2.0) * core
 
     return _slab_identity(
         triple, s, S, branch,
         f"second_integral_identity(p={p}, s={s}, S={S})",
         "weighted Bochner divergence identity on a conformal slab",
-        minus_weighted_boundary, integrand)
+        minus_weighted_boundary, _second_terms, integrand)
 
 
 def curvature_deficit_identity(triple: StaticTriple,

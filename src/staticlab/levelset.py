@@ -69,14 +69,6 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
     return tuple(sorted(radii))
 
 
-def _level_walk(triple: StaticTriple,
-                levels: Sequence[float]) -> list[tuple[float, ...]]:
-    """The radii `_curve` walks to on `levels`."""
-    return [row[1] for row in _curve(
-        triple, lambda t, states, spheres: (tuple(st[0] for st in states),),
-        0.0, levels, lambda t: t)]
-
-
 def _walk_sphere(fn, t: float, state: tuple[float, ...], lo: float,
                  hi: float) -> Optional[tuple[float, ...]]:
     """Newton on u(x) = t, u = `fn`, from `state` = (x, u, u', u'') of the

@@ -370,14 +370,16 @@ def integrate(rhs: Rhs, t0: float, y0: State, t_bound: float,
         pieces.append(None)
         t, y, k1 = t_new, y_new, stages[-1]
         g_new = [y[i] - level for i, level, _ in events]
-        found = sorted(
-            (_crossing(sol._piece(-1), i, level, t, g[j], g_new[j]), j)
-            for j, (i, level, _) in enumerate(events)
-            if g[j] >= 0.0 >= g_new[j])
-        for root, j in found:
-            crossings[j].append(root)
-            if events[j][2]:
-                return sol, root, crossings
+        for a, b in zip(g, g_new):  # a step seldom crosses an event
+            if a >= 0.0 >= b:
+                for root, j in sorted((_crossing(sol._piece(-1), i, level, t,
+                                                 g[j], g_new[j]), j)
+                                      for j, (i, level, _) in enumerate(events)
+                                      if g[j] >= 0.0 >= g_new[j]):
+                    crossings[j].append(root)
+                    if events[j][2]:
+                        return sol, root, crossings
+                break
         g = g_new
     return sol, t, crossings
 

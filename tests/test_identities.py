@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import math
+import re
 import sys
 
 import pytest
 
+from staticlab import anti_de_sitter, de_sitter
 from staticlab import identities as ID
 from staticlab import levelset as LS
+from staticlab.cli import suite_conformal
+from staticlab.models import by_name
 from staticlab.quadrature import QuadratureConfig, adaptive
 
 from oracles import composite_simpson
@@ -17,6 +22,33 @@ def _first_flux(tr, p, tau):
     """The first identity's flux at {phi = tau}, from the level's records."""
     return ID._first_flux(tr, p,
                           LS.level_states(tr, LS.t_of_s(tau, tr.lambda_sign)))
+
+
+# the benchmark's identities op at its seed-0 masses: 19 reports per
+# (model, n), hashed in order by their reprs (a float's repr is its bits),
+# so that a change which means to move no output keeps every report
+PASS_SHA256 = "59a671f1e67fb0dad2acb2289aa40981997eb59504d5f77a39d715cfe7762012"
+
+
+def test_an_identities_pass_keeps_its_bits():
+    digest = hashlib.sha256()
+    for model in ("desitter", "antidesitter", "sds", "nariai"):
+        for n in (3, 4, 5):
+            tr = by_name(model, n, 0.1 if n == 3 else 0.05)
+            branch = "outer" if len(tr.branches()) == 2 else None
+            reports = []
+            for s, S in ((0.3, 1.5), (0.5, 2.5), (0.8, 3.0)):
+                reports += [ID.first_identity(tr, p, s, S, branch)
+                            for p in (1, 3)]
+                reports += [ID.second_identity(tr, p, s, S, branch)
+                            for p in (3, 5)]
+            reports += [ID.curvature_deficit_identity(tr, t) for t in (
+                (0.3, 0.6) if tr.lambda_sign > 0 else (2.0, 4.0))]
+            reports += suite_conformal(tr, 1e-6)
+            assert len(reports) == 19
+            for rep in reports:
+                digest.update(repr(rep).encode())
+    assert digest.hexdigest() == PASS_SHA256
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +218,76 @@ def test_slab_refusals(sds01, identity, s, S, branch, message):
     # two-branch triple meets each level twice
     with pytest.raises(ValueError, match=message):
         identity(sds01, 3, s, S, branch)
+
+
+BAND = "point with u={} lies in the excluded band"
+
+
+@pytest.mark.parametrize("S, first_refusal, u_second", [
+    (8, None, 0.9999997749296758),
+    (10, None, 0.9999999958776927),
+    (20, "conformal factor degenerate at u=1.0", 1.0),
+])
+@pytest.mark.parametrize("second_first", [False, True])
+def test_slab_refusals_at_the_band(S, first_refusal, u_second, second_first):
+    # de Sitter slabs that end at u = tanh(S): the first identity reads its
+    # nodes and fluxes up to the extremal value, the second identity's flux
+    # refuses the band, and neither outcome depends on which report set up
+    # the slab table
+    tr = de_sitter(3)
+
+    def first():
+        if first_refusal is None:
+            assert ID.first_identity(tr, 3, 0.5, S).status == "pass"
+        else:
+            with pytest.raises(ValueError, match=re.escape(first_refusal)):
+                ID.first_identity(tr, 3, 0.5, S)
+
+    def second():
+        with pytest.raises(ValueError,
+                           match=re.escape(BAND.format(u_second))):
+            ID.second_identity(tr, 3, 0.5, S)
+
+    for check in ((second, first) if second_first else (first, second)):
+        check()
+
+
+def test_a_u_power_that_underflows_refuses_only_the_first_identity():
+    # from s = 1e-3 on de Sitter at n = 300, u^n underflows to 0 at the
+    # nodes next to u = tanh(s): the first identity divides by it,
+    # and the second, which does not read it, reports the same whichever
+    # identity set up the slab table
+    seconds = []
+    for second_first in (False, True):
+        tr = de_sitter(300)
+        if second_first:
+            seconds.append(repr(ID.second_identity(tr, 3, 1e-3, 0.01)))
+        with pytest.raises(ZeroDivisionError):
+            ID.first_identity(tr, 3, 1e-3, 0.01)
+        if not second_first:
+            seconds.append(repr(ID.second_identity(tr, 3, 1e-3, 0.01)))
+    assert seconds[0] == seconds[1]
+    assert "status='pass'" in seconds[0]
+
+
+def test_a_gamma_that_overflows_refuses_only_the_second_identity():
+    # from s = 0.029 on anti-de Sitter at n = 200, D^((n+2)/2) overflows at
+    # the nodes next to the lower end where D^(n/2) does not: the second
+    # identity raises, and the first, which does not read gamma, fails with
+    # an infinite bulk integral whichever identity set up the slab table
+    firsts = []
+    for second_first in (False, True):
+        tr = anti_de_sitter(200)
+        if second_first:
+            with pytest.raises(OverflowError):
+                ID.second_identity(tr, 3, 0.029, 0.5)
+        firsts.append(ID.first_identity(tr, 3, 0.029, 0.5))
+        if not second_first:
+            with pytest.raises(OverflowError):
+                ID.second_identity(tr, 3, 0.029, 0.5)
+    assert repr(firsts[0]) == repr(firsts[1])
+    assert firsts[0].status == "fail" and firsts[0].rhs == -math.inf
+    assert firsts[0].lhs == -3.582940943415684e+201
 
 
 @pytest.mark.parametrize("report, located", [

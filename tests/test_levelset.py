@@ -191,11 +191,18 @@ def _counting_u(tr):
     return tr, calls
 
 
+def _level_walk(tr, levels):
+    """The radii `levelset._curve` walks to on `levels`."""
+    return [row[1] for row in LS._curve(
+        tr, lambda t, states, spheres: (tuple(st[0] for st in states),),
+        0.0, levels, lambda t: t)]
+
+
 @pytest.mark.parametrize("name", WALKED_CURVES)
 def test_level_walk_matches_cold_location(name):
     kind, tr, ends = WALKED_CURVES[name]
     _, levels = _walked_levels(kind, tr, ends)
-    walked = list(LS._level_walk(tr, levels))
+    walked = list(_level_walk(tr, levels))
     assert len(walked) == len(levels)
     for t, radii in zip(levels, walked):
         cold = LS.level_radii(tr, t)
@@ -211,7 +218,7 @@ def test_level_walk_on_a_dense_grid(ends):
     # first level's slope and drift from cold location by about 1e-9
     levels = linspace(*ends, 10_000)
     tr = de_sitter(3)
-    for t, radii in zip(levels, LS._level_walk(tr, levels)):
+    for t, radii in zip(levels, _level_walk(tr, levels)):
         assert radii == pytest.approx(LS.level_radii(tr, t), rel=1e-14)
 
 
@@ -256,7 +263,7 @@ def test_level_walk_falls_back_to_cold_location(tr, levels, cold_rows,
     level_radii = LS.level_radii
     monkeypatch.setattr(LS, "level_radii",
                         lambda tr, t: cold.append(t) or level_radii(tr, t))
-    walked = list(LS._level_walk(tr, levels))
+    walked = list(_level_walk(tr, levels))
     walk_cost, calls[0] = calls[0], 0
     assert cold == [levels[i] for i in cold_rows]
     for i, (t, radii) in enumerate(zip(levels, walked)):
@@ -276,7 +283,7 @@ def test_a_coarse_walk_costs_no_more_than_cold_location():
     # per sphere, against 9.0 cold
     tr, calls = _counting_u(schwarzschild_de_sitter(SdSParams(n=3, m=0.1)))
     levels = linspace(0.05, 0.95, 3)
-    spheres = sum(map(len, LS._level_walk(tr, levels)))
+    spheres = sum(map(len, _level_walk(tr, levels)))
     walk_cost, calls[0] = calls[0] - spheres, 0  # less one record a sphere
     for t in levels:
         LS.level_radii(tr, t)
@@ -296,7 +303,7 @@ def test_level_walk_through_an_inflection():
         h=RadialProfile((0.0, 2.0), lambda x: (1.0, 0.0, 0.0)), f=None,
         boundaries=(), extremum=Extremum(location=0.0, count=1))
     levels = [1.0, 1.1, 1.2]
-    for t, radii in zip(levels, LS._level_walk(tr, levels)):
+    for t, radii in zip(levels, _level_walk(tr, levels)):
         assert radii == pytest.approx(LS.level_radii(tr, t), rel=1e-14)
 
 

@@ -274,12 +274,26 @@ def test_areal_jacobian_refuses_nonpositive_f(sds01):
 
 def test_singular_quantities_are_lazy(nariai3):
     # the deficit integrand reaches the extremal sphere u = 1, where the
-    # record still builds; only the conformal dictionary refuses
+    # record still builds; the conformal dictionary is computed only when
+    # read, and refuses there
     sp = sphere_data(nariai3, nariai3.extremum.location)
     assert sp.u == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(sp.area) and math.isfinite(sp.hess_u_norm2)
     with pytest.raises(ValueError, match="excluded band"):
         sp.H_g
+
+
+def test_a_record_holds_no_memo(sds01):
+    # every entry is computed from the ten state fields on each read: a
+    # second read gives the same bits, and nothing is kept on the record
+    sp = sphere_data(sds01, sds01.interior_points(5)[1])
+    entries = [name for name, attr in vars(SphereData).items()
+               if isinstance(attr, property)]
+    first = [getattr(sp, name) for name in entries]
+    second = [getattr(sp, name) for name in entries]
+    assert repr(second) == repr(first)  # floats repr to their bits
+    assert list(sp.__dict__) == [f.name for f in dataclasses.fields(sp)]
+    assert len(sp.__dict__) == 10
 
 
 @pytest.mark.parametrize("entry", DICTIONARY)
