@@ -6,7 +6,9 @@ A rotationally symmetric static triple carries a metric of one of two forms:
 * areal chart:      g0 = dr (x) dr / f(r) + r^2 g_{S^(n-1)}
 
 A triple is in the areal chart exactly when it has a metric function f,
-and then it has no h profile.  Every curvature formula below is written in
+and then it has no h profile and u = c sqrt(f), c = `normalization_factor`
+(Birkhoff), which `areal_potential` alone derives: an areal record
+evaluates f once and no `u`.  Every curvature formula below is written in
 arclength-normalised variables (u, u', u'', h, h', h''), where a prime is
 d/drho.  The areal chart supplies them through u' = sqrt(f) du/dr,
 u'' = f d2u/dr2 + f' du/dr / 2, h = r, h' = sqrt(f), h'' = f'/2, so the
@@ -160,6 +162,18 @@ class RadialProfile:
         return RadialProfile(domain=(xs[0], xs[-1]), fn=fn)
 
 
+def areal_potential(c: float, fval: float, f1: float,
+                    f2: float) -> tuple[float, float, float]:
+    """u = c sqrt(f), du/dr and d2u/dr2 from f, f', f'' at one radius, f
+    clipped at 0; sqrt(f) is kept off 0 (at 1e-300) for du/dr only, so
+    d2u/dr2 raises ZeroDivisionError where f rounds to 0 or below."""
+    fv = max(fval, 0.0)
+    sf = math.sqrt(fv)
+    g = sf if sf > 1e-300 else 1e-300
+    return (sf * c, c * f1 / (2.0 * g),
+            c * (2.0 * fv * f2 - f1 ** 2) / (4.0 * g ** 3))
+
+
 @dataclass(frozen=True)
 class BoundaryComponent:
     location: float
@@ -209,14 +223,14 @@ class StaticTriple:
     lambda_sign is +1 for positive cosmological constant (u normalised to
     max 1, u = 0 on the boundary) and -1 for negative (u normalised to
     min 1, empty boundary, possibly conformally compact).  The chart
-    follows `f`; in the areal chart `h` is None and u is
-    `normalization_factor` * sqrt(f).  `branch` is None for the whole
-    solution, and "inner" or "outer" on a view made by `on_branch`.
+    follows `f`; in the areal chart `h` is None and u, if given as None,
+    is f's `areal_potential`, as a given u must be.  `branch` is None for
+    the whole solution, and "inner" or "outer" on a view made by `on_branch`.
     """
 
     n: int
     lambda_sign: int
-    u: RadialProfile
+    u: Optional[RadialProfile]
     h: Optional[RadialProfile]
     f: Optional[RadialProfile]
     boundaries: tuple[BoundaryComponent, ...]
@@ -225,6 +239,12 @@ class StaticTriple:
     conformally_compact: bool = False
     name: str = ""
     branch: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.u is None:  # areal: the `u` that level location reads
+            f, c = self.f.fn, self.normalization_factor
+            object.__setattr__(self, "u", RadialProfile(
+                self.f.domain, lambda r: areal_potential(c, *f(r))))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -235,13 +255,13 @@ class StaticTriple:
         return "arclength" if self.f is None else "areal"
 
     def radial_state(self, x: float) -> "SphereData":
-        """The record at x from one evaluation of the profiles, unchecked;
-        `sphere_data` is the checked entry point."""
-        u, du, d2u = self.u.fn(x)
+        """The record at x from one evaluation of u and h, or of f alone,
+        unchecked; `sphere_data` is the checked entry point."""
         if self.f is None:
-            return SphereData(self.n, self.lambda_sign, False, x, u, du, d2u,
-                              *self.h.fn(x))
-        fval, f1, _ = self.f.fn(x)
+            return SphereData(self.n, self.lambda_sign, False, x,
+                              *self.u.fn(x), *self.h.fn(x))
+        fval, f1, f2 = self.f.fn(x)
+        u, du, d2u = areal_potential(self.normalization_factor, fval, f1, f2)
         sf = math.sqrt(max(fval, 0.0))
         return SphereData(self.n, self.lambda_sign, True, x, u, sf * du,
                           fval * d2u + 0.5 * f1 * du, x, sf, 0.5 * f1)
@@ -523,10 +543,9 @@ def to_arclength(triple: StaticTriple,
     and u(rho), h(rho) and rho(r) become quintic Hermite interpolants
     (`RadialProfile.hermite`) of the exact state at the grid points, all
     from `f`, f' and f'' on numpy arrays (arithmetic, not `math.*`): on the
-    quadrature nodes and on the grid.  An areal static solution has
-    u = c sqrt(f), c = `normalization_factor` (Birkhoff), so u' = c f'/2 and
-    u'' = c f'' sqrt(f)/2, which do not divide by sqrt(f) at a horizon;
-    h = r, h' = sqrt(f), h'' = f'/2; d(rho)/dr = 1/sqrt(f), d2(rho)/dr2 =
+    quadrature nodes and on the grid.  As u = c sqrt(f), u' = c f'/2 and
+    u'' = c f'' sqrt(f)/2 divide by nothing at a horizon; h = r,
+    h' = sqrt(f), h'' = f'/2; d(rho)/dr = 1/sqrt(f), d2(rho)/dr2 =
     -f'/(2 f^(3/2)).  A point where f is not positive or is NaN raises
     ValueError, as does any of three interior knots where `u` is read and
     is not c sqrt(f) to BIRKHOFF_TOL.  Boundary data is not carried over:
@@ -582,10 +601,9 @@ def to_arclength(triple: StaticTriple,
     xstar = triple.extremum.location
     ext = replace(triple.extremum,
                   location=rho_prof.value(min(max(xstar, a), b)))
-    converted = StaticTriple(
+    return StaticTriple(
         n=triple.n, lambda_sign=triple.lambda_sign,
         u=u_prof, h=h_prof, f=None, boundaries=(), extremum=ext,
         normalization_factor=c,
         conformally_compact=triple.conformally_compact,
-        name=triple.name + "[arclength]")
-    return converted, rho_prof.value
+        name=triple.name + "[arclength]"), rho_prof.value

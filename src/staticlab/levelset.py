@@ -257,13 +257,14 @@ def phi_p(triple: StaticTriple, p: float, s: float) -> float:
     t = t_of_s(s, triple.lambda_sign)
     spheres = level_spheres(triple, t)
     try:
-        return _in_range(p, t, sum(_phi_term(p, sp) for sp in spheres))[0]
+        return _in_range(p, t, sum(_phi_term(p, sp.W, sp.area_g)
+                                   for sp in spheres))[0]
     except OverflowError:
         raise ValueError(OUT_OF_RANGE.format(p, t)) from None
 
 
-def _phi_term(p: float, sp: SphereData) -> float:
-    return sp.W ** (p / 2.0) * sp.area_g
+def _phi_term(p: float, w: float, area_g: float) -> float:
+    return w ** (p / 2.0) * area_g
 
 
 def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
@@ -274,14 +275,15 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
     t = t_of_s(s, triple.lambda_sign)
     spheres = level_spheres(triple, t)
     try:
-        return _in_range(p, t, sum(_phi_slope(p, sp) for sp in spheres))[0]
+        return _in_range(p, t, sum(_phi_slope(p, sp, sp.W, sp.area_g)
+                                   for sp in spheres))[0]
     except OverflowError:
         raise ValueError(OUT_OF_RANGE.format(p, t)) from None
 
 
-def _phi_slope(p: float, sp: SphereData) -> float:
-    return sp.area_g * (-(p - 1) * sp.W ** ((p - 1) / 2.0) * sp.H_g
-                        + p * sp.W ** ((p - 2) / 2.0) * sp.lap_phi)
+def _phi_slope(p: float, sp: SphereData, w: float, area_g: float) -> float:
+    return area_g * (-(p - 1) * w ** ((p - 1) / 2.0) * sp.H_g
+                     + p * w ** ((p - 2) / 2.0) * sp.lap_phi)
 
 
 # --------------------------------------------------------------------------
@@ -376,10 +378,11 @@ def phi_curve(triple: StaticTriple, p: float,
         try:
             for sp in spheres:
                 check_window(sp.u)
-                term = _phi_term(p, sp)
+                w, area_g = sp.W, sp.area_g
+                term = _phi_term(p, w, area_g)
                 slope += term * _log_rate(triple.n, p, sp.u, sp)
                 if p >= 3:
-                    d_ana += _phi_slope(p, sp)
+                    d_ana += _phi_slope(p, sp, w, area_g)
                 value += term
         except OverflowError:
             raise ValueError(OUT_OF_RANGE.format(p, t)) from None

@@ -3,6 +3,7 @@
 All constructors normalise the potential so that max u = 1 (positive
 cosmological constant) or min u = 1 (negative), and record horizon data.
 The constant is itself normalised to sign * n(n-1)/2 throughout.
+An areal family gives f and c; its u is `geometry.areal_potential`'s.
 """
 
 from __future__ import annotations
@@ -60,17 +61,10 @@ def de_sitter(n: int) -> StaticTriple:
     def f_fn(r: float) -> tuple[float, float, float]:
         return 1.0 - r * r, -2.0 * r, -2.0
 
-    def u_fn(r: float) -> tuple[float, float, float]:
-        val = math.sqrt(max(1.0 - r * r, 0.0))
-        g = val if val > 1e-300 else 1e-300  # val >= 0, kept off 0 for u'
-        return val, -r / g, -1.0 / g - r * r / g ** 3
-
-    boundary = BoundaryComponent(location=1.0, sphere_radius=1.0,
-                                 surface_gravity=1.0)
     return StaticTriple(
-        n=n, lambda_sign=+1, u=RadialProfile((0.0, 1.0), u_fn), h=None,
-        f=RadialProfile((0.0, 1.0), f_fn),
-        boundaries=(boundary,),
+        n=n, lambda_sign=+1, u=None, h=None, f=RadialProfile((0.0, 1.0), f_fn),
+        boundaries=(BoundaryComponent(location=1.0, sphere_radius=1.0,
+                                      surface_gravity=1.0),),
         extremum=Extremum(location=0.0, count=1),
         name="de_sitter",
     )
@@ -88,14 +82,9 @@ def anti_de_sitter(n: int) -> StaticTriple:
     def f_fn(r: float) -> tuple[float, float, float]:
         return 1.0 + r * r, 2.0 * r, 2.0
 
-    def u_fn(r: float) -> tuple[float, float, float]:
-        val = math.sqrt(1.0 + r * r)
-        return val, r / val, 1.0 / val ** 3
-
     return StaticTriple(
-        n=n, lambda_sign=-1, u=RadialProfile((0.0, ADS_R_MAX), u_fn), h=None,
-        f=RadialProfile((0.0, ADS_R_MAX), f_fn),
-        boundaries=(),
+        n=n, lambda_sign=-1, u=None, h=None,
+        f=RadialProfile((0.0, ADS_R_MAX), f_fn), boundaries=(),
         extremum=Extremum(location=0.0, count=1),
         conformally_compact=True,
         name="anti_de_sitter",
@@ -129,23 +118,12 @@ def schwarzschild_de_sitter(params: SdSParams) -> StaticTriple:
     def f_fn(r: float) -> tuple[float, float, float]:
         return f_val(r), f_d1(r), f_d2(r)
 
-    def u_fn(r: float) -> tuple[float, float, float]:
-        fv = max(f_val(r), 0.0)
-        sf = math.sqrt(fv)
-        val = sf * inv_sqrt_f0
-        g = sf if sf > 1e-300 else 1e-300  # sf >= 0, kept off 0 for u'
-        f1 = f_d1(r)
-        d1 = inv_sqrt_f0 * f1 / (2.0 * g)
-        d2 = inv_sqrt_f0 * (2.0 * fv * f_d2(r) - f1 ** 2) / (4.0 * g ** 3)
-        return val, d1, d2
-
     kappas = tuple(abs(f_d1(r)) / (2.0 * math.sqrt(f0)) for r in (r1, r2))
     boundaries = tuple(
         BoundaryComponent(location=r, sphere_radius=r, surface_gravity=k)
         for r, k in zip((r1, r2), kappas))
     return StaticTriple(
-        n=n, lambda_sign=+1, u=RadialProfile((r1, r2), u_fn), h=None,
-        f=RadialProfile((r1, r2), f_fn),
+        n=n, lambda_sign=+1, u=None, h=None, f=RadialProfile((r1, r2), f_fn),
         boundaries=boundaries,
         extremum=Extremum(location=r0, count=None),
         normalization_factor=inv_sqrt_f0,

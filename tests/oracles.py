@@ -14,12 +14,18 @@ references that no command needs:
   closed form;
 - `s_of_t`, the conformal level coordinate of a level t, the inverse of
   `levelset.t_of_s`.
+
+`in_arclength` and `hemisphere_in_arclength` build non-solutions: a
+model's metric in the arclength chart with another potential, which an
+areal triple, whose record reads u = c sqrt(f) from f alone, cannot carry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+from staticlab.geometry import RadialProfile
 from staticlab.quadrature import QuadratureConfig, QuadResult, adaptive
 
 
@@ -54,6 +60,28 @@ def surface_gravity(triple, component) -> float:
     g1 = abs(triple.radial_state(loc + sgn * delta).du)
     g2 = abs(triple.radial_state(loc + sgn * 0.5 * delta).du)
     return 2.0 * g2 - g1
+
+
+def in_arclength(triple, rho_end: float, radius, potential, **changes):
+    """`triple` in an arclength chart rho on (0, rho_end), with the warping
+    radius h = `radius(rho)` and the potential u = `potential(rho)`, each
+    giving (value, d/drho, d2/drho2), and no f; `changes` replace further
+    fields."""
+    domain = (0.0, rho_end)
+    return dataclasses.replace(triple, u=RadialProfile(domain, potential),
+                               h=RadialProfile(domain, radius), f=None,
+                               **changes)
+
+
+def hemisphere_in_arclength(ds, potential):
+    """The round hemisphere of de Sitter `ds` in the chart rho = asin(r) on
+    (0, pi/2), h = sin(rho), its horizon at rho = pi/2, with the potential
+    `potential(rho)`: de Sitter's own is cos(rho)."""
+    half = 0.5 * math.pi
+    (b,) = ds.boundaries
+    return in_arclength(
+        ds, half, lambda rho: (math.sin(rho), math.cos(rho), -math.sin(rho)),
+        potential, boundaries=(dataclasses.replace(b, location=half),))
 
 
 def s_of_t(t: float) -> float:

@@ -8,7 +8,7 @@ from staticlab import conformal as CF
 from staticlab.geometry import StaticTriple, linspace
 from staticlab.levelset import t_of_s
 
-from oracles import s_of_t, sds_horizon_data
+from oracles import hemisphere_in_arclength, s_of_t, sds_horizon_data
 
 
 def test_de_sitter_state_is_cylindrical(ds3):
@@ -100,12 +100,12 @@ def test_quasi_einstein_residual_sds_inner_region(sds01):
 
 
 def test_quasi_einstein_detects_perturbation(ds3):
-    def u_pert(r):
-        v, d1, d2 = ds3.u.fn(r)
-        return v + 0.01, d1, d2
+    def u_pert(rho):
+        return math.cos(rho) + 0.01, -math.sin(rho), -math.cos(rho)
 
-    bad = dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=u_pert))
-    assert CF.quasi_einstein_residual(CF.sphere_data(bad, 0.5)) > 1e-3
+    bad = hemisphere_in_arclength(ds3, u_pert)  # r = 0.5 at rho = asin(0.5)
+    sp = CF.sphere_data(bad, math.asin(0.5))
+    assert CF.quasi_einstein_residual(sp) > 1e-3
 
 
 def test_bochner_residual(all_models):
@@ -139,19 +139,21 @@ def test_closed_form_residuals_at_small_sds_mass(m):
 def test_closed_form_residuals_detect_perturbation(ds3):
     # u''' is taken from the potential equation, so a u that does not solve
     # it must still show in both residuals
-    def u_pert(r):
-        v, d1, d2 = ds3.u.fn(r)
-        return v + 0.01 * r ** 3, d1 + 0.03 * r ** 2, d2 + 0.06 * r
+    def u_pert(rho):  # cos(rho) + 0.01 r^3 with r = sin(rho)
+        s, c = math.sin(rho), math.cos(rho)
+        return (c + 0.01 * s ** 3, -s + 0.03 * s * s * c,
+                -c + 0.03 * s * (2.0 * c * c - s * s))
 
-    bad = dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=u_pert))
-    sp = CF.sphere_data(bad, 0.5)
+    bad = hemisphere_in_arclength(ds3, u_pert)  # r = 0.5 at rho = asin(0.5)
+    sp = CF.sphere_data(bad, math.asin(0.5))
     assert CF.bochner_residual(sp) > 1e-3
     assert CF.w_equation_residual(sp) > 1e-3
 
 
 def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
-    # the sample's records are the suite's: u is evaluated once at each
-    # point, for the band filter and all five residuals alike
+    # the sample's records are the suite's: u (f on an areal triple) is
+    # evaluated once at each point, for the band filter and all five
+    # residuals alike
     calls = []
     radial_state = StaticTriple.radial_state
 
@@ -163,18 +165,21 @@ def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
     for tr in all_models:
         evaluated = []
 
-        def u_fn(x, fn=tr.u.fn):
-            evaluated.append(x)
-            return fn(x)
+        def counting(prof):  # f on an areal triple, whose record reads f
+            def counted(x, fn=prof.fn):
+                evaluated.append(x)
+                return fn(x)
+            return dataclasses.replace(prof, fn=counted)
 
-        tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=u_fn))
+        tr = dataclasses.replace(tr, u=counting(tr.u),
+                                 f=tr.f and counting(tr.f))
         kept = [sp.x for sp in CF.sample_points_off_extremum(tr, 50)]
         sampled = calls[:]
         calls.clear()
         evaluated.clear()
         cli.suite_conformal(tr, 1e-6)
         assert calls == sampled and set(kept) <= set(calls), tr.name
-        assert len(set(evaluated)) == len(evaluated), tr.name
+        assert evaluated and len(set(evaluated)) == len(evaluated), tr.name
         calls.clear()
 
 

@@ -1,7 +1,8 @@
 """The package keeps at most OPTIONS_CEILING options: the defaulted
 parameters, dataclass fields and environment reads that `tools/counts.py`
-counts.  A new option raises the ceiling here, with its reason in
-CHANGES.md."""
+counts, and at most SRC_LINES_CEILING lines of Python under src/.  A new
+option, or a change that grows src/, raises its ceiling here, with the
+reason in CHANGES.md."""
 
 import ast
 import importlib.util
@@ -10,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 OPTIONS_CEILING = 17
+SRC_LINES_CEILING = 3379
 
 
 def _counts():
@@ -23,6 +25,12 @@ def _counts():
 def test_options_stay_under_the_ceiling(capsys):
     assert _counts().main([str(ROOT / "src")]) == 0
     assert json.loads(capsys.readouterr().out)["options"] <= OPTIONS_CEILING
+
+
+def test_src_stays_under_the_line_ceiling(capsys):
+    assert _counts().main([str(ROOT / "src")]) == 0
+    assert json.loads(capsys.readouterr().out)["src_lines"] <= \
+        SRC_LINES_CEILING
 
 
 def test_each_environment_read_is_an_option():

@@ -22,8 +22,8 @@ from staticlab import (
 )
 from staticlab.quadrature import adaptive
 
-from oracles import (arclength_reference, numeric_curvature,
-                     sds_horizon_data, surface_gravity)
+from oracles import (arclength_reference, hemisphere_in_arclength,
+                     numeric_curvature, sds_horizon_data, surface_gravity)
 
 np = pytest.importorskip("numpy")
 
@@ -226,14 +226,11 @@ def test_static_residual_tight_on_closed_forms(ds3, nariai3):
 
 
 def test_static_residual_detects_perturbation(ds3):
-    import dataclasses
+    def u_pert(rho):
+        return math.cos(rho) + 0.01, -math.sin(rho), -math.cos(rho)
 
-    def u_pert(r):
-        v, d1, d2 = ds3.u.fn(r)
-        return v + 0.01, d1, d2
-
-    bad = dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=u_pert))
-    tensor, laplace = static_residual(bad, 0.5)
+    bad = hemisphere_in_arclength(ds3, u_pert)  # r = 0.5 at rho = asin(0.5)
+    tensor, laplace = static_residual(bad, math.asin(0.5))
     assert tensor > 1e-3 and laplace > 1e-3
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from staticlab import (RadialProfile, SdSParams, cli, de_sitter, nariai,
+from staticlab import (SdSParams, cli, de_sitter, nariai,
                        schwarzschild_de_sitter)
 from staticlab import identities as ID
 from staticlab import inequalities as IQ
@@ -12,19 +12,29 @@ from staticlab.levelset import assumption_flags, conformal_boundary_data
 from staticlab.models import ADS_R_MAX
 from staticlab.report import inequality_report
 
+from oracles import in_arclength
+
 S3_AREA = 4 * math.pi
 
 
 @pytest.fixture(scope="module")
 def ads3_gradient_limit_half(ads3):
-    """Not static: anti-de Sitter's potential u = sqrt(1 + r^2) on the areal
-    metric with f = r^2 + 1/2.  It is conformally compact with a discrete
+    """Not static: anti-de Sitter's potential u = sqrt(1 + r^2) on the
+    metric dr^2 / (r^2 + 1/2) + r^2 g_S, in its arclength chart
+    r = sinh(rho) / sqrt(2).  It is conformally compact with a discrete
     extremum at 0, and lim (u^2 - 1 - |Du|^2) = lim r^2 / (2 (1 + r^2)) is
     1/2: nonnegative, but not zero."""
-    def f_fn(r: float) -> tuple[float, float, float]:
-        return r * r + 0.5, 2.0 * r, 2.0
+    k = math.sqrt(0.5)
 
-    return dataclasses.replace(ads3, f=RadialProfile((0.0, ADS_R_MAX), f_fn))
+    def radius(rho: float) -> tuple[float, float, float]:
+        return k * math.sinh(rho), k * math.cosh(rho), k * math.sinh(rho)
+
+    def potential(rho: float) -> tuple[float, float, float]:
+        r, dr, d2r = radius(rho)
+        v, d1, d2 = ads3.u.fn(r)
+        return v, d1 * dr, d2 * dr * dr + d1 * d2r
+
+    return in_arclength(ads3, math.asinh(ADS_R_MAX / k), radius, potential)
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,9 @@ from staticlab.geometry import (BRANCH_INSET, EXTREMUM_BAND, Extremum,
                                 RadialProfile, StaticTriple, linspace,
                                 sphere_area, unit_sphere_area)
 
-from oracles import (bisect, bisect_bracket, five_point_derivative, s_of_t,
-                     sds_horizon_data, sds_outer_up_reference)
+from oracles import (bisect, bisect_bracket, five_point_derivative,
+                     hemisphere_in_arclength, s_of_t, sds_horizon_data,
+                     sds_outer_up_reference)
 
 S3_AREA = 4 * math.pi
 
@@ -133,6 +134,22 @@ def _sds_view(which):
     return schwarzschild_de_sitter(SdSParams(n=3, m=0.1)).on_branch(which)
 
 
+def _counting(tr):
+    """`tr` counting evaluations of u: of its `u` profile, and of f, from
+    which an areal record reads u.  An areal `u` keeps the uncounted f, so
+    no evaluation is counted twice."""
+    calls = [0]
+
+    def counting(prof):
+        def counted(x, fn=prof.fn):
+            calls[0] += 1
+            return fn(x)
+        return dataclasses.replace(prof, fn=counted)
+
+    return dataclasses.replace(tr, u=counting(tr.u),
+                               f=tr.f and counting(tr.f)), calls
+
+
 @pytest.mark.parametrize("tr, grid", [
     (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
      linspace(0.05, 0.95, 1000)),
@@ -141,14 +158,7 @@ def _sds_view(which):
 def test_level_location_cost(tr, grid):
     # the benchmark's curve grids; plain bisection spends 54-58
     # evaluations of u per located level here
-    calls = [0]
-    fn = tr.u.fn
-
-    def counted(x):
-        calls[0] += 1
-        return fn(x)
-
-    tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=counted))
+    tr, calls = _counting(tr)
     located = sum(len(LS.level_radii(tr, t)) for t in grid)
     assert calls[0] / located <= 20
 
@@ -177,15 +187,8 @@ def _walked_levels(kind, tr, ends):
 
 
 def _counting_u(tr):
-    """`tr` with a u that counts its evaluations, its branches built."""
-    calls = [0]
-    fn = tr.u.fn
-
-    def counted(x):
-        calls[0] += 1
-        return fn(x)
-
-    tr = dataclasses.replace(tr, u=dataclasses.replace(tr.u, fn=counted))
+    """`_counting`'s `tr` with its branches built."""
+    tr, calls = _counting(tr)
     tr.branches()
     calls[0] = 0
     return tr, calls
@@ -664,12 +667,12 @@ def test_monotonicity_scan_sds_informational(sds01):
 def _scaled_hemisphere(ds3, eps):
     """The hemisphere's potential times 1 + eps r^2, with its horizon data
     kept: not a static solution, but every assumption flag still holds."""
-    def fn(r):
-        u, du, d2u = ds3.u(r)
-        k = 1.0 + eps * r * r
-        return (u * k, du * k + 2.0 * eps * r * u,
-                d2u * k + 4.0 * eps * r * du + 2.0 * eps * u)
-    return dataclasses.replace(ds3, u=dataclasses.replace(ds3.u, fn=fn))
+    def fn(rho):  # cos(rho) k with k = 1 + eps r^2, r = sin(rho)
+        s, c = math.sin(rho), math.cos(rho)
+        k, dk = 1.0 + eps * s * s, 2.0 * eps * s * c
+        d2k = 2.0 * eps * (c * c - s * s)
+        return c * k, c * dk - s * k, c * d2k - 2.0 * s * dk - c * k
+    return hemisphere_in_arclength(ds3, fn)
 
 
 @pytest.mark.parametrize("eps,cls,count", [(0.3, "nondecreasing", 29),

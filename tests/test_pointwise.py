@@ -8,6 +8,8 @@ import weakref
 
 import pytest
 
+from staticlab import (SdSParams, anti_de_sitter, de_sitter,
+                       schwarzschild_de_sitter)
 from staticlab import identities as ID
 from staticlab import levelset as LS
 from staticlab.conformal import EXTREMUM_BAND
@@ -24,21 +26,24 @@ CURVATURE = ("ric_rr", "ric_tan", "hess_u_rr", "hess_u_tan", "lap_u",
              "hess_u_norm2")
 
 
-def _counting_u(tr):
+def _counting(tr, which):
+    """`tr` with its `which` profile ("u" or "f") counting its calls."""
     calls = [0]
-    fn = tr.u.fn
+    prof = getattr(tr, which)
+    fn = prof.fn
 
     def counted(x):
         calls[0] += 1
         return fn(x)
 
-    u = dataclasses.replace(tr.u, fn=counted)
-    return dataclasses.replace(tr, u=u), calls
+    return dataclasses.replace(
+        tr, **{which: dataclasses.replace(prof, fn=counted)}), calls
 
 
 def test_sphere_data_evaluates_the_profile_once(all_models):
+    # u in the arclength chart; an areal record reads f alone (below)
     for tr in all_models:
-        tr, calls = _counting_u(tr)
+        tr, calls = _counting(tr, "u" if tr.f is None else "f")
         lo, hi = tr.domain
         x = lo + 0.3 * (hi - lo)
         sp = sphere_data(tr, x)
@@ -47,6 +52,23 @@ def test_sphere_data_evaluates_the_profile_once(all_models):
                 *(getattr(sp, c) for c in CURVATURE))
         assert all(math.isfinite(v) for v in read), tr.name
         assert calls[0] == 1, tr.name
+
+
+def test_an_areal_record_reads_f_once():
+    # u = c sqrt(f) is derived from f in one place, for the record and for
+    # the `u` profile that level location reads alike: the two agree bit for
+    # bit, and a record evaluates f once and u never
+    for tr in (de_sitter(3), anti_de_sitter(3),
+               schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
+               schwarzschild_de_sitter(SdSParams(n=4, m=0.05))):
+        points = tr.interior_points(50)
+        assert [tr.u.fn(x)[0] for x in points] == \
+            [sphere_data(tr, x).u for x in points], tr.name
+        counted, f_calls = _counting(tr, "f")
+        counted, u_calls = _counting(counted, "u")
+        for x in points:
+            sphere_data(counted, x)
+        assert (f_calls[0], u_calls[0]) == (len(points), 0), tr.name
 
 
 def test_radial_state_is_the_record(all_models):
