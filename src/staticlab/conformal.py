@@ -34,14 +34,14 @@ identity, mean-curvature relation) each read one record and evaluate no
 profile again; `sample_points_off_extremum` returns the sample's records.
 The radial derivatives W', W'', w' and w'' are closed forms in u, u', u''
 and u''' (`_radial_derivatives`), with u''' from the potential equation
-differentiated once.  They and Ric_g's components are computed once per
-record, for the two residuals that read each.
+differentiated once.  They and Ric_g's components are computed by each
+residual that reads them: two residuals read each, and a record keeps
+nothing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .geometry import (  # the record's names stay bound here for readers
     EXTREMUM_BAND,
@@ -82,18 +82,6 @@ def hess_phi_radial(triple: StaticTriple, x: float) -> float:
 # --------------------------------------------------------------------------
 # pointwise identities
 
-def _per_record(fn: Callable[[SphereData], tuple]) -> Callable:
-    """`fn` of a record, computed on its first call and kept in the
-    record's `__dict__`, as two residuals read each of these."""
-    def read(sp: SphereData) -> tuple:
-        got = sp.__dict__.get(fn.__name__)
-        if got is None:
-            got = sp.__dict__[fn.__name__] = fn(sp)
-        return got
-    return read
-
-
-@_per_record
 def _ricci_g_components(sp: SphereData) -> tuple[float, float]:
     """Orthonormal (radial, tangential) components of Ric_g via the conformal
     transformation law; uses only the Laplace equation of the system."""
@@ -127,7 +115,6 @@ def quasi_einstein_residual(sp: SphereData) -> float:
     return max(abs(ric_rr - rhs_rr), abs(ric_tt - rhs_tt))
 
 
-@_per_record
 def _radial_derivatives(sp: SphereData) -> tuple[float, float, float, float]:
     """(W', W'', w', w'') in arclength, in closed form from the record:
     with q = u'^2 and D = sign (1 - u^2), W = q / D and w = D - q.

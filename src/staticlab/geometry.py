@@ -26,6 +26,12 @@ normalised to sign * n(n-1)/2,
     u Ric = D2u + sign * n * u * g0,      Delta u = -sign * n * u,
 
 whose residuals `static_residual` reports componentwise.
+
+A value derived from a triple and read again is kept in that triple's
+`__dict__` by the module that derives it: the monotone branches here (a
+`functools.cached_property`), the conformal boundary limits in `levelset`,
+the last slab's table in `identities`.  Nothing is kept when the derivation
+raises, `dataclasses.replace` starts afresh, and a record keeps nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 
@@ -73,26 +79,6 @@ def sphere_area_from_log(n: int, log_r: float) -> float:
 def sphere_area(n: int, r: float) -> float:
     """Area of the round sphere S^(n-1) of radius r."""
     return unit_sphere_area(n) * r ** (n - 1)
-
-
-class lazy:
-    """A field computed on first read and stored in the instance's
-    `__dict__`, frozen or not, which then shadows this descriptor; nothing
-    is stored when the function raises.  `functools.cached_property` does
-    the same, but before Python 3.12 it takes a lock on every first read."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 def linspace(a: float, b: float, num: int) -> list[float]:
@@ -165,11 +151,13 @@ class RadialProfile:
 def areal_potential(c: float, fval: float, f1: float,
                     f2: float) -> tuple[float, float, float]:
     """u = c sqrt(f), du/dr and d2u/dr2 from f, f', f'' at one radius, f
-    clipped at 0; sqrt(f) is kept off 0 (at 1e-300) for du/dr only, so
-    d2u/dr2 raises ZeroDivisionError where f rounds to 0 or below."""
+    clipped at 0.  Both derivatives divide by sqrt(f) kept off 0 at 1e-100,
+    whose cube is a normal float, so neither raises where f rounds to 0 or
+    below, as next to a horizon: there u is 0 and the derivatives are
+    finite but meaningless."""
     fv = max(fval, 0.0)
     sf = math.sqrt(fv)
-    g = sf if sf > 1e-300 else 1e-300
+    g = sf if sf > 1e-100 else 1e-100
     return (sf * c, c * f1 / (2.0 * g),
             c * (2.0 * fv * f2 - f1 ** 2) / (4.0 * g ** 3))
 
@@ -276,29 +264,13 @@ class StaticTriple:
     def on_branch(self, which: str) -> "StaticTriple":
         """The same solution on one side of its extremum, "inner" or
         "outer": `branches()` and `horizons()` keep only the innermost or
-        outermost one where there are two.  The view shares this triple's
-        branches and slab table, so nothing is derived again."""
+        outermost one where there are two.  The view gets this triple's
+        branches, not derived again, and none of its other kept values."""
         if which not in ("inner", "outer"):
             raise ValueError(f"unknown branch designator {which!r}")
         view = replace(self, branch=which)
-        view.__dict__.update(_branches=self._branches, _slab=self._slab)
+        view.__dict__["_branches"] = self._branches
         return view
-
-    def slab_table(self, key: tuple) -> dict:
-        """The table of the last slab integrated on this triple or its
-        views, if `key` = (t_s, t_S, branch of the view) names it; else a
-        new, empty one.  The slab identities keep in it what they share:
-        the records of the two end levels, the assumption flags, by
-        quadrature node x the record with its volume weight and D^(n/2),
-        and each identity's terms of that record.  Plain data only: the
-        table holds no triple."""
-        if self._slab[0] != key:
-            self._slab[:] = key, {}
-        return self._slab[1]
-
-    @lazy
-    def _slab(self) -> list:  # [key, table]; `replace` starts afresh
-        return [None, {}]
 
     def _on_side(self, ordered: Sequence) -> tuple:
         """`ordered`, innermost first, cut to the side of a view."""
@@ -316,11 +288,8 @@ class StaticTriple:
         its side."""
         return self._on_side(sorted(self.boundaries, key=lambda c: c.location))
 
-    @lazy
+    @cached_property  # every level location reads the branches
     def _branches(self) -> tuple[Branch, ...]:
-        # held on the instance: every level location needs the branches;
-        # `dataclasses.replace` builds a triple that starts afresh, and
-        # `on_branch` hands its view these
         lo, hi = self.domain
         span = hi - lo
         xstar = self.extremum.location

@@ -10,12 +10,13 @@ degenerates at the extremal sphere).
 
 The first and second identities share one slab body, `_slab_identity`,
 which takes both fluxes and the radial interval from the records of the
-two end levels.  The identities on one slab share its table
-(`StaticTriple.slab_table`), keyed by (t_s, t_S, branch of the view) and
-so known before any location: the first report locates the ends and
-takes the assumption flags, and by quadrature node builds the record, its
-volume weight and D^(n/2); each identity reads its own terms of a node's
-record once, into a tuple of floats that its reports share.  The
+two end levels.  The identities on one slab share its table, kept for
+the last slab only in the `__dict__` of the triple the caller passed
+(under "_slab", with its key (t_s, t_S, branch of the view), known before
+any location).  The first report locates the ends and takes the
+assumption flags, and by quadrature node builds the record, its volume
+weight and D^(n/2); each identity reads its own terms of a node's record
+once, into a tuple of floats that its reports share.  The
 curvature-deficit identity reads no such table: its interval runs between
 the level's two spheres, or from its one sphere to the extremum, 1e-9 of
 the domain inside its ends.  Every identity is judged at `IDENTITY_TOL`.
@@ -43,7 +44,7 @@ from .levelset import (
     sphere_data,
     t_of_s,
 )
-from .quadrature import QuadratureConfig, adaptive
+from .quadrature import QuadratureConfig, QuadratureError, adaptive
 from .report import (IDENTITY_TOL, INEQ_TOL, IdentityReport,
                      identity_report, inequality_report)
 
@@ -61,25 +62,38 @@ def _volume_density(sp: SphereData) -> float:
     return sp.area * sp.arclength_jacobian
 
 
+def _bulk(integrand: Callable, a: float, b: float) -> tuple[float, dict]:
+    """The integral over [a, b] and the report's extra entry; where the
+    budget runs out, NaN, which fails the report, and the reason."""
+    try:
+        quad = adaptive(integrand, a, b, DEFAULT_QUAD)
+    except QuadratureError as exc:
+        return math.nan, {"reason": str(exc)}
+    return quad.value, {"evaluations": quad.evaluations}
+
+
 def _slab_identity(triple: StaticTriple, s: float, S: float,
                    branch: Optional[str], name: str, description: str,
                    flux: Callable[[Sequence[SphereData]], float],
                    terms: Callable[[StaticTriple, SphereData], tuple],
                    integrand: Callable[..., float]) -> IdentityReport:
     """flux(S) - flux(s) against the integral of `integrand(*terms)`, over
-    {s < phi < S} on `branch`, from the triple's slab table: the first
-    report on the slab locates its ends, builds each node's record and
-    weights and takes the flags, and the first report that reads `terms`
-    of a node keeps them under `terms` for the others.  All three callables
-    may read n and lambda_sign, which a view shares."""
-    if branch is not None:
-        triple = triple.on_branch(branch)
+    {s < phi < S} on `branch`, from the slab's table: the first report on
+    the slab locates its ends, builds each node's record and weights and
+    takes the flags, and the first report that reads `terms` of a node
+    keeps them under `terms` for the others.  The table holds plain data,
+    no triple.  All three callables may read n and lambda_sign, which a
+    view shares."""
+    view = triple if branch is None else triple.on_branch(branch)
     t_s, t_S = (t_of_s(tau, triple.lambda_sign) for tau in (s, S))
     if not 0.0 < s < S:
         raise ValueError("need 0 < s < S")
-    table = triple.slab_table((t_s, t_S, triple.branch))
-    at_s, at_S = table.get("ends") or (level_states(triple, t_s),
-                                       level_states(triple, t_S))
+    key, kept = (t_s, t_S, view.branch), triple.__dict__.get("_slab")
+    if kept is None or kept[0] != key:
+        kept = triple.__dict__["_slab"] = key, {}
+    table = kept[1]
+    at_s, at_S = table.get("ends") or (level_states(view, t_s),
+                                       level_states(view, t_S))
     if len(at_s) != 1 or len(at_S) != 1:
         raise ValueError("conformal slab must meet a single monotone branch; "
                          "pass branch='inner' or 'outer'")
@@ -92,8 +106,8 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         at_x = read.get(x)  # (terms of the record, volume weight, D^(n/2))
         if at_x is None:
             node = nodes.get(x)  # (record, volume weight, D^(n/2))
-            sp = sphere_data(triple, x) if node is None else node[0]
-            values = terms(triple, sp)  # the terms refuse before the weights
+            sp = sphere_data(view, x) if node is None else node[0]
+            values = terms(view, sp)  # the terms refuse before the weights
             if node is None:
                 node = nodes[x] = sp, _volume_density(sp), sp.D ** half_n
             at_x = read[x] = values, node[1], node[2]
@@ -104,14 +118,13 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         except ZeroDivisionError:  # D^(n/2) underflowed: NaN fails the check
             return math.nan
 
-    quad = adaptive(guarded, *sorted((at_s[0].x, at_S[0].x)), DEFAULT_QUAD)
+    rhs, extra = _bulk(guarded, *sorted((at_s[0].x, at_S[0].x)))
     if "flags" not in table:
-        table["flags"] = assumption_flags(triple)
+        table["flags"] = assumption_flags(view)
     return identity_report(
-        name=name, lhs=lhs, rhs=quad.value, tolerance=IDENTITY_TOL,
+        name=name, lhs=lhs, rhs=rhs, tolerance=IDENTITY_TOL,
         assumptions=dict(table["flags"]), description=description,
-        extra={"evaluations": quad.evaluations,
-               "branch": triple.branch or "full"})
+        extra={**extra, "branch": view.branch or "full"})
 
 
 def _first_flux(triple: StaticTriple, p: float,
@@ -235,14 +248,14 @@ def curvature_deficit_identity(triple: StaticTriple,
         inset = 1e-9 * (hi_dom - lo_dom)
         a, b = sorted((sp0.x, triple.extremum.location))
         a, b = max(a, lo_dom + inset), min(b, hi_dom - inset)
-    quad = adaptive(integrand, a, b, DEFAULT_QUAD)
+    rhs, extra = _bulk(integrand, a, b)
     return identity_report(
         name=f"curvature_deficit_identity(t={t})", lhs=lhs,
-        rhs=triple.lambda_sign * quad.value, tolerance=IDENTITY_TOL,
+        rhs=triple.lambda_sign * rhs, tolerance=IDENTITY_TOL,
         assumptions=assumption_flags(triple),
         description="flux of the trace-free Hessian deficit field against "
                     "its bulk integral",
-        extra={"evaluations": quad.evaluations})
+        extra=extra)
 
 
 def boundary_curvature_inequality(triple: StaticTriple) -> IdentityReport:

@@ -469,7 +469,7 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
     correction by Richardson extrapolation.  The induced conformal sphere
     radius squared is h^2/(u^2-1), whence the boundary scalar curvature.
     The limits are a pure function of the triple and are kept in its
-    `__dict__` (nothing when this raises; `replace` starts afresh)."""
+    `__dict__`, by the rule that `geometry` states."""
     kept = triple.__dict__.get("_conformal_boundary_data")
     if kept is not None:
         return kept

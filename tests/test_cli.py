@@ -269,6 +269,51 @@ def test_identities_in_high_dimension(capsys, argv):
             assert c["status"] == "fail"
 
 
+NEAR_BOUND = ("--model", "sds", "--n", "3", "--m", "0.192431")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", *NEAR_BOUND, "--suite", "identities"),
+    ("check", *NEAR_BOUND, "--suite", "inequalities"),
+    ("up-curve", *NEAR_BOUND, "--p", "3", "--t0", "0.1", "--t1", "0.5",
+     "--steps", "3"),
+    ("phi-curve", *NEAR_BOUND, "--p", "3", "--s0", "0.1", "--s1", "2",
+     "--steps", "3"),
+], ids=["identities", "inequalities", "up-curve", "phi-curve"])
+def test_sds_near_the_mass_bound(capsys, argv):
+    # m is 0.9999 of the bound at n = 3: f rounds to 0 next to the inner
+    # horizon, where d2u/dr2 once divided by a floor whose cube was 0
+    code, out = run(capsys, *argv)
+    assert code == 0
+    if argv[0] == "check":
+        assert json.loads(out, parse_constant=_reject)["checks"]
+    else:
+        rows = [line.split(",")[:4] for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_a_spent_quadrature_budget_fails_its_report(capsys, monkeypatch):
+    # a report whose bulk integral runs out of evaluations fails with rhs
+    # null and the reason, and the other reports still print: the first
+    # identities and the deficit identity need more than one bisection,
+    # the second identities converge on their first panel
+    from staticlab import identities
+    from staticlab.quadrature import QuadratureConfig
+    monkeypatch.setattr(identities, "DEFAULT_QUAD",
+                        QuadratureConfig(1e-9, 1e-9, 45))
+    code, out = run(capsys, "check", "--model", "sds", "--suite",
+                    "identities")
+    assert code == 1
+    checks = json.loads(out, parse_constant=_reject)["checks"]
+    assert [c["status"] for c in checks] == ["fail", "fail", "pass", "pass",
+                                             "fail", "pass"]
+    for c in (checks[0], checks[1], checks[4]):
+        assert c["rhs"] is None and "evaluations" not in c["extra"]
+        assert c["extra"]["reason"].startswith(
+            "budget of 45 evaluations exhausted"), c["name"]
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--model", "desitter", "--n", "600", "--suite", "inequalities"),
     ("models", "--n", "1000000"),

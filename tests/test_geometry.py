@@ -110,28 +110,26 @@ def test_hermite_pieces_join_with_two_derivatives():
             assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
 
 
-def test_lazy_field_is_computed_once_and_not_on_failure():
-    calls = []
+def test_branches_are_derived_once_and_not_on_failure(sds01, monkeypatch):
+    # one record per monotone branch, on the first read of a triple only;
+    # nothing is kept when the derivation raises, so a later read retries
+    calls, want = [], sds01.branches()
+    radial_state = StaticTriple.radial_state
 
-    class Probe:
-        def __init__(self, fail):
-            self.fail = fail
+    def counted_state(self, x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise ValueError("refused")
+        return radial_state(self, x)
 
-        @geometry.lazy
-        def field(self):
-            calls.append(self.fail)
-            if self.fail:
-                raise ValueError("refused")
-            return 42.0
-
-    ok, bad = Probe(False), Probe(True)
-    assert ok.field == 42.0 and ok.field == 42.0
-    assert ok.__dict__["field"] == 42.0
-    for _ in range(2):
-        with pytest.raises(ValueError, match="refused"):
-            bad.field
-    assert "field" not in bad.__dict__
-    assert calls == [False, True, True]
+    monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
+    tr = dataclasses.replace(sds01)  # starts afresh
+    with pytest.raises(ValueError, match="refused"):
+        tr.branches()
+    assert "_branches" not in vars(tr) and len(calls) == 1
+    assert tr.branches() == want and len(calls) == 3
+    assert tr.branches() == want and len(calls) == 3
+    assert vars(tr)["_branches"] == want
 
 
 def test_round_sphere_slice_curvature():

@@ -9,7 +9,7 @@ import pytest
 from staticlab import anti_de_sitter, de_sitter
 from staticlab import identities as ID
 from staticlab import levelset as LS
-from staticlab.cli import suite_conformal
+from staticlab.cli import suite_conformal, suite_identities
 from staticlab.models import by_name
 from staticlab.quadrature import QuadratureConfig, adaptive
 
@@ -332,6 +332,29 @@ def test_one_slab_is_set_up_once(monkeypatch, sds01):
     assert [rep.status for rep in reports] == ["pass"] * 4
     assert (len(levels), len(flags)) == (2, 1)
     assert len({id(rep.assumption_status) for rep in reports}) == 4
+
+
+def test_the_slab_table_is_kept_on_the_triple_passed(sds01):
+    # under the key (t_s, t_S, branch of the view), in the caller's triple;
+    # a branch view gets the branches and no table
+    tr = dataclasses.replace(sds01)
+    assert ID.first_identity(tr, 1, 0.5, 2.5, "outer").status == "pass"
+    key, table = vars(tr)["_slab"]
+    assert key == (LS.t_of_s(0.5, 1), LS.t_of_s(2.5, 1), "outer")
+    assert {"ends", "nodes", "flags"} <= set(table)
+    view = tr.on_branch("outer")
+    assert "_slab" not in vars(view) and "_branches" in vars(view)
+
+
+def test_the_identities_suite_locates_each_slab_end_once(monkeypatch,
+                                                          sds01):
+    # the four slab reports share one view, so one table: the two slab ends
+    # and the deficit identity's level are each located once
+    levels = _counted(monkeypatch, "level_radii")
+    reports = suite_identities(dataclasses.replace(sds01), 1e-6)
+    assert [rep.status for rep in reports] == ["pass"] * 6
+    located = [args[1] for args in levels]
+    assert sorted(located) == sorted({*located}) and len(located) == 3
 
 
 # --------------------------------------------------------------------------

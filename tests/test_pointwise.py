@@ -10,6 +10,7 @@ import pytest
 
 from staticlab import (SdSParams, anti_de_sitter, de_sitter,
                        schwarzschild_de_sitter)
+from staticlab import conformal
 from staticlab import identities as ID
 from staticlab import levelset as LS
 from staticlab.conformal import EXTREMUM_BAND
@@ -307,13 +308,20 @@ def test_singular_quantities_are_lazy(nariai3):
 
 def test_a_record_holds_no_memo(sds01):
     # every entry is computed from the ten state fields on each read: a
-    # second read gives the same bits, and nothing is kept on the record
+    # second read gives the same bits, and nothing is kept on the record,
+    # neither by its entries nor by the conformal residuals that read it
     sp = sphere_data(sds01, sds01.interior_points(5)[1])
     entries = [name for name, attr in vars(SphereData).items()
                if isinstance(attr, property)]
     first = [getattr(sp, name) for name in entries]
     second = [getattr(sp, name) for name in entries]
     assert repr(second) == repr(first)  # floats repr to their bits
+    for residual in (conformal.quasi_einstein_residual,
+                     conformal.bochner_residual,
+                     conformal.w_equation_residual,
+                     conformal.trace_identity_residual,
+                     conformal.mean_curvature_relations):
+        assert math.isfinite(residual(sp))
     assert list(sp.__dict__) == [f.name for f in dataclasses.fields(sp)]
     assert len(sp.__dict__) == 10
 

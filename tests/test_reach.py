@@ -5,21 +5,21 @@ The 33 commands of `test_golden.COMMANDS` run in this process under
 `sys.setprofile`, which records the code object of each Python call.  A
 public name is one without a leading underscore, defined at the top of a
 `staticlab` module or in the body of one of its public classes; a
-property or a `geometry.lazy` field counts by its getter.  A name that no
-command reaches belongs in `tests/oracles.py` (a reference only the tests
-read) or out of the package, unless it is listed here.  An entry that a
-command now reaches, or that names nothing, fails too, so the list stays
-short.
+property or a `functools.cached_property` counts by its getter.  A name
+that no command reaches belongs in `tests/oracles.py` (a reference only
+the tests read) or out of the package, unless it is listed here.  An
+entry that a command now reaches, or that names nothing, fails too, so
+the list stays short.
 """
 
 import contextlib
+import functools
 import importlib
 import io
 import pkgutil
 import sys
 
 import staticlab
-from staticlab.geometry import lazy
 
 import test_golden
 
@@ -55,8 +55,8 @@ def _code(obj):
         obj = obj.__func__
     elif isinstance(obj, property):
         obj = obj.fget
-    elif isinstance(obj, lazy):
-        obj = obj.fn
+    elif isinstance(obj, functools.cached_property):
+        obj = obj.func
     return getattr(obj, "__code__", None)
 
 
