@@ -12,13 +12,13 @@ evaluates f once and no `u`.  Every curvature formula below is written in
 arclength-normalised variables (u, u', u'', h, h', h''), where a prime is
 d/drho.  The areal chart supplies them through u' = sqrt(f) du/dr,
 u'' = f d2u/dr2 + f' du/dr / 2, h = r, h' = sqrt(f), h'' = f'/2, so the
-two charts share one code path and the areal chart never divides by f at a
-horizon.
+two charts share one code path.
 
-`sphere_data(triple, x)` builds the one pointwise record, `SphereData`:
-plain data, the triple's n, sign and chart and the state from one profile
-evaluation at x, from which the curvature of g0, the derivatives of u and
-the conformal dictionary (see `conformal`) are computed on each read.
+`sphere_data(triple, x)` builds the one pointwise record, `SphereData`,
+refused in the areal chart where f is not positive: plain data, the
+triple's n and sign, d(rho)/dx and the state from one profile evaluation
+at x, from which the curvature of g0, the derivatives of u and the
+conformal dictionary (see `conformal`) are computed on each read.
 
 The field equations verified here are, with the cosmological constant
 normalised to sign * n(n-1)/2,
@@ -152,9 +152,9 @@ def areal_potential(c: float, fval: float, f1: float,
                     f2: float) -> tuple[float, float, float]:
     """u = c sqrt(f), du/dr and d2u/dr2 from f, f', f'' at one radius, f
     clipped at 0.  Both derivatives divide by sqrt(f) kept off 0 at 1e-100,
-    whose cube is a normal float, so neither raises where f rounds to 0 or
-    below, as next to a horizon: there u is 0 and the derivatives are
-    finite but meaningless."""
+    whose cube is a normal float, for level location, which reads u where f
+    rounds to 0 or below, next to a horizon: there u is 0 and the
+    derivatives are finite but meaningless.  A record refuses such an x."""
     fv = max(fval, 0.0)
     sf = math.sqrt(fv)
     g = sf if sf > 1e-100 else 1e-100
@@ -244,14 +244,16 @@ class StaticTriple:
 
     def radial_state(self, x: float) -> "SphereData":
         """The record at x from one evaluation of u and h, or of f alone,
-        unchecked; `sphere_data` is the checked entry point."""
+        refused where f is not positive or is NaN."""
         if self.f is None:
-            return SphereData(self.n, self.lambda_sign, False, x,
+            return SphereData(self.n, self.lambda_sign, 1.0, x,
                               *self.u.fn(x), *self.h.fn(x))
         fval, f1, f2 = self.f.fn(x)
+        if not fval > 0.0:
+            raise ValueError(f"metric function not positive at x={x}")
         u, du, d2u = areal_potential(self.normalization_factor, fval, f1, f2)
-        sf = math.sqrt(max(fval, 0.0))
-        return SphereData(self.n, self.lambda_sign, True, x, u, sf * du,
+        sf = math.sqrt(fval)
+        return SphereData(self.n, self.lambda_sign, 1.0 / sf, x, u, sf * du,
                           fval * d2u + 0.5 * f1 * du, x, sf, 0.5 * f1)
 
     def interior_points(self, count: int) -> list[float]:
@@ -321,8 +323,9 @@ class SphereData:
     """Everything known at radial point x, i.e. on the level sphere through x.
 
     Plain data from `StaticTriple.radial_state`: the triple's n, lambda_sign
-    and chart (`areal`), not the triple, and the arclength-normalised state
-    (u, u', u'', h, h', h'') from one profile evaluation.  Every other entry,
+    and d(rho)/dx (1, or 1/sqrt(f) = 1/h' in the areal chart), not the
+    triple, and the arclength-normalised state (u, u', u'', h, h', h'')
+    from one profile evaluation.  Every other entry,
     in orthonormal (radial, sphere) components, is computed from them on
     each read and kept nowhere, and refuses only when read: the
     curvature-deficit integrand reaches the extremal sphere, where W, H and
@@ -331,7 +334,7 @@ class SphereData:
 
     n: int
     lambda_sign: int
-    areal: bool
+    arclength_jacobian: float
     x: float
     u: float
     du: float
@@ -344,16 +347,6 @@ class SphereData:
     def grad_u(self) -> float:
         """|Du|."""
         return abs(self.du)
-
-    @property
-    def arclength_jacobian(self) -> float:
-        """d(rho)/dx: 1 in the arclength chart, 1/sqrt(f) = 1/h' in the
-        areal."""
-        if not self.areal:
-            return 1.0
-        if not self.dh > 0.0:
-            raise ValueError(f"metric function not positive at x={self.x}")
-        return 1.0 / self.dh
 
     @property
     def ric_rr(self) -> float:

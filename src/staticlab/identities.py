@@ -51,10 +51,10 @@ from .report import (IDENTITY_TOL, INEQ_TOL, IdentityReport,
 DEFAULT_QUAD = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=100_000)
 
 
-def _inv_sinh_n(triple: StaticTriple, u: float) -> float:
-    if triple.lambda_sign > 0:
-        return (1.0 - u * u) ** (triple.n / 2.0) / u ** triple.n
-    return (u * u - 1.0) ** (triple.n / 2.0)
+def _inv_sinh_n(sp: SphereData) -> float:
+    if sp.lambda_sign > 0:
+        return (1.0 - sp.u * sp.u) ** (sp.n / 2.0) / sp.u ** sp.n
+    return (sp.u * sp.u - 1.0) ** (sp.n / 2.0)
 
 
 def _volume_density(sp: SphereData) -> float:
@@ -75,15 +75,15 @@ def _bulk(integrand: Callable, a: float, b: float) -> tuple[float, dict]:
 def _slab_identity(triple: StaticTriple, s: float, S: float,
                    branch: Optional[str], name: str, description: str,
                    flux: Callable[[Sequence[SphereData]], float],
-                   terms: Callable[[StaticTriple, SphereData], tuple],
+                   terms: Callable[[SphereData], tuple],
                    integrand: Callable[..., float]) -> IdentityReport:
     """flux(S) - flux(s) against the integral of `integrand(*terms)`, over
     {s < phi < S} on `branch`, from the slab's table: the first report on
     the slab locates its ends, builds each node's record and weights and
     takes the flags, and the first report that reads `terms` of a node
     keeps them under `terms` for the others.  The table holds plain data,
-    no triple.  All three callables may read n and lambda_sign, which a
-    view shares."""
+    no triple: `flux` and `terms` read n and lambda_sign from the
+    records."""
     view = triple if branch is None else triple.on_branch(branch)
     t_s, t_S = (t_of_s(tau, triple.lambda_sign) for tau in (s, S))
     if not 0.0 < s < S:
@@ -107,7 +107,7 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         if at_x is None:
             node = nodes.get(x)  # (record, volume weight, D^(n/2))
             sp = sphere_data(view, x) if node is None else node[0]
-            values = terms(view, sp)  # the terms refuse before the weights
+            values = terms(sp)  # the terms refuse before the weights
             if node is None:
                 node = nodes[x] = sp, _volume_density(sp), sp.D ** half_n
             at_x = read[x] = values, node[1], node[2]
@@ -127,23 +127,22 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
         extra={**extra, "branch": view.branch or "full"})
 
 
-def _first_flux(triple: StaticTriple, p: float,
-                spheres: Sequence[SphereData]) -> float:
+def _first_flux(p: float, spheres: Sequence[SphereData]) -> float:
     """Flux term of the first identity on a level's records: the integral of
     W^(p/2) / sinh(phi)^n w.r.t. the conformal area element.  Finite
     arbitrarily close to the extremal value: it reads nothing that refuses
     the band around it."""
-    return sum(sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(triple, sp.u)
+    return sum(sp.W ** (p / 2.0) * sp.area_g * _inv_sinh_n(sp)
                for sp in spheres)
 
 
-def _first_terms(triple: StaticTriple, sp: SphereData) -> tuple:
+def _first_terms(sp: SphereData) -> tuple:
     """What the first integrand reads of a node's record, in the order it
     read it: coth(phi), W (so D refuses first), then the band, then
     1/sinh(phi)^n."""
     u = sp.u
-    return (1.0 / u if triple.lambda_sign > 0 else u, sp.W, sp.hess_phi_nn,
-            sp.lap_phi, _inv_sinh_n(triple, u))
+    return (1.0 / u if sp.lambda_sign > 0 else u, sp.W, sp.hess_phi_nn,
+            sp.lap_phi, _inv_sinh_n(sp))
 
 
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -172,11 +171,11 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     return _slab_identity(
         triple, s, S, branch, f"first_integral_identity(p={p}, s={s}, S={S})",
         "weighted gradient-flux divergence identity on a conformal slab",
-        lambda spheres: _first_flux(triple, p, spheres), _first_terms,
+        lambda spheres: _first_flux(p, spheres), _first_terms,
         integrand)
 
 
-def _second_terms(triple: StaticTriple, sp: SphereData) -> tuple:
+def _second_terms(sp: SphereData) -> tuple:
     """What the second integrand reads of a node's record, in the order it
     read it: |hess phi|^2 (so the band refuses first), then gamma."""
     return sp.hess_phi_norm2, sp.hess_phi_nn, sp.u, sp.W, sp.gamma

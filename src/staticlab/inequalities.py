@@ -33,6 +33,7 @@ from .levelset import (
     conformal_boundary_data,
     level_spheres,
     level_states,
+    up_value,
 )
 from .models import bracketed_root
 from .report import (INEQ_TOL, _NON_DISCRETE, IdentityReport,
@@ -40,11 +41,6 @@ from .report import (INEQ_TOL, _NON_DISCRETE, IdentityReport,
 
 GRADIENT_SAMPLES = 400  # interior points gradient_bound checks
 GRAD_TOL = 1e-10   # tolerance of gradient_bound, which is pointwise
-
-
-def _boundary_area(triple: StaticTriple) -> float:
-    return sum(sphere_area(triple.n, c.sphere_radius)
-               for c in triple.boundaries)
 
 
 def gradient_bound(triple: StaticTriple) -> IdentityReport:
@@ -101,9 +97,9 @@ def _count_report(triple: StaticTriple, name: str, weight: float,
 
 def area_bound(triple: StaticTriple) -> IdentityReport:
     """Extremal-count area bound: |extremal set| * |S^(n-1)| <= |boundary|
-    (conformal boundary area for negative constant)."""
+    = U_0(0) (conformal boundary area for negative constant)."""
     flags = assumption_flags(triple)
-    rhs = (_boundary_area(triple) if triple.lambda_sign > 0
+    rhs = (up_value(triple, 0, 0.0) if triple.lambda_sign > 0
            else conformal_boundary_data(triple).area_g)
     return _count_report(
         triple, "area_bound", unit_sphere_area(triple.n), rhs, flags,
@@ -250,8 +246,8 @@ def mon_glob_bound(triple: StaticTriple, p: float) -> IdentityReport:
 
     Positive constant, for 0 <= p <= 1 (n = 3) or 0 <= p <= n-1 (n >= 4):
 
-        |extremal set| |S^(n-1)|  <=  integral of |Du|^p over the boundary
-                                  <=  |boundary|.
+        |extremal set| |S^(n-1)|  <=  U_p(0), the boundary integral of |Du|^p
+                                  <=  U_0(0) = |boundary|.
 
     Negative constant: |extremal set| |S^(n-1)| <= conformal boundary area.
     """
@@ -269,9 +265,7 @@ def mon_glob_bound(triple: StaticTriple, p: float) -> IdentityReport:
         return refusal_report(
             name, f"exponent outside the admissible range [0, {p_max}]",
             assumptions=flags)
-    mid = sum(c.surface_gravity ** p * sphere_area(n, c.sphere_radius)
-              for c in triple.boundaries)
-    upper = _boundary_area(triple)
+    mid, upper = up_value(triple, p, 0.0), up_value(triple, 0, 0.0)
     rep = _count_report(
         triple, name, unit_sphere_area(n), mid, flags,
         assumptions_hold(triple, flags),

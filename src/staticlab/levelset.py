@@ -34,7 +34,7 @@ from .report import (_NON_DISCRETE, IDENTITY_TOL, IdentityReport,
                      identity_report, inequality_report, refusal_report)
 from .roots import EPS, find_root
 
-LIMINF_K = (6, 24)  # liminf_check samples t = 1 -+ 2^-k for k in this range
+LIMINF_K = 24  # liminf_check samples t = 1 -+ 2^-k for k = 22, 23 and 24
 BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 WALK_STEPS = 6  # Newton steps of a walked sphere before its level goes cold
 OUT_OF_RANGE = ("a sphere term at p={:.12g} leaves the double range at the "
@@ -424,9 +424,9 @@ def liminf_check(triple: StaticTriple, p: float) -> IdentityReport:
     """Estimate lim U_p(t) as t approaches the extremal value 1 and compare
     it with |extremal set| * |S^(n-1)|, at IDENTITY_TOL.
 
-    Samples t = 1 -+ 2^-k on a geometric sequence and extrapolates with an
-    Aitken step; k is capped where 1 - t^2 still carries enough significant
-    bits for the level location.  Refuses on a non-discrete extremal set.
+    Extrapolates with an Aitken step from t = 1 -+ 2^-k at k = LIMINF_K - 2
+    to LIMINF_K, where 1 - t^2 still carries enough significant bits for
+    the level location.  Refuses on a non-discrete extremal set.
     """
     if p > triple.n - 1:
         raise ValueError("the limit estimate is asserted for p <= n-1")
@@ -437,10 +437,9 @@ def liminf_check(triple: StaticTriple, p: float) -> IdentityReport:
         return replace(refusal_report(name, _NON_DISCRETE, flags, about),
                        tolerance=IDENTITY_TOL)
     sign = triple.lambda_sign
-    ks = range(LIMINF_K[0], LIMINF_K[1] + 1)
-    vals = [up_value(triple, p, 1.0 - sign * 2.0 ** (-k)) for k in ks]
+    v0, v1, v2 = (up_value(triple, p, 1.0 - sign * 2.0 ** (-k))
+                  for k in range(LIMINF_K - 2, LIMINF_K + 1))
     # Aitken extrapolation, guarded for already-converged sequences
-    v0, v1, v2 = vals[-3], vals[-2], vals[-1]
     d1, d2 = v1 - v0, v2 - v1
     if abs(d2 - d1) > 1e-12 * max(1.0, abs(v2)):
         limit = v2 - d2 * d2 / (d2 - d1)

@@ -20,8 +20,8 @@ S3_AREA = 4 * math.pi
 
 def _first_flux(tr, p, tau):
     """The first identity's flux at {phi = tau}, from the level's records."""
-    return ID._first_flux(tr, p,
-                          LS.level_states(tr, LS.t_of_s(tau, tr.lambda_sign)))
+    return ID._first_flux(p, LS.level_states(tr,
+                                             LS.t_of_s(tau, tr.lambda_sign)))
 
 
 # the benchmark's identities op at its seed-0 masses: 19 reports per

@@ -742,6 +742,25 @@ def test_liminf_aitken_step_is_exact_on_a_geometric_sequence(ds3, ads3,
         assert rep.lhs == pytest.approx(S3_AREA, abs=1e-12), tr.name
 
 
+def test_liminf_sums_only_the_three_levels_its_aitken_step_reads(
+        ds3, ads3, monkeypatch):
+    # k = 22, 23 and 24, each level once: no sample is thrown away
+    levels = []
+    up_value = LS.up_value
+
+    def counted(tr, p, t):
+        levels.append(t)
+        return up_value(tr, p, t)
+
+    monkeypatch.setattr(LS, "up_value", counted)
+    for tr in (ds3, ads3):
+        for p in (1, 2):
+            levels.clear()
+            assert LS.liminf_check(tr, p).status == "pass"
+            assert levels == [1.0 - tr.lambda_sign * 2.0 ** -k
+                              for k in (22, 23, 24)]
+
+
 def _nondegenerate_cap(n: int, a: float) -> StaticTriple:
     """Not static: u = cos(sqrt(a) rho), h = sin rho on (0, pi/(2 sqrt a)),
     a nondegenerate maximum u ~ 1 - a rho^2/2 with h ~ rho, of which the

@@ -8,8 +8,8 @@ import weakref
 
 import pytest
 
-from staticlab import (SdSParams, anti_de_sitter, de_sitter,
-                       schwarzschild_de_sitter)
+from staticlab import (SdSParams, admissible_mass_bound, anti_de_sitter,
+                       de_sitter, schwarzschild_de_sitter)
 from staticlab import conformal
 from staticlab import identities as ID
 from staticlab import levelset as LS
@@ -285,14 +285,30 @@ def test_quadrature_node_evaluates_f_once(sds01, check, monkeypatch):
     assert per_node and set(per_node) == {1}
 
 
-def test_areal_jacobian_refuses_nonpositive_f(sds01):
+def test_areal_jacobian_refuses_nonpositive_f(sds01, nariai3):
+    # the record carries d(rho)/dx, set where it is built: 1/sqrt(f) in the
+    # areal chart, 1 in the arclength chart; an areal record is refused
+    # where f is not positive or is NaN
     x = sds01.interior_points(3)[1]
     sp = sds01.radial_state(x)
     assert sp.arclength_jacobian == 1.0 / math.sqrt(sds01.f(x)[0])
-    for dh in (0.0, math.nan):  # sqrt(max(f, 0)) where f <= 0 or is NaN
-        bad = dataclasses.replace(sp, dh=dh)
+    rho = nariai3.interior_points(3)[0]
+    assert nariai3.radial_state(rho).arclength_jacobian == 1.0
+    for fval in (0.0, -1e-300, math.nan):
+        bad = dataclasses.replace(sds01, f=dataclasses.replace(
+            sds01.f, fn=lambda r, fval=fval: (fval, *sds01.f(r)[1:])))
         with pytest.raises(ValueError, match="metric function not positive"):
-            bad.arclength_jacobian
+            bad.radial_state(x)
+
+
+def test_a_record_is_refused_where_f_rounds_to_zero():
+    # the first float inside the inner horizon at 0.999 of the mass bound,
+    # where f reads 0.0: u and u' would read 0 and u'' about 8e98
+    m = 0.999 * admissible_mass_bound(3)
+    tr, x = schwarzschild_de_sitter(SdSParams(3, m)), 0.5623782995114497
+    assert tr.domain[0] < x and tr.f(x)[0] == 0.0
+    with pytest.raises(ValueError, match="metric function not positive"):
+        sphere_data(tr, x)
 
 
 def test_singular_quantities_are_lazy(nariai3):
@@ -349,4 +365,4 @@ def test_level_readers_refuse_the_extremal_band(ds3):
             read()
     # U_p and the first-identity flux stay finite up to the extremal value
     assert math.isfinite(LS.up_value(ds3, 3, t))
-    assert math.isfinite(ID._first_flux(ds3, 3, LS.level_states(ds3, t)))
+    assert math.isfinite(ID._first_flux(3, LS.level_states(ds3, t)))
