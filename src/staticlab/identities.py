@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-from .geometry import (SphereData, StaticTriple, boundary_scalar_curvature,
-                       sphere_area)
+from .geometry import SphereData, StaticTriple, boundary_scalar_curvature
 from .levelset import (
     assumption_flags,
     conformal_boundary_data,
+    horizon_integral,
     level_states,
     sphere_data,
     t_of_s,
@@ -260,23 +260,20 @@ def curvature_deficit_identity(triple: StaticTriple,
 def boundary_curvature_inequality(triple: StaticTriple) -> IdentityReport:
     """Boundary form of the curvature-deficit identity.
 
-    Positive constant:  integral over the horizon of
-    |Du| [(n-1)(n-2) - R_bdry] <= 0, i.e. the weighted boundary scalar
-    curvature dominates its round value; equality exactly in the round
-    rigid case.  Negative constant: the conformal-boundary counterpart
-    integral of [(n-1)(n-2) - R_g_bdry] >= 0 under the vanishing gradient
-    limit, with equality in the rigid case.
+    Positive constant: the `horizon_integral` over every horizon of the
+    solution (on a view too) of |Du| [(n-1)(n-2) - R_bdry] <= 0, i.e. the
+    weighted boundary scalar curvature dominates its round value; equality
+    exactly in the round rigid case.  Negative constant: the
+    conformal-boundary counterpart integral of [(n-1)(n-2) - R_g_bdry] >= 0
+    under the vanishing gradient limit, with equality in the rigid case.
     """
     n = triple.n
     flags = assumption_flags(triple)
     if triple.lambda_sign > 0:
-        if not triple.boundaries:
-            raise ValueError("triple has no boundary")
-        lhs = rhs = 0.0
-        for c in triple.boundaries:
-            area = sphere_area(n, c.sphere_radius)
-            lhs += c.surface_gravity * (n - 1) * (n - 2) * area
-            rhs += c.surface_gravity * boundary_scalar_curvature(n, c) * area
+        lhs = horizon_integral(n, triple.boundaries, lambda c: (
+            c.surface_gravity * (n - 1) * (n - 2)))
+        rhs = horizon_integral(n, triple.boundaries, lambda c: (
+            c.surface_gravity * boundary_scalar_curvature(n, c)))
         applicable, where = True, "horizon-weighted boundary"
     else:
         bdry = conformal_boundary_data(triple)

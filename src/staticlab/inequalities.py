@@ -23,7 +23,6 @@ from dataclasses import replace
 from .geometry import (
     StaticTriple,
     boundary_scalar_curvature,
-    sphere_area,
     sphere_area_from_log,
     unit_sphere_area,
 )
@@ -31,6 +30,7 @@ from .levelset import (
     assumption_flags,
     assumptions_hold,
     conformal_boundary_data,
+    horizon_integral,
     level_spheres,
     level_states,
     up_value,
@@ -140,7 +140,8 @@ def willmore_bound(triple: StaticTriple) -> IdentityReport:
 
 def scalar_average_bound(triple: StaticTriple) -> IdentityReport:
     """Boundary scalar-curvature average bound (positive constant only):
-    |extremal set| |S^(n-1)| <= integral of R_bdry / ((n-1)(n-2))."""
+    |extremal set| |S^(n-1)| <= integral of R_bdry / ((n-1)(n-2)), the
+    `horizon_integral` over every horizon of the solution, also on a view."""
     n = triple.n
     flags = assumption_flags(triple)
     if triple.lambda_sign < 0:
@@ -148,8 +149,8 @@ def scalar_average_bound(triple: StaticTriple) -> IdentityReport:
             "scalar_average_bound",
             "no counterpart is asserted for negative constant",
             assumptions=flags)
-    rhs = sum(boundary_scalar_curvature(n, c) / ((n - 1) * (n - 2))
-              * sphere_area(n, c.sphere_radius) for c in triple.boundaries)
+    rhs = horizon_integral(n, triple.boundaries, lambda c: (
+        boundary_scalar_curvature(n, c) / ((n - 1) * (n - 2))))
     return _count_report(
         triple, "scalar_average_bound", unit_sphere_area(n), rhs, flags,
         assumptions_hold(triple, flags),

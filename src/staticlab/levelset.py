@@ -18,18 +18,20 @@ Every function here sums over the spheres of the level that its triple
 sees: on a two-branch triple, both; on the view `triple.on_branch("inner")`
 (or "outer"), the one on that branch, and at t = 0 that side's horizon.
 Its two checks take no tolerance: `liminf_check` judges at IDENTITY_TOL,
-and `monotonicity_scan` at 1e-10 of the curve's scale.
+and `monotonicity_scan` at 1e-10 of the curve's scale.  Each boundary
+quantity, here and in the checks of `identities` and `inequalities`, is a
+`horizon_integral`: horizon areas weighed by a density constant on each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .geometry import (BRANCH_INSET, SphereData, StaticTriple,
-                       boundary_scalar_curvature, check_window, sphere_area,
-                       sphere_data, unit_sphere_area)
+from .geometry import (BRANCH_INSET, BoundaryComponent, SphereData,
+                       StaticTriple, boundary_scalar_curvature, check_window,
+                       sphere_area, sphere_data, unit_sphere_area)
 from .report import (_NON_DISCRETE, IDENTITY_TOL, IdentityReport,
                      identity_report, inequality_report, refusal_report)
 from .roots import EPS, find_root
@@ -45,13 +47,10 @@ OUT_OF_RANGE = ("a sphere term at p={:.12g} leaves the double range at the "
 # level location
 
 def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
-    """All radial coordinates where u = t, smallest first.
-
-    t = 0 on a positive-constant triple designates the boundary itself and
-    is answered from the stored horizon data.
-    """
+    """All radial coordinates where u = t, smallest first: at t = 0 on a
+    positive-constant triple, the boundary, the locations of its horizons."""
     if triple.lambda_sign > 0 and t == 0.0:
-        return tuple(c.location for c, _ in _boundary_spheres(triple))
+        return tuple(c.location for c in triple.horizons())
 
     def g(x: float) -> tuple[float, float]:
         val, slope, _ = triple.u.fn(x)
@@ -123,9 +122,15 @@ def t_of_s(s: float, lambda_sign: int) -> float:
 # --------------------------------------------------------------------------
 # U_p and its derivatives
 
-def _boundary_spheres(triple: StaticTriple):
-    return [(c, sphere_area(triple.n, c.sphere_radius))
-            for c in triple.horizons()]
+def horizon_integral(n: int, components: Sequence[BoundaryComponent],
+                     density: Callable[[BoundaryComponent], float]) -> float:
+    """The integral over the round spheres `components` of a density that
+    is constant on each: the sum of their areas times `density(c)`, in
+    their order, refused where there is no sphere to integrate over."""
+    if not components:
+        raise ValueError("triple has no boundary")
+    return sum(sphere_area(n, c.sphere_radius) * density(c)
+               for c in components)
 
 
 def _sqrt_gap(t: float) -> float:
@@ -167,14 +172,17 @@ def _in_range(p: float, t: float, *values: float) -> tuple[float, ...]:
 
 
 def up_value(triple: StaticTriple, p: float, t: float) -> float:
-    """U_p(t) as a closed-form sphere sum."""
-    n, horizon = triple.n, triple.lambda_sign > 0 and t == 0.0
-    spheres = _boundary_spheres(triple) if horizon else level_states(triple, t)
-    rd = 0.0 if horizon else _sqrt_gap(t)
+    """U_p(t) as a closed-form sphere sum; at t = 0 on a positive triple,
+    the `horizon_integral` of kappa^p over the horizons the triple sees."""
+    n = triple.n
     try:
-        total = (sum(a * c.surface_gravity ** p for c, a in spheres) if horizon
-                 else unit_sphere_area(n) * sum(_up_term(n, rd, sp, p)
-                                                for sp in spheres))
+        if triple.lambda_sign > 0 and t == 0.0:
+            total = horizon_integral(n, triple.horizons(),
+                                     lambda c: c.surface_gravity ** p)
+        else:
+            spheres, rd = level_states(triple, t), _sqrt_gap(t)
+            total = unit_sphere_area(n) * sum(_up_term(n, rd, sp, p)
+                                              for sp in spheres)
     except OverflowError:
         raise ValueError(OUT_OF_RANGE.format(p, t)) from None
     return _in_range(p, t, total)[0]
@@ -210,43 +218,30 @@ def up_derivative(triple: StaticTriple, p: float,
     return _in_range(p, t, pref * h_form, pref * ricci_form, pref * bound)
 
 
-def up_second_derivative_at_boundary(triple: StaticTriple, p: float) -> float:
-    """Boundary-integral formula for the one-sided second derivative.
-
-    For positive constant this is U_p''(0) = lim U_p'(t)/t over the horizon;
-    for negative constant it is the limit of V_p''(r) at the conformal
-    boundary, with V_p(r) = U_p(sqrt(1 + 1/r^2)).
-    """
+def up_second_derivative_at_boundary(triple: StaticTriple,
+                                     p: float) -> tuple[float, float]:
+    """(display, bound): the boundary display of U_p'', p >= 3, and the
+    line that majorises it under the gradient estimate.  Positive constant:
+    U_p''(0) = lim U_p'(t)/t, a `horizon_integral` over the horizons the
+    triple sees.  Negative constant: V_p''(0+) at the conformal boundary,
+    with V_p(r) = U_p(sqrt(1 + 1/r^2))."""
     if p < 3:
         raise ValueError("asserted for p >= 3 only")
     n = triple.n
     if triple.lambda_sign > 0:
-        if not triple.boundaries:
-            raise ValueError("triple has no boundary")
-        total = 0.0
-        for c, a in _boundary_spheres(triple):
-            kappa = c.surface_gravity
-            total += a * kappa ** (p - 2) * (
-                (boundary_scalar_curvature(n, c) - (n - 1) * (n - 2)) / 2.0
-                + ((n + p - 1) / (p - 1)) * (1.0 - kappa ** 2))
-        return -(p - 1) * total
+        c_np, horizons = (n + p - 1) / (p - 1), triple.horizons()
+        display = horizon_integral(n, horizons, lambda c: (
+            c.surface_gravity ** (p - 2)
+            * ((boundary_scalar_curvature(n, c) - (n - 1) * (n - 2)) / 2.0
+               + c_np * (1.0 - c.surface_gravity ** 2))))
+        bound = horizon_integral(n, horizons, lambda c: (
+            c.surface_gravity ** (p - 2) * (1.0 - c.surface_gravity ** 2)))
+        return -(p - 1) * display, -n * bound
     bdry = conformal_boundary_data(triple)
     integrand = (((n - 1) * (n - 2) - bdry.scalar_g_boundary) / (2.0 * (n - 1))
                  + (n * (p + 1) / (2.0 * (p - 1))) * bdry.gradient_limit)
-    return -(p - 1) * integrand * bdry.area_g
-
-
-def up_second_derivative_bound(triple: StaticTriple, p: float) -> float:
-    """The majorising line of the boundary second-derivative display."""
-    if p < 3:
-        raise ValueError("asserted for p >= 3 only")
-    n = triple.n
-    if triple.lambda_sign > 0:
-        return -n * sum(a * c.surface_gravity ** (p - 2)
-                        * (1.0 - c.surface_gravity ** 2)
-                        for c, a in _boundary_spheres(triple))
-    bdry = conformal_boundary_data(triple)
-    return -n * bdry.gradient_limit * bdry.area_g
+    return (-(p - 1) * integrand * bdry.area_g,
+            -n * bdry.gradient_limit * bdry.area_g)
 
 
 # --------------------------------------------------------------------------

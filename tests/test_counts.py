@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 OPTIONS_CEILING = 17
-SRC_LINES_CEILING = 3333
+SRC_LINES_CEILING = 3326
 
 
 def _counts():

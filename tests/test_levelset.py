@@ -14,10 +14,14 @@ from staticlab import (
     nariai,
     schwarzschild_de_sitter,
 )
+from staticlab import identities as ID
+from staticlab import inequalities as IQ
 from staticlab import levelset as LS
 from staticlab.geometry import (BRANCH_INSET, EXTREMUM_BAND, Extremum,
-                                RadialProfile, StaticTriple, linspace,
+                                RadialProfile, StaticTriple,
+                                boundary_scalar_curvature, linspace,
                                 sphere_area, unit_sphere_area)
+from staticlab.odegen import HorizonData, shoot_from_horizon
 
 from oracles import (bisect, bisect_bracket, five_point_derivative,
                      hemisphere_in_arclength, s_of_t, sds_horizon_data,
@@ -535,20 +539,69 @@ def test_second_derivative_relation_up_phi(sds01):
 
 
 # --------------------------------------------------------------------------
+# integrals over the horizons
+
+def _horizon_triples():
+    """Triples with horizons: round, product, two-horizon and shot."""
+    return [de_sitter(3), de_sitter(5), nariai(3), nariai(4),
+            *(schwarzschild_de_sitter(SdSParams(n=n, m=m))
+              for n, m in ((3, 0.1), (4, 0.05), (5, 0.02))),
+            shoot_from_horizon(HorizonData(3, +1, 0.8, 1.0))]
+
+
+def test_horizon_integrals_keep_the_bits_of_the_written_out_sums():
+    # each sum as its caller wrote it before `horizon_integral`, term for
+    # term and in the same order, so every bit of U_p(0), both sides of the
+    # boundary curvature inequality and the scalar average is pinned
+    for tr in _horizon_triples():
+        n = tr.n
+        for p in (0, 1, 3):
+            spheres = [(c, sphere_area(n, c.sphere_radius))
+                       for c in tr.horizons()]
+            assert LS.up_value(tr, p, 0.0) == sum(
+                a * c.surface_gravity ** p for c, a in spheres), (tr.name, p)
+        lhs = rhs = 0.0
+        for c in tr.boundaries:
+            area = sphere_area(n, c.sphere_radius)
+            lhs += c.surface_gravity * (n - 1) * (n - 2) * area
+            rhs += c.surface_gravity * boundary_scalar_curvature(n, c) * area
+        report = ID.boundary_curvature_inequality(tr)
+        assert (report.lhs, report.rhs) == (lhs, rhs), tr.name
+        assert IQ.scalar_average_bound(tr).rhs == sum(
+            boundary_scalar_curvature(n, c) / ((n - 1) * (n - 2))
+            * sphere_area(n, c.sphere_radius) for c in tr.boundaries), tr.name
+
+
+def test_a_view_integrates_its_horizon_and_the_checks_the_solution(sds01):
+    # U_p(0) on a view reads its side's horizon; the two boundary checks
+    # state a property of the whole solution, so they read both horizons
+    inner = sds01.on_branch("inner")
+    near = min(sds01.boundaries, key=lambda c: c.location)
+    assert LS.up_value(inner, 1, 0.0) == \
+        sphere_area(3, near.sphere_radius) * near.surface_gravity
+    assert LS.up_value(inner, 1, 0.0) < LS.up_value(sds01, 1, 0.0)
+    for check in (ID.boundary_curvature_inequality, IQ.scalar_average_bound):
+        # by repr, since a refused count keeps a NaN left side
+        assert repr(check(inner)) == repr(check(sds01)), check
+
+
+# --------------------------------------------------------------------------
 # boundary second derivative
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_second_derivative_zero_on_round_models(ds3, ads3, p):
-    assert abs(LS.up_second_derivative_at_boundary(ds3, p)) <= 1e-8
-    assert abs(LS.up_second_derivative_bound(ds3, p)) <= 1e-8
-    assert abs(LS.up_second_derivative_at_boundary(ads3, p)) <= 1e-8
-    assert abs(LS.up_second_derivative_bound(ads3, p)) <= 1e-8
+    display, bound = LS.up_second_derivative_at_boundary(ds3, p)
+    assert abs(display) <= 1e-8
+    assert abs(bound) <= 1e-8
+    display, bound = LS.up_second_derivative_at_boundary(ads3, p)
+    assert abs(display) <= 1e-8
+    assert abs(bound) <= 1e-8
 
 
 def test_second_derivative_sds_matches_derivative_limit(sds01):
     """The boundary-integral formula against the limit of U_p'(t)/t."""
     for p in (3, 5):
-        formula = LS.up_second_derivative_at_boundary(sds01, p)
+        formula, _ = LS.up_second_derivative_at_boundary(sds01, p)
         h = 1e-3
         two = LS.up_derivative(sds01, p, h)[0] / h
         one = LS.up_derivative(sds01, p, h / 2)[0] / (h / 2)
@@ -559,7 +612,7 @@ def test_second_derivative_sds_matches_derivative_limit(sds01):
 def test_vp_second_derivative_limit_ads(ads3):
     # lim -t^3 U_p'(t) as t grows reproduces the conformal-boundary formula
     for p in (3, 4):
-        formula = LS.up_second_derivative_at_boundary(ads3, p)
+        formula, _ = LS.up_second_derivative_at_boundary(ads3, p)
         probe = -200.0 ** 3 * LS.up_derivative(ads3, p, 200.0)[0]
         assert formula == pytest.approx(0.0, abs=1e-8)
         assert probe == pytest.approx(0.0, abs=1e-6)

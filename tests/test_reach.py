@@ -38,7 +38,6 @@ ALLOWED = {
     "geometry.RadialProfile.hermite": RECONSTRUCT,
     "levelset.up_derivative": NO_SUITE,
     "levelset.up_second_derivative_at_boundary": NO_SUITE,
-    "levelset.up_second_derivative_bound": NO_SUITE,
     "levelset.monotonicity_scan": NO_SUITE,
 }
 

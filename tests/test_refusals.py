@@ -30,6 +30,9 @@ PLATEAU = StaticTriple(
     h=RadialProfile((0.0, 2.0), lambda x: (x, 1.0, 0.0)), f=None,
     boundaries=(), extremum=Extremum(location=2.0, count=1))
 
+# de Sitter without its horizon data: no boundary to integrate over
+NO_BOUNDARY = dataclasses.replace(de_sitter(3), boundaries=())
+
 NARIAI3 = nariai(3)
 ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
     NARIAI3.domain, lambda x: (0.0, 0.0, 0.0)))
@@ -54,15 +57,13 @@ ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
     (lambda: IQ.overdetermined_condition(PLATEAU, 0.5),
      "singular level at t=0.5"),
     (lambda: LS.up_curve(PLATEAU, 1, [0.5]), "singular level at x="),
-    (lambda: ID.boundary_curvature_inequality(
-        dataclasses.replace(de_sitter(3), boundaries=())),
+    (lambda: ID.boundary_curvature_inequality(NO_BOUNDARY),
      "triple has no boundary"),
-    (lambda: LS.up_second_derivative_at_boundary(
-        dataclasses.replace(de_sitter(3), boundaries=()), 3),
+    (lambda: LS.up_second_derivative_at_boundary(NO_BOUNDARY, 3),
      "triple has no boundary"),
+    (lambda: LS.up_value(NO_BOUNDARY, 1, 0.0), "triple has no boundary"),
+    (lambda: IQ.scalar_average_bound(NO_BOUNDARY), "triple has no boundary"),
     (lambda: LS.up_second_derivative_at_boundary(de_sitter(3), 2),
-     r"asserted for p >= 3 only"),
-    (lambda: LS.up_second_derivative_bound(de_sitter(3), 2),
      r"asserted for p >= 3 only"),
     (lambda: LS.conformal_boundary_data(dataclasses.replace(
         anti_de_sitter(3), conformally_compact=False)),
@@ -71,8 +72,8 @@ ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
         "zero-warp-phi-curve", "conformal-factor",
         "mean-curvature-singular", "overdetermined-singular",
         "transport-singular", "boundary-inequality-no-boundary",
-        "boundary-second-derivative-no-boundary",
-        "boundary-second-derivative-p", "second-derivative-bound-p",
+        "boundary-second-derivative-no-boundary", "up-value-no-boundary",
+        "scalar-average-no-boundary", "boundary-second-derivative-p",
         "not-conformally-compact"])
 def test_refusal(call, message):
     with pytest.raises(ValueError, match=message):
