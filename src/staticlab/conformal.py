@@ -52,7 +52,6 @@ from .geometry import (  # the record's names stay bound here for readers
     linspace,
     sphere_data,
 )
-from .roots import find_root
 
 U_CAP = 20.0  # the conformal checkers sample u <= U_CAP when u grows
 SAMPLE_MIN_GAP = 1e-5  # sample points keep |u - 1| >= this
@@ -201,20 +200,17 @@ def sample_points_off_extremum(triple: StaticTriple,
     checkers, each point evaluated once.
 
     Filters the degenerate band around the extremal set, and on an
-    unbounded negative-constant triple restricts to the window u <= U_CAP:
-    the dictionary quantities grow polynomially in u, so absolute residual
-    targets are meaningful on a compact exhaustion, not at the far end of
-    the numerical domain."""
+    unbounded negative-constant triple, where u at its one branch's outer
+    end exceeds U_CAP, restricts to the window u <= U_CAP, whose edge is
+    `level_radii(triple, U_CAP)`: the dictionary quantities grow
+    polynomially in u, so absolute residual targets are meaningful on a
+    compact exhaustion, not at the far end of the numerical domain."""
     lo, hi = triple.domain
-    span = hi - lo
-    if triple.lambda_sign < 0 and triple.u.value(hi - 1e-9 * span) > U_CAP:
-        def excess(x: float) -> tuple[float, float]:  # u rises outward
-            val, slope, _ = triple.u(x)
-            return val - U_CAP, slope
-
-        hi = find_root(excess, lo + 1e-12 * span, hi - 1e-12 * span)
-        span = hi - lo
-    pad = INTERIOR_PAD * span  # the inset of `StaticTriple.interior_points`
+    if triple.lambda_sign < 0 and triple.branches()[0].u_b > U_CAP:
+        # here, so that the suite loads `levelset` only to cut the window
+        from .levelset import level_radii
+        (hi,) = level_radii(triple, U_CAP)  # u rises outward from its minimum
+    pad = INTERIOR_PAD * (hi - lo)  # `StaticTriple.interior_points`' inset
     records = [sphere_data(triple, x)
                for x in linspace(lo + pad, hi - pad, count)]
     return [sp for sp in records if abs(sp.u - 1.0) >= SAMPLE_MIN_GAP]

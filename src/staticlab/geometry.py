@@ -194,14 +194,19 @@ class Extremum:
 
 @dataclass(frozen=True)
 class Branch:
-    """A maximal interval of the radial domain on which u is monotone, and
-    the range of u over it, taken BRANCH_INSET * span inside its ends."""
+    """The bracket on which a level of u is sought: a maximal interval of
+    the radial domain on which u is monotone, with its ends a < b taken
+    BRANCH_INSET * span inside, and u_a, u_b the values of u there."""
 
-    lo: float
-    hi: float
-    increasing: bool
-    u_lo: float
-    u_hi: float
+    a: float
+    b: float
+    u_a: float
+    u_b: float
+
+    def meets(self, t: float) -> bool:
+        """Whether the level t lies in the range of u on the bracket, its
+        ends included."""
+        return self.u_a <= t <= self.u_b or self.u_b <= t <= self.u_a
 
 
 @dataclass(frozen=True)
@@ -302,11 +307,8 @@ class StaticTriple:
             cuts = [(lo, xstar), (xstar, hi)]
         out = []
         for a, b in cuts:
-            du = self.radial_state(0.5 * (a + b)).du
-            ua = self.u.value(a + BRANCH_INSET * span)
-            ub = self.u.value(b - BRANCH_INSET * span)
-            out.append(Branch(a, b, increasing=du > 0,
-                              u_lo=min(ua, ub), u_hi=max(ua, ub)))
+            a, b = a + BRANCH_INSET * span, b - BRANCH_INSET * span
+            out.append(Branch(a, b, self.u.value(a), self.u.value(b)))
         return tuple(out)
 
 

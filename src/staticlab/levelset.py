@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .geometry import (BRANCH_INSET, BoundaryComponent, SphereData,
-                       StaticTriple, boundary_scalar_curvature, check_window,
-                       sphere_area, sphere_data, unit_sphere_area)
+from .geometry import (BoundaryComponent, SphereData, StaticTriple,
+                       boundary_scalar_curvature, check_window, sphere_area,
+                       sphere_data, unit_sphere_area)
 from .report import (_NON_DISCRETE, IDENTITY_TOL, IdentityReport,
                      identity_report, inequality_report, refusal_report)
 from .roots import EPS, find_root
@@ -47,7 +47,8 @@ OUT_OF_RANGE = ("a sphere term at p={:.12g} leaves the double range at the "
 # level location
 
 def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
-    """All radial coordinates where u = t, smallest first: at t = 0 on a
+    """All radial coordinates where u = t, smallest first: one root on the
+    bracket of each branch that meets t, and at t = 0 on a
     positive-constant triple, the boundary, the locations of its horizons."""
     if triple.lambda_sign > 0 and t == 0.0:
         return tuple(c.location for c in triple.horizons())
@@ -56,13 +57,8 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
         val, slope, _ = triple.u.fn(x)
         return val - t, slope
 
-    inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
-    radii = []
-    for br in triple.branches():
-        if br.u_lo <= t <= br.u_hi:
-            g_ends = (br.u_lo - t, br.u_hi - t)
-            radii.append(find_root(g, br.lo + inset, br.hi - inset,
-                                   *(g_ends if br.increasing else g_ends[::-1])))
+    radii = [find_root(g, br.a, br.b, br.u_a - t, br.u_b - t)
+             for br in triple.branches() if br.meets(t)]
     if not radii:
         raise ValueError(f"level t={t} outside the range of u")
     return tuple(sorted(radii))
@@ -302,31 +298,29 @@ def _curve(triple: StaticTriple, row, p: float, grid: Sequence[float],
     """The rows (point, *`row(t, states, spheres)`) over `grid` at the
     levels t = `level_of(point)`, all built before any is returned.  Each
     sphere steps from the last level's state (x, u, u', u'') by
-    `_walk_sphere` inside its branch, and its record (`sphere_data`) is
-    built once.  A level is located cold, by `level_radii`, when it is the
-    first, follows a horizon level (t = 0 on a positive triple: states
-    (x,), no records), meets another set of branches, or when Newton
-    leaves a branch or does not converge.  A p that is not finite is
-    refused (its rows read nan, or 4 pi as 1 ** nan)."""
+    `_walk_sphere` inside its branch's bracket [a, b], and its record
+    (`sphere_data`) is built once.  A level is located cold, by
+    `level_radii`, when it is the first, follows a horizon level (t = 0 on
+    a positive triple: states (x,), no records), meets another set of
+    branches, or when Newton leaves a bracket or does not converge.  A p
+    that is not finite is refused (its rows read nan, or 4 pi as 1 ** nan)."""
     if not math.isfinite(p):
         raise ValueError(f"exponent p must be a finite number, got {p:g}")
     levels = [level_of(point) for point in grid]
-    inset = BRANCH_INSET * (triple.domain[1] - triple.domain[0])
-    spans = [(b.u_lo, b.u_hi, b.lo + inset, b.hi - inset)
-             for b in triple.branches()]  # u range, then walk bracket
+    branches = triple.branches()
     fn, rows, here, states = triple.u.fn, [], None, []
     for point, t in zip(grid, levels):
         if triple.lambda_sign > 0 and t == 0.0:
             here, states = None, [(x,) for x in level_radii(triple, t)]
             rows.append((point, *row(t, states, ())))
             continue
-        spans_at = [sp for sp in spans if sp[0] <= t <= sp[1]]
-        if spans_at == here:
-            states = [_walk_sphere(fn, t, st, sp[2], sp[3])
-                      for st, sp in zip(states, spans_at)]
-        if spans_at != here or None in states:
+        meeting = [br for br in branches if br.meets(t)]
+        if meeting == here:
+            states = [_walk_sphere(fn, t, st, br.a, br.b)
+                      for st, br in zip(states, meeting)]
+        if meeting != here or None in states:
             states = [(x, *fn(x)) for x in level_radii(triple, t)]
-            here = spans_at
+            here = meeting
         spheres = [sphere_data(triple, st[0]) for st in states]
         rows.append((point, *row(t, states, spheres)))
     return rows

@@ -50,7 +50,8 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
                    dfn: Callable[[float], float] | None = None) -> float:
     """Root of fn on [lo, hi] by the package's bracketed solver: Newton
     steps from `dfn` when given, false position and bisection otherwise."""
-    return find_root(lambda x: (fn(x), dfn(x) if dfn else None), lo, hi)
+    return find_root(lambda x: (fn(x), dfn(x) if dfn else None), lo, hi,
+                     fn(lo), fn(hi))
 
 
 def de_sitter(n: int) -> StaticTriple:

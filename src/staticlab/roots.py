@@ -2,8 +2,9 @@
 
 Cold level location (curves walk by `levelset._walk_sphere`, a Newton with
 its own stop, and come here when it gives up), the horizon radii and the
-window edges of the conformal checkers solve g(x) = 0 with a known sign
-change on [lo, hi].  `find_root` keeps that bracket and at each iterate tries
+window edge of the conformal sample solve g(x) = 0 on [lo, hi], given
+with g at both ends (a `geometry.Branch` holds u at its ends), where the
+signs differ.  `find_root` keeps that bracket and at each iterate tries
 
 1. the Newton step, from the slope that the same evaluation returned;
 2. Illinois false position, when the Newton step would leave the bracket
@@ -30,16 +31,10 @@ CRAWL_STEPS = 8
 
 
 def find_root(g: Callable[[float], tuple[float, Optional[float]]],
-              lo: float, hi: float,
-              g_lo: Optional[float] = None,
-              g_hi: Optional[float] = None) -> float:
-    """Root of g on [lo, hi]; `g(x)` returns (value, slope or None).
-
-    `g_lo`/`g_hi` are the values at the bracket ends when the caller already
-    knows them.  Raises ValueError when the ends do not change sign.
-    """
-    fa = g(lo)[0] if g_lo is None else g_lo
-    fb = g(hi)[0] if g_hi is None else g_hi
+              lo: float, hi: float, fa: float, fb: float) -> float:
+    """Root of g on [lo, hi]; `g(x)` returns (value, slope or None), and fa
+    and fb are its values at lo and hi.  Raises ValueError when they do not
+    change sign."""
     if fa == 0.0:
         return lo
     if fb == 0.0:

@@ -12,6 +12,8 @@ import pytest
 from staticlab import cli
 from staticlab.cli import main
 
+from extremes import extreme_argvs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -293,33 +295,10 @@ def test_sds_near_the_mass_bound(capsys, argv):
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
-def _extreme_argvs():
-    """SdS at n = 3, 8 and 438, at 10 times its mass floor, half its mass
-    bound and 0.999999 of it, through every suite and both curves, and the
-    round models where areas and weights leave the double range."""
-    from staticlab import admissible_mass_bound
-    from staticlab.models import _inner_start
-    curves = (("up-curve", "--p", "3", "--t0", "0.1", "--t1", "0.5"),
-              ("phi-curve", "--p", "3", "--s0", "0.1", "--s1", "2"))
-    for n in (3, 8, 438):
-        r, bound = _inner_start(n), admissible_mass_bound(n)
-        for m in (5.0 * r ** (n - 2) * (1.0 - r * r), bound / 2,
-                  0.999999 * bound):
-            model = ("--model", "sds", "--n", str(n), "--m", repr(m))
-            for suite in cli.SUITES:
-                yield ("check", *model, "--suite", suite)
-            for name, *flags in curves:
-                yield (name, *model, *flags, "--steps", "3")
-    for model in ("desitter", "antidesitter", "nariai"):
-        for n in ("393", "416", "425", "438"):
-            for suite in ("identities", "inequalities"):
-                yield ("check", "--model", model, "--n", n, "--suite", suite)
-
-
 def test_extreme_inputs_print_json_csv_or_one_line(capsys):
     # nothing escapes `main` but SystemExit: a record refused inside a
     # command would show here as a traceback
-    argvs = list(_extreme_argvs())
+    argvs = list(extreme_argvs())
     assert len(argvs) == 87
     for argv in argvs:
         code = main(list(argv))

@@ -110,26 +110,30 @@ def test_hermite_pieces_join_with_two_derivatives():
             assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
 
 
-def test_branches_are_derived_once_and_not_on_failure(sds01, monkeypatch):
-    # one record per monotone branch, on the first read of a triple only;
-    # nothing is kept when the derivation raises, so a later read retries
-    calls, want = [], sds01.branches()
-    radial_state = StaticTriple.radial_state
+def test_branches_are_derived_once_and_not_on_failure(nariai3, monkeypatch):
+    # two u reads per monotone branch, at its bracket ends, and no record,
+    # on the first read of a triple only; nothing is kept when the
+    # derivation raises, so a later read retries
+    reads, records, want = [], [], nariai3.branches()
+    u_fn = nariai3.u.fn
 
-    def counted_state(self, x):
-        calls.append(x)
-        if len(calls) == 1:
+    def counted_u(x):
+        reads.append(x)
+        if len(reads) == 1:
             raise ValueError("refused")
-        return radial_state(self, x)
+        return u_fn(x)
 
-    monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
-    tr = dataclasses.replace(sds01)  # starts afresh
+    monkeypatch.setattr(StaticTriple, "radial_state",
+                        lambda self, x: records.append(x))
+    tr = dataclasses.replace(  # starts afresh
+        nariai3, u=RadialProfile(nariai3.domain, counted_u))
     with pytest.raises(ValueError, match="refused"):
         tr.branches()
-    assert "_branches" not in vars(tr) and len(calls) == 1
-    assert tr.branches() == want and len(calls) == 3
-    assert tr.branches() == want and len(calls) == 3
-    assert vars(tr)["_branches"] == want
+    assert "_branches" not in vars(tr) and len(reads) == 1
+    assert tr.branches() == want and len(reads) == 5
+    assert tr.branches() == want and len(reads) == 5
+    assert vars(tr)["_branches"] == want and records == []
+    assert reads[1:] == [x for br in want for x in (br.a, br.b)]
 
 
 def test_round_sphere_slice_curvature():
@@ -300,12 +304,16 @@ def test_warped_curvature_domain_checks(ds3):
         warped_curvature(ds3, 0.0)  # h = 0 at the centre
 
 
+def _increasing(br):
+    return br.u_a < br.u_b
+
+
 def test_branches(ds3, ads3, sds01, nariai3):
-    assert len(ds3.branches()) == 1 and not ds3.branches()[0].increasing
-    assert len(ads3.branches()) == 1 and ads3.branches()[0].increasing
+    assert len(ds3.branches()) == 1 and not _increasing(ds3.branches()[0])
+    assert len(ads3.branches()) == 1 and _increasing(ads3.branches()[0])
     brs = sds01.branches()
     assert len(brs) == 2
-    assert brs[0].increasing and not brs[1].increasing
+    assert _increasing(brs[0]) and not _increasing(brs[1])
     assert len(nariai3.branches()) == 2
 
 

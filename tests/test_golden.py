@@ -173,7 +173,9 @@ def _golden_bytes():
 
 def test_golden_bytes_runs_these_commands():
     # tools/golden_bytes.py reads COMMANDS from this file without pytest,
-    # then the 23 commands of the seed-0 cli benchmark workload
+    # then the 23 commands of the seed-0 cli benchmark workload, then the
+    # 87 extreme argvs of tests/extremes.py, each under its own name
+    from extremes import extreme_argvs
     commands = list(_golden_bytes().commands().items())
     assert commands[:len(COMMANDS)] == list(COMMANDS.items())
     assert [argv for _, argv in commands[len(COMMANDS):]] == [
@@ -182,7 +184,9 @@ def test_golden_bytes_runs_these_commands():
         ["scan-sds", "--n", "3", "--m-grid", "0.01:0.19:0.01"],
         ["shoot", "--n", "3", "--h0", "1", "--kappa", "1"],
         ["models", "--n", "3", "--m", "0.1"],
+        *(list(argv) for argv in extreme_argvs()),
     ]
+    assert len(commands) == len(COMMANDS) + 23 + 87
 
 
 def test_golden_bytes_names_the_cells_that_differ():

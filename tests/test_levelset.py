@@ -17,8 +17,9 @@ from staticlab import (
 from staticlab import identities as ID
 from staticlab import inequalities as IQ
 from staticlab import levelset as LS
-from staticlab.geometry import (BRANCH_INSET, EXTREMUM_BAND, Extremum,
-                                RadialProfile, StaticTriple,
+from staticlab.conformal import U_CAP, sample_points_off_extremum
+from staticlab.geometry import (BRANCH_INSET, EXTREMUM_BAND, INTERIOR_PAD,
+                                Extremum, RadialProfile, StaticTriple,
                                 boundary_scalar_curvature, linspace,
                                 sphere_area, unit_sphere_area)
 from staticlab.odegen import HorizonData, shoot_from_horizon
@@ -71,20 +72,76 @@ def test_branch_view_sees_one_side(sds01):
 
 
 def test_branch_view_shares_the_branches(monkeypatch):
-    tr = schwarzschild_de_sitter(SdSParams(n=3, m=0.1))
+    # a view takes its parent's branches as they are: the very objects, and
+    # no u read or record to derive them again
+    sds = schwarzschild_de_sitter(SdSParams(n=3, m=0.1))
+    reads, records = [], []
+
+    def counted_u(x):
+        reads.append(x)
+        return sds.u.fn(x)
+
+    tr = dataclasses.replace(sds, u=RadialProfile(sds.domain, counted_u))
     full = tr.branches()
-    calls = [0]
-    radial_state = StaticTriple.radial_state
-
-    def counted_state(self, x):
-        calls[0] += 1
-        return radial_state(self, x)
-
-    monkeypatch.setattr(StaticTriple, "radial_state", counted_state)
+    assert len(full) == 2 and len(reads) == 4
+    reads.clear()
+    monkeypatch.setattr(StaticTriple, "radial_state",
+                        lambda self, x: records.append(x))
     inner, outer = tr.on_branch("inner"), tr.on_branch("outer")
+    assert inner.branches()[0] is full[0] and outer.branches()[0] is full[1]
     assert inner.branches() == full[:1] and outer.branches() == full[1:]
     assert inner.branch == "inner" and tr.branch is None
-    assert calls[0] == 0
+    assert reads == [] and records == []
+
+
+BRACKET_TRIPLES = {
+    "desitter": lambda: de_sitter(3),
+    "antidesitter": lambda: anti_de_sitter(3),
+    "sds": lambda: schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
+    "nariai": lambda: nariai(3),
+    "shot": lambda: shoot_from_horizon(HorizonData(3, +1, 0.8, 1.0)),
+    "sds-inner": lambda: schwarzschild_de_sitter(
+        SdSParams(n=3, m=0.1)).on_branch("inner"),
+    "sds-outer": lambda: schwarzschild_de_sitter(
+        SdSParams(n=3, m=0.1)).on_branch("outer"),
+}
+
+
+@pytest.mark.parametrize("name", list(BRACKET_TRIPLES))
+def test_each_branch_is_a_bracket_with_u_at_both_ends(name):
+    # every level is sought on a branch as it stands: its ends sit
+    # BRANCH_INSET * span inside a monotone interval (the domain, cut at an
+    # interior extremum), u_a and u_b are u there bit for bit, and the
+    # range that `meets` tests takes in both ends and nothing past them
+    tr = BRACKET_TRIPLES[name]()
+    lo, hi = tr.domain
+    inset, xstar = BRANCH_INSET * (hi - lo), tr.extremum.location
+    cuts = [lo, xstar, hi] if lo < xstar < hi else [lo, hi]
+    intervals = list(zip(cuts, cuts[1:]))
+    if tr.branch is not None:
+        intervals = intervals[:1] if tr.branch == "inner" else intervals[-1:]
+    branches = tr.branches()
+    assert [(br.a, br.b) for br in branches] == [
+        (a + inset, b - inset) for a, b in intervals]
+    for br in branches:
+        assert br.u_a == tr.u.value(br.a) and br.u_b == tr.u.value(br.b)
+        low, high = sorted((br.u_a, br.u_b))
+        assert low < high and br.meets(low) and br.meets(high)
+        assert not br.meets(math.nextafter(low, -math.inf))
+        assert not br.meets(math.nextafter(high, math.inf))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conformal_sample_edge_is_the_level_u_cap(n):
+    # the window u <= U_CAP of the conformal sample on anti-de Sitter ends
+    # where level location puts the level U_CAP, bit for bit: both search
+    # the one branch's bracket from u at its ends
+    tr = anti_de_sitter(n)
+    (edge,) = LS.level_radii(tr, U_CAP)
+    lo = tr.domain[0]
+    pad = INTERIOR_PAD * (edge - lo)
+    assert [sp.x for sp in sample_points_off_extremum(tr, 9)] == linspace(
+        lo + pad, edge - pad, 9)
 
 
 def test_unknown_branch_designator_is_refused(sds01):
@@ -124,12 +181,12 @@ def test_level_radii_as_good_as_bisection(kind, n, mass_fraction, which,
     br = branches[which % len(branches)]
     view = (tr if len(branches) == 1
             else tr.on_branch(("inner", "outer")[which]))
-    t = br.u_lo + level_fraction * (br.u_hi - br.u_lo)
+    u_lo, u_hi = sorted((br.u_a, br.u_b))
+    t = u_lo + level_fraction * (u_hi - u_lo)
     (x,) = LS.level_radii(view, t)
-    assert br.lo < x < br.hi
-    inset = BRANCH_INSET * (tr.domain[1] - tr.domain[0])
+    assert br.a <= x <= br.b
     ref = max(abs(tr.u.value(y) - t) for y in bisect_bracket(
-        lambda y: tr.u.value(y) - t, br.lo + inset, br.hi - inset))
+        lambda y: tr.u.value(y) - t, br.a, br.b))
     eps = sys.float_info.epsilon
     assert abs(tr.u.value(x) - t) <= 2 * ref + 4 * eps * abs(t)
 

@@ -117,10 +117,10 @@ def test_find_root_that_runs_out_of_iterations_raises():
 
     with pytest.raises(ValueError, match=r"no root located on \[0.0, 2.0\]"
                                          r" in 200 iterations; smallest"):
-        find_root(g, 0.0, 2.0)
+        find_root(g, 0.0, 2.0, g(0.0)[0], g(2.0)[0])
     assert len(calls) == MAX_ITERATIONS + 2  # the two ends, then the loop
-    assert find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0) == \
-        pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, -2.0,
+                     2.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def _inner_horizon(n, m):
@@ -168,7 +168,7 @@ def test_find_root_evaluation_counts(g, lo, hi, evaluations):
         calls.append(x)
         return g(x)
 
-    x = find_root(counted, lo, hi)
+    x = find_root(counted, lo, hi, counted(lo)[0], counted(hi)[0])
     assert len(calls) == evaluations
     assert abs(g(x)[0]) == min(abs(g(y)[0]) for y in calls)
     assert x == pytest.approx(bisect(lambda y: g(y)[0], lo, hi), rel=1e-15)

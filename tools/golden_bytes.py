@@ -1,18 +1,22 @@
-"""Check that the golden commands and the `cli` benchmark workload print
-the same bytes at a revision and in the working tree.
+"""Check that the golden commands, the `cli` benchmark workload and the
+extreme command lines print the same bytes at a revision and in the
+working tree.
 
     python3 tools/golden_bytes.py REV
 
-Runs each command of `tests/test_golden.COMMANDS` and each argv of the
-seed-0 `cli` workload (`perfbench/workloads.Cli(0, ROOT).argvs`) as a child
-process, `python -m staticlab.cli ...`, twice: on `git archive REV src`
-extracted to a temporary directory, and on the working tree's `src/`.
-Prints each command whose exit status or stdout bytes differ, and under
-one whose stdout differs the cells that do (`cell_diff`), then a summary
-line.  Exits 1 if any command differs, 2 if REV cannot be
+Runs each command of `tests/test_golden.COMMANDS`, each argv of the
+seed-0 `cli` workload (`perfbench/workloads.Cli(0, ROOT).argvs`) and each
+of `tests/extremes.extreme_argvs` (refusals and near-bound paths) as a
+child process, `python -m staticlab.cli ...`, twice: on `git archive REV
+src` extracted to a temporary directory, and on the working tree's `src/`.
+Prints each command whose exit status, stdout or stderr bytes differ, and
+under one whose stdout differs the cells that do (`cell_diff`), then a
+summary line.  Exits 1 if any command differs, 2 if REV cannot be
 archived, and 0 otherwise.  `tests/test_golden.py` compares floats within
 tolerance floors; this compares bytes, which a change that means to move
-no output keeps.  Standard library and git only.
+no output keeps.  Standard library and git, and the working tree's
+`staticlab` (from `src/`), which `tests/extremes.py` imports to build the
+extreme argvs.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_TEST = ROOT / "tests" / "test_golden.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+EXTREMES = ROOT / "tests" / "extremes.py"
 
 
 def golden_commands() -> dict[str, list[str]]:
@@ -57,18 +62,32 @@ def cli_workload_commands() -> dict[str, list[str]]:
             for argv in workloads.Cli(0, str(ROOT)).argvs}
 
 
+def extreme_commands() -> dict[str, list[str]]:
+    """The argvs of `tests/extremes.py`, each named by its argv; their
+    masses are computed by the working tree's package."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    spec = importlib.util.spec_from_file_location("_extremes", EXTREMES)
+    extremes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(extremes)
+    return {" ".join(argv): list(argv) for argv in extremes.extreme_argvs()}
+
+
 def commands() -> dict[str, list[str]]:
-    """The golden commands, then the `cli` workload's."""
-    return {**golden_commands(), **cli_workload_commands()}
+    """The golden commands, then the `cli` workload's, then the extreme
+    ones."""
+    return {**golden_commands(), **cli_workload_commands(),
+            **extreme_commands()}
 
 
-def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
-    """Exit status and stdout of the CLI on the package under `src`."""
+def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit status, stdout and stderr of the CLI on the package under
+    `src`."""
     env = {**os.environ, "PYTHONPATH": str(src),
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-m", "staticlab.cli", *argv],
                           capture_output=True, env=env, cwd=src)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def cell_diff(before: str, after: str) -> list[str]:
@@ -128,17 +147,21 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp, **({"filter": "data"}
                                    if hasattr(tarfile, "data_filter") else {}))
         for name, cmd in todo.items():
-            (code_at, out_at), (code, out) = (run(Path(tmp) / "src", cmd),
-                                              run(ROOT / "src", cmd))
+            at, here = run(Path(tmp) / "src", cmd), run(ROOT / "src", cmd)
+            (code_at, out_at, err_at), (code, out, err) = at, here
             if code != code_at:
                 print(f"{name}: exit {code_at} at {rev}, {code} here")
             elif out != out_at:
                 print(f"{name}: stdout differs")
                 for line in cell_diff(out_at.decode(), out.decode()):
                     print(f"  {line}")
-            differ += (code, out) != (code_at, out_at)
-    print(f"{len(todo) - differ}/{len(todo)} golden and cli workload "
-          f"commands byte-identical to {rev}")
+            elif err != err_at:
+                print(f"{name}: stderr differs")
+                print(f"  {err_at.decode(errors='replace')!r} -> "
+                      f"{err.decode(errors='replace')!r}")
+            differ += here != at
+    print(f"{len(todo) - differ}/{len(todo)} golden, cli workload and "
+          f"extreme commands byte-identical to {rev}")
     return 1 if differ else 0
 
 
