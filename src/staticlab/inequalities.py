@@ -23,6 +23,7 @@ from dataclasses import replace
 from .geometry import (
     StaticTriple,
     boundary_scalar_curvature,
+    check_window,
     sphere_area_from_log,
     unit_sphere_area,
 )
@@ -31,7 +32,6 @@ from .levelset import (
     assumptions_hold,
     conformal_boundary_data,
     horizon_integral,
-    level_spheres,
     level_states,
     up_value,
 )
@@ -164,14 +164,16 @@ def lp_gradient_bound(triple: StaticTriple, p: float,
         || Du / sqrt|1-u^2| ||_{L^p}  <=  sqrt( || +-H |D log u| + n ||_{L^(p/2)} ),
 
     with + for positive constant.  Both norms are over {u = t} and reduce to
-    closed-form sphere sums."""
+    closed-form sphere sums; a level within EXTREMUM_BAND of u = 1, where W
+    loses every digit, is refused before either is read."""
     if p < 3:
         raise ValueError("asserted for p >= 3")
     n = triple.n
     flags = assumption_flags(triple)
     sign = float(triple.lambda_sign)
     lhs_sum = rhs_sum = 0.0
-    for sp in level_spheres(triple, t):
+    for sp in level_states(triple, t):
+        check_window(sp.u)
         q = sign * sp.H * sp.grad_u / sp.u + n
         lhs_sum += sp.W ** (p / 2.0) * sp.area
         rhs_sum += abs(q) ** (p / 2.0) * sp.area

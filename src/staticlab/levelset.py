@@ -98,15 +98,6 @@ def level_states(triple: StaticTriple, t: float) -> list[SphereData]:
     return [sphere_data(triple, x) for x in level_radii(triple, t)]
 
 
-def level_spheres(triple: StaticTriple, t: float) -> tuple[SphereData, ...]:
-    """The records of the spheres of {u = t}, refused like the conformal
-    dictionary within EXTREMUM_BAND of u = 1, where W loses every digit."""
-    spheres = tuple(sphere_data(triple, x) for x in level_radii(triple, t))
-    for sp in spheres:
-        check_window(sp.u)
-    return spheres
-
-
 def t_of_s(s: float, lambda_sign: int) -> float:
     """The level t of the conformal level s > 0, on the side of u = 1 that
     lambda_sign fixes: tanh(s) or coth(s)."""
@@ -244,37 +235,20 @@ def up_second_derivative_at_boundary(triple: StaticTriple,
 # Phi_p
 
 def phi_p(triple: StaticTriple, p: float, s: float) -> float:
-    """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g."""
-    t = t_of_s(s, triple.lambda_sign)
-    spheres = level_spheres(triple, t)
-    try:
-        return _in_range(p, t, sum(_phi_term(p, sp.W, sp.area_g)
-                                   for sp in spheres))[0]
-    except OverflowError:
-        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
-
-
-def _phi_term(p: float, w: float, area_g: float) -> float:
-    return w ** (p / 2.0) * area_g
+    """Phi_p(s): conformal-area-weighted p-th power of |grad phi|_g, the
+    value of the one-row `phi_curve` at s, and refused like it."""
+    return phi_curve(triple, p, [s])[0][1]
 
 
 def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
-    """Phi_p'(s) through the conformal mean curvature and Laplacian:
+    """Phi_p'(s), p >= 3, through the conformal mean curvature and
+    Laplacian, the analytic derivative of the one-row `phi_curve` at s:
 
         integral of -(p-1) |grad phi|^(p-1) H_g + p |grad phi|^(p-2) lap phi.
     """
-    t = t_of_s(s, triple.lambda_sign)
-    spheres = level_spheres(triple, t)
-    try:
-        return _in_range(p, t, sum(_phi_slope(p, sp, sp.W, sp.area_g)
-                                   for sp in spheres))[0]
-    except OverflowError:
-        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
-
-
-def _phi_slope(p: float, sp: SphereData, w: float, area_g: float) -> float:
-    return area_g * (-(p - 1) * w ** ((p - 1) / 2.0) * sp.H_g
-                     + p * w ** ((p - 2) / 2.0) * sp.lap_phi)
+    if p < 3:
+        raise ValueError("the derivative formula is only asserted for p >= 3")
+    return phi_curve(triple, p, [s])[0][2]
 
 
 # --------------------------------------------------------------------------
@@ -357,21 +331,23 @@ def up_curve(triple: StaticTriple, p: float,
 
 def phi_curve(triple: StaticTriple, p: float,
               grid: Sequence[float]) -> list[Row]:
-    """The rows of Phi_p over `grid`, walked by `_curve` and refused like
-    `level_spheres`.  One pass over a level's records gives the value,
-    `phi_p_derivative` (p >= 3) and the transport derivative: dt/ds =
-    1 - t^2 times the sum of each sphere term A_g W^(p/2) times its
-    `_log_rate` at the record's u."""
+    """The rows of Phi_p over `grid`, walked by `_curve`, a level refused
+    within EXTREMUM_BAND of u = 1, where W loses every digit.  One pass
+    over a level's records gives the value, the derivative through H_g and
+    lap phi (p >= 3) and the transport derivative: dt/ds = 1 - t^2 times
+    the sum of each sphere term A_g W^(p/2) times its `_log_rate` at the
+    record's u.  `phi_p` and `phi_p_derivative` read a one-row curve."""
     def row(t: float, states, spheres) -> tuple[float, float, float]:
         value = d_ana = slope = 0.0
         try:
             for sp in spheres:
                 check_window(sp.u)
                 w, area_g = sp.W, sp.area_g
-                term = _phi_term(p, w, area_g)
+                term = w ** (p / 2.0) * area_g
                 slope += term * _log_rate(triple.n, p, sp.u, sp)
                 if p >= 3:
-                    d_ana += _phi_slope(p, sp, w, area_g)
+                    d_ana += area_g * (-(p - 1) * w ** ((p - 1) / 2.0) * sp.H_g
+                                       + p * w ** ((p - 2) / 2.0) * sp.lap_phi)
                 value += term
         except OverflowError:
             raise ValueError(OUT_OF_RANGE.format(p, t)) from None
@@ -468,7 +444,7 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
     n = triple.n
 
     def at(t: float) -> tuple[float, float, float]:
-        (sp,) = level_spheres(triple, t)
+        (sp,) = level_states(triple, t)
         scal = (n - 1) * (n - 2) * sp.D / sp.h ** 2
         return sp.area_g, scal, sp.D - sp.du ** 2
 

@@ -372,7 +372,7 @@ def test_level_walk_through_an_inflection():
 
 
 def test_level_data_fields(sds01):
-    spheres = LS.level_spheres(sds01, 0.5)
+    spheres = LS.level_states(sds01, 0.5)
     radii = [sp.x for sp in spheres]
     assert len(radii) == 2
     assert s_of_t(0.5) == pytest.approx(0.5 * math.log(3.0))
@@ -520,6 +520,31 @@ def test_up_derivative_rejects_small_p(ds3):
         LS.up_derivative(ds3, 2, 0.5)
 
 
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_phi_p_refuses_as_its_one_row_curve(ds3, sds01):
+    # Phi_p is the value of the one-row phi_curve: the band, a row past the
+    # double range (at p = 566 only its transport derivative), a p that is
+    # not finite and a level s <= 0 are refused alike, with one message
+    inner = sds01.on_branch("inner")
+    for tr, p, s in ((ds3, 3, s_of_t(1.0 - 1e-7)), (inner, 566, 0.1),
+                     (inner, 1e3, 0.1), (ds3, math.nan, 0.5),
+                     (ds3, 3, 0.0), (ds3, 3, -0.5)):
+        message = _refusal(lambda: LS.phi_curve(tr, p, [s]))
+        assert _refusal(lambda: LS.phi_p(tr, p, s)) == message
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_phi_p_derivative_rejects_small_p(ds3, p):
+    # its formula is asserted where up_derivative's is, with the same words
+    assert _refusal(lambda: LS.phi_p_derivative(ds3, p, 0.5)) == \
+        _refusal(lambda: LS.up_derivative(ds3, p, 0.5))
+
+
 def test_up_derivative_sign_matches_monotonicity(sds01, ads3):
     # wherever the gradient bound holds pointwise on the level, the bound
     # line is <= 0 for positive constant (and >= 0 for negative)
@@ -541,7 +566,7 @@ def test_phi_p_equals_up(ds3, sds01, ads3, nariai3):
 
 def test_phi_0_is_conformal_area(sds01):
     s = s_of_t(0.5)
-    area_g = sum(sp.area_g for sp in LS.level_spheres(sds01, 0.5))
+    area_g = sum(sp.area_g for sp in LS.level_states(sds01, 0.5))
     assert LS.phi_p(sds01, 0, s) == pytest.approx(area_g, rel=1e-12)
 
 

@@ -359,7 +359,6 @@ def test_level_readers_refuse_the_extremal_band(ds3):
     for read in (lambda: LS.up_derivative(ds3, 3, t),
                  lambda: LS.phi_p(ds3, 3, s_of_t(t)),
                  lambda: LS.phi_p_derivative(ds3, 3, s_of_t(t)),
-                 lambda: LS.level_spheres(ds3, t),
                  lambda: lp_gradient_bound(ds3, 3, t)):
         with pytest.raises(ValueError, match="excluded band"):
             read()
