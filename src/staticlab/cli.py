@@ -2,9 +2,10 @@
 
 Output is deterministic for fixed flags: floats are printed at 12
 significant digits, CSV rows and JSON keys are emitted in a canonical
-order, files are UTF-8 with LF line endings.  Exit status is 2 on usage
-errors and on shots that cannot be integrated, close at a singular pole
-or span 2e-6 or less (rows keep 1e-6 from each end), 1 when a check fails
+order, files are UTF-8 with LF line endings.  Exit status is 2, with one
+stderr line, when the command line or the library refuses the input by
+a ValueError or RuntimeError (`check --model sds --n 4 --m 0.1249999999875
+--suite inequalities`, next to the SdS mass bound), 1 when a check fails
 (an inapplicable one does not), a shot's monitor drift exceeds
 odegen.DRIFT_TOL or a scanned inner horizon has gravity at most 1, else 0.
 
@@ -54,17 +55,6 @@ def _dumps(payload) -> str:
     return json.dumps(_json_ready(payload), sort_keys=True, indent=2)
 
 
-class UsageError(Exception):
-    """Bad command-line input: one line on stderr and exit status 2."""
-
-
-def _triple(model: str, n: int, m: float) -> StaticTriple:
-    try:
-        return by_name(model, n=n, m=m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _write(path: Optional[str], lines: Iterable[str]) -> None:
     """Each of `lines` and a newline, to stdout or to the file `path`
     opened only now; an --out that cannot be written is a usage error."""
@@ -76,7 +66,7 @@ def _write(path: Optional[str], lines: Iterable[str]) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(ended)
     except OSError as exc:
-        raise UsageError(
+        raise ValueError(
             f"cannot write --out {path}: {exc.strerror}") from None
 
 
@@ -101,7 +91,7 @@ def _parse_grid(spec: str) -> list[float]:
         if count > MAX_ROWS:
             raise ValueError(f"more than {MAX_ROWS} points")
     except (OverflowError, ValueError) as exc:
-        raise UsageError(f"bad grid specification {spec!r}: {exc}") from None
+        raise ValueError(f"bad grid specification {spec!r}: {exc}") from None
     d = (a + step) - a
     return [a, a + step][:count] + [a + i * d for i in range(2, count)]
 
@@ -196,7 +186,7 @@ def cmd_models(args) -> int:
     from . import levelset
     rows = []
     for name in MODELS:
-        tr = _triple(name, args.n, args.m)
+        tr = by_name(name, n=args.n, m=args.m)
         rows.append({
             "model": name,
             "name": tr.name,
@@ -225,7 +215,7 @@ def _check_rows(what: str, count: int) -> None:
     is built (`_parse_grid` checks its count before it builds the grid)."""
     if not 1 <= count <= MAX_ROWS:
         bound = "at least 1" if count < 1 else f"at most {MAX_ROWS}"
-        raise UsageError(f"{what} must be {bound}, got {count}")
+        raise ValueError(f"{what} must be {bound}, got {count}")
 
 
 def _curve_command(args, curve_fn) -> int:
@@ -235,14 +225,14 @@ def _curve_command(args, curve_fn) -> int:
     and a level between them, which can fail alone, by the curve."""
     from . import levelset
     _check_rows("--steps", args.steps)
-    tr = _on_branch(_triple(args.model, args.n, args.m), args.branch)
+    tr = _on_branch(by_name(args.model, n=args.n, m=args.m), args.branch)
     ends = [getattr(args, flag[2:]) for flag in args.ends]
     probes = [(f"{flag} {v:.12g}: ", [v]) for flag, v in zip(args.ends, ends)]
     for prefix, grid in probes + [("", linspace(*ends, args.steps))]:
         try:
             rows = curve_fn(tr, args.p, grid)
         except ValueError as exc:
-            raise UsageError(f"{prefix}{exc}") from None
+            raise ValueError(f"{prefix}{exc}") from None
     flags = ";".join(f"{k}={str(v).lower()}" for k, v
                      in sorted(levelset.assumption_flags(tr).items()))
     _write(args.out, _csv("level,value,d_analytic,d_numeric,assumption_flags",
@@ -262,7 +252,7 @@ def cmd_phi_curve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    tr = _triple(args.model, args.n, args.m)
+    tr = by_name(args.model, n=args.n, m=args.m)
     reports = SUITES[args.suite](tr, IDENTITY_TOL)
     payload = {
         "model": args.model,
@@ -277,7 +267,7 @@ def cmd_check(args) -> int:
 def cmd_scan_sds(args) -> int:
     grid = _parse_grid(args.m_grid)
     _check_rows(f"the mass count of --m-grid {args.m_grid}", len(grid))
-    horizons = [_triple("sds", args.n, m).horizons() for m in grid]
+    horizons = [by_name("sds", n=args.n, m=m).horizons() for m in grid]
     _write(args.out, _csv("m,r1,r2,kappa1,kappa2", ",".join(["%.12g"] * 5), (
         (m, b1.location, b2.location, b1.surface_gravity, b2.surface_gravity)
         for m, (b1, b2) in zip(grid, horizons))))
@@ -287,14 +277,11 @@ def cmd_scan_sds(args) -> int:
 def cmd_shoot(args) -> int:
     from . import odegen
     _check_rows("--steps", args.steps)
-    try:
-        tr = odegen.shoot_from_horizon(odegen.HorizonData(
-            n=args.n, lambda_sign=+1, h0=args.h0, kappa=args.kappa))
-    except (ValueError, RuntimeError) as exc:
-        raise UsageError(str(exc)) from None
+    tr = odegen.shoot_from_horizon(odegen.HorizonData(
+        n=args.n, lambda_sign=+1, h0=args.h0, kappa=args.kappa))
     lo, hi = tr.domain
     if not hi - lo > 2e-6:  # the rows keep 1e-6 from each end
-        raise UsageError(f"the shot's arclength {hi - lo:g} is not above "
+        raise ValueError(f"the shot's arclength {hi - lo:g} is not above "
                          "the 2e-06 that its rows keep from its ends")
     system = odegen.reduce_system(args.n, +1)
 
@@ -372,7 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except UsageError as exc:
+    except (ValueError, RuntimeError) as exc:
+        if type(exc) not in (ValueError, RuntimeError):
+            raise  # a subclass (RecursionError, QuadratureError): a defect
         sys.stderr.write(f"staticlab {args.command}: error: {exc}\n")
         return 2
     except BrokenPipeError:

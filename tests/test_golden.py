@@ -174,7 +174,7 @@ def _golden_bytes():
 def test_golden_bytes_runs_these_commands():
     # tools/golden_bytes.py reads COMMANDS from this file without pytest,
     # then the 23 commands of the seed-0 cli benchmark workload, then the
-    # 87 extreme argvs of tests/extremes.py, each under its own name
+    # 123 extreme argvs of tests/extremes.py, each under its own name
     from extremes import extreme_argvs
     commands = list(_golden_bytes().commands().items())
     assert commands[:len(COMMANDS)] == list(COMMANDS.items())
@@ -186,7 +186,7 @@ def test_golden_bytes_runs_these_commands():
         ["models", "--n", "3", "--m", "0.1"],
         *(list(argv) for argv in extreme_argvs()),
     ]
-    assert len(commands) == len(COMMANDS) + 23 + 87
+    assert len(commands) == len(COMMANDS) + 23 + 123
 
 
 def test_golden_bytes_names_the_cells_that_differ():

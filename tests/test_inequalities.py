@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from staticlab import (SdSParams, cli, de_sitter, nariai,
-                       schwarzschild_de_sitter)
+from staticlab import (BoundaryComponent, Extremum, SdSParams, cli,
+                       de_sitter, nariai, schwarzschild_de_sitter)
 from staticlab import identities as ID
 from staticlab import inequalities as IQ
 from staticlab import levelset as LS
@@ -98,6 +98,21 @@ def test_gradient_bound_sds_locates_violation(sds01):
     lo, hi = rep.extra["violation_interval"]
     assert lo == pytest.approx(sds01.domain[0], abs=1e-6)
     assert hi == pytest.approx(sds01.domain[1], abs=1e-6)
+
+
+def test_gradient_bound_locates_an_interior_violation(ds3):
+    # u = 0.5 + 0.6 sin(rho) on the round sphere h = sin(rho), rho in
+    # (0, pi): the margin 1 - u^2 - u'^2 = 0.39 - 0.6 sin(rho) is positive
+    # at both ends, so each end of the interval is a root of the margin
+    tr = in_arclength(
+        ds3, math.pi,
+        lambda rho: (math.sin(rho), math.cos(rho), -math.sin(rho)),
+        lambda rho: (0.5 + 0.6 * math.sin(rho), 0.6 * math.cos(rho),
+                     -0.6 * math.sin(rho)),
+        extremum=Extremum(0.5 * math.pi, 1))
+    lo, hi = IQ.gradient_bound(tr).extra["violation_interval"]
+    assert lo == pytest.approx(math.asin(0.65), rel=0.0, abs=1e-12)
+    assert hi == pytest.approx(math.pi - math.asin(0.65), rel=0.0, abs=1e-12)
 
 
 def test_no_fail_verdicts_when_assumptions_violated(sds01, nariai3):
@@ -254,6 +269,16 @@ def test_mon_glob_chain_values(ds3):
     assert rep.rhs == pytest.approx(S3_AREA, rel=1e-12)
     assert rep.extra["upper"] == pytest.approx(S3_AREA, rel=1e-12)
     assert rep.extra["chain_holds"]
+
+
+def test_mon_glob_second_step_fails_alone(ds3):
+    # a horizon gravity of 1 + 5e-10 keeps the gate (at most 1 + 1e-9) and
+    # the first step, and puts U_1(0) 6.3e-9 above U_0(0), past INEQ_TOL
+    tr = dataclasses.replace(
+        ds3, boundaries=(BoundaryComponent(1.0, 1.0, 1.0 + 5e-10),))
+    rep = IQ.mon_glob_bound(tr, 1)
+    assert rep.rhs - rep.extra["upper"] > IQ.INEQ_TOL
+    assert rep.status == "fail" and not rep.extra["chain_holds"]
 
 
 def test_implication_chain(all_models):

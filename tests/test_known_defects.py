@@ -28,6 +28,8 @@ from staticlab import odegen
 from staticlab.cli import main
 from staticlab.geometry import linspace
 
+from extremes import NARIAI_REFUSALS, nariai_refusals
+
 FOUR_PI = 4 * math.pi
 
 
@@ -185,6 +187,22 @@ def test_identities_pass_sds_near_the_mass_bound(n, m):
     code, out = _run("check", "--model", "sds", "--n", n, "--m", m,
                      "--suite", "identities")
     assert [c["status"] for c in _checks(out)] == ["pass"] * 6
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=f"n{n}-{eps:g}-{what}", marks=known(
+        "next to the Nariai limit check and the curves refuse valid SdS "
+        "solutions: "
+        + ("u rounds above 1" if (n, eps, what) == (200, 1e-12, "conformal")
+           else "f rounds to 0 or below at a sample point")
+        + f" (n = {n}, m = (1 - {eps:g}) m_max, {what})", 17))
+    for (n, eps, what), argv in zip(NARIAI_REFUSALS, nariai_refusals())])
+def test_sds_next_to_the_nariai_limit_is_read(argv):
+    # every near-Nariai argv of tests/extremes.py that is refused today,
+    # among them `check --model sds --n 4 --m 0.1249999999875 --suite
+    # inequalities` and `--n 200 --m 0.0018486481882467854 --suite conformal`
+    code, _ = _run(*argv)
     assert code == 0
 
 
