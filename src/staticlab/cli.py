@@ -4,16 +4,17 @@ Output is deterministic for fixed flags: floats are printed at 12
 significant digits, CSV rows and JSON keys are emitted in a canonical
 order, files are UTF-8 with LF line endings.  Exit status is 2, with one
 stderr line, when the command line or the library refuses the input by
-a ValueError or RuntimeError (`check --model sds --n 4 --m 0.1249999999875
---suite inequalities`, next to the SdS mass bound), 1 when a check fails
-(an inapplicable one does not), a shot's monitor drift exceeds
-odegen.DRIFT_TOL or a scanned inner horizon has gravity at most 1, else 0.
+report.Refused (`check --model sds --n 4 --m 0.1249999999875 --suite
+inequalities`, next to the SdS mass bound), 1 when a check fails (an
+inapplicable one does not), a shot's monitor drift exceeds odegen.DRIFT_TOL
+or a scanned inner horizon has gravity at most 1, else 0; any other
+exception is a defect and shows as a traceback.
 
 A curve row is a row of levelset's curve and the assumption flags:
 `d_analytic` is the derivative through the field equations (p >= 3, else
 nan), `d_numeric` the one along the level flow, which uses no field
-equation.  A curve end is refused with the ValueError of levelset's curve
-on it, after its flag.  Every command writes once, through `_write`, after
+equation.  A curve end is refused with the refusal of levelset's curve on
+it, after its flag.  Every command writes once, through `_write`, after
 its output is computed and one line at a time.
 """
 
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 
 from .geometry import StaticTriple, linspace, static_residual
 from .models import by_name
-from .report import IDENTITY_TOL, IdentityReport, identity_report
+from .report import IDENTITY_TOL, IdentityReport, Refused, identity_report
 
 # Every other staticlab module is imported by the function that reads it:
 # each command runs in a process of its own, so it compiles only those.
@@ -66,8 +67,7 @@ def _write(path: Optional[str], lines: Iterable[str]) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(ended)
     except OSError as exc:
-        raise ValueError(
-            f"cannot write --out {path}: {exc.strerror}") from None
+        raise Refused(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _csv(header: str, line: str, rows: Iterable[tuple]) -> Iterator[str]:
@@ -86,12 +86,12 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
         if not step > 0.0:
-            raise ValueError("step must be positive")
+            raise Refused("step must be positive")
         count = max(0, math.ceil((b + 0.5 * step - a) / step))
         if count > MAX_ROWS:
-            raise ValueError(f"more than {MAX_ROWS} points")
+            raise Refused(f"more than {MAX_ROWS} points")
     except (OverflowError, ValueError) as exc:
-        raise ValueError(f"bad grid specification {spec!r}: {exc}") from None
+        raise Refused(f"bad grid specification {spec!r}: {exc}") from None
     d = (a + step) - a
     return [a, a + step][:count] + [a + i * d for i in range(2, count)]
 
@@ -215,7 +215,7 @@ def _check_rows(what: str, count: int) -> None:
     is built (`_parse_grid` checks its count before it builds the grid)."""
     if not 1 <= count <= MAX_ROWS:
         bound = "at least 1" if count < 1 else f"at most {MAX_ROWS}"
-        raise ValueError(f"{what} must be {bound}, got {count}")
+        raise Refused(f"{what} must be {bound}, got {count}")
 
 
 def _curve_command(args, curve_fn) -> int:
@@ -231,8 +231,8 @@ def _curve_command(args, curve_fn) -> int:
     for prefix, grid in probes + [("", linspace(*ends, args.steps))]:
         try:
             rows = curve_fn(tr, args.p, grid)
-        except ValueError as exc:
-            raise ValueError(f"{prefix}{exc}") from None
+        except Refused as exc:
+            raise Refused(f"{prefix}{exc}") from None
     flags = ";".join(f"{k}={str(v).lower()}" for k, v
                      in sorted(levelset.assumption_flags(tr).items()))
     _write(args.out, _csv("level,value,d_analytic,d_numeric,assumption_flags",
@@ -281,8 +281,8 @@ def cmd_shoot(args) -> int:
         n=args.n, lambda_sign=+1, h0=args.h0, kappa=args.kappa))
     lo, hi = tr.domain
     if not hi - lo > 2e-6:  # the rows keep 1e-6 from each end
-        raise ValueError(f"the shot's arclength {hi - lo:g} is not above "
-                         "the 2e-06 that its rows keep from its ends")
+        raise Refused(f"the shot's arclength {hi - lo:g} is not above "
+                      "the 2e-06 that its rows keep from its ends")
     system = odegen.reduce_system(args.n, +1)
 
     def row(rho: float) -> tuple[float, ...]:
@@ -359,9 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except (ValueError, RuntimeError) as exc:
-        if type(exc) not in (ValueError, RuntimeError):
-            raise  # a subclass (RecursionError, QuadratureError): a defect
+    except Refused as exc:
         sys.stderr.write(f"staticlab {args.command}: error: {exc}\n")
         return 2
     except BrokenPipeError:

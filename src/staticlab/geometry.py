@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
+from .report import Refused
 
 BRANCH_INSET = 1e-13  # fraction of the domain span kept clear of branch ends
 INTERIOR_PAD = 0.01  # fraction of the span interior_points drops per side
@@ -55,8 +56,7 @@ def check_dimension(n: int) -> None:
     """Refuse a dimension below 3, or above MAX_DIMENSION, where the area
     of the unit sphere leaves the normal double range."""
     if not 3 <= n <= MAX_DIMENSION:
-        raise ValueError(
-            f"dimension must be from 3 to {MAX_DIMENSION}, got {n}")
+        raise Refused(f"dimension must be from 3 to {MAX_DIMENSION}, got {n}")
 
 
 @cache  # the level integrals read it once per sphere term
@@ -255,7 +255,7 @@ class StaticTriple:
                               *self.u.fn(x), *self.h.fn(x))
         fval, f1, f2 = self.f.fn(x)
         if not fval > 0.0:
-            raise ValueError(f"metric function not positive at x={x}")
+            raise Refused(f"metric function not positive at x={x}")
         u, du, d2u = areal_potential(self.normalization_factor, fval, f1, f2)
         sf = math.sqrt(fval)
         return SphereData(self.n, self.lambda_sign, 1.0 / sf, x, u, sf * du,
@@ -274,7 +274,7 @@ class StaticTriple:
         outermost one where there are two.  The view gets this triple's
         branches, not derived again, and none of its other kept values."""
         if which not in ("inner", "outer"):
-            raise ValueError(f"unknown branch designator {which!r}")
+            raise Refused(f"unknown branch designator {which!r}")
         view = replace(self, branch=which)
         view.__dict__["_branches"] = self._branches
         return view
@@ -314,10 +314,9 @@ class StaticTriple:
 
 def check_window(u: float) -> None:
     if abs(u - 1.0) < EXTREMUM_BAND:
-        raise ValueError(
-            f"point with u={u} lies in the excluded band |u-1| < "
-            f"{EXTREMUM_BAND} around the extremal set; the conformal metric "
-            "degenerates there")
+        raise Refused(f"point with u={u} lies in the excluded band |u-1| < "
+                      f"{EXTREMUM_BAND} around the extremal set; the "
+                      "conformal metric degenerates there")
 
 
 @dataclass
@@ -387,7 +386,7 @@ class SphereData:
         u = self.u
         d = self.lambda_sign * (1.0 - u * u)
         if d <= 0.0:
-            raise ValueError(f"conformal factor degenerate at u={u}")
+            raise Refused(f"conformal factor degenerate at u={u}")
         return d
 
     @property
@@ -411,7 +410,7 @@ class SphereData:
         """Mean curvature w.r.t. g0 and the unit normal nu = Du/|Du|:
         H = Delta u / |Du| - D2u(nu, nu)/|Du|."""
         if self.du == 0.0:
-            raise ValueError(f"singular level at x={self.x}")
+            raise Refused(f"singular level at x={self.x}")
         return (self.lap_u - self.hess_u_rr) / abs(self.du)
 
     @property
@@ -470,10 +469,10 @@ def sphere_data(triple: StaticTriple, x: float) -> SphereData:
     evaluation."""
     lo, hi = triple.u.domain
     if not (lo < x < hi):
-        raise ValueError(f"x={x} outside the open interior ({lo}, {hi})")
+        raise Refused(f"x={x} outside the open interior ({lo}, {hi})")
     sp = triple.radial_state(x)
     if sp.h <= 0.0:
-        raise ValueError(f"degenerate warping radius h={sp.h} at x={x}")
+        raise Refused(f"degenerate warping radius h={sp.h} at x={x}")
     return sp
 
 
@@ -511,14 +510,14 @@ def to_arclength(triple: StaticTriple,
     u'' = c f'' sqrt(f)/2 divide by nothing at a horizon; h = r,
     h' = sqrt(f), h'' = f'/2; d(rho)/dr = 1/sqrt(f), d2(rho)/dr2 =
     -f'/(2 f^(3/2)).  A point where f is not positive or is NaN raises
-    ValueError, as does any of three interior knots where `u` is read and
+    Refused, as does any of three interior knots where `u` is read and
     is not c sqrt(f) to BIRKHOFF_TOL.  Boundary data is not carried over:
     the converted triple is for interior curvature and cross-checks.
 
     Returns (converted triple, rho_of_r callable).
     """
     if triple.chart != "areal":
-        raise ValueError("to_arclength expects an areal-chart triple")
+        raise Refused("to_arclength expects an areal-chart triple")
     import numpy as np
 
     # here, so that the commands, which convert nothing, do not compile it
@@ -535,7 +534,7 @@ def to_arclength(triple: StaticTriple,
         values = triple.f.fn(r)
         if not np.all(values[0] > 0.0):
             bad = np.atleast_1d(r)[~np.atleast_1d(values[0] > 0.0)][0]
-            raise ValueError(f"metric function not positive at x={bad}")
+            raise Refused(f"metric function not positive at x={bad}")
         return values
 
     def jacobian(r):  # 1/sqrt(f)
@@ -553,7 +552,7 @@ def to_arclength(triple: StaticTriple,
     u, knots = c * sf, [samples // 4, samples // 2, 3 * samples // 4]
     for x, want in zip(r_grid[knots].tolist(), u[knots].tolist()):
         if not abs(triple.u.fn(x)[0] - want) <= BIRKHOFF_TOL * want:
-            raise ValueError(f"u is not normalization_factor*sqrt(f) at x={x}")
+            raise Refused(f"u is not normalization_factor*sqrt(f) at x={x}")
     rho_list = rho.tolist()
     u_prof = RadialProfile.hermite(rho_list, u.tolist(),
                                    (0.5 * c * f1).tolist(),

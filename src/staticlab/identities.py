@@ -45,7 +45,7 @@ from .levelset import (
     t_of_s,
 )
 from .quadrature import QuadratureConfig, QuadratureError, adaptive
-from .report import (IDENTITY_TOL, INEQ_TOL, IdentityReport,
+from .report import (IDENTITY_TOL, INEQ_TOL, IdentityReport, Refused,
                      identity_report, inequality_report)
 
 DEFAULT_QUAD = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=100_000)
@@ -87,7 +87,7 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
     view = triple if branch is None else triple.on_branch(branch)
     t_s, t_S = (t_of_s(tau, triple.lambda_sign) for tau in (s, S))
     if not 0.0 < s < S:
-        raise ValueError("need 0 < s < S")
+        raise Refused("need 0 < s < S")
     key, kept = (t_s, t_S, view.branch), triple.__dict__.get("_slab")
     if kept is None or kept[0] != key:
         kept = triple.__dict__["_slab"] = key, {}
@@ -95,8 +95,8 @@ def _slab_identity(triple: StaticTriple, s: float, S: float,
     at_s, at_S = table.get("ends") or (level_states(view, t_s),
                                        level_states(view, t_S))
     if len(at_s) != 1 or len(at_S) != 1:
-        raise ValueError("conformal slab must meet a single monotone branch; "
-                         "pass branch='inner' or 'outer'")
+        raise Refused("conformal slab must meet a single monotone branch; "
+                      "pass branch='inner' or 'outer'")
     table["ends"] = at_s, at_S
     lhs = flux(at_S) - flux(at_s)
     nodes, half_n = table.setdefault("nodes", {}), triple.n / 2.0
@@ -158,7 +158,7 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
     triple to that branch (`StaticTriple.on_branch`).
     """
     if p < 1:
-        raise ValueError("asserted for p >= 1")
+        raise Refused("asserted for p >= 1")
 
     n, exponent = triple.n, (p - 3) / 2.0
 
@@ -195,7 +195,7 @@ def second_identity(triple: StaticTriple, p: float, s: float, S: float,
     triple as in `first_identity`.
     """
     if p < 3:
-        raise ValueError("asserted for p >= 3")
+        raise Refused("asserted for p >= 3")
 
     def minus_weighted_boundary(spheres: Sequence[SphereData]) -> float:
         # gamma first: it refuses the band around u = 1 before D is read

@@ -36,7 +36,7 @@ from .levelset import (
     up_value,
 )
 from .models import bracketed_root
-from .report import (INEQ_TOL, _NON_DISCRETE, IdentityReport,
+from .report import (INEQ_TOL, _NON_DISCRETE, IdentityReport, Refused,
                      identity_report, inequality_report, refusal_report)
 
 GRADIENT_SAMPLES = 400  # interior points gradient_bound checks
@@ -119,12 +119,12 @@ def willmore_bound(triple: StaticTriple) -> IdentityReport:
     flags = assumption_flags(triple)
     if triple.lambda_sign > 0:
         # each horizon term is |S^(n-1)| (|R - n(n-3)| r / 2)^(n-1), the
-        # area of a sphere of that radius; its power alone overflows from
-        # n = 144 on (Nariai), where the term need not
-        rhs = sum(sphere_area_from_log(n, math.log(
-                      abs(boundary_scalar_curvature(n, c) - n * (n - 3))
-                      * c.sphere_radius / 2.0))
-                  for c in triple.boundaries)
+        # area of a sphere of that radius, 0 at radius 0; its power alone
+        # overflows from n = 144 on (Nariai), where the term need not
+        radii = (abs(boundary_scalar_curvature(n, c) - n * (n - 3))
+                 * c.sphere_radius / 2.0 for c in triple.boundaries)
+        rhs = sum(sphere_area_from_log(n, math.log(radius)) if radius else 0.0
+                  for radius in radii)
         applicable = assumptions_hold(triple, flags)
     else:
         bdry = conformal_boundary_data(triple)
@@ -167,7 +167,7 @@ def lp_gradient_bound(triple: StaticTriple, p: float,
     closed-form sphere sums; a level within EXTREMUM_BAND of u = 1, where W
     loses every digit, is refused before either is read."""
     if p < 3:
-        raise ValueError("asserted for p >= 3")
+        raise Refused("asserted for p >= 3")
     n = triple.n
     flags = assumption_flags(triple)
     sign = float(triple.lambda_sign)
@@ -198,13 +198,13 @@ def overdetermined_condition(triple: StaticTriple, t: float) -> IdentityReport:
     derivative is -D2u(nu,nu)/|Du|^2 = -u''/u'^2 in arclength variables."""
     spheres = level_states(triple, t)
     if t * t == 1.0:
-        raise ValueError("the overdetermined condition is singular at the "
-                         f"extremal level t={t:g}")
+        raise Refused("the overdetermined condition is singular at the "
+                      f"extremal level t={t:g}")
     target = t / (1.0 - t * t) if triple.lambda_sign > 0 else -t / (t * t - 1.0)
     residuals = []
     for sp in spheres:
         if sp.du == 0.0:
-            raise ValueError(f"singular level at t={t}")
+            raise Refused(f"singular level at t={t}")
         residuals.append(-sp.d2u / sp.du ** 2 - target)
     worst = max(abs(r) for r in residuals)
     flags = assumption_flags(triple)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 from .geometry import (BoundaryComponent, SphereData, StaticTriple,
                        boundary_scalar_curvature, check_window, sphere_area,
                        sphere_data, unit_sphere_area)
-from .report import (_NON_DISCRETE, IDENTITY_TOL, IdentityReport,
+from .report import (_NON_DISCRETE, IDENTITY_TOL, IdentityReport, Refused,
                      identity_report, inequality_report, refusal_report)
 from .roots import EPS, find_root
 
@@ -40,7 +40,7 @@ LIMINF_K = 24  # liminf_check samples t = 1 -+ 2^-k for k = 22, 23 and 24
 BOUNDARY_LEVELS = (10.0, 100.0)  # levels conformal_boundary_data extrapolates
 WALK_STEPS = 6  # Newton steps of a walked sphere before its level goes cold
 OUT_OF_RANGE = ("a sphere term at p={:.12g} leaves the double range at the "
-                "level u={:.12g}")  # a term or sum past it, as ValueError
+                "level u={:.12g}")  # a term or sum past it, as Refused
 
 
 # --------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def level_radii(triple: StaticTriple, t: float) -> tuple[float, ...]:
     radii = [find_root(g, br.a, br.b, br.u_a - t, br.u_b - t)
              for br in triple.branches() if br.meets(t)]
     if not radii:
-        raise ValueError(f"level t={t} outside the range of u")
+        raise Refused(f"level t={t} outside the range of u")
     return tuple(sorted(radii))
 
 
@@ -102,7 +102,7 @@ def t_of_s(s: float, lambda_sign: int) -> float:
     """The level t of the conformal level s > 0, on the side of u = 1 that
     lambda_sign fixes: tanh(s) or coth(s)."""
     if not s > 0.0:
-        raise ValueError(f"conformal level s must be positive, got {s:g}")
+        raise Refused(f"conformal level s must be positive, got {s:g}")
     return math.tanh(s) if lambda_sign > 0 else 1.0 / math.tanh(s)
 
 
@@ -115,7 +115,7 @@ def horizon_integral(n: int, components: Sequence[BoundaryComponent],
     is constant on each: the sum of their areas times `density(c)`, in
     their order, refused where there is no sphere to integrate over."""
     if not components:
-        raise ValueError("triple has no boundary")
+        raise Refused("triple has no boundary")
     return sum(sphere_area(n, c.sphere_radius) * density(c)
                for c in components)
 
@@ -124,7 +124,7 @@ def _sqrt_gap(t: float) -> float:
     """sqrt|1 - t^2|, the scale of U_p's sphere terms, refused at t = 1."""
     rd = math.sqrt(abs(1.0 - t * t))
     if rd == 0.0:
-        raise ValueError(f"U_p is singular at the extremal level t={t:g}")
+        raise Refused(f"U_p is singular at the extremal level t={t:g}")
     return rd
 
 
@@ -154,7 +154,7 @@ def _in_range(p: float, t: float, *values: float) -> tuple[float, ...]:
     finite: finite sphere terms can sum past the double range."""
     for value in values:
         if not math.isfinite(value):
-            raise ValueError(OUT_OF_RANGE.format(p, t))
+            raise Refused(OUT_OF_RANGE.format(p, t))
     return values
 
 
@@ -171,7 +171,7 @@ def up_value(triple: StaticTriple, p: float, t: float) -> float:
             total = unit_sphere_area(n) * sum(_up_term(n, rd, sp, p)
                                               for sp in spheres)
     except OverflowError:
-        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+        raise Refused(OUT_OF_RANGE.format(p, t)) from None
     return _in_range(p, t, total)[0]
 
 
@@ -184,7 +184,7 @@ def up_derivative(triple: StaticTriple, p: float,
     gradient estimate |Du|^2 <= |1 - u^2|.
     """
     if p < 3:
-        raise ValueError("the derivative formula is only asserted for p >= 3")
+        raise Refused("the derivative formula is only asserted for p >= 3")
     if triple.lambda_sign > 0 and t == 0.0:
         return (0.0, 0.0, 0.0)
     n, sign, c_np = triple.n, triple.lambda_sign, (triple.n + p - 1) / (p - 1)
@@ -200,7 +200,7 @@ def up_derivative(triple: StaticTriple, p: float,
                                     + c_np * (1.0 - sp.W))
             bound += weight * (n / (p - 1)) * (1.0 - sp.W)
     except OverflowError:
-        raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+        raise Refused(OUT_OF_RANGE.format(p, t)) from None
     pref = _up_rate(sign, unit_sphere_area(n), p, t)
     return _in_range(p, t, pref * h_form, pref * ricci_form, pref * bound)
 
@@ -213,7 +213,7 @@ def up_second_derivative_at_boundary(triple: StaticTriple,
     triple sees.  Negative constant: V_p''(0+) at the conformal boundary,
     with V_p(r) = U_p(sqrt(1 + 1/r^2))."""
     if p < 3:
-        raise ValueError("asserted for p >= 3 only")
+        raise Refused("asserted for p >= 3 only")
     n = triple.n
     if triple.lambda_sign > 0:
         c_np, horizons = (n + p - 1) / (p - 1), triple.horizons()
@@ -247,7 +247,7 @@ def phi_p_derivative(triple: StaticTriple, p: float, s: float) -> float:
         integral of -(p-1) |grad phi|^(p-1) H_g + p |grad phi|^(p-2) lap phi.
     """
     if p < 3:
-        raise ValueError("the derivative formula is only asserted for p >= 3")
+        raise Refused("the derivative formula is only asserted for p >= 3")
     return phi_curve(triple, p, [s])[0][2]
 
 
@@ -259,7 +259,7 @@ def _log_rate(n: int, p: float, t: float, sp: SphereData) -> float:
     flow, on which the sphere through x moves at dx/dt = 1/u'.  It reads
     u', u'', h and h', and no field equation."""
     if sp.du == 0.0:
-        raise ValueError(f"singular level at x={sp.x}")
+        raise Refused(f"singular level at x={sp.x}")
     return ((n + p - 1) * t / (1.0 - t * t)
             + ((n - 1) * sp.dh / sp.h + p * sp.d2u / sp.du) / sp.du)
 
@@ -279,7 +279,7 @@ def _curve(triple: StaticTriple, row, p: float, grid: Sequence[float],
     branches, or when Newton leaves a bracket or does not converge.  A p
     that is not finite is refused (its rows read nan, or 4 pi as 1 ** nan)."""
     if not math.isfinite(p):
-        raise ValueError(f"exponent p must be a finite number, got {p:g}")
+        raise Refused(f"exponent p must be a finite number, got {p:g}")
     levels = [level_of(point) for point in grid]
     branches = triple.branches()
     fn, rows, here, states = triple.u.fn, [], None, []
@@ -321,7 +321,7 @@ def up_curve(triple: StaticTriple, p: float,
                 slope += term * _log_rate(n, p, t, sp)
                 value += term
         except OverflowError:
-            raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+            raise Refused(OUT_OF_RANGE.format(p, t)) from None
         value, d_ana, d_num = _in_range(p, t, area * value,
                                         _up_rate(sign, area, p, t) * d_ana,
                                         area * slope)
@@ -350,7 +350,7 @@ def phi_curve(triple: StaticTriple, p: float,
                                        + p * w ** ((p - 2) / 2.0) * sp.lap_phi)
                 value += term
         except OverflowError:
-            raise ValueError(OUT_OF_RANGE.format(p, t)) from None
+            raise Refused(OUT_OF_RANGE.format(p, t)) from None
         value, d_ana, d_num = _in_range(p, t, value, d_ana,
                                         (1.0 - t * t) * slope)
         return value, d_ana if p >= 3 else math.nan, d_num
@@ -394,7 +394,7 @@ def liminf_check(triple: StaticTriple, p: float) -> IdentityReport:
     the level location.  Refuses on a non-discrete extremal set.
     """
     if p > triple.n - 1:
-        raise ValueError("the limit estimate is asserted for p <= n-1")
+        raise Refused("the limit estimate is asserted for p <= n-1")
     flags = assumption_flags(triple)
     name = f"liminf(p={p})"
     about = "limit of the level integral at the extremal value"
@@ -438,9 +438,9 @@ def conformal_boundary_data(triple: StaticTriple) -> ConformalBoundaryData:
     if kept is not None:
         return kept
     if triple.lambda_sign > 0:
-        raise ValueError("conformal boundary exists only for negative constant")
+        raise Refused("conformal boundary exists only for negative constant")
     if not triple.conformally_compact:
-        raise ValueError("triple is not conformally compact")
+        raise Refused("triple is not conformally compact")
     n = triple.n
 
     def at(t: float) -> tuple[float, float, float]:

@@ -14,6 +14,7 @@ from typing import Callable
 
 from .geometry import (BoundaryComponent, Extremum, RadialProfile,
                        StaticTriple, check_dimension)
+from .report import Refused
 from .roots import find_root
 
 ADS_R_MAX = 500.0  # where anti-de Sitter's numerical domain ends
@@ -42,8 +43,8 @@ class SdSParams:
         floor = r_min ** (self.n - 2) * (1.0 - r_min * r_min) / 2.0
         bound = admissible_mass_bound(self.n)
         if not floor < self.m < bound:
-            raise ValueError(f"mass m={self.m} outside the admissible "
-                             f"interval ({floor:.6g}, {bound})")
+            raise Refused(f"mass m={self.m} outside the admissible "
+                          f"interval ({floor:.6g}, {bound})")
 
 
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
@@ -168,4 +169,4 @@ def by_name(name: str, n: int, m: float) -> StaticTriple:
         return schwarzschild_de_sitter(SdSParams(n=n, m=m))
     if name == "nariai":
         return nariai(n)
-    raise ValueError(f"unknown model {name!r}")
+    raise Refused(f"unknown model {name!r}")

@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 
 from .geometry import (BoundaryComponent, Extremum, RadialProfile,
                        StaticTriple, check_dimension)
+from .report import Refused
 from .roots import find_root
 
 RTOL, ATOL = 1e-12, 1e-13  # integration tolerances of a shot
@@ -108,7 +109,7 @@ class HorizonData:
     def __post_init__(self) -> None:
         check_dimension(self.n)
         if not (0.0 < self.h0 < math.inf and 0.0 < self.kappa < math.inf):
-            raise ValueError("h0 and kappa must be finite and positive")
+            raise Refused("h0 and kappa must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class ReducedSystem:
 def reduce_system(n: int, lambda_sign: int) -> ReducedSystem:
     check_dimension(n)
     if lambda_sign not in (+1, -1):
-        raise ValueError("lambda_sign must be +1 or -1")
+        raise Refused("lambda_sign must be +1 or -1")
     return ReducedSystem(n=n, lambda_sign=lambda_sign)
 
 
@@ -318,18 +319,18 @@ def integrate(rhs: Rhs, t0: float, y0: State, t_bound: float,
     step and <= 0 at its end, and the crossing is located on the dense
     output.  Integration stops at the first terminal crossing.  Returns the
     dense output, the end point and each event's crossings in order.
-    Raises RuntimeError when t_bound is not above t0, when the start state
-    or the first step is not finite, when the step size falls below ten
-    ulps of t, or after MAX_STEPS step attempts.
+    Raises Refused when t_bound is not above t0, when the start state or
+    the first step is not finite or when the step size falls below ten
+    ulps of t, and RuntimeError after MAX_STEPS step attempts.
     """
     if not t0 < t_bound:
-        raise RuntimeError(f"integration failed: the start {t0:g} is not "
-                           f"below the end {t_bound:g}")
+        raise Refused(f"integration failed: the start {t0:g} is not "
+                      f"below the end {t_bound:g}")
     k1 = rhs(t0, y0)
     step = _initial_step(rhs, t0, y0, k1, t_bound - t0)
     if not all(map(math.isfinite, (*y0, step))):
-        raise RuntimeError("integration failed: the start state or first "
-                           f"step is not finite at the arclength {t0:.6g}")
+        raise Refused("integration failed: the start state or first "
+                      f"step is not finite at the arclength {t0:.6g}")
     budget = MAX_STEPS
     t, y = t0, y0
     starts: list[float] = []
@@ -344,9 +345,8 @@ def integrate(rhs: Rhs, t0: float, y0: State, t_bound: float,
         rejected = False
         while True:
             if not step >= min_step:  # NaN-safe
-                raise RuntimeError(
-                    "integration failed: the step size fell below ten "
-                    f"ulps of the arclength at {t:.6g}")
+                raise Refused("integration failed: the step size fell below "
+                              f"ten ulps of the arclength at {t:.6g}")
             budget -= 1
             if budget < 0:
                 raise RuntimeError(
@@ -390,9 +390,9 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     Stops when u returns to zero (a second horizon), when the warping
     radius collapses (a pole closing off a ball), or at the arclength
     budget.  A pole that is not smooth (h' = -1 and normalised u' = 0 at
-    the end, to POLE_TOL) or a failed integration raises RuntimeError; an
-    h0 of 20000 or more, whose series would start past the budget, raises
-    ValueError first.  An interior zero of u' with the warp still open
+    the end, to POLE_TOL) or a refused integration raises Refused, as
+    does an h0 of 20000 or more, whose series would start past the budget,
+    before any step.  An interior zero of u' with the warp still open
     marks an extremal sphere and integration continues through it.
 
     The returned triple is normalised to max u = 1, carries dense-output
@@ -403,16 +403,16 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     normalization_factor, scale / kappa, still maps the kappa shot to it.
     """
     if data.lambda_sign != +1:
-        raise ValueError("horizon shooting applies to positive cosmological "
-                         "constant only (u has no zero level otherwise)")
+        raise Refused("horizon shooting applies to positive cosmological "
+                      "constant only (u has no zero level otherwise)")
     system = reduce_system(data.n, data.lambda_sign)
     unit = replace(data, kappa=1.0)
     rho0 = SERIES_HANDOFF * data.h0
     if not rho0 < MAX_ARCLENGTH:  # below, neither h0^2 nor rho0^3 overflows
-        raise ValueError(f"h0={data.h0:g} is too large to shoot: from h0 = "
-                         f"{MAX_ARCLENGTH / SERIES_HANDOFF:g} the series "
-                         f"starts at {SERIES_HANDOFF:g} h0, not below the "
-                         f"arclength budget {MAX_ARCLENGTH:g}")
+        raise Refused(f"h0={data.h0:g} is too large to shoot: from h0 = "
+                      f"{MAX_ARCLENGTH / SERIES_HANDOFF:g} the series "
+                      f"starts at {SERIES_HANDOFF:g} h0, not below the "
+                      f"arclength budget {MAX_ARCLENGTH:g}")
     h_floor = H_FLOOR_REL * data.h0
     # u falling to its floor (a second horizon) and h to its floor (a
     # collapsing warp) end the shot; u' falling through 0 marks an extremum
@@ -421,8 +421,8 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     sol, rho_end, (horizon_hits, _, extremal_rhos) = integrate(
         system.rhs, rho0, _series_state(unit, rho0), MAX_ARCLENGTH, events)
     if rho_end >= MAX_ARCLENGTH - 1e-12:
-        raise RuntimeError("no stop condition met within the arclength "
-                           "budget; the trajectory may be blowing up")
+        raise Refused("no stop condition met within the arclength "
+                      "budget; the trajectory may be blowing up")
     y_end = sol(rho_end)
     hit_second_horizon = bool(horizon_hits)
 
@@ -447,10 +447,9 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     if not hit_second_horizon:
         dh_end, du_end = y_end[1], scale * y_end[3]
         if abs(dh_end + 1.0) > POLE_TOL or abs(du_end) > POLE_TOL:
-            raise RuntimeError(
-                f"the shot closes at a singular pole: h'={dh_end:.6g} and "
-                f"u'={du_end:.6g} at its end, where a smooth pole has -1 "
-                "and 0")
+            raise Refused(f"the shot closes at a singular pole: "
+                          f"h'={dh_end:.6g} and u'={du_end:.6g} at its end, "
+                          "where a smooth pole has -1 and 0")
     domain_end = rho_bdry if hit_second_horizon else rho_end
 
     # u and h are read in pairs at one point: the point read last is kept

@@ -12,6 +12,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
+from .report import Refused
+
 
 class QuadratureError(RuntimeError):
     """Raised when an integral cannot be resolved within the budget."""
@@ -91,7 +93,7 @@ def adaptive(f: Callable[[float], float], a: float, b: float,
     error estimate meets max(abs_tol, rel_tol * |value|).
     """
     if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
+        raise Refused(f"empty integration interval [{a}, {b}]")
 
     val, err, evals = _kronrod_panel(f, a, b)
     # heap of (-error, lo, hi, value, error); worst interval first

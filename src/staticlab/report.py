@@ -7,7 +7,8 @@ lhs <= rhs, abs_residual is the violation max(0, lhs - rhs), and the
 rigidity case).  A check whose hypotheses are not met by the triple is
 reported with status "inapplicable" rather than "fail": the two-horizon and
 product families are legitimate solutions that simply sit outside the
-assumptions, and must not raise false alarms.
+assumptions, and must not raise false alarms.  A guard that refuses its
+input raises Refused, the one exception that the command line reports.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from typing import Optional
 IDENTITY_TOL = 1e-6  # the static, conformal, liminf and identity checks
 INEQ_TOL = 1e-9  # fixed tolerance of the inequality checks
 _NON_DISCRETE = "non-discrete extremum set"  # refusal reason: no count
+
+
+class Refused(ValueError):
+    """An input out of range, or out of what double precision can carry."""
 
 
 @dataclass(frozen=True)

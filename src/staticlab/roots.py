@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
+from .report import Refused
+
 EPS = 2.0 ** -52
 MAX_ITERATIONS = 200
 CRAWL_STEPS = 8
@@ -33,14 +35,14 @@ CRAWL_STEPS = 8
 def find_root(g: Callable[[float], tuple[float, Optional[float]]],
               lo: float, hi: float, fa: float, fb: float) -> float:
     """Root of g on [lo, hi]; `g(x)` returns (value, slope or None), and fa
-    and fb are its values at lo and hi.  Raises ValueError when they do not
+    and fb are its values at lo and hi.  Raises Refused when they do not
     change sign."""
     if fa == 0.0:
         return lo
     if fb == 0.0:
         return hi
     if (fa > 0.0) == (fb > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
+        raise Refused(f"no sign change on [{lo}, {hi}]")
     floor = EPS * EPS * (hi - lo)  # lets a bracket around x = 0 close
     a, b = lo, hi
     last_side = 0  # which end the previous iterate replaced

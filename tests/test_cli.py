@@ -11,7 +11,10 @@ import pytest
 
 from staticlab import cli
 from staticlab.cli import main
+from staticlab.geometry import MAX_DIMENSION, check_dimension
+from staticlab.odegen import integrate
 from staticlab.quadrature import QuadratureError
+from staticlab.report import Refused
 
 from extremes import extreme_argvs, nariai_refusals
 
@@ -136,33 +139,68 @@ def test_check_exit_code_on_failure(capsys, monkeypatch):
     assert any(c["status"] == "fail" for c in json.loads(out)["checks"])
 
 
-@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: check_dimension(2), f"dimension must be from 3 to "
+                                 f"{MAX_DIMENSION}, got 2"),
+    (lambda: integrate(lambda t, y: y, 1.0, (1.0,), 0.5, ()),
+     "integration failed: the start 1 is not below the end 0.5")],
+    ids=["ValueError", "RuntimeError"])
 def test_a_refusal_inside_a_suite_exits_2_with_one_line(capsys, monkeypatch,
-                                                        error):
-    # `main` is the one place where a refusal of the library becomes output
-    def refuse(triple, tol):
-        raise error("refused here")
-    monkeypatch.setitem(cli.SUITES, "static", refuse)
+                                                        refuse, message):
+    # `main` is the one place where a refusal of the library becomes output;
+    # each id names the type its guard raised before `Refused` was the one
+    # refusal type (`odegen`'s refusals were RuntimeErrors)
+    def suite(triple, tol):
+        refuse()
+    monkeypatch.setitem(cli.SUITES, "static", suite)
     code = main(["check", "--model", "desitter", "--suite", "static"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "staticlab check: error: refused here\n"
+    assert captured.err == f"staticlab check: error: {message}\n"
 
 
-@pytest.mark.parametrize("defect", [
-    OverflowError("math range error"), ZeroDivisionError("division by zero"),
-    RecursionError("maximum recursion depth exceeded"),
-    QuadratureError("budget of 10 evaluations exhausted")],
-    ids=lambda exc: type(exc).__name__)
-def test_a_defect_inside_a_suite_is_not_a_refusal(monkeypatch, defect):
-    # an ArithmeticError, or a subclass of ValueError or RuntimeError (a
-    # spent quadrature budget is one), is a defect: it shows as a traceback
+def _domain_error():
+    return math.sqrt(-1.0)  # ValueError("math domain error")
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("defect, error", [
+    (lambda: _raise(OverflowError("math range error")), OverflowError),
+    (lambda: _raise(ZeroDivisionError("division by zero")), ZeroDivisionError),
+    (lambda: _raise(RecursionError("maximum recursion depth exceeded")),
+     RecursionError),
+    (lambda: _raise(QuadratureError("budget of 10 evaluations exhausted")),
+     QuadratureError),
+    (_domain_error, ValueError),
+    (lambda: _raise(RuntimeError("integration failed")), RuntimeError)],
+    ids=["OverflowError", "ZeroDivisionError", "RecursionError",
+         "QuadratureError", "math-domain-error", "RuntimeError"])
+def test_a_defect_inside_a_suite_is_not_a_refusal(monkeypatch, defect, error):
+    # every exception but Refused is a defect, a math domain error (a plain
+    # ValueError) and a spent quadrature budget among them: it shows as a
+    # traceback
     def suite(triple, tol):
-        raise defect
+        return [defect()]
     monkeypatch.setitem(cli.SUITES, "static", suite)
-    with pytest.raises(type(defect)):
+    with pytest.raises(error) as caught:
         main(["check", "--model", "desitter", "--suite", "static"])
+    assert not isinstance(caught.value, Refused)
+
+
+def test_a_defect_inside_a_curve_is_not_a_refused_end(monkeypatch):
+    # a curve end is refused only by a refusal: a domain error inside the
+    # curve propagates without the prefix of the end's flag
+    from staticlab import levelset
+    monkeypatch.setattr(levelset, "up_curve",
+                        lambda tr, p, grid: [_domain_error()])
+    with pytest.raises(ValueError, match="^math domain error$") as caught:
+        main(["up-curve", "--model", "desitter", "--p", "3", "--t0", "0.1",
+              "--t1", "0.5", "--steps", "3"])
+    assert not isinstance(caught.value, Refused)
 
 
 def test_scan_sds(tmp_path, capsys):
@@ -508,7 +546,7 @@ def test_a_level_refused_inside_the_grid_exits_2_with_one_line(
 
     def refuse_inside(tr, p, grid):
         if len(grid) > 1:
-            raise ValueError(levelset.OUT_OF_RANGE.format(p, grid[1]))
+            raise Refused(levelset.OUT_OF_RANGE.format(p, grid[1]))
         return curve(tr, p, grid)
 
     monkeypatch.setattr(levelset, name, refuse_inside)

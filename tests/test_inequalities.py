@@ -8,6 +8,7 @@ from staticlab import (BoundaryComponent, Extremum, SdSParams, cli,
 from staticlab import identities as ID
 from staticlab import inequalities as IQ
 from staticlab import levelset as LS
+from staticlab.geometry import unit_sphere_area
 from staticlab.levelset import assumption_flags, conformal_boundary_data
 from staticlab.models import ADS_R_MAX
 from staticlab.report import inequality_report
@@ -198,6 +199,20 @@ def test_n3_uniqueness_two_boundary_arithmetic(ds3_two_horizons):
     assert rep.status == "pass"
     assert not rep.equality  # disconnected boundary: no rigidity claim
     assert rep.extra["connected_boundary"] is False
+
+
+@pytest.mark.parametrize("n, radius", [(6, 1.0540925533894598),
+                                       (7, 1.0350983390135313),
+                                       (11, 1.0112997936948631)])
+def test_willmore_bound_reads_a_horizon_term_of_radius_zero(n, radius):
+    # at this horizon radius R_bdry = (n-1)(n-2)/r^2 rounds to n(n-3), so
+    # the horizon term is the area of a sphere of radius 0, which is 0 (its
+    # logarithm raised a math domain error)
+    tr = dataclasses.replace(de_sitter(n), boundaries=(
+        BoundaryComponent(1.0, radius, 1.0),))
+    rep = IQ.willmore_bound(tr)
+    assert rep.rhs == 0.0 and rep.lhs == unit_sphere_area(n)
+    assert rep.status == "fail" and all(rep.assumption_status.values())
 
 
 def test_vanishing_gradient_limit_gates(ads3_gradient_limit_half):

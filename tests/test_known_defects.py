@@ -27,6 +27,8 @@ from staticlab import levelset as LS
 from staticlab import odegen
 from staticlab.cli import main
 from staticlab.geometry import linspace
+from staticlab.models import admissible_mass_bound
+from staticlab.report import Refused
 
 from extremes import NARIAI_REFUSALS, nariai_refusals
 
@@ -85,7 +87,7 @@ def test_phi_curve_next_to_the_extremum_is_4pi():
 # horizon shots
 
 @known("shoot_from_horizon misreads the hemisphere at n >= 4 (n = 4 "
-       "closes at a singular pole)", 4, raises=RuntimeError)
+       "closes at a singular pole)", 4, raises=Refused)
 def test_hemisphere_shot_in_dimension_4_has_one_horizon_and_a_pole():
     tr = odegen.shoot_from_horizon(odegen.HorizonData(4, +1, 1.0, 1.0))
     assert len(tr.boundaries) == 1 and tr.extremum.discrete
@@ -203,6 +205,25 @@ def test_sds_next_to_the_nariai_limit_is_read(argv):
     # among them `check --model sds --n 4 --m 0.1249999999875 --suite
     # inequalities` and `--n 200 --m 0.0018486481882467854 --suite conformal`
     code, _ = _run(*argv)
+    assert code == 0
+
+
+@known("SdS one ulp below the mass bound: models --n 7 --m "
+       "0.06160016433881316 ends in ZeroDivisionError, as f(r0) rounds to 0",
+       17, raises=ZeroDivisionError)
+def test_sds_one_ulp_below_the_mass_bound_is_listed():
+    m = math.nextafter(admissible_mass_bound(7), 0)  # 0.06160016433881316
+    code, _ = _run("models", "--n", "7", "--m", repr(m))
+    assert code == 0
+
+
+@known("SdS one ulp below the mass bound: check --model sds --n 14 --m "
+       "0.028326389757426143 --suite static is refused with no sign change",
+       17)
+def test_sds_one_ulp_below_the_mass_bound_is_checked():
+    m = math.nextafter(admissible_mass_bound(14), 0)  # 0.028326389757426143
+    code, _ = _run("check", "--model", "sds", "--n", "14", "--m", repr(m),
+                   "--suite", "static")
     assert code == 0
 
 

@@ -6,6 +6,7 @@ import pytest
 from staticlab import SdSParams, schwarzschild_de_sitter, static_residual
 from staticlab import odegen as OG
 from staticlab.geometry import linspace
+from staticlab.report import Refused
 
 from oracles import arclength_from_horizon
 
@@ -199,8 +200,8 @@ def test_integrate_refuses_a_start_that_is_not_finite(monkeypatch):
     monkeypatch.setattr(OG, "_dopri_step", step)
     system = OG.reduce_system(3, +1)
     for y0 in ((1.0, 0.0, math.nan, 1.0), (1.0, 0.0, 0.5, math.inf)):
-        with pytest.raises(RuntimeError, match="the start state or first "
-                                               "step is not finite"):
+        with pytest.raises(Refused, match="the start state or first "
+                                          "step is not finite"):
             OG.integrate(system.rhs, 1e-3, y0, 1.0, ())
 
 

@@ -1,9 +1,13 @@
 """Refusals that no other test reaches, each by a public call on a small
 fixture.  The fixtures are not static solutions: each breaks the one
-hypothesis whose refusal it exercises."""
+hypothesis whose refusal it exercises.  A gate on the source holds every
+`raise` under src/ to `Refused` or to a failure of the method listed in
+NOT_REFUSALS."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,23 @@ from staticlab import inequalities as IQ
 from staticlab import levelset as LS
 from staticlab import odegen
 from staticlab.cli import main
+from staticlab.report import Refused
+
+SRC = Path(__file__).parent.parent / "src" / "staticlab"
+
+# (module, type, start of the message): why the one raise it names is a
+# failure of the method, which shows as a traceback, not a refused input
+NOT_REFUSALS = {
+    ("roots", "ValueError", "no root located on "):
+        "the bracket has a sign change, yet the iteration did not close it",
+    ("odegen", "RuntimeError", "integration failed: {} steps tried"):
+        "MAX_STEPS step attempts did not reach the end of the interval",
+    ("odegen", "RuntimeError",
+     "reached a second horizon without an interior extremum"):
+        "the integrated trajectory is not a static solution",
+    ("quadrature", "QuadratureError", "budget of "):
+        "the error estimate did not settle; identities reports it as fail",
+}
 
 
 def _plateau_u(x: float) -> tuple[float, float, float]:
@@ -76,8 +97,35 @@ ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
         "scalar-average-no-boundary", "boundary-second-derivative-p",
         "not-conformally-compact"])
 def test_refusal(call, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(Refused, match=message):
         call()
+
+
+def _message(node: ast.expr) -> str:
+    """A message literal, each formatted field of it as {}."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                   for part in node.values)
+
+
+def test_every_raise_is_a_refusal_or_a_listed_failure():
+    listed = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert isinstance(node.exc, ast.Call), f"{where} names no type"
+            kind = node.exc.func.id
+            if kind == "Refused":
+                continue
+            message = _message(node.exc.args[0])
+            entry = [key for key in NOT_REFUSALS if key[:2] == (
+                path.stem, kind) and message.startswith(key[2])]
+            assert entry, f"{where} raises {kind}, neither Refused nor listed"
+            listed += entry
+    assert sorted(listed) == sorted(NOT_REFUSALS)  # each entry names one raise
 
 
 def test_shot_past_the_arclength_budget_exits_2_with_one_line(capsys,
