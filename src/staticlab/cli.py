@@ -114,8 +114,8 @@ def suite_static(triple: StaticTriple, tol: float) -> list[IdentityReport]:
 
 def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
     from . import conformal
-    # one record per sample point, read by all five residuals
-    records = conformal.sample_points_off_extremum(triple, 50)
+    points = [(sp, conformal._shared(sp))  # each read by all five residuals
+              for sp in conformal.sample_points_off_extremum(triple, 50)]
     checks = [  # (name, residual, description if not the default)
         ("quasi_einstein_residual", conformal.quasi_einstein_residual, None),
         ("bochner_residual", conformal.bochner_residual, None),
@@ -124,7 +124,8 @@ def suite_conformal(triple: StaticTriple, tol: float) -> list[IdentityReport]:
         ("mean_curvature_relation", conformal.mean_curvature_relations,
          "conformal vs warped mean curvature, max over sample"),
     ]
-    return [identity_report(name, max(fn(sp) for sp in records), 0.0, tol,
+    return [identity_report(name, max([fn(sp, shared)
+                                       for sp, shared in points]), 0.0, tol,
                             description=about
                             or f"{name} max over interior sample")
             for name, fn, about in checks]

@@ -331,6 +331,9 @@ class SphereData:
     each read and kept nowhere, and refuses only when read: the
     curvature-deficit integrand reaches the extremal sphere, where W, H and
     the dictionary are singular (only its entries refuse that band).
+    hess phi(nu_g, nu_g) and |hess phi|^2 are `_hess_phi_nn` and
+    `_hess_phi_norm2`, given D or W by their bulk readers; hess phi's
+    components and R_g are formed by the one residual that reads each.
     """
 
     n: int
@@ -414,35 +417,12 @@ class SphereData:
         return (self.lap_u - self.hess_u_rr) / abs(self.du)
 
     @property
-    def hess_phi_components(self) -> tuple[float, float]:
-        """hess_g phi as a (0,2)-tensor in the g0-orthonormal frame."""
-        u, du2, d = self.u, self.du ** 2, self.D
-        s = float(self.lambda_sign)
-        return (s * self.hess_u_rr / d + u * du2 / d ** 2,
-                s * self.hess_u_tan / d + u * du2 / d ** 2)
-
-    @property
-    def hess_phi_nn(self) -> float:
-        """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g: D times the
-        radial entry of `hess_phi_components`, formed alone."""
-        d = self.D
-        return d * (float(self.lambda_sign) * self.d2u / d
-                    + self.u * self.du ** 2 / d ** 2)
-
-    @property
     def H_g(self) -> float:
         """Mean curvature of the level w.r.t. g."""
         check_window(self.u)
         d, n, u = self.D, self.n, self.u
         mean = self.H if self.lambda_sign > 0 else -self.H
         return math.sqrt(d) * (mean + (n - 1) * u * abs(self.du) / d)
-
-    @property
-    def hess_phi_norm2(self) -> float:
-        """|hess_g phi|_g^2."""
-        check_window(self.u)
-        n, u, w_norm = self.n, self.u, self.W
-        return self.hess_u_norm2 + n * u * u * w_norm * (w_norm - 2.0)
 
     @property
     def lap_phi(self) -> float:
@@ -456,12 +436,20 @@ class SphereData:
         check_window(self.u)
         return self.D ** ((self.n + 2) / 2.0) / self.u
 
-    @property
-    def scalar_g(self) -> float:
-        """R_g, from the trace identity."""
-        check_window(self.u)
-        n, u = self.n, self.u
-        return (n - 1) * ((n - 2) + (n * u * u + 2.0) * (1.0 - self.W))
+
+def _hess_phi_nn(sp: SphereData, d: float) -> float:
+    """hess_g phi(nu_g, nu_g) for the g-unit normal nu_g at the record, given
+    its D: D times the radial entry of hess_g phi in the g0-orthonormal
+    frame, formed alone."""
+    return d * (float(sp.lambda_sign) * sp.d2u / d
+                + sp.u * sp.du ** 2 / d ** 2)
+
+
+def _hess_phi_norm2(sp: SphereData, w_norm: float) -> float:
+    """|hess_g phi|_g^2 at the record, given its W."""
+    n, u, tan = sp.n, sp.u, (sp.dh / sp.h) * sp.du  # `hess_u_tan`
+    return (sp.d2u ** 2 + (n - 1) * tan ** 2
+            + n * u * u * w_norm * (w_norm - 2.0))
 
 
 def sphere_data(triple: StaticTriple, x: float) -> SphereData:

@@ -16,7 +16,9 @@ the last slab only in the `__dict__` of the triple the caller passed
 any location).  The first report locates the ends and takes the
 assumption flags, and by quadrature node builds the record, its volume
 weight and D^(n/2); each identity reads its own terms of a node's record
-once, into a tuple of floats that its reports share.  The
+once, into a tuple of floats that its reports share, computed in one
+body from the record's fields and D (`_first_terms`, `_second_terms`,
+which repeat W, lap phi and gamma inline).  The
 curvature-deficit identity reads no such table: its interval runs between
 the level's two spheres, or from its one sphere to the extremum, 1e-9 of
 the domain inside its ends.  Every identity is judged at `IDENTITY_TOL`.
@@ -35,7 +37,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-from .geometry import SphereData, StaticTriple, boundary_scalar_curvature
+from .geometry import (SphereData, StaticTriple, _hess_phi_nn, _hess_phi_norm2,
+                       boundary_scalar_curvature, check_window)
 from .levelset import (
     assumption_flags,
     conformal_boundary_data,
@@ -137,12 +140,16 @@ def _first_flux(p: float, spheres: Sequence[SphereData]) -> float:
 
 
 def _first_terms(sp: SphereData) -> tuple:
-    """What the first integrand reads of a node's record, in the order it
-    read it: coth(phi), W (so D refuses first), then the band, then
-    1/sinh(phi)^n."""
+    """What the first integrand reads of a node's record, from its fields:
+    coth(phi), W (so D refuses first), hess phi(nu_g, nu_g), lap phi (after
+    the band) and 1/sinh(phi)^n."""
     u = sp.u
-    return (1.0 / u if sp.lambda_sign > 0 else u, sp.W, sp.hess_phi_nn,
-            sp.lap_phi, _inv_sinh_n(sp))
+    coth_phi, du2, d = 1.0 / u if sp.lambda_sign > 0 else u, sp.du ** 2, sp.D
+    w_norm = du2 / d  # `SphereData.W`
+    hess_nn = _hess_phi_nn(sp, d)
+    check_window(u)  # then `SphereData.lap_phi`
+    return (coth_phi, w_norm, hess_nn, -sp.n * u * (1.0 - w_norm),
+            _inv_sinh_n(sp))
 
 
 def first_identity(triple: StaticTriple, p: float, s: float, S: float,
@@ -176,9 +183,15 @@ def first_identity(triple: StaticTriple, p: float, s: float, S: float,
 
 
 def _second_terms(sp: SphereData) -> tuple:
-    """What the second integrand reads of a node's record, in the order it
-    read it: |hess phi|^2 (so the band refuses first), then gamma."""
-    return sp.hess_phi_norm2, sp.hess_phi_nn, sp.u, sp.W, sp.gamma
+    """What the second integrand reads of a node's record, from its fields:
+    |hess phi|^2 (so the band refuses first, then D), hess phi(nu_g, nu_g),
+    u, W and gamma."""
+    u = sp.u
+    check_window(u)
+    du2, d = sp.du ** 2, sp.D
+    w_norm = du2 / d  # `SphereData.W`
+    return (_hess_phi_norm2(sp, w_norm), _hess_phi_nn(sp, d), u, w_norm,
+            d ** ((sp.n + 2) / 2.0) / u)  # `SphereData.gamma`
 
 
 def second_identity(triple: StaticTriple, p: float, s: float, S: float,

@@ -107,7 +107,10 @@ def adaptive(f: Callable[[float], float], a: float, b: float,
         neg_err, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            # interval at floating-point resolution; accept its estimate
+            # interval at floating-point resolution: accept its estimate; if
+            # it has none, neither has any other, and total_err is rounding
+            if e == 0.0:
+                break
             heapq.heappush(heap, (0.0, lo, hi, v, 0.0))
             total_err -= e
             continue

@@ -10,16 +10,27 @@ from staticlab.levelset import t_of_s
 
 from oracles import hemisphere_in_arclength, s_of_t, sds_horizon_data
 
+RESIDUALS = (CF.quasi_einstein_residual, CF.bochner_residual,
+             CF.w_equation_residual, CF.trace_identity_residual,
+             CF.mean_curvature_relations)  # in the suite's order
+
+
+def at(residual, sp):
+    """`residual` at the record `sp`, with the record's shared values."""
+    return residual(sp, CF._shared(sp))
+
 
 def test_de_sitter_state_is_cylindrical(ds3):
     # the conformal picture of the hemisphere is a round cylinder
     for r in linspace(0.05, 0.95, 20):
         st = CF.to_conformal(ds3, r)
         assert st.W == pytest.approx(1.0, abs=1e-12)
-        assert st.hess_phi_norm2 == pytest.approx(0.0, abs=1e-12)
+        d, _, ric_rr, ric_tt, _, _, _, _, hess_norm2, _ = CF._shared(st)
+        assert hess_norm2 == pytest.approx(0.0, abs=1e-12)
         assert st.lap_phi == pytest.approx(0.0, abs=1e-12)
         assert st.D * (1 - st.W) == pytest.approx(0.0, abs=1e-12)
-        assert st.scalar_g == pytest.approx(2.0, abs=1e-12)  # (n-1)(n-2)
+        # R_g = (n-1)(n-2), from Ric_g's components
+        assert d * (ric_rr + 2 * ric_tt) == pytest.approx(2.0, abs=1e-12)
         assert st.H_g == pytest.approx(0.0, abs=1e-12)
 
 
@@ -27,8 +38,9 @@ def test_anti_de_sitter_state(ads3):
     for r in linspace(0.2, 10, 20):
         st = CF.to_conformal(ads3, r)
         assert st.W == pytest.approx(1.0, abs=1e-12)
-        # trace identity with W = 1 kills the u^2 term entirely
-        assert st.scalar_g == pytest.approx(2.0, abs=1e-10)
+        # R_g = (n-1)(n-2): in the trace identity W = 1 kills the u^2 term
+        d, _, ric_rr, ric_tt = CF._shared(st)[:4]
+        assert d * (ric_rr + 2 * ric_tt) == pytest.approx(2.0, abs=1e-10)
         assert t_of_s(s_of_t(st.u), -1) == pytest.approx(ads3.u.value(r),
                                                          rel=1e-12)
 
@@ -82,12 +94,13 @@ def test_sds_grad_phi_closed_form(sds01):
 
 def test_quasi_einstein_tight_on_hemisphere(ds3):
     for r in (0.2, 0.5, 0.8):
-        assert CF.quasi_einstein_residual(CF.sphere_data(ds3, r)) <= 1e-10
+        sp = CF.sphere_data(ds3, r)
+        assert at(CF.quasi_einstein_residual, sp) <= 1e-10
 
 
 def test_quasi_einstein_residual_on_solutions(all_models):
     for tr in all_models:
-        worst = max(CF.quasi_einstein_residual(sp)
+        worst = max(at(CF.quasi_einstein_residual, sp)
                     for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-8, tr.name
 
@@ -96,7 +109,8 @@ def test_quasi_einstein_residual_sds_inner_region(sds01):
     lo = sds01.domain[0]
     r0 = sds01.extremum.location
     for r in linspace(lo + 0.01, r0 - 0.01, 50):
-        assert CF.quasi_einstein_residual(CF.sphere_data(sds01, r)) <= 1e-8
+        sp = CF.sphere_data(sds01, r)
+        assert at(CF.quasi_einstein_residual, sp) <= 1e-8
 
 
 def test_quasi_einstein_detects_perturbation(ds3):
@@ -105,13 +119,13 @@ def test_quasi_einstein_detects_perturbation(ds3):
 
     bad = hemisphere_in_arclength(ds3, u_pert)  # r = 0.5 at rho = asin(0.5)
     sp = CF.sphere_data(bad, math.asin(0.5))
-    assert CF.quasi_einstein_residual(sp) > 1e-3
+    assert at(CF.quasi_einstein_residual, sp) > 1e-3
 
 
 def test_bochner_residual(all_models):
     # measured maximum over these four models: 5.7e-13 (anti-de Sitter)
     for tr in all_models:
-        worst = max(CF.bochner_residual(sp)
+        worst = max(at(CF.bochner_residual, sp)
                     for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-12, tr.name
 
@@ -121,7 +135,7 @@ def test_w_equation_residual(all_models):
     # u = 19.8, where beta = 391 multiplies |hess phi|^2 = 0 formed from
     # terms of size n u^2, so rounding leaves 2.3e-13 of it)
     for tr in all_models:
-        worst = max(CF.w_equation_residual(sp)
+        worst = max(at(CF.w_equation_residual, sp)
                     for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-9, tr.name
 
@@ -132,8 +146,8 @@ def test_closed_form_residuals_at_small_sds_mass(m):
     # at these masses; the closed form reads at most 2.3e-10
     tr = schwarzschild_de_sitter(SdSParams(n=3, m=m))
     for sp in CF.sample_points_off_extremum(tr, 50):
-        assert CF.bochner_residual(sp) <= 1e-9, (m, sp.x)
-        assert CF.w_equation_residual(sp) <= 1e-9, (m, sp.x)
+        assert at(CF.bochner_residual, sp) <= 1e-9, (m, sp.x)
+        assert at(CF.w_equation_residual, sp) <= 1e-9, (m, sp.x)
 
 
 def test_closed_form_residuals_detect_perturbation(ds3):
@@ -146,8 +160,8 @@ def test_closed_form_residuals_detect_perturbation(ds3):
 
     bad = hemisphere_in_arclength(ds3, u_pert)  # r = 0.5 at rho = asin(0.5)
     sp = CF.sphere_data(bad, math.asin(0.5))
-    assert CF.bochner_residual(sp) > 1e-3
-    assert CF.w_equation_residual(sp) > 1e-3
+    assert at(CF.bochner_residual, sp) > 1e-3
+    assert at(CF.w_equation_residual, sp) > 1e-3
 
 
 def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
@@ -184,23 +198,22 @@ def test_suite_conformal_builds_one_record_per_point(all_models, monkeypatch):
 
 
 def test_residuals_that_share_a_part_keep_their_bits(all_models):
-    # Ric_g's components and the radial derivatives are computed once per
-    # record, each for two residuals: a residual reads the same bits on a
-    # record whose shared part the other residual computed
-    pairs = [(CF.quasi_einstein_residual, CF.trace_identity_residual),
-             (CF.bochner_residual, CF.w_equation_residual)]
+    # Ric_g's components, the radial derivatives and |hess phi|^2 are
+    # computed once per record by `_shared`, each for two residuals: the
+    # suite reports, bit for bit, the max of each residual over the sample
+    # with values computed for it alone on a record built again
     for tr in all_models:
-        for sp in CF.sample_points_off_extremum(tr, 10):
-            for first, then in pairs + [pair[::-1] for pair in pairs]:
-                shared = CF.sphere_data(tr, sp.x)
-                first(shared)
-                assert then(shared) == then(CF.sphere_data(tr, sp.x)), \
-                    (tr.name, sp.x)
+        records = CF.sample_points_off_extremum(tr, 50)
+        for report, residual in zip(cli.suite_conformal(tr, 1e-6),
+                                    RESIDUALS):
+            alone = [residual(sp, CF._shared(sp)) for sp in
+                     (CF.sphere_data(tr, sp.x) for sp in records)]
+            assert report.lhs == max(alone), (tr.name, report.name)
 
 
 def test_trace_identity_residual(all_models):
     for tr in all_models:
-        worst = max(CF.trace_identity_residual(sp)
+        worst = max(at(CF.trace_identity_residual, sp)
                     for sp in CF.sample_points_off_extremum(tr, 50))
         assert worst <= 1e-8, tr.name
 
@@ -208,7 +221,7 @@ def test_trace_identity_residual(all_models):
 def test_mean_curvature_relation_reports(all_models):
     for tr in all_models:
         for sp in CF.sample_points_off_extremum(tr, 25)[::5]:
-            assert CF.mean_curvature_relations(sp) <= 1e-8
+            assert at(CF.mean_curvature_relations, sp) <= 1e-8
 
 
 def test_de_sitter_level_mean_curvature_convention(ds3):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 OPTIONS_CEILING = 15
-SRC_LINES_CEILING = 3287
+SRC_LINES_CEILING = 3297
 
 
 def _counts():

@@ -302,6 +302,19 @@ def test_level_walk_cost(name, monkeypatch):
     assert calls[0] / len(grid) <= 2.25
 
 
+def _flat_at_one_half():
+    """A triple whose u is 0.5 on [-0.1, 0.1] and rises as a cubic on either
+    side: u is monotone, and a level 0.5 located there has slope 0."""
+    def u(x):
+        y = x - 0.1 if x > 0.1 else x + 0.1 if x < -0.1 else 0.0
+        return 0.5 + 0.25 * y ** 3, 0.75 * y * y, 1.5 * y
+
+    return StaticTriple(
+        n=3, lambda_sign=1, u=RadialProfile((-1.0, 1.0), u),
+        h=RadialProfile((-1.0, 1.0), lambda x: (2.0 + x, 1.0, 0.0)),
+        f=None, boundaries=(), extremum=Extremum(1.0, 1))
+
+
 @pytest.mark.parametrize("tr, levels, cold_rows", [
     # the horizon row is answered from its data, and the row after it cold
     (de_sitter(3), [0.0, 0.3, 0.31], [0, 1]),
@@ -318,8 +331,10 @@ def test_level_walk_cost(name, monkeypatch):
     # 8.9e-7), so the levels have 1, 1, 2, 2 and 1 spheres
     (schwarzschild_de_sitter(SdSParams(n=3, m=0.1)),
      [6e-7, 7e-7, 1e-6, 1.1e-6, 7e-7], [0, 2, 4]),
+    # a sphere of slope 0 gives Newton no step: the next level goes cold
+    (_flat_at_one_half(), [0.5, 0.55, 0.6], [0, 1]),
 ], ids=["from-horizon", "through-horizon", "to-band", "jumps",
-        "jump-out", "sphere-count"])
+        "jump-out", "sphere-count", "flat-sphere"])
 def test_level_walk_falls_back_to_cold_location(tr, levels, cold_rows,
                                                 monkeypatch):
     tr, calls = _counting_u(tr)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from staticlab import quadrature as Q
 from staticlab.quadrature import (
     _WG,
     _WGK,
@@ -92,3 +93,35 @@ def test_kronrod_rule_integrates_monomials(k):
     assert abs(_rule_error(_WGK, _XGK, k)) <= (2 if k <= 14 else 4) * ulp
     if k <= 12:
         assert abs(_rule_error(_WG, _XGK[1::2], k)) <= 2 * ulp
+
+
+
+@pytest.mark.parametrize("a, b, c", [(0.0, math.pi, 1.0),
+                                     (0.1, 1.0, 1.0 / 3.0)],
+                         ids=["step-at-1", "running-sum-residue"])
+def test_a_jump_is_refined_to_floating_point_resolution(a, b, c,
+                                                        monkeypatch):
+    # a step at c keeps the error estimate of the panel around it above any
+    # target until panels are two adjacent floats, whose midpoint is one of
+    # their ends: such a panel's estimate is accepted.  At 1.0 the panel
+    # [1, 1 + 2^-52] is accepted with its error; on [0.1, 1] every error
+    # reaches 0 while the running sum of errors keeps 3.4e-21 of rounding,
+    # where the loop used to pop and push a zero-error panel forever.  The
+    # integral is exact to one ulp of c and the rounding of the running
+    # sum, a few ulps of the value
+    panels = []
+    kronrod_panel = Q._kronrod_panel
+
+    def recorded(f, lo, hi):
+        value, error, evals = kronrod_panel(f, lo, hi)
+        panels.append((lo, hi, error))
+        return value, error, evals
+
+    monkeypatch.setattr(Q, "_kronrod_panel", recorded)
+    res = adaptive(lambda x: 0.0 if x < c else 1.0, a, b, QuadratureConfig(
+        abs_tol=1e-300, rel_tol=0.0, max_evals=100_000))
+    assert res.evaluations == 15 * len(panels)
+    assert abs(res.value - (b - c)) <= math.ulp(c) + 8 * math.ulp(res.value)
+    if c == 1.0:
+        assert (1.0, math.nextafter(1.0, 2.0)) in \
+            [(lo, hi) for lo, hi, error in panels if error > 0.0]
