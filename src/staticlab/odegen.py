@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .geometry import (BoundaryComponent, Extremum, RadialProfile,
@@ -387,26 +387,27 @@ def integrate(rhs: Rhs, t0: float, y0: State, t_bound: float,
 def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     """Integrate outward from horizon data and package the trajectory.
 
-    Stops when u returns to zero (a second horizon), when the warping
-    radius collapses (a pole closing off a ball), or at the arclength
-    budget.  A pole that is not smooth (h' = -1 and normalised u' = 0 at
-    the end, to POLE_TOL) or a refused integration raises Refused, as
-    does an h0 of 20000 or more, whose series would start past the budget,
-    before any step.  An interior zero of u' with the warp still open
-    marks an extremal sphere and integration continues through it.
+    A shot that is not refused ends at a second horizon, where u falls to
+    its floor and is continued linearly to 0: two boundaries, with a
+    non-discrete extremal sphere at the first zero of u' between them.  Or
+    it ends at a smooth pole, where the warp collapses with h' = -1 and
+    normalised u' = 0 to POLE_TOL: one boundary, the pole its extremum.
+    A singular pole, a refused integration, no stop within the arclength
+    budget and, before any step, an h0 of 20000 or more (its series would
+    start past the budget) raise Refused.
 
-    The returned triple is normalised to max u = 1, carries dense-output
-    profiles whose second derivatives come from the reduction itself, and
-    records the trajectory's extremal structure.  The reduced system is
-    homogeneous of degree one in (u, u'), so the normalised shot does not
-    depend on kappa: it is integrated with u'(0) = 1, and the stored
-    normalization_factor, scale / kappa, still maps the kappa shot to it.
+    The returned triple is normalised to max u = 1 and carries dense-output
+    profiles whose second derivatives come from the reduction itself.  The
+    reduced system is homogeneous of degree one in (u, u'), so the
+    normalised shot does not depend on kappa: it is integrated with
+    u'(0) = 1, and the stored normalization_factor, scale / kappa, still
+    maps the kappa shot to it.
     """
     if data.lambda_sign != +1:
         raise Refused("horizon shooting applies to positive cosmological "
                       "constant only (u has no zero level otherwise)")
     system = reduce_system(data.n, data.lambda_sign)
-    unit = replace(data, kappa=1.0)
+    unit = HorizonData(data.n, data.lambda_sign, data.h0, 1.0)
     rho0 = SERIES_HANDOFF * data.h0
     if not rho0 < MAX_ARCLENGTH:  # below, neither h0^2 nor rho0^3 overflows
         raise Refused(f"h0={data.h0:g} is too large to shoot: from h0 = "
@@ -424,33 +425,31 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
         raise Refused("no stop condition met within the arclength "
                       "budget; the trajectory may be blowing up")
     y_end = sol(rho_end)
-    hit_second_horizon = bool(horizon_hits)
-
-    # extrapolate across the stopping slivers
-    if hit_second_horizon:
-        # linear continuation to u = 0 (u'' vanishes at a horizon)
-        gap = y_end[2] / abs(y_end[3])
-        rho_bdry = rho_end + gap
-        kappa2 = abs(y_end[3])
-        radius2 = y_end[0] + y_end[1] * gap
-    if extremal_rhos:
+    if extremal_rhos:  # the first u' crossing is the maximum of u
         rho_star = extremal_rhos[0]
-        u_max = sol(rho_star)[2]
-    elif not hit_second_horizon:
-        # pole-terminated ball: continue u to the vertex of its parabola
+        h_star, _, u_max, _ = sol(rho_star)
+        extremum = Extremum(location=rho_star,
+                            count=None if h_star > 10.0 * h_floor else 1)
+    else:  # a pole ended the shot: continue u to its parabola's vertex
         _, d2u_end = system.second_derivatives(*y_end)
         u_max = y_end[2] + y_end[3] * y_end[3] / (2.0 * abs(d2u_end))
-    else:
-        raise RuntimeError("reached a second horizon without an interior "
-                           "extremum; trajectory is not a static solution")
+        extremum = Extremum(location=rho_end, count=1)
     scale = 1.0 / u_max
-    if not hit_second_horizon:
+    boundaries = [BoundaryComponent(location=0.0, sphere_radius=data.h0,
+                                    surface_gravity=scale)]
+    if horizon_hits:  # continue u linearly to 0 (u'' vanishes at a horizon)
+        gap = y_end[2] / abs(y_end[3])
+        domain_end = rho_end + gap
+        boundaries.append(BoundaryComponent(
+            location=domain_end, sphere_radius=y_end[0] + y_end[1] * gap,
+            surface_gravity=abs(y_end[3]) * scale))
+    else:
         dh_end, du_end = y_end[1], scale * y_end[3]
         if abs(dh_end + 1.0) > POLE_TOL or abs(du_end) > POLE_TOL:
             raise Refused(f"the shot closes at a singular pole: "
                           f"h'={dh_end:.6g} and u'={du_end:.6g} at its end, "
                           "where a smooth pole has -1 and 0")
-    domain_end = rho_bdry if hit_second_horizon else rho_end
+        domain_end = rho_end
 
     # u and h are read in pairs at one point: the point read last is kept
     # with both rows, as one tuple so that a read sees one point's values
@@ -469,22 +468,6 @@ def shoot_from_horizon(data: HorizonData) -> StaticTriple:
     def h_fn(rho: float) -> tuple[float, float, float]:
         got = last[0]
         return (got if got[0] == rho else read(rho))[1]
-
-    if extremal_rhos:
-        h_star = sol(rho_star)[0]
-        if h_star > 10.0 * h_floor:
-            extremum = Extremum(location=rho_star, count=None)
-        else:
-            extremum = Extremum(location=rho_star, count=1)
-    else:
-        extremum = Extremum(location=rho_end, count=1)
-
-    boundaries = [BoundaryComponent(location=0.0, sphere_radius=data.h0,
-                                    surface_gravity=scale)]
-    if hit_second_horizon:
-        boundaries.append(BoundaryComponent(
-            location=rho_bdry, sphere_radius=radius2,
-            surface_gravity=kappa2 * scale))
 
     return StaticTriple(
         n=data.n, lambda_sign=data.lambda_sign,

@@ -9,6 +9,7 @@ evaluations.  It is the one rule of the package.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,5 +122,5 @@ def adaptive(f: Callable[[float], float], a: float, b: float,
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    return QuadResult(total_val, total_err, evals)
+    return QuadResult(total_val, math.fsum(e for *_, e in heap), evals)
 

@@ -11,6 +11,11 @@ where areas and weights leave the double range; and SdS next to the
 Nariai limit, m = (1 - eps) times the mass bound for eps = 1e-10, 1e-12
 and 1e-14 at n = 4 and 200, through every suite but identities and both
 curves: 123 argvs.
+
+`shot_argvs` lists 48 `shoot` argvs, n in {3, 4, 5, 8} times twelve
+horizon radii from 1e-6 to 2e4, read by `tools/golden_bytes.py` and by
+`tests/test_odegen.py`: each ends at a second horizon, at a smooth pole,
+or is refused.
 """
 
 from __future__ import annotations
@@ -66,3 +71,11 @@ def extreme_argvs():
         for eps in (1e-10, 1e-12, 1e-14):
             yield from (_argv(what, _near_nariai(n, eps)) for what in (
                 "static", "conformal", "inequalities", "liminf", *CURVES))
+
+
+def shot_argvs():
+    """The `shoot` argvs, each a tuple of strings."""
+    return [("shoot", "--n", str(n), "--h0", h0, "--kappa", "1", "--steps",
+             "5") for n in (3, 4, 5, 8)
+            for h0 in ("1e-6", "0.01", "0.3", "0.5", "0.577", "0.8", "1",
+                       "1.01", "1.5", "3", "100", "2e4")]

@@ -174,7 +174,8 @@ def _golden_bytes():
 def test_golden_bytes_runs_these_commands():
     # tools/golden_bytes.py reads COMMANDS from this file without pytest,
     # then the 23 commands of the seed-0 cli benchmark workload, then the
-    # 123 extreme argvs of tests/extremes.py, each under its own name
+    # 123 extreme argvs and the 48 shots of tests/extremes.py, each under
+    # its own name
     from extremes import extreme_argvs
     commands = list(_golden_bytes().commands().items())
     assert commands[:len(COMMANDS)] == list(COMMANDS.items())
@@ -185,8 +186,12 @@ def test_golden_bytes_runs_these_commands():
         ["shoot", "--n", "3", "--h0", "1", "--kappa", "1"],
         ["models", "--n", "3", "--m", "0.1"],
         *(list(argv) for argv in extreme_argvs()),
+        *(["shoot", "--n", n, "--h0", h0, "--kappa", "1", "--steps", "5"]
+          for n in ("3", "4", "5", "8")
+          for h0 in ("1e-6", "0.01", "0.3", "0.5", "0.577", "0.8", "1",
+                     "1.01", "1.5", "3", "100", "2e4")),
     ]
-    assert len(commands) == len(COMMANDS) + 23 + 123
+    assert len(commands) == len(COMMANDS) + 23 + 123 + 48 == 227
 
 
 def test_golden_bytes_names_the_cells_that_differ():

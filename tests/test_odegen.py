@@ -8,6 +8,7 @@ from staticlab import odegen as OG
 from staticlab.geometry import linspace
 from staticlab.report import Refused
 
+from extremes import shot_argvs
 from oracles import arclength_from_horizon
 
 
@@ -203,6 +204,68 @@ def test_integrate_refuses_a_start_that_is_not_finite(monkeypatch):
         with pytest.raises(Refused, match="the start state or first "
                                           "step is not finite"):
             OG.integrate(system.rhs, 1e-3, y0, 1.0, ())
+
+
+def test_integrate_floors_the_first_step_of_a_constant_solution():
+    # y' = 0 along the whole first trial step, so the starting step is the
+    # floor of 1e-6, not 1e-3 of the trial step (1e-9)
+    sol, end, _ = OG.integrate(lambda t, y: (0.0,) * 4, 0.0, (1.0,) * 4,
+                               1.0, ())
+    assert sol.steps[0][1] == 1e-6
+    assert end == 1.0
+    assert sol(0.5) == (1.0,) * 4
+
+
+def test_a_step_that_divides_by_zero_is_rejected():
+    """A stage that divides by zero (the reduction meeting h or u at 0)
+    rejects its step as an infinite error estimate would, shrinking it
+    fivefold, and the integration goes on."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 3:  # the first stage of the first step tried
+            raise ZeroDivisionError("float division by zero")
+        return (0.0,) * 4
+
+    sol, end, _ = OG.integrate(rhs, 0.0, (1.0,) * 4, 1.0, ())
+    assert sol.steps[0][1] == 1e-6 * OG.MIN_FACTOR
+    assert end == 1.0
+    # two calls start the integration, the rejected step made one, and
+    # each accepted step six
+    assert len(calls) == 3 + 6 * len(sol.steps)
+
+
+def test_a_shot_ends_at_a_second_horizon_or_a_smooth_pole():
+    """Each static solution that a shot from a horizon builds is locally
+    de Sitter, SdS or Nariai, so a shot that returns ends at a second
+    horizon, with u' changing sign at a non-discrete extremal sphere
+    inside, or at a smooth pole, which is its extremum; any other shot is
+    refused."""
+    ends = []
+    for argv in shot_argvs():
+        n, h0 = int(argv[2]), float(argv[4])
+        try:
+            tr = OG.shoot_from_horizon(OG.HorizonData(n, +1, h0, 1.0))
+        except Refused:
+            ends.append("refused")
+            continue
+        lo, hi = tr.domain
+        rho = tr.extremum.location
+        if len(tr.boundaries) == 2:
+            ends.append("second horizon")
+            assert tr.boundaries[1].location == hi
+            assert tr.extremum.count is None and lo < rho < hi, (n, h0)
+            step = 1e-4 * (hi - lo)
+            assert tr.u(rho - step)[1] > 0.0 > tr.u(rho + step)[1], (n, h0)
+        else:
+            ends.append("pole")
+            assert len(tr.boundaries) == 1
+            assert rho == hi and tr.extremum.count == 1, (n, h0)
+            assert abs(tr.h(hi)[1] + 1.0) <= OG.POLE_TOL, (n, h0)
+            assert abs(tr.u(hi)[1]) <= OG.POLE_TOL, (n, h0)
+    assert (ends.count("second horizon"), ends.count("pole"),
+            ends.count("refused")) == (22, 1, 25)
 
 
 def test_shooting_grid_lands_on_known_families():

@@ -30,9 +30,6 @@ NOT_REFUSALS = {
         "the bracket has a sign change, yet the iteration did not close it",
     ("odegen", "RuntimeError", "integration failed: {} steps tried"):
         "MAX_STEPS step attempts did not reach the end of the interval",
-    ("odegen", "RuntimeError",
-     "reached a second horizon without an interior extremum"):
-        "the integrated trajectory is not a static solution",
     ("quadrature", "QuadratureError", "budget of "):
         "the error estimate did not settle; identities reports it as fail",
 }
@@ -53,6 +50,9 @@ PLATEAU = StaticTriple(
 
 # de Sitter without its horizon data: no boundary to integrate over
 NO_BOUNDARY = dataclasses.replace(de_sitter(3), boundaries=())
+
+# anti-de Sitter said not to be conformally compact: no boundary data
+NOT_COMPACT = dataclasses.replace(anti_de_sitter(3), conformally_compact=False)
 
 NARIAI3 = nariai(3)
 ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
@@ -86,8 +86,7 @@ ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
     (lambda: IQ.scalar_average_bound(NO_BOUNDARY), "triple has no boundary"),
     (lambda: LS.up_second_derivative_at_boundary(de_sitter(3), 2),
      r"asserted for p >= 3 only"),
-    (lambda: LS.conformal_boundary_data(dataclasses.replace(
-        anti_de_sitter(3), conformally_compact=False)),
+    (lambda: LS.conformal_boundary_data(NOT_COMPACT),
      "triple is not conformally compact"),
 ], ids=["to-arclength-chart", "zero-warp", "zero-warp-up-curve",
         "zero-warp-phi-curve", "conformal-factor",
@@ -99,6 +98,19 @@ ZERO_WARP = dataclasses.replace(NARIAI3, h=RadialProfile(
 def test_refusal(call, message):
     with pytest.raises(Refused, match=message):
         call()
+
+
+def test_a_triple_not_conformally_compact_fails_the_gate():
+    # its gradient-limit flags are False without reading boundary data, so
+    # a gated check that passes on anti-de Sitter is inapplicable here
+    flags = LS.assumption_flags(NOT_COMPACT)
+    assert flags == {"normalization": True, "discrete_extremum": True,
+                     "conformally_compact": False,
+                     "gradient_limit_nonneg": False,
+                     "gradient_limit_zero": False}
+    assert not LS.assumptions_hold(NOT_COMPACT, flags)
+    assert IQ.gradient_bound(anti_de_sitter(3)).status == "pass"
+    assert IQ.gradient_bound(NOT_COMPACT).status == "inapplicable"
 
 
 def _message(node: ast.expr) -> str:

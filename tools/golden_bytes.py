@@ -1,12 +1,13 @@
-"""Check that the golden commands, the `cli` benchmark workload and the
-extreme command lines print the same bytes at a revision and in the
-working tree.
+"""Check that the golden commands, the `cli` benchmark workload, the
+extreme command lines and the shot sweep print the same bytes at a
+revision and in the working tree.
 
     python3 tools/golden_bytes.py REV
 
 Runs each command of `tests/test_golden.COMMANDS`, each argv of the
-seed-0 `cli` workload (`perfbench/workloads.Cli(0, ROOT).argvs`) and each
-of `tests/extremes.extreme_argvs` (refusals and near-bound paths) as a
+seed-0 `cli` workload (`perfbench/workloads.Cli(0, ROOT).argvs`), each
+of `tests/extremes.extreme_argvs` (refusals and near-bound paths) and each
+of `tests/extremes.shot_argvs` (both ends of a shot and its refusals) as a
 child process, `python -m staticlab.cli ...`, twice: on `git archive REV
 src` extracted to a temporary directory, and on the working tree's `src/`.
 Prints each command whose exit status, stdout or stderr bytes differ, and
@@ -63,19 +64,21 @@ def cli_workload_commands() -> dict[str, list[str]]:
 
 
 def extreme_commands() -> dict[str, list[str]]:
-    """The argvs of `tests/extremes.py`, each named by its argv; their
-    masses are computed by the working tree's package."""
+    """The extreme argvs of `tests/extremes.py`, then its shots, each named
+    by its argv; their masses are computed by the working tree's
+    package."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     spec = importlib.util.spec_from_file_location("_extremes", EXTREMES)
     extremes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(extremes)
-    return {" ".join(argv): list(argv) for argv in extremes.extreme_argvs()}
+    return {" ".join(argv): list(argv) for argv in (
+        *extremes.extreme_argvs(), *extremes.shot_argvs())}
 
 
 def commands() -> dict[str, list[str]]:
     """The golden commands, then the `cli` workload's, then the extreme
-    ones."""
+    ones and the shots."""
     return {**golden_commands(), **cli_workload_commands(),
             **extreme_commands()}
 
@@ -160,8 +163,8 @@ def main(argv: list[str]) -> int:
                 print(f"  {err_at.decode(errors='replace')!r} -> "
                       f"{err.decode(errors='replace')!r}")
             differ += here != at
-    print(f"{len(todo) - differ}/{len(todo)} golden, cli workload and "
-          f"extreme commands byte-identical to {rev}")
+    print(f"{len(todo) - differ}/{len(todo)} golden, cli workload, extreme "
+          f"and shot commands byte-identical to {rev}")
     return 1 if differ else 0
 
 
